@@ -13,13 +13,17 @@ Compilation merges every inserted Pauli (including the X wrappers from the
 native-gate inverse of UZZ) into neighboring single-qubit Cliffords, so the
 executed gate list contains only CliffordGate and NativeGate entries: exactly
 one CliffordGate per qubit per round plus the round's UZZ gates.
+
+Every compiled or loaded gate list is checked by one pass of
+``operators.ZObservables``: the gates must multiply to a Pauli whose X part
+is the final Pauli's, and the signs of that pass give the noiseless outcome.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +32,8 @@ from .operators import (
     NativeGate,
     PauliOperator,
     SingleQubitClifford,
-    conjugate_by_clifford,
     conjugate_by_uzz,
+    mirror_outcome,
     pauli_multiply,
     sample_clifford,
     sample_pauli,
@@ -260,9 +264,10 @@ def build_mirror_circuit(spec: MirrorCircuitSpec) -> CompiledCircuit:
             q, _pauli_clifford_at(tail, q).compose(gate.clifford)
         )
 
-    outcome = _expected_outcome(gates, n)
-    if outcome != tuple((spec.final_pauli.x >> q) & 1 for q in range(n)):
-        raise CompilationError("compiled circuit does not invert to the final Pauli")
+    try:
+        outcome = _checked_outcome(gates, spec.final_pauli)
+    except ValueError as exc:
+        raise CompilationError(f"compiled circuit is wrong: {exc}") from None
     return CompiledCircuit(
         n_qubits=n,
         length=spec.length,
@@ -275,26 +280,17 @@ def build_mirror_circuit(spec: MirrorCircuitSpec) -> CompiledCircuit:
     )
 
 
-def _expected_outcome(gates: Iterable, n_qubits: int) -> tuple:
-    """Noiseless outcome bits: propagate each Z_j through the circuit.
+def _checked_outcome(gates: Sequence, final_pauli: PauliOperator) -> tuple:
+    """Noiseless outcome of a gate list that must invert to ``final_pauli``.
 
-    The image must be +/- Z_j (the ideal circuit is a Pauli); bit j is 1 iff
-    the sign is -1, since W |0..0> is then the flipped basis state.
+    Raises ValueError if the gates are not a Pauli or flip other bits than
+    the X part of ``final_pauli``.
     """
-    images = [PauliOperator(n_qubits, 0, 1 << j) for j in range(n_qubits)]
-    for gate in gates:
-        if isinstance(gate, CliffordGate):
-            images = [
-                conjugate_by_clifford(p, gate.clifford, gate.qubit) for p in images
-            ]
-        else:
-            images = [conjugate_by_uzz(p, gate.qubits) for p in images]
-    outcome = []
-    for j, img in enumerate(images):
-        if img.x != 0 or img.z != (1 << j) or img.phase not in (1, -1):
-            raise CompilationError("circuit is not a mirror (Z image not +/- Z)")
-        outcome.append(0 if img.phase == 1 else 1)
-    return tuple(outcome)
+    n = final_pauli.n_qubits
+    outcome = mirror_outcome(gates, n)
+    if outcome != tuple((final_pauli.x >> q) & 1 for q in range(n)):
+        raise ValueError("circuit does not invert to its final Pauli")
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +390,13 @@ def circuit_to_json(circuit: CompiledCircuit) -> dict:
 
 
 def circuit_from_json(data: dict) -> CompiledCircuit:
-    """Rebuild a compiled circuit; the stored gate list and outcome are
-    trusted rather than recompiled, so datasets stay reproducible even if the
-    sampler changes."""
+    """Rebuild a compiled circuit from its stored gate list.
+
+    The gates are not recompiled from the spec, so datasets stay
+    reproducible even if the sampler changes.  They are checked instead:
+    a gate list that is not a mirror, or whose outcome differs from the
+    stored ``expected_outcome`` or from the final Pauli, raises ValueError.
+    """
     if data.get("version") != CIRCUIT_FORMAT_VERSION:
         raise ValueError(f"unsupported circuit format version {data.get('version')!r}")
     n = int(data["n"])
@@ -421,13 +421,17 @@ def circuit_from_json(data: dict) -> CompiledCircuit:
     gates = []
     for rec in data["gates"]:
         if rec["gate"] == "c1":
-            gates.append(CliffordGate(int(rec["q"]),
-                                      SingleQubitClifford(int(rec["index"]))))
+            gate = CliffordGate(int(rec["q"]), SingleQubitClifford(int(rec["index"])))
         elif rec["gate"] == "uzz":
-            gates.append(NativeGate(tuple(int(q) for q in rec["q"])))
+            gate = NativeGate(tuple(int(q) for q in rec["q"]))
         else:
             raise ValueError(f"unknown gate record {rec!r}")
-    outcome = tuple(int(ch) for ch in data["expected_outcome"])
+        if not all(0 <= q < n for q in gate.qubits):
+            raise ValueError(f"gate record {rec!r} acts outside {n} qubits")
+        gates.append(gate)
+    outcome = _checked_outcome(gates, spec.final_pauli)
+    if data["expected_outcome"] != "".join(str(b) for b in outcome):
+        raise ValueError("stored expected_outcome differs from the gates' outcome")
     return CompiledCircuit(
         n_qubits=n,
         length=int(data["L"]),

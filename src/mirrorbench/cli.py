@@ -8,8 +8,9 @@ Every command writes a ``manifest.json`` capturing its exact parameters;
 from the manifest alone.
 
 Exit codes: 0 success, 2 configuration error (bad arguments, malformed noise
-spec, missing inputs, incompatible backend), 3 runtime failure (unwritable
-output, internal error).
+spec, missing inputs, incompatible backend, a circuit file that fails its
+mirror check, a dataset row with impossible counts), 3 runtime failure
+(unwritable output, internal error).
 
 Noise specs: ``none``, ``depolarizing:<p>``, ``pauli:<pX>,<pY>,<pZ>``,
 ``amp_damp:<gamma>``; append ``@inverse=<spec>`` to override the channel

@@ -14,11 +14,14 @@ Conventions used throughout the package:
   over products of H and S starting from the identity, deduplicated by their
   action on X and Z.  Index 0 is the identity; composition and inversion are
   table lookups.
+- ``ZObservables`` carries the images of every Z_q through a circuit in one
+  bit-packed pass.  It is the single Clifford-propagation path behind both
+  the mirror check of compiled circuits and the simulator's fault masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -392,6 +395,10 @@ class CliffordGate:
 
     KIND = "cliff"
 
+    @property
+    def qubits(self) -> tuple:
+        return (self.qubit,)
+
 
 @dataclass(frozen=True)
 class NativeGate:
@@ -417,89 +424,93 @@ def invert_layer_native(gate: NativeGate) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer tableau
+# Z-observable pass
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StabilizerTableau:
-    """Images of the generators X_j, Z_j under a Clifford circuit.
+def _letter(p: PauliOperator) -> tuple:
+    """``(x, z, minus)`` of a one-qubit Hermitian signed Pauli (Y is x = z = 1)."""
+    sign = p.phase * (-1j if p.x & p.z else 1)
+    return p.x, p.z, int(sign == -1)
 
-    ``x_images[j]`` is the image of X_j (a signed Pauli), ``z_images[j]`` of
-    Z_j.  Gates applied with :meth:`apply_clifford` / :meth:`apply_uzz`
-    left-compose onto the represented unitary.
+
+# _LETTER_IMAGES[c] holds the images C P C^dagger of the letters P = X, Z, Y
+_LETTER_IMAGES = tuple(
+    (_letter(xi), _letter(zi), _letter(PauliOperator(1, 0, 0, 1j) * xi * zi))
+    for xi, zi in zip(_CLIFF_X_IMAGES, _CLIFF_Z_IMAGES)
+)
+
+
+class ZObservables:
+    """The n observables ``U Z_q U^dagger`` of a Clifford circuit U, bit-packed.
+
+    Bit q of ``x[p]`` and ``z[p]`` is the X and Z part, at physical qubit p,
+    of the image of Z_q written in Hermitian letters (Y is x = z = 1); bit q
+    of ``signs`` is set when that image carries a minus sign.  Each
+    :meth:`apply` appends one gate to U with a few big-integer operations,
+    whatever n is.
     """
 
-    n_qubits: int
-    x_images: list = field(default_factory=list)
-    z_images: list = field(default_factory=list)
+    def __init__(self, n_qubits: int):
+        self.x = [0] * n_qubits
+        self.z = [1 << p for p in range(n_qubits)]
+        self.signs = 0
 
-    @classmethod
-    def identity(cls, n_qubits: int) -> "StabilizerTableau":
-        xs = [PauliOperator(n_qubits, 1 << j, 0) for j in range(n_qubits)]
-        zs = [PauliOperator(n_qubits, 0, 1 << j) for j in range(n_qubits)]
-        return cls(n_qubits, xs, zs)
-
-    @classmethod
-    def from_gates(cls, gates: Iterable, n_qubits: int) -> "StabilizerTableau":
-        tab = cls.identity(n_qubits)
-        for gate in gates:
-            tab.apply_gate(gate)
-        return tab
-
-    def apply_gate(self, gate) -> None:
+    def apply(self, gate) -> None:
         if isinstance(gate, CliffordGate):
-            self.apply_clifford(gate.clifford, gate.qubit)
-        elif isinstance(gate, NativeGate):
-            self.apply_uzz(gate.qubits)
+            p = gate.qubit
+            x, z = self.x[p], self.z[p]
+            new_x = new_z = 0
+            for held, (to_x, to_z, minus) in zip(
+                (x & ~z, z & ~x, x & z), _LETTER_IMAGES[gate.clifford.index]
+            ):
+                if to_x:
+                    new_x |= held
+                if to_z:
+                    new_z |= held
+                if minus:
+                    self.signs ^= held
+            self.x[p], self.z[p] = new_x, new_z
         else:
-            raise TypeError(f"unknown gate {gate!r}")
+            # UZZ maps P to -i Z_a Z_b P when P anticommutes with Z_a Z_b; the
+            # sign flips when the anticommuting letter is a Y.
+            a, b = gate.qubits
+            t = self.x[a] ^ self.x[b]
+            self.signs ^= t & ((self.x[a] & self.z[a]) | (self.x[b] & self.z[b]))
+            self.z[a] ^= t
+            self.z[b] ^= t
 
-    def apply_clifford(self, c: SingleQubitClifford, qubit: int) -> None:
-        self.x_images = [conjugate_by_clifford(p, c, qubit) for p in self.x_images]
-        self.z_images = [conjugate_by_clifford(p, c, qubit) for p in self.z_images]
+    def fault_masks(self, qubits: tuple) -> list:
+        """Final measurement flips of every Pauli fault on ``qubits`` placed here.
 
-    def apply_uzz(self, pair: tuple) -> None:
-        self.x_images = [conjugate_by_uzz(p, pair) for p in self.x_images]
-        self.z_images = [conjugate_by_uzz(p, pair) for p in self.z_images]
+        Entry ``k = (x_a + 2 z_a) + 4 (x_b + 2 z_b)`` is the mask of outcome
+        bits that fault flips, since it flips bit q iff it anticommutes with
+        the current image of Z_q.  That holds when the whole circuit is a
+        Pauli (see :meth:`outcome`): then the rest of the circuit maps Z_q
+        back to +/- the current image.
+        """
+        masks = [0]
+        for p in qubits:
+            for generator in (self.z[p], self.x[p]):
+                masks += [m ^ generator for m in masks]
+        return masks
 
-    def conjugate(self, p: PauliOperator) -> PauliOperator:
-        """Image of an arbitrary Pauli under the represented circuit."""
-        if p.n_qubits != self.n_qubits:
-            raise ValueError("qubit count mismatch")
-        res = PauliOperator(self.n_qubits, 0, 0, p.phase)
-        for j in range(self.n_qubits):
-            if (p.x >> j) & 1:
-                res = pauli_multiply(res, self.x_images[j])
-        for j in range(self.n_qubits):
-            if (p.z >> j) & 1:
-                res = pauli_multiply(res, self.z_images[j])
-        return res
+    def outcome(self) -> tuple:
+        """Outcome bits of ``U |0...0>`` if U is a Pauli; ValueError otherwise."""
+        n = len(self.z)
+        if any(self.x) or self.z != [1 << p for p in range(n)]:
+            raise ValueError("circuit is not a mirror (a Z image is not +/- Z)")
+        return tuple((self.signs >> q) & 1 for q in range(n))
 
-    def compose(self, other: "StabilizerTableau") -> "StabilizerTableau":
-        """Tableau of self applied after other."""
-        xs = [self.conjugate(p) for p in other.x_images]
-        zs = [self.conjugate(p) for p in other.z_images]
-        return StabilizerTableau(self.n_qubits, xs, zs)
 
-    def is_identity(self, up_to_signs: bool = False) -> bool:
-        for j in range(self.n_qubits):
-            xi = self.x_images[j]
-            zi = self.z_images[j]
-            if (xi.x, xi.z) != (1 << j, 0) or (zi.x, zi.z) != (0, 1 << j):
-                return False
-            if not up_to_signs and (xi.phase != 1 or zi.phase != 1):
-                return False
-        return True
+def mirror_outcome(gates: Iterable, n_qubits: int) -> tuple:
+    """Noiseless outcome bits of a gate list whose product is a Pauli.
 
-    def check_valid(self) -> None:
-        """Verify the images satisfy the generator (anti)commutation relations."""
-        for j in range(self.n_qubits):
-            for k in range(self.n_qubits):
-                if self.x_images[j].commutes_with(self.z_images[k]) != (j != k):
-                    raise ValueError("tableau images violate commutation relations")
-                if j < k and not (
-                    self.x_images[j].commutes_with(self.x_images[k])
-                    and self.z_images[j].commutes_with(self.z_images[k])
-                ):
-                    raise ValueError("tableau images violate commutation relations")
+    Bit q is 1 iff U maps Z_q to -Z_q, since ``U |0...0>`` is then the
+    basis state with bit q flipped.  Raises ValueError for a gate list
+    that is not a Pauli.
+    """
+    observables = ZObservables(n_qubits)
+    for gate in gates:
+        observables.apply(gate)
+    return observables.outcome()

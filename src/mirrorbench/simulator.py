@@ -2,27 +2,26 @@
 
 Two backends share a gate-located noise model:
 
-- ``run_stabilizer``: Monte Carlo Pauli-frame propagation for stochastic
-  Pauli noise.  A per-shot fault frame (X/Z bitmasks) is conjugated through
-  the Clifford circuit; sampled faults XOR into it, and a shot succeeds iff
-  the final frame has no X component (the noiseless output is a computational
-  basis state, so only X-parts flip measurement bits).  The inner loop runs in
-  a compiled Cython kernel when available, with a bit-identical numpy
-  fallback (``MIRRORBENCH_PURE_PYTHON=1`` forces the fallback).
+- ``run_stabilizer``: Monte Carlo sampling of stochastic Pauli faults.  The
+  noiseless circuit is a Pauli, so every fault site and Pauli code has one
+  fixed final X-mask, the set of measured bits it flips.
+  ``compile_fault_program`` tabulates those masks in one pass over the
+  circuit (``operators.ZObservables``); ``propagate_faults`` draws each
+  shot's faults and XORs their masks.  A shot succeeds iff its mask is 0,
+  since the noiseless output is a computational basis state.
 - ``run_dense``: exact survival probability by propagating the PTM coordinate
   vector of the state through every gate and channel (up to 4 qubits).
 
-Noise placement: the two-qubit channel acts after every UZZ gate, the
-single-qubit channel (optional) after every single-qubit Clifford, and
-``inverse_half_override`` replaces the two-qubit channel on mirrored-half
-UZZ gates.
+Noise placement (``_noisy_gates``, shared by both backends): the two-qubit
+channel acts after every UZZ gate, the single-qubit channel (optional) after
+every single-qubit Clifford, and ``inverse_half_override`` replaces the
+two-qubit channel on mirrored-half UZZ gates.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,37 +41,11 @@ from .channels import (
     superop_of_unitary,
 )
 from .circuits import CompiledCircuit, MirrorCircuitSpec, build_mirror_circuit
-from .operators import CliffordGate, NativeGate, SingleQubitClifford, UZZ_MATRIX
+from .operators import CliffordGate, SingleQubitClifford, UZZ_MATRIX, ZObservables
 
 DATASET_FORMAT_VERSION = 1
 
-_FORCE_PY = os.environ.get("MIRRORBENCH_PURE_PYTHON", "") not in ("", "0")
-if _FORCE_PY:
-    from . import _fault_py as _kernel
-
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from . import _fault_cy as _kernel
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        from . import _fault_py as _kernel
-
-        KERNEL_BACKEND = "python"
-
-_SHOT_BLOCK = 8192  # fixed so the RNG stream does not depend on the kernel
-
-
-def available_kernels() -> tuple:
-    names = ["python"]
-    try:
-        from . import _fault_cy  # noqa: F401
-
-        names.insert(0, "cython")
-    except ImportError:
-        pass
-    return tuple(names)
+_SHOT_BLOCK = 8192  # shots per block of uniforms; bounds block x sites doubles
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +134,22 @@ class DecayDataset:
 
 
 # ---------------------------------------------------------------------------
-# Fault program encoding
+# Fault program
 # ---------------------------------------------------------------------------
-
-_OP_CLIFF = 0
-_OP_UZZ = 1
-_OP_FAULT1 = 2
-_OP_FAULT2 = 3
 
 _CODE_FROM_DIGIT = (0, 1, 3, 2)  # PTM digit I,X,Y,Z -> symplectic code x + 2z
 
 
-def _build_cliff_code_map() -> np.ndarray:
-    table = np.zeros((24, 4), dtype=np.uint8)
-    for idx in range(24):
-        c = SingleQubitClifford(idx)
-        cx = c.x_image.x + 2 * c.x_image.z
-        cz = c.z_image.x + 2 * c.z_image.z
-        table[idx, 1] = cx
-        table[idx, 2] = cz
-        table[idx, 3] = cx ^ cz  # codes compose by XOR
-    return table
-
-
-_CLIFF_CODE_MAP = _build_cliff_code_map()
+def _noisy_gates(circuit: CompiledCircuit, noise: NoiseModel):
+    """Yield each gate of ``circuit`` with the channel placed after it (or None)."""
+    for gate_pos, gate in enumerate(circuit.gates):
+        if isinstance(gate, CliffordGate):
+            yield gate, noise.single_qubit
+        elif (gate_pos >= circuit.mirror_start
+              and noise.inverse_half_override is not None):
+            yield gate, noise.inverse_half_override
+        else:
+            yield gate, noise.two_qubit
 
 
 def kernel_pauli_probs(params: ChannelParams, k: int) -> np.ndarray:
@@ -223,61 +188,59 @@ def _cumulative_table(probs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FaultProgram:
-    """Kernel-ready encoding of one circuit under one noise model."""
+    """The fault sites of one circuit under one noise model.
 
-    n_qubits: int
-    ops: np.ndarray
+    ``masks[j, k]`` is the final X-mask of Pauli code k at fault site j (codes
+    as in ``kernel_pauli_probs``), and ``cum_tables[j]`` holds that site's
+    cumulative code probabilities, padded with 1.0 to 16 entries.
+    """
+
+    masks: np.ndarray
     cum_tables: np.ndarray
-    n_faults: int
+
+    @property
+    def n_faults(self) -> int:
+        return len(self.masks)
 
 
 def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultProgram:
     if circuit.n_qubits > 64:
-        raise ValueError("stabilizer backend limited to 64 qubits")
-    rows = []
+        raise ValueError("stabilizer backend limited to 64 qubits")  # uint64 masks
+    observables = ZObservables(circuit.n_qubits)
+    masks = []
     tables = []
-    table_index = {}
-
-    def table_for(params: ChannelParams, k: int) -> int:
-        key = (params, k)
-        if key not in table_index:
-            table_index[key] = len(tables)
-            tables.append(_cumulative_table(kernel_pauli_probs(params, k)))
-        return table_index[key]
-
-    for gate_pos, gate in enumerate(circuit.gates):
-        if isinstance(gate, CliffordGate):
-            rows.append((_OP_CLIFF, gate.qubit, 0, gate.clifford.index))
-            if noise.single_qubit is not None:
-                rows.append(
-                    (_OP_FAULT1, gate.qubit, 0, table_for(noise.single_qubit, 1))
-                )
-        else:
-            a, b = gate.qubits
-            rows.append((_OP_UZZ, a, b, 0))
-            params = noise.two_qubit
-            if (
-                gate_pos >= circuit.mirror_start
-                and noise.inverse_half_override is not None
-            ):
-                params = noise.inverse_half_override
-            if params is not None:
-                rows.append((_OP_FAULT2, a, b, table_for(params, 2)))
-    ops = np.asarray(rows, dtype=np.int32).reshape(-1, 4)
-    n_faults = int(np.sum((ops[:, 0] == _OP_FAULT1) | (ops[:, 0] == _OP_FAULT2)))
-    if tables:
-        cum = np.ascontiguousarray(np.stack(tables))
-    else:
-        cum = np.ones((1, 16))
-    return FaultProgram(circuit.n_qubits, np.ascontiguousarray(ops), cum, n_faults)
+    table_cache = {}
+    for gate, params in _noisy_gates(circuit, noise):
+        observables.apply(gate)
+        if params is None:
+            continue
+        key = (params, len(gate.qubits))
+        if key not in table_cache:
+            table_cache[key] = _cumulative_table(kernel_pauli_probs(*key))
+        tables.append(table_cache[key])
+        row = observables.fault_masks(gate.qubits)
+        masks.append(row + [0] * (16 - len(row)))
+    observables.outcome()  # the masks are final flips only for a mirror circuit
+    return FaultProgram(
+        np.array(masks, dtype=np.uint64).reshape(-1, 16),
+        np.array(tables, dtype=np.float64).reshape(-1, 16),
+    )
 
 
 def propagate_faults(program: FaultProgram, uniforms: np.ndarray) -> np.ndarray:
-    """Run the active kernel on one pre-drawn uniform block."""
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    return _kernel.propagate(
-        program.ops, program.cum_tables, _CLIFF_CODE_MAP, program.n_qubits, uniforms
-    )
+    """Final X-mask of each shot of one ``(shots, n_faults)`` uniform block.
+
+    ``uniforms[s, j]`` draws the code of shot s at site j as the number of
+    cumulative-table entries at or below it (``searchsorted`` with
+    ``side="right"``).  Only the cells that draw a non-identity code are
+    looked up, and each shot's mask is the XOR of their masks.
+    """
+    shots, sites = np.nonzero(uniforms >= program.cum_tables[:, 0])
+    drawn = uniforms[shots, sites]
+    codes = np.count_nonzero(program.cum_tables[sites] <= drawn[:, None], axis=1)
+    flips = np.zeros(len(uniforms), dtype=np.uint64)
+    np.bitwise_xor.at(flips, shots, program.masks[sites, codes])
+    return flips
 
 
 # ---------------------------------------------------------------------------
@@ -351,25 +314,14 @@ def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
     if n > 4:
         raise ValueError("dense backend limited to 4 qubits")
     vec = computational_state_vector(n, 0)
-    for gate_pos, gate in enumerate(circuit.gates):
+    for gate, params in _noisy_gates(circuit, noise):
+        qubits = tuple(gate.qubits)
         if isinstance(gate, CliffordGate):
-            vec = _gate_ptm_embedded(
-                "c1", gate.clifford.index, (gate.qubit,), n
-            ) @ vec
-            if noise.single_qubit is not None:
-                vec = _gate_ptm_embedded(
-                    "chan", noise.single_qubit, (gate.qubit,), n
-                ) @ vec
+            vec = _gate_ptm_embedded("c1", gate.clifford.index, qubits, n) @ vec
         else:
-            vec = _gate_ptm_embedded("uzz", None, tuple(gate.qubits), n) @ vec
-            params = noise.two_qubit
-            if (
-                gate_pos >= circuit.mirror_start
-                and noise.inverse_half_override is not None
-            ):
-                params = noise.inverse_half_override
-            if params is not None:
-                vec = _gate_ptm_embedded("chan", params, tuple(gate.qubits), n) @ vec
+            vec = _gate_ptm_embedded("uzz", None, qubits, n) @ vec
+        if params is not None:
+            vec = _gate_ptm_embedded("chan", params, qubits, n) @ vec
     bits = 0
     for q, bit in enumerate(circuit.expected_outcome):
         bits |= bit << q
@@ -443,6 +395,18 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
 _CSV_COLUMNS = ("n", "L", "circuit_id", "shots", "successes", "seed")
 
 
+def _read_entry(length, circuit_id, shots, successes, seed) -> DatasetEntry:
+    """One dataset row from a file, rejecting counts no experiment gives."""
+    entry = DatasetEntry(int(length), int(circuit_id), int(shots), int(successes),
+                         int(seed))
+    if entry.shots < 1 or not 0 <= entry.successes <= entry.shots:
+        raise ValueError(
+            f"dataset row needs shots >= 1 and 0 <= successes <= shots, "
+            f"got shots={entry.shots} successes={entry.successes}"
+        )
+    return entry
+
+
 def write_dataset_csv(dataset: DecayDataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -464,9 +428,8 @@ def read_dataset_csv(path) -> DecayDataset:
         for row in reader:
             n_values.add(int(row["n"]))
             entries.append(
-                DatasetEntry(int(row["L"]), int(row["circuit_id"]),
-                             int(row["shots"]), int(row["successes"]),
-                             int(row["seed"]))
+                _read_entry(row["L"], row["circuit_id"], row["shots"],
+                            row["successes"], row["seed"])
             )
     if len(n_values) != 1:
         raise ValueError("dataset CSV must describe a single qubit count")
@@ -494,8 +457,7 @@ def read_dataset_json(path) -> DecayDataset:
     if data.get("version") != DATASET_FORMAT_VERSION:
         raise ValueError(f"unsupported dataset version {data.get('version')!r}")
     entries = tuple(
-        DatasetEntry(int(e["L"]), int(e["circuit_id"]), int(e["shots"]),
-                     int(e["successes"]), int(e["seed"]))
+        _read_entry(e["L"], e["circuit_id"], e["shots"], e["successes"], e["seed"])
         for e in data["entries"]
     )
     return DecayDataset(int(data["n"]), entries)

@@ -23,7 +23,12 @@ from mirrorbench.circuits import (
     to_qasm,
     unitary_of,
 )
-from mirrorbench.operators import CliffordGate, NativeGate
+from mirrorbench.operators import (
+    CliffordGate,
+    NativeGate,
+    SingleQubitClifford,
+    clifford_named,
+)
 
 from conftest import H2, S2, UZZ_REF, kron_all
 
@@ -170,6 +175,37 @@ def test_json_rejects_wrong_version():
     circuit = build_mirror_circuit(mirror_circuit_spec(1, 2, 1))
     data = circuit_to_json(circuit)
     data["version"] = 99
+    with pytest.raises(ValueError):
+        circuit_from_json(data)
+
+
+def _edit_clifford_index(data):
+    gate = next(g for g in data["gates"] if g["gate"] == "c1")
+    edited = clifford_named("H").compose(SingleQubitClifford(gate["index"]))
+    gate["index"] = edited.index  # an extra H: the gates are no longer a Pauli
+
+
+def _edit_expected_outcome(data):
+    first = data["expected_outcome"][0]
+    data["expected_outcome"] = "10"[int(first)] + data["expected_outcome"][1:]
+
+
+def _edit_final_pauli(data):
+    sign, letters = data["final_pauli"][0], data["final_pauli"][1:]
+    flipped = {"I": "X", "X": "I", "Z": "Y", "Y": "Z"}[letters[0]]
+    data["final_pauli"] = sign + flipped + letters[1:]
+
+
+def _edit_gate_qubit(data):
+    data["gates"][0]["q"] = -1
+
+
+@pytest.mark.parametrize("edit", [_edit_clifford_index, _edit_expected_outcome,
+                                  _edit_final_pauli, _edit_gate_qubit])
+def test_json_rejects_edited_circuit(edit):
+    data = circuit_to_json(build_mirror_circuit(mirror_circuit_spec(11, 4, 2)))
+    circuit_from_json(json.loads(json.dumps(data)))
+    edit(data)
     with pytest.raises(ValueError):
         circuit_from_json(data)
 

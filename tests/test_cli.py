@@ -13,6 +13,7 @@ from mirrorbench.cli import (
     parse_channel_spec,
     parse_noise_spec,
 )
+from mirrorbench.operators import SingleQubitClifford, clifford_named
 
 
 def run_cli(*argv):
@@ -198,6 +199,28 @@ def test_unwritable_output_exits_3(tmp_path):
 
 def test_fit_missing_dataset_exits_2(tmp_path):
     code = run_cli("fit", "--data", str(tmp_path / "none.csv"),
+                   "--out", str(tmp_path / "fit"))
+    assert code == 2
+
+
+def test_run_rejects_edited_circuit_exits_2(tmp_path):
+    gen = _generate(tmp_path)
+    path = sorted((gen / "circuits").glob("*.json"))[0]
+    data = json.loads(path.read_text())
+    gate = next(g for g in data["gates"] if g["gate"] == "c1")
+    gate["index"] = clifford_named("H").compose(SingleQubitClifford(gate["index"])).index
+    path.write_text(json.dumps(data))
+    code, _ = _run(tmp_path, gen, noise="none")
+    assert code == 2
+
+
+@pytest.mark.parametrize("shots,successes", [(0, 0), (10, 20), (10, -1)])
+def test_fit_rejects_impossible_counts_exits_2(tmp_path, shots, successes):
+    data = tmp_path / "dataset.csv"
+    data.write_text("n,L,circuit_id,shots,successes,seed\n"
+                    "2,2,0,100,80,0\n"
+                    f"2,4,1,{shots},{successes},0\n")
+    code = run_cli("fit", "--data", str(data), "--resamples", "0",
                    "--out", str(tmp_path / "fit"))
     assert code == 2
 

@@ -1,7 +1,8 @@
-"""Pauli algebra, the 24 single-qubit Cliffords, and tableau propagation."""
+"""Pauli algebra, the 24 single-qubit Cliffords, and the Z-observable pass."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirrorbench.operators import (
     CLIFFORD_UNITARIES,
@@ -9,8 +10,8 @@ from mirrorbench.operators import (
     NativeGate,
     PauliOperator,
     SingleQubitClifford,
-    StabilizerTableau,
     UZZ_MATRIX,
+    ZObservables,
     clifford_named,
     conjugate_by_clifford,
     conjugate_by_uzz,
@@ -266,51 +267,43 @@ def test_invert_layer_native_realizes_inverse():
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer tableau
+# Z-observable pass
 # ---------------------------------------------------------------------------
 
 
-def _dense_of_gates(gates, n):
-    u = np.eye(2 ** n, dtype=complex)
-    for g in gates:
-        if isinstance(g, CliffordGate):
-            u = _embed(g.clifford.unitary, (g.qubit,), n) @ u
+@st.composite
+def gate_lists(draw):
+    """A qubit count and any gate list on it, mirror or not."""
+    n = draw(st.integers(2, 6))
+    clifford_gate = st.builds(CliffordGate, st.integers(0, n - 1),
+                              st.builds(SingleQubitClifford, st.integers(0, 23)))
+    uzz_gate = st.permutations(range(n)).map(lambda perm: NativeGate(tuple(perm[:2])))
+    return n, draw(st.lists(st.one_of(clifford_gate, uzz_gate), max_size=30))
+
+
+def _signed_image(observables, q, n):
+    """Observable q of the pass as a canonical PauliOperator."""
+    x = sum(((observables.x[p] >> q) & 1) << p for p in range(n))
+    z = sum(((observables.z[p] >> q) & 1) << p for p in range(n))
+    sign = -1 if (observables.signs >> q) & 1 else 1
+    return PauliOperator(n, x, z, sign * 1j ** (x & z).bit_count())
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_lists())
+def test_z_observables_match_pauli_conjugation(case):
+    n, gates = case
+    observables = ZObservables(n)
+    images = [PauliOperator(n, 0, 1 << q) for q in range(n)]
+    for gate in gates:
+        observables.apply(gate)
+        if isinstance(gate, CliffordGate):
+            images = [conjugate_by_clifford(p, gate.clifford, gate.qubit) for p in images]
         else:
-            u = _embed(UZZ_REF, g.qubits, n) @ u
-    return u
-
-
-def test_tableau_matches_dense_conjugation(rng):
-    n = 3
-    for _ in range(15):
-        gates = []
-        for _ in range(int(rng.integers(2, 8))):
-            if rng.integers(2):
-                gates.append(CliffordGate(int(rng.integers(n)), sample_clifford(rng)))
-            else:
-                pair = tuple(rng.choice(n, size=2, replace=False).tolist())
-                gates.append(NativeGate(pair))
-        tab = StabilizerTableau.from_gates(gates, n)
-        tab.check_valid()
-        u = _dense_of_gates(gates, n)
-        for _ in range(5):
-            p = random_pauli(rng, n)
-            got = tab.conjugate(p)
-            ref = u @ p.to_matrix() @ u.conj().T
-            np.testing.assert_allclose(got.to_matrix(), ref, atol=1e-9)
-
-
-def test_tableau_compose_and_identity(rng):
-    n = 2
-    gates = [CliffordGate(0, clifford_named("H")), NativeGate((0, 1)),
-             CliffordGate(1, clifford_named("S"))]
-    tab = StabilizerTableau.from_gates(gates, n)
-    assert not tab.is_identity()
-    assert StabilizerTableau.identity(n).is_identity()
-    # composing a tableau with gates of the adjoint circuit (dense check)
-    u = _dense_of_gates(gates, n)
-    for _ in range(5):
-        p = random_pauli(rng, n)
-        round_trip = tab.conjugate(tab.conjugate(p))
-        ref = u @ u @ p.to_matrix() @ u.conj().T @ u.conj().T
-        np.testing.assert_allclose(round_trip.to_matrix(), ref, atol=1e-9)
+            images = [conjugate_by_uzz(p, gate.qubits) for p in images]
+        assert [_signed_image(observables, q, n) for q in range(n)] == images
+    if all(p.x == 0 and p.z == 1 << q for q, p in enumerate(images)):
+        assert observables.outcome() == tuple(int(p.phase == -1) for p in images)
+    else:
+        with pytest.raises(ValueError, match="not a mirror"):
+            observables.outcome()

@@ -1,4 +1,4 @@
-"""Noisy simulation: fault kernels, stabilizer and dense backends, datasets."""
+"""Noisy simulation: fault masks, stabilizer and dense backends, datasets."""
 
 import math
 import os
@@ -13,13 +13,14 @@ from mirrorbench.channels import (
     stochastic_pauli_tensor,
 )
 from mirrorbench.circuits import build_mirror_circuit, mirror_circuit_spec
+from mirrorbench.operators import CliffordGate, SingleQubitClifford
 from mirrorbench.simulator import (
     DatasetEntry,
     DecayDataset,
     NoiseModel,
-    available_kernels,
     compile_fault_program,
     kernel_pauli_probs,
+    propagate_faults,
     read_dataset_csv,
     read_dataset_json,
     run_dense,
@@ -28,6 +29,8 @@ from mirrorbench.simulator import (
     write_dataset_csv,
     write_dataset_json,
 )
+
+from conftest import I2, X2, Y2, Z2
 
 
 PAULI_1Q = StochasticPauli((0.03, 0.01, 0.02))
@@ -39,7 +42,7 @@ def _binomial_sigma(p: float, shots: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Noise model and kernel tables
+# Noise model, code tables and fault masks
 # ---------------------------------------------------------------------------
 
 
@@ -71,22 +74,68 @@ def test_kernel_probs_depolarizing_uniform():
     assert abs(probs.sum() - 1.0) < 1e-12
 
 
-def test_kernel_backends_agree_bitwise():
-    kernels = available_kernels()
-    if len(kernels) < 2:
-        pytest.skip("only one kernel backend compiled")
-    from mirrorbench import _fault_py
-    from mirrorbench import _fault_cy
-    from mirrorbench.simulator import _CLIFF_CODE_MAP
-    circuit = build_mirror_circuit(mirror_circuit_spec(3, 4, 4))
-    noise = NoiseModel(two_qubit=Depolarizing(0.05), single_qubit=PAULI_1Q)
+def _letter_code_map():
+    """code_map[c, k]: symplectic code (x + 2z) of C P C^dagger for P of code k."""
+    letters = [I2, X2, Z2, Y2]
+    table = np.zeros((24, 4), dtype=np.uint64)
+    for idx in range(24):
+        u = SingleQubitClifford(idx).unitary
+        for code, pauli in enumerate(letters):
+            image = u @ pauli @ u.conj().T
+            overlaps = [abs(np.trace(ref @ image)) for ref in letters]
+            table[idx, code] = int(np.argmax(overlaps))
+    return table
+
+
+def _oracle_flips(circuit, noise, uniforms):
+    """Per-shot final X-masks from frames pushed through one op at a time.
+
+    Each fault site takes the next uniform column and the first Pauli code
+    whose cumulative probability exceeds it.
+    """
+    one = np.uint64(1)
+    code_map = _letter_code_map()
+    x = np.zeros(len(uniforms), dtype=np.uint64)
+    z = np.zeros(len(uniforms), dtype=np.uint64)
+    column = 0
+    for pos, gate in enumerate(circuit.gates):
+        if isinstance(gate, CliffordGate):
+            q = np.uint64(gate.qubit)
+            new = code_map[gate.clifford.index][((x >> q) & one) | (((z >> q) & one) << one)]
+            x = (x & ~(one << q)) | ((new & one) << q)
+            z = (z & ~(one << q)) | (((new >> one) & one) << q)
+            params = noise.single_qubit
+        else:
+            a, b = (np.uint64(q) for q in gate.qubits)
+            differ = ((x >> a) ^ (x >> b)) & one
+            z ^= (differ << a) | (differ << b)
+            params = noise.two_qubit
+            if pos >= circuit.mirror_start and noise.inverse_half_override is not None:
+                params = noise.inverse_half_override
+        if params is None:
+            continue
+        cum = np.cumsum(kernel_pauli_probs(params, len(gate.qubits)))
+        cum[-1] = 1.0
+        k = np.searchsorted(cum, uniforms[:, column], side="right").astype(np.uint64)
+        column += 1
+        for slot, qubit in enumerate(gate.qubits):
+            q = np.uint64(qubit)
+            x ^= ((k >> np.uint64(2 * slot)) & one) << q
+            z ^= ((k >> np.uint64(2 * slot + 1)) & one) << q
+    assert column == uniforms.shape[1]
+    return x
+
+
+@pytest.mark.parametrize("n_qubits,length", [(2, 3), (4, 4), (10, 6), (64, 4)])
+def test_propagate_faults_matches_frame_oracle(n_qubits, length):
+    circuit = build_mirror_circuit(mirror_circuit_spec(3 + n_qubits, n_qubits, length))
+    noise = NoiseModel(two_qubit=PAULI_2Q, single_qubit=PAULI_1Q,
+                       inverse_half_override=Depolarizing(0.2))
     program = compile_fault_program(circuit, noise)
-    uniforms = np.random.default_rng(7).random((4096, program.n_faults))
-    out_py = _fault_py.propagate(program.ops, program.cum_tables,
-                                 _CLIFF_CODE_MAP, program.n_qubits, uniforms)
-    out_cy = _fault_cy.propagate(program.ops, program.cum_tables,
-                                 _CLIFF_CODE_MAP, program.n_qubits, uniforms)
-    np.testing.assert_array_equal(np.asarray(out_py), np.asarray(out_cy))
+    uniforms = np.random.default_rng(7).random((2048, program.n_faults))
+    flips = propagate_faults(program, uniforms)
+    np.testing.assert_array_equal(flips, _oracle_flips(circuit, noise, uniforms))
+    assert np.count_nonzero(flips) > 0
 
 
 # ---------------------------------------------------------------------------
