@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .channels import Depolarizing, depolarizing_tensor_unitarity
 from .circuits import sample_experiment
@@ -27,7 +26,11 @@ SE_FLOOR = 1e-4
 CI_PERCENTILES = (16.0, 84.0)
 DEFAULT_RESAMPLES = 1000
 
-_GRID_STARTS = (0.3, 0.6, 0.8, 0.9, 0.95, 0.99)
+_FIT_BLOCK = 1024  # rows fitted at once; bounds the (rows, grid) arrays
+_U_GRID = np.linspace(0.0, 1.0, 257)
+_GOLDEN_STEPS = 40  # shrink a grid bracket of width 2/256 below 1e-10
+_NEWTON_STEPS = 3
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _as_rng(rng: Union[None, int, np.random.Generator]) -> np.random.Generator:
@@ -64,141 +67,192 @@ class FitResult:
         return self.amplitude * self.u ** (length - 1.0) + self.baseline
 
 
+def _length_groups(dataset: DecayDataset) -> tuple:
+    """Sorted lengths and, per length, the circuits' shot and success counts."""
+    groups = {}
+    for e in dataset.entries:
+        groups.setdefault(e.length, []).append((e.shots, e.successes))
+    lengths = sorted(groups)
+    counts = [np.array(groups[length], dtype=np.int64) for length in lengths]
+    return np.array(lengths, dtype=float), counts
+
+
+def _pooled_se(p, total):
+    """Pooled binomial standard error of survival ``p`` over ``total`` shots."""
+    return np.maximum(np.sqrt(np.maximum(p * (1.0 - p), 0.0) / total), SE_FLOOR)
+
+
 def survival_points(dataset: DecayDataset) -> tuple:
     """Aggregate a dataset into per-length survival estimates.
 
     Returns ``(lengths, p_hat, se)``: mean per-circuit success rate at each
     length and a pooled binomial standard error with a small floor.
     """
-    groups = {}
-    for e in dataset.entries:
-        groups.setdefault(e.length, []).append(e)
-    lengths = np.array(sorted(groups), dtype=float)
-    p_hat = np.empty_like(lengths)
-    se = np.empty_like(lengths)
-    for i, length in enumerate(lengths):
-        entries = groups[int(length)]
-        rates = np.array([e.successes / e.shots for e in entries])
-        total = sum(e.shots for e in entries)
-        p = float(rates.mean())
-        p_hat[i] = p
-        se[i] = max(math.sqrt(max(p * (1.0 - p), 0.0) / total), SE_FLOOR)
-    return lengths, p_hat, se
+    lengths, counts = _length_groups(dataset)
+    p_hat = np.array([(c[:, 1] / c[:, 0]).mean() for c in counts])
+    total = np.array([c[:, 0].sum() for c in counts], dtype=float)
+    return lengths, p_hat, _pooled_se(p_hat, total)
 
 
-def _fit_points(lengths: np.ndarray, p_hat: np.ndarray, se: np.ndarray,
-                baseline: float, starts=None) -> tuple:
-    """Weighted least squares for (A, u); returns (A, u, residual_norm)."""
-    y = p_hat - baseline
+def _best_amplitude(num, den):
+    """Best A in [0, 2] for ``num = sum(w y g)`` and ``den = sum(w g^2)``."""
+    return np.clip(np.divide(num, den, out=np.zeros_like(num), where=den > 0), 0.0, 2.0)
 
-    def residuals(params):
-        a, u = params
-        return (a * u ** (lengths - 1.0) + baseline - p_hat) / se
 
-    if starts is None:
-        mask = y > 1e-9
-        if int(mask.sum()) >= 2:
-            slope, intercept = np.polyfit(lengths[mask], np.log(y[mask]), 1)
-            u0 = float(np.exp(slope))
-            a0 = float(np.exp(intercept) * u0)
-        else:
-            u0, a0 = 0.9, max(float(y.max()), 0.1)
-        u0 = min(max(u0, 1e-3), 1.0 - 1e-9)
-        a0 = min(max(a0, 1e-6), 2.0 - 1e-9)
-        starts = [(a0, u0)] + [(a0, g) for g in _GRID_STARTS]
-    best = None
-    for x0 in starts:
-        try:
-            res = least_squares(
-                residuals, x0=np.clip(x0, [0.0, 0.0], [2.0, 1.0]),
-                bounds=([0.0, 0.0], [2.0, 1.0]),
-                method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-            )
-        except Exception:
-            continue
-        if best is None or res.cost < best.cost * (1.0 - 1e-12):
-            best = res
-        if best.cost < 1e-22:
-            break
-    if best is None:
-        raise RuntimeError("decay fit failed to converge from every start")
-    a, u = best.x
-    return float(a), float(u), float(math.sqrt(2.0 * best.cost))
+def _cost(a, g, w, y):
+    """Weighted squared residuals per row, summed directly (no cancellation)."""
+    r = y - a[:, None] * g
+    return (w * r * r).sum(axis=1)
+
+
+def _profile(u, ey, w, y):
+    """``(A, u, cost)`` per row with A at its best for the row's ``u``.
+
+    ``ey`` holds the exponents ``L - 1``.  For fixed u the model is linear
+    in A, so the best A is the clipped weighted projection of y onto
+    ``g = u**(L-1)``.
+    """
+    g = u[:, None] ** ey
+    a = _best_amplitude((w * y * g).sum(axis=1), (w * g * g).sum(axis=1))
+    return a, u, _cost(a, g, w, y)
+
+
+def _lower(fit, candidate):
+    """Per row, whichever ``(A, u, cost)`` triple has the lower cost."""
+    better = candidate[2] < fit[2]
+    return tuple(np.where(better, new, old) for new, old in zip(candidate, fit))
+
+
+def _fit_block(ey, powers, w, y) -> tuple:
+    """Fit one block of rows; see ``_fit_rows``."""
+    # 1. profile cost on the grid; the constant sum(w y^2) is left out, so
+    #    this expanded form only ranks grid points
+    num = (w * y) @ powers.T
+    den = w @ (powers * powers).T
+    a = _best_amplitude(num, den)
+    best = np.argmin(a * (a * den - 2.0 * num), axis=1)
+    lo = _U_GRID[np.maximum(best - 1, 0)]
+    hi = _U_GRID[np.minimum(best + 1, len(_U_GRID) - 1)]
+    # 2. golden-section search in each row's bracket [lo, hi]
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc = _profile(c, ey, w, y)[2]
+    fd = _profile(d, ey, w, y)[2]
+    for _ in range(_GOLDEN_STEPS):
+        left = fc < fd  # the minimum lies in [lo, d]
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        probe = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        fprobe = _profile(probe, ey, w, y)[2]
+        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
+                        np.where(left, fprobe, fd), np.where(left, fc, fprobe))
+    fit = _profile(np.where(fc < fd, c, d), ey, w, y)
+    for edge in (0.0, 1.0):
+        fit = _lower(fit, _profile(np.full(len(y), edge), ey, w, y))
+    # 3. Gauss-Newton steps on (A, u), kept only where the cost falls
+    dexp = np.maximum(ey - 1.0, 0.0)
+    for _ in range(_NEWTON_STEPS):
+        a, u, _ = fit
+        ja = u[:, None] ** ey
+        ju = a[:, None] * ey * u[:, None] ** dexp
+        r = y - a[:, None] * ja
+        h11 = (w * ja * ja).sum(axis=1)
+        h12 = (w * ja * ju).sum(axis=1)
+        h22 = (w * ju * ju).sum(axis=1)
+        b1 = (w * ja * r).sum(axis=1)
+        b2 = (w * ju * r).sum(axis=1)
+        det = h11 * h22 - h12 * h12
+        ok = det > 1e-12 * h11 * h22  # singular where A = 0 or g = 0
+        det = np.where(ok, det, 1.0)
+        a_new = np.clip(a + (h22 * b1 - h12 * b2) / det, 0.0, 2.0)
+        u_new = np.clip(u + (h11 * b2 - h12 * b1) / det, 0.0, 1.0)
+        cost_new = np.where(ok, _cost(a_new, u_new[:, None] ** ey, w, y), np.inf)
+        fit = _lower(fit, (a_new, u_new, cost_new))
+    return fit
+
+
+def _fit_rows(lengths: np.ndarray, p_hat: np.ndarray, se: np.ndarray,
+              baseline: float) -> tuple:
+    """Weighted least squares for (A, u) of every row of ``p_hat``.
+
+    Minimises ``sum(((A u**(L-1) + B - p_hat) / se)**2)`` over A in [0, 2]
+    and u in [0, 1] for each row of the ``(rows, lengths)`` arrays.  The
+    search is over u alone, with A at its closed-form best for each u: a
+    fixed grid over [0, 1] brackets the minimum, golden-section steps
+    narrow it, the ends u = 0 and u = 1 are tried, and Gauss-Newton steps
+    on (A, u) polish the result.  Returns the arrays ``(A, u, cost)``.
+    """
+    ey = np.asarray(lengths, dtype=float) - 1.0
+    y = np.atleast_2d(p_hat) - baseline
+    w = 1.0 / np.atleast_2d(se) ** 2
+    powers = _U_GRID[:, None] ** ey
+    parts = [_fit_block(ey, powers, w[i:i + _FIT_BLOCK], y[i:i + _FIT_BLOCK])
+             for i in range(0, len(y), _FIT_BLOCK)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def fit_decay(dataset: DecayDataset, resamples: Optional[int] = None,
               rng: Union[None, int, np.random.Generator] = None) -> FitResult:
     """Fit the survival decay; optionally attach a bootstrap CI for u.
 
-    The fit is deterministic: the nonlinear solver is seeded from the
-    log-slope of ``p_hat - B`` plus a fixed grid of fallback starts, and the
-    lowest-cost solution wins.  A dataset whose per-length survivals are flat
-    within errors (zero noise, or fully depolarized to the baseline) carries
-    no decay information; the result is then flagged ``degenerate``.
+    The fit is deterministic (see ``_fit_rows``).  A dataset whose
+    per-length survivals are flat within errors (zero noise, or fully
+    depolarized to the baseline) carries no decay information; the result
+    is then flagged ``degenerate``.
     """
     lengths, p_hat, se = survival_points(dataset)
     if len(lengths) < 2:
         raise ValueError("need at least two distinct lengths to fit")
     baseline = 1.0 / 2 ** dataset.n_qubits
-    amplitude, u, residual_norm = _fit_points(lengths, p_hat, se, baseline)
+    amplitude, u, cost = _fit_rows(lengths, p_hat, se, baseline)
     degenerate = bool(p_hat.max() - p_hat.min() <= 3.0 * se.max())
     result = FitResult(
-        amplitude=amplitude, u=u, baseline=baseline,
-        residual_norm=residual_norm, n_qubits=dataset.n_qubits,
+        amplitude=float(amplitude[0]), u=float(u[0]), baseline=baseline,
+        residual_norm=math.sqrt(cost[0]), n_qubits=dataset.n_qubits,
         degenerate=degenerate,
     )
     if resamples:
-        ci = bootstrap_ci(dataset, resamples=resamples, rng=rng, base_fit=result)
+        ci = bootstrap_ci(dataset, resamples=resamples, rng=rng)
         result = replace(result, bootstrap_ci=ci, resamples=int(resamples))
     return result
 
 
+def _resample_points(counts: list, resamples: int,
+                     rng: np.random.Generator) -> tuple:
+    """Bootstrap survival estimates, one row per resample.
+
+    Per length: redraw the circuits with replacement, ``(resamples,
+    circuits)`` indices, then each chosen circuit's counts binomially.
+    Returns ``(p_hat, se)`` of shape ``(resamples, lengths)``.
+    """
+    p_hat = np.empty((resamples, len(counts)))
+    se = np.empty_like(p_hat)
+    for i, c in enumerate(counts):
+        picks = rng.integers(0, len(c), size=(resamples, len(c)))
+        shots = c[picks, 0]
+        rates = rng.binomial(shots, (c[:, 1] / c[:, 0])[picks]) / shots
+        p_hat[:, i] = rates.mean(axis=1)
+        se[:, i] = _pooled_se(p_hat[:, i], shots.sum(axis=1))
+    return p_hat, se
+
+
 def bootstrap_ci(dataset: DecayDataset, resamples: int = DEFAULT_RESAMPLES,
                  rng: Union[None, int, np.random.Generator] = None,
-                 percentiles: tuple = CI_PERCENTILES,
-                 base_fit: Optional[FitResult] = None) -> tuple:
+                 percentiles: tuple = CI_PERCENTILES) -> tuple:
     """Percentile bootstrap interval for u.
 
     Each resample redraws circuits per length with replacement and redraws
-    each chosen circuit's counts binomially, then refits starting from the
-    full-data solution.
+    each chosen circuit's counts binomially.  All resamples are drawn first
+    and then fitted together, so the interval depends only on the seed.
     """
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     rng = _as_rng(rng)
-    groups = {}
-    for e in dataset.entries:
-        groups.setdefault(e.length, []).append(e)
-    if len(groups) < 2:
+    lengths, counts = _length_groups(dataset)
+    if len(lengths) < 2:
         raise ValueError("need at least two distinct lengths")
-    baseline = 1.0 / 2 ** dataset.n_qubits
-    if base_fit is None:
-        lengths, p_hat, se = survival_points(dataset)
-        amplitude, u, _ = _fit_points(lengths, p_hat, se, baseline)
-    else:
-        amplitude, u = base_fit.amplitude, base_fit.u
-    starts = [(amplitude, u), (max(amplitude, 0.1), 0.9)]
-    sorted_lengths = sorted(groups)
-    us = np.empty(resamples)
-    for r in range(resamples):
-        ls = np.empty(len(sorted_lengths))
-        ps = np.empty(len(sorted_lengths))
-        ses = np.empty(len(sorted_lengths))
-        for i, length in enumerate(sorted_lengths):
-            entries = groups[length]
-            picks = rng.integers(0, len(entries), size=len(entries))
-            rates = np.empty(len(picks))
-            total = 0
-            for j, k in enumerate(picks):
-                e = entries[k]
-                rates[j] = rng.binomial(e.shots, e.successes / e.shots) / e.shots
-                total += e.shots
-            p = float(rates.mean())
-            ls[i] = length
-            ps[i] = p
-            ses[i] = max(math.sqrt(max(p * (1.0 - p), 0.0) / total), SE_FLOOR)
-        _, u_r, _ = _fit_points(ls, ps, ses, baseline, starts=starts)
-        us[r] = u_r
+    p_hat, se = _resample_points(counts, int(resamples), rng)
+    _, us, _ = _fit_rows(lengths, p_hat, se, 1.0 / 2 ** dataset.n_qubits)
     lo, hi = np.percentile(us, percentiles)
     return (float(lo), float(hi))
 

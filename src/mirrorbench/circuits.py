@@ -395,7 +395,9 @@ def circuit_from_json(data: dict) -> CompiledCircuit:
     The gates are not recompiled from the spec, so datasets stay
     reproducible even if the sampler changes.  They are checked instead:
     a gate list that is not a mirror, or whose outcome differs from the
-    stored ``expected_outcome`` or from the final Pauli, raises ValueError.
+    stored ``expected_outcome`` or from the final Pauli, raises ValueError,
+    as does a stored ``mirror_start`` (where ``@inverse=`` noise begins)
+    other than the forward half's gate count from the spec's layers.
     """
     if data.get("version") != CIRCUIT_FORMAT_VERSION:
         raise ValueError(f"unsupported circuit format version {data.get('version')!r}")
@@ -432,6 +434,10 @@ def circuit_from_json(data: dict) -> CompiledCircuit:
     outcome = _checked_outcome(gates, spec.final_pauli)
     if data["expected_outcome"] != "".join(str(b) for b in outcome):
         raise ValueError("stored expected_outcome differs from the gates' outcome")
+    mirror_start = sum(n + len(layer.matching) for layer in layers)
+    if int(data["mirror_start"]) != mirror_start:
+        raise ValueError(f"stored mirror_start {data['mirror_start']!r} differs from "
+                         f"the {mirror_start} gates of the forward half")
     return CompiledCircuit(
         n_qubits=n,
         length=int(data["L"]),
@@ -439,7 +445,7 @@ def circuit_from_json(data: dict) -> CompiledCircuit:
         circuit_id=int(data.get("circuit_id", 0)),
         gates=tuple(gates),
         expected_outcome=outcome,
-        mirror_start=int(data["mirror_start"]),
+        mirror_start=mirror_start,
         spec=spec,
     )
 

@@ -14,7 +14,8 @@ mirror check, a dataset row with impossible counts), 3 runtime failure
 
 Noise specs: ``none``, ``depolarizing:<p>``, ``pauli:<pX>,<pY>,<pZ>``,
 ``amp_damp:<gamma>``; append ``@inverse=<spec>`` to override the channel
-applied to two-qubit gates in the mirrored half.
+applied to two-qubit gates in the mirrored half (``@inverse=none`` makes
+those gates noiseless).
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ from .simulator import (
 
 OUTPUT_DIR_ENV = "MIRRORBENCH_OUTPUT_DIR"
 MANIFEST_NAME = "manifest.json"
+
+_BACKENDS = ("stabilizer", "dense")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,6 +125,8 @@ def parse_noise_spec(text: str, single_qubit_spec: str = "none") -> NoiseModel:
             raise ConfigError(
                 f"bad noise suffix {rest!r} (expected @inverse=<spec>)")
         override = parse_channel_spec(rest[len("inverse="):], 2)
+        if override is None:  # ``@inverse=none``: a noiseless mirrored half
+            override = Depolarizing(0.0)
     try:
         return NoiseModel(
             two_qubit=parse_channel_spec(main, 2),
@@ -255,6 +260,8 @@ def cmd_run(params: dict) -> int:
     out_dir = params["out"]
     if shots < 1:
         raise ConfigError("--shots must be positive")
+    if backend not in _BACKENDS:
+        raise ConfigError(f"unknown backend {backend!r} (expected {', '.join(_BACKENDS)})")
     if backend == "stabilizer" and not noise.stabilizer_compatible():
         raise ConfigError(
             "stabilizer backend requires stochastic Pauli channels; "
@@ -432,6 +439,50 @@ _COMMANDS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(map(_is_int, value))
+
+
+# per command: the params a manifest must hold, with a check of each value's
+# type; the values themselves are checked by the command
+_REQUIRED_PARAMS = {
+    "generate": {"n": _is_int, "lengths": _is_int_list, "circuits": _is_int,
+                 "seed": _is_int},
+    "run": {"circuits": _is_str, "noise": _is_str, "shots": _is_int,
+            "seed": _is_int, "backend": _is_str},
+    "fit": {"data": _is_str, "seed": _is_int},
+    "frame-potential": {"n": _is_int, "lengths": _is_int_list,
+                        "samples": _is_int, "seed": _is_int},
+    "scatter": {"n": _is_int, "experiments": _is_int, "pmax": _is_number,
+                "seed": _is_int, "lengths": _is_int_list, "circuits": _is_int,
+                "shots": _is_int},
+}
+_OPTIONAL_PARAMS = {"noise_1q": _is_str, "jobs": _is_int, "resamples": _is_int}
+
+
+def _check_manifest_params(command: str, params: dict) -> None:
+    """Raise ConfigError for a missing or ill-typed manifest param."""
+    required = dict(_REQUIRED_PARAMS[command], out=_is_str)
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise ConfigError(f"manifest params lack {', '.join(missing)}")
+    for key, ok in {**required, **_OPTIONAL_PARAMS}.items():
+        if key in params and not ok(params[key]):
+            raise ConfigError(f"manifest param {key!r} has a bad value {params[key]!r}")
+
+
 def cmd_rerun(manifest_path: str, out_override=None) -> int:
     if not os.path.isfile(manifest_path):
         raise ConfigError(f"manifest not found: {manifest_path}")
@@ -447,6 +498,7 @@ def cmd_rerun(manifest_path: str, out_override=None) -> int:
     params = dict(params)
     if out_override:
         params["out"] = str(out_override)
+    _check_manifest_params(command, params)
     return _COMMANDS[command](params)
 
 
@@ -481,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single-qubit noise spec (default none)")
     p.add_argument("--shots", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--backend", choices=("stabilizer", "dense"),
+    p.add_argument("--backend", choices=_BACKENDS,
                    default="stabilizer")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", default=None)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from mirrorbench.analysis import (
     FitResult,
     ScatterPoint,
+    _fit_rows,
+    _length_groups,
+    _resample_points,
     bootstrap_ci,
     fit_decay,
     frame_potential,
@@ -71,6 +75,90 @@ def test_fit_recovers_exact_exponential(n_qubits, amplitude, u):
     assert abs(fit.u - u) < 1e-9
     assert not fit.degenerate
     assert fit.baseline == 1.0 / 2 ** n_qubits
+
+
+def _scipy_fit(lengths, p_hat, se, baseline):
+    """Reference fit: bounded trust-region least squares from many starts."""
+    def residuals(params):
+        a, u = params
+        return (a * u ** (lengths - 1.0) + baseline - p_hat) / se
+
+    a0 = float(np.clip(np.max(p_hat - baseline), 0.05, 1.95))
+    best = None
+    for u0 in (0.05, 0.3, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999):
+        res = least_squares(residuals, x0=(a0, u0), bounds=([0.0, 0.0], [2.0, 1.0]),
+                            method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        if best is None or res.cost < best.cost:
+            best = res
+    return best.x[0], best.x[1], 2.0 * best.cost
+
+
+@pytest.mark.parametrize("n_qubits,p,lengths", [
+    (2, 0.02, (4, 8, 12, 16)),
+    (2, 0.15, (2, 4, 8)),
+    (4, 0.01, (1, 4, 8, 16, 32)),
+    (10, 0.01, (4, 8, 12, 16)),
+])
+def test_fit_rows_match_scipy_oracle(n_qubits, p, lengths):
+    specs = sample_experiment(40 + n_qubits, n_qubits, lengths, 6)
+    ds = simulate_survival(specs, NoiseModel(two_qubit=Depolarizing(p)), 100, rng=50)
+    lengths, counts = _length_groups(ds)
+    p_hat, se = _resample_points(counts, 60, np.random.default_rng(60))
+    baseline = 1.0 / 2 ** n_qubits
+    amplitude, u, cost = _fit_rows(lengths, p_hat, se, baseline)
+    for r in range(len(p_hat)):
+        a_ref, u_ref, cost_ref = _scipy_fit(lengths, p_hat[r], se[r], baseline)
+        direct = np.sum(((amplitude[r] * u[r] ** (lengths - 1.0) + baseline
+                          - p_hat[r]) / se[r]) ** 2)
+        assert cost[r] == pytest.approx(direct, rel=1e-12)
+        assert cost[r] <= cost_ref * (1.0 + 1e-9)
+        if a_ref > 1e-6:
+            assert abs(u[r] - u_ref) <= 1e-7
+
+
+def test_fit_rows_find_the_global_minimum_within_bounds():
+    # random rows, many of them far from any decay: the fit must stay in
+    # A in [0, 2], u in [0, 1] and reach the minimum of a fine brute-force
+    # profile over u
+    rng = np.random.default_rng(5)
+    lengths = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    baseline = 0.25
+    p_hat = np.clip(baseline + rng.uniform(-0.1, 0.75, (300, len(lengths))), 0.0, 1.0)
+    se = np.maximum(np.sqrt(p_hat * (1.0 - p_hat) / 200), 1e-4)
+    amplitude, u, cost = _fit_rows(lengths, p_hat, se, baseline)
+    assert np.all((amplitude >= 0.0) & (amplitude <= 2.0))
+    assert np.all((u >= 0.0) & (u <= 1.0))
+    g = np.linspace(0.0, 1.0, 20001)[:, None] ** (lengths - 1.0)
+    for r in range(len(p_hat)):
+        w = 1.0 / se[r] ** 2
+        y = p_hat[r] - baseline
+        direct = np.sum(w * (y - amplitude[r] * u[r] ** (lengths - 1.0)) ** 2)
+        assert cost[r] == pytest.approx(direct, rel=1e-12)
+        a_grid = np.clip((g @ (w * y)) / (g * g @ w), 0.0, 2.0)
+        brute = np.min(((y - a_grid[:, None] * g) ** 2) @ w)
+        assert cost[r] <= brute * (1.0 + 1e-9)
+
+
+def test_resample_points_match_loop_reference():
+    rng = np.random.default_rng(8)
+    entries = tuple(
+        DatasetEntry(length=length, circuit_id=k, shots=int(shots),
+                     successes=int(rng.integers(0, shots + 1)), seed=0)
+        for length in (2, 4, 8) for k, shots in enumerate(rng.integers(20, 500, 5)))
+    lengths, counts = _length_groups(DecayDataset(n_qubits=2, entries=entries))
+    resamples = 30
+    p_hat, se = _resample_points(counts, resamples, np.random.default_rng(3))
+    assert p_hat.shape == se.shape == (resamples, 3)
+    draw = np.random.default_rng(3)
+    for i, c in enumerate(counts):
+        picks = draw.integers(0, len(c), size=(resamples, len(c)))
+        successes = draw.binomial(c[picks, 0], c[picks, 1] / c[picks, 0])
+        for r in range(resamples):
+            shots = [int(c[k, 0]) for k in picks[r]]
+            p = sum(int(x) / n for x, n in zip(successes[r], shots)) / len(shots)
+            assert p_hat[r, i] == pytest.approx(p, rel=1e-12)
+            expected_se = max(math.sqrt(p * (1.0 - p) / sum(shots)), 1e-4)
+            assert se[r, i] == pytest.approx(expected_se, rel=1e-12)
 
 
 def test_fit_predict_matches_model():

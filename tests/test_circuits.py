@@ -200,8 +200,13 @@ def _edit_gate_qubit(data):
     data["gates"][0]["q"] = -1
 
 
+def _edit_mirror_start(data):
+    data["mirror_start"] = 0  # would put @inverse= noise on the forward half
+
+
 @pytest.mark.parametrize("edit", [_edit_clifford_index, _edit_expected_outcome,
-                                  _edit_final_pauli, _edit_gate_qubit])
+                                  _edit_final_pauli, _edit_gate_qubit,
+                                  _edit_mirror_start])
 def test_json_rejects_edited_circuit(edit):
     data = circuit_to_json(build_mirror_circuit(mirror_circuit_spec(11, 4, 2)))
     circuit_from_json(json.loads(json.dumps(data)))

@@ -3,9 +3,12 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mirrorbench
 from mirrorbench.channels import AmplitudeDamping, Depolarizing
 from mirrorbench.cli import (
     ConfigError,
@@ -178,6 +181,19 @@ def test_run_with_inverse_override_and_1q_noise(tmp_path):
     assert code == 0
 
 
+def test_inverse_none_makes_the_mirrored_half_noiseless(tmp_path):
+    gen = _generate(tmp_path, n="2", lengths="3,5", circuits="3")
+    datasets = []
+    for i, noise in enumerate(("depolarizing:0.3@inverse=none",
+                               "depolarizing:0.3@inverse=depolarizing:0.0",
+                               "depolarizing:0.3")):
+        code, out = _run(tmp_path / str(i), gen, noise=noise, shots="2000")
+        assert code == 0
+        datasets.append(read_bytes(out / "dataset.csv"))
+    assert datasets[0] == datasets[1]
+    assert datasets[0] != datasets[2]
+
+
 def test_run_bad_noise_spec_exits_2(tmp_path):
     gen = _generate(tmp_path)
     code, _ = _run(tmp_path, gen, noise="warp:0.1")
@@ -212,6 +228,55 @@ def test_run_rejects_edited_circuit_exits_2(tmp_path):
     path.write_text(json.dumps(data))
     code, _ = _run(tmp_path, gen, noise="none")
     assert code == 2
+
+
+def test_run_rejects_edited_mirror_start_exits_2(tmp_path):
+    gen = _generate(tmp_path)
+    path = sorted((gen / "circuits").glob("*.json"))[0]
+    data = json.loads(path.read_text())
+    data["mirror_start"] = 0
+    path.write_text(json.dumps(data))
+    code, _ = _run(tmp_path, gen, noise="depolarizing:0.3@inverse=none")
+    assert code == 2
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    {"out": "fit"},
+    {"seed": "3", "out": "fit"},
+    {"seed": 3, "resamples": 2.5, "out": "fit"},
+])
+def test_rerun_with_incomplete_params_exits_2(tmp_path, params):
+    data = tmp_path / "dataset.csv"
+    data.write_text("n,L,circuit_id,shots,successes,seed\n"
+                    "2,2,0,100,80,0\n"
+                    "2,4,1,100,60,0\n")
+    if params:
+        params = dict(params, data=str(data), out=str(tmp_path / params["out"]))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "fit", "params": params}))
+    assert run_cli("rerun", str(manifest)) == 2
+
+
+def test_rerun_with_unknown_backend_exits_2(tmp_path):
+    gen = _generate(tmp_path)
+    code, run_out = _run(tmp_path, gen)
+    assert code == 0
+    manifest = json.loads((run_out / "manifest.json").read_text())
+    manifest["params"]["backend"] = "tensor"
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("rerun", str(path), "--out", str(tmp_path / "redo")) == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(mirrorbench.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, mirrorbench.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("shots,successes", [(0, 0), (10, 20), (10, -1)])
