@@ -3,186 +3,24 @@
 Generate mirrored random circuits, simulate them under configurable noise,
 and recover the unitarity of the per-layer error channel from the exponential
 decay of the survival probability.
+
+The package root re-exports the names of the README's library example;
+everything else is imported from its module (``mirrorbench.operators``,
+``channels``, ``circuits``, ``simulator``, ``analysis``, ``plotting``, ``cli``).
 """
 
-from .operators import (
-    CLIFFORD_UNITARIES,
-    CliffordGate,
-    NativeGate,
-    PauliOperator,
-    SingleQubitClifford,
-    UZZ_MATRIX,
-    clifford_named,
-    conjugate_by_clifford,
-    conjugate_by_uzz,
-    invert_layer_native,
-    pauli_multiply,
-    sample_clifford,
-    sample_pauli,
-)
-from .channels import (
-    AmplitudeDamping,
-    DecayLawParams,
-    Depolarizing,
-    StochasticPauli,
-    SuperOp,
-    UnitaryError,
-    computational_effect_vector,
-    computational_state_vector,
-    depolarizing_tensor_unitarity,
-    dual,
-    f_value,
-    fidelity_bounds,
-    inverse_half_channel,
-    nonunital_split,
-    pauli_labels,
-    pi1,
-    pi2,
-    process_fidelity,
-    random_stochastic_pauli,
-    single_qubit_clifford_group,
-    stochastic_pauli_tensor,
-    superop_of,
-    superop_of_unitary,
-    t_sequence,
-    tensor,
-    twirl_over_group,
-    unitarity,
-)
-from .circuits import (
-    CompilationError,
-    CompiledCircuit,
-    LayerSpec,
-    MirrorCircuitSpec,
-    build_mirror_circuit,
-    circuit_from_json,
-    circuit_to_json,
-    compiled_unitary,
-    load_circuit,
-    mirror_circuit_spec,
-    sample_experiment,
-    sample_layer,
-    sample_matching,
-    save_circuit,
-    to_qasm,
-    unitary_of,
-)
-from .simulator import (
-    DatasetEntry,
-    DecayDataset,
-    FaultProgram,
-    NoiseModel,
-    ShotRecord,
-    compile_fault_program,
-    is_pauli_stochastic,
-    kernel_pauli_probs,
-    propagate_faults,
-    read_dataset_csv,
-    read_dataset_json,
-    run_dense,
-    run_stabilizer,
-    simulate_survival,
-    write_dataset_csv,
-    write_dataset_json,
-)
-from .analysis import (
-    FitResult,
-    FramePotentialEstimate,
-    ScatterPoint,
-    bootstrap_ci,
-    fit_decay,
-    frame_potential,
-    frame_potential_profile,
-    scatter_experiment,
-    survival_points,
-)
-from .plotting import Series, render_chart, write_chart
+from .analysis import fit_decay
+from .channels import Depolarizing, depolarizing_tensor_unitarity
+from .circuits import sample_experiment
+from .simulator import NoiseModel, simulate_survival
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeDamping",
-    "CLIFFORD_UNITARIES",
-    "CliffordGate",
-    "CompilationError",
-    "CompiledCircuit",
-    "DatasetEntry",
-    "DecayDataset",
-    "DecayLawParams",
     "Depolarizing",
-    "FaultProgram",
-    "FitResult",
-    "FramePotentialEstimate",
-    "LayerSpec",
-    "MirrorCircuitSpec",
-    "NativeGate",
     "NoiseModel",
-    "PauliOperator",
-    "ScatterPoint",
-    "Series",
-    "ShotRecord",
-    "SingleQubitClifford",
-    "StochasticPauli",
-    "SuperOp",
-    "UZZ_MATRIX",
-    "UnitaryError",
-    "bootstrap_ci",
-    "build_mirror_circuit",
-    "circuit_from_json",
-    "circuit_to_json",
-    "clifford_named",
-    "compile_fault_program",
-    "compiled_unitary",
-    "computational_effect_vector",
-    "computational_state_vector",
-    "conjugate_by_clifford",
-    "conjugate_by_uzz",
     "depolarizing_tensor_unitarity",
-    "dual",
-    "f_value",
-    "fidelity_bounds",
     "fit_decay",
-    "frame_potential",
-    "frame_potential_profile",
-    "inverse_half_channel",
-    "invert_layer_native",
-    "is_pauli_stochastic",
-    "kernel_pauli_probs",
-    "load_circuit",
-    "mirror_circuit_spec",
-    "nonunital_split",
-    "pauli_labels",
-    "pauli_multiply",
-    "pi1",
-    "pi2",
-    "process_fidelity",
-    "propagate_faults",
-    "random_stochastic_pauli",
-    "read_dataset_csv",
-    "read_dataset_json",
-    "render_chart",
-    "run_dense",
-    "run_stabilizer",
-    "sample_clifford",
     "sample_experiment",
-    "sample_layer",
-    "sample_matching",
-    "sample_pauli",
-    "save_circuit",
-    "scatter_experiment",
     "simulate_survival",
-    "single_qubit_clifford_group",
-    "stochastic_pauli_tensor",
-    "superop_of",
-    "superop_of_unitary",
-    "survival_points",
-    "t_sequence",
-    "tensor",
-    "to_qasm",
-    "twirl_over_group",
-    "unitarity",
-    "unitary_of",
-    "write_chart",
-    "write_dataset_csv",
-    "write_dataset_json",
 ]

@@ -32,9 +32,7 @@ from .operators import (
     NativeGate,
     PauliOperator,
     SingleQubitClifford,
-    conjugate_by_uzz,
     mirror_outcome,
-    pauli_multiply,
     sample_clifford,
     sample_pauli,
 )
@@ -200,68 +198,70 @@ def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
 _BITS_TO_CODE = (0, 1, 3, 2)
 
 
-def _pauli_clifford_at(p: PauliOperator, qubit: int) -> SingleQubitClifford:
-    bits = ((p.x >> qubit) & 1) + 2 * ((p.z >> qubit) & 1)
+def _pauli_clifford_at(x: int, z: int, qubit: int) -> SingleQubitClifford:
+    bits = ((x >> qubit) & 1) + 2 * ((z >> qubit) & 1)
     return SingleQubitClifford.from_pauli_code(_BITS_TO_CODE[bits])
 
 
 def build_mirror_circuit(spec: MirrorCircuitSpec) -> CompiledCircuit:
     """Compile a spec into executed gates and the expected outcome.
 
-    Maintains the invariant ``ideal_prefix = frame @ executed_prefix`` where
-    ``frame`` is the Pauli still owed to future single-qubit layers; at the
-    end the leftover frame (including the final Pauli) is folded into the last
-    single-qubit round, so the executed circuit equals the ideal one up to
-    global phase.
+    Maintains the invariant ``ideal_prefix = frame @ executed_prefix`` up to
+    global phase, where ``frame`` is the Pauli still owed to future
+    single-qubit layers.  Only its X and Z bitmasks ``fx, fz`` are carried:
+    merging a Pauli into a Clifford ignores its phase.  At the end the
+    leftover frame and the final Pauli are folded into the last single-qubit
+    round, so the executed circuit equals the ideal one up to global phase.
     """
     n = spec.n_qubits
     gates = []
-    frame = PauliOperator.identity(n)
+    fx = fz = 0
 
     def emit_sq_layer(cliffords, post: PauliOperator):
         for q in range(n):
-            merged = _pauli_clifford_at(post, q).compose(
-                cliffords[q].compose(_pauli_clifford_at(frame, q))
+            merged = _pauli_clifford_at(post.x, post.z, q).compose(
+                cliffords[q].compose(_pauli_clifford_at(fx, fz, q))
             )
             gates.append(CliffordGate(q, merged))
 
     def emit_uzz_layer(matching):
-        nonlocal frame
-        for pair in matching:
-            gates.append(NativeGate(pair))
-            frame = conjugate_by_uzz(frame, pair)
+        nonlocal fz
+        for a, b in matching:
+            gates.append(NativeGate((a, b)))
+            # UZZ maps X_a to Y_a Z_b and X_b to Z_a Y_b; Z is unchanged
+            if ((fx >> a) ^ (fx >> b)) & 1:
+                fz ^= (1 << a) | (1 << b)
 
     # forward half
     for i, layer in enumerate(spec.layers):
         randomizer = spec.randomizing_paulis[i]
         emit_sq_layer(layer.cliffords, post=randomizer)
-        frame = randomizer.adjoint()
+        fx, fz = randomizer.x, randomizer.z  # its adjoint differs in phase only
         emit_uzz_layer(layer.matching)
     mirror_start = len(gates)
 
     # mirrored half: per original layer k (reverse order) the compiled inverse
-    # is X-wrap, UZZ, X-wrap, then the inverse Cliffords; the wraps ride the
-    # frame instead of being emitted.
+    # is X-wrap, UZZ, X-wrap (X_a UZZ X_a = UZZ^dagger on each pair (a, b)),
+    # then the inverse Cliffords; the wraps ride the frame instead of being
+    # emitted.
     for step, k in enumerate(reversed(range(spec.length))):
         layer = spec.layers[k]
-        x_mask = 0
+        wrap = 0
         for a, _ in layer.matching:
-            x_mask |= 1 << a
-        wrap = PauliOperator(n, x_mask, 0)
-        frame = pauli_multiply(wrap, frame)
+            wrap |= 1 << a
+        fx ^= wrap
         emit_uzz_layer(layer.matching)
-        frame = pauli_multiply(wrap, frame)
+        fx ^= wrap
         randomizer = spec.randomizing_paulis[spec.length + step]
         emit_sq_layer(tuple(c.inverse() for c in layer.cliffords), post=randomizer)
-        frame = randomizer.adjoint()
+        fx, fz = randomizer.x, randomizer.z
 
     # fold the leftover frame and the final Pauli into the last 1q round
-    tail = pauli_multiply(spec.final_pauli, frame)
+    tail_x, tail_z = spec.final_pauli.x ^ fx, spec.final_pauli.z ^ fz
     for q in range(n):
         idx = len(gates) - n + q
-        gate = gates[idx]
         gates[idx] = CliffordGate(
-            q, _pauli_clifford_at(tail, q).compose(gate.clifford)
+            q, _pauli_clifford_at(tail_x, tail_z, q).compose(gates[idx].clifford)
         )
 
     try:

@@ -47,6 +47,7 @@ from .channels import (
 from .circuits import build_mirror_circuit, load_circuit, sample_experiment, save_circuit
 from .plotting import Series, write_chart
 from .simulator import (
+    _QUBIT_LIMITS,
     NoiseModel,
     simulate_survival,
     write_dataset_csv,
@@ -262,6 +263,9 @@ def cmd_run(params: dict) -> int:
         raise ConfigError("--shots must be positive")
     if backend not in _BACKENDS:
         raise ConfigError(f"unknown backend {backend!r} (expected {', '.join(_BACKENDS)})")
+    if circuits[0].n_qubits > _QUBIT_LIMITS[backend]:
+        raise ConfigError(f"{backend} backend limited to {_QUBIT_LIMITS[backend]} qubits, "
+                          f"got {circuits[0].n_qubits}-qubit circuits")
     if backend == "stabilizer" and not noise.stabilizer_compatible():
         raise ConfigError(
             "stabilizer backend requires stochastic Pauli channels; "
@@ -313,6 +317,8 @@ def cmd_fit(params: dict) -> int:
     resamples = int(params.get("resamples", DEFAULT_RESAMPLES))
     seed = int(params["seed"])
     out_dir = params["out"]
+    if resamples < 0:
+        raise ConfigError("--resamples must be >= 0 (0 disables the bootstrap)")
     fit = fit_decay(dataset, resamples=resamples or None, rng=seed)
     _ensure_dir(out_dir)
     with open(os.path.join(out_dir, "fit.json"), "w", encoding="utf-8") as fh:
@@ -355,6 +361,8 @@ def cmd_frame_potential(params: dict) -> int:
         raise ConfigError("--n must be even, >= 2, and <= 8")
     if any(x < 0 for x in lengths):
         raise ConfigError("--lengths must be non-negative")
+    if samples < 2:
+        raise ConfigError("--samples must be >= 2")
     estimates = frame_potential_profile(n, lengths, samples, rng=seed)
     _ensure_dir(out_dir)
     _write_csv(
@@ -400,6 +408,10 @@ def cmd_scatter(params: dict) -> int:
         raise ConfigError("--experiments must be positive")
     if not 0.0 <= p_max <= 1.0:
         raise ConfigError("--pmax must lie in [0, 1]")
+    if any(x < 1 for x in lengths) or len(set(lengths)) < 2:
+        raise ConfigError("--lengths needs two or more distinct positive lengths")
+    if circuits < 1 or shots < 1:
+        raise ConfigError("--circuits and --shots must be positive")
     points = scatter_experiment(
         n, experiments, p_max, rng=seed, lengths=lengths,
         circuits_per_length=circuits, shots=shots, jobs=jobs)

@@ -10,10 +10,13 @@ Conventions used throughout the package:
   ``phase * kron(F_0, F_1, ..., F_{n-1})`` and computational basis index
   ``sum(b_j * 2**(n-1-j))`` for bits ``b_j``.
 - The native two-qubit entangler is ``UZZ = exp(-1j * pi/4 * Z (x) Z)``.
-- The 24 single-qubit Cliffords are enumerated once by breadth-first search
-  over products of H and S starting from the identity, deduplicated by their
-  action on X and Z.  Index 0 is the identity; composition and inversion are
-  table lookups.
+- A single-qubit Clifford is its action on Paulis: the signed images of the
+  letters X, Z and Y (Dehaene & De Moor, PRA 68, 042318).  The 24 of them
+  are enumerated once by breadth-first search over H and S acting on those
+  images, starting from the identity; no matrix is classified.  Index 0 is
+  the identity; composition, inversion and the Pauli elements are lookups
+  in that one letter table, and the unitaries ride along as products of
+  each generator word.
 - ``ZObservables`` carries the images of every Z_q through a circuit in one
   bit-packed pass.  It is the single Clifford-propagation path behind both
   the mirror check of compiled circuits and the simulator's fault masks.
@@ -184,73 +187,67 @@ def sample_pauli(rng: np.random.Generator, n_qubits: int) -> PauliOperator:
 # ---------------------------------------------------------------------------
 
 
-def _classify_signed_pauli(mat: np.ndarray) -> PauliOperator:
-    """Match a 2x2 matrix against the six Hermitian signed Paulis."""
-    for label in ("X", "Y", "Z"):
-        ref = PAULI_MATRICES[label]
-        for sign, pref in ((1.0, ""), (-1.0, "-")):
-            if np.allclose(mat, sign * ref, atol=1e-9):
-                return PauliOperator.from_label(pref + label)
-    raise ValueError("matrix is not a signed Pauli")
+# A signed one-qubit Pauli "letter" is ``(x, z, minus)`` in Hermitian form:
+# X = (1, 0), Z = (0, 1), Y = (1, 1).  A single-qubit Clifford C is stored as
+# its letter images: the images C P C^dagger of P = X, Z, Y, in that order.
+_IDENTITY_IMAGES = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
+_GENERATORS = (
+    ("h", _H2, ((0, 1, 0), (1, 0, 0), (1, 1, 1))),  # X -> Z, Z -> X, Y -> -Y
+    ("s", _S2, ((1, 1, 0), (0, 1, 0), (1, 0, 1))),  # X -> Y, Z -> Z, Y -> -X
+)
 
 
-def _action_key(unitary: np.ndarray) -> tuple:
-    udag = unitary.conj().T
-    key = []
-    for ref in (_X2, _Z2):
-        img = _classify_signed_pauli(unitary @ ref @ udag)
-        key.append((img.x, img.z, img.phase))
-    return tuple(key)
+def _after(outer: tuple, inner: tuple) -> tuple:
+    """Letter images of the Clifford ``outer`` applied after ``inner``."""
+    images = []
+    for x, z, minus in inner:
+        to_x, to_z, flip = outer[x + 2 * z - 1]
+        images.append((to_x, to_z, minus ^ flip))
+    return tuple(images)
 
 
 def _build_clifford_table():
-    gens = (("h", _H2), ("s", _S2))
-    records = []  # (word, unitary, x_image, z_image)
-    seen = {}
-    queue = [((), np.eye(2, dtype=complex))]
-    seen[_action_key(np.eye(2, dtype=complex))] = 0
-    records.append(((), np.eye(2, dtype=complex)))
-    while queue:
-        word, mat = queue.pop(0)
-        for name, gen in gens:
-            new_word = word + (name,)  # time order: gen applied after word
-            new_mat = gen @ mat
-            key = _action_key(new_mat)
-            if key not in seen:
-                seen[key] = len(records)
-                records.append((new_word, new_mat))
-                queue.append((new_word, new_mat))
+    """Enumerate the group by breadth-first search over H and S.
+
+    Elements are told apart by their letter images, so index 0 is the
+    identity and each unitary is the product of its generator word.
+    """
+    records = [((), np.eye(2, dtype=complex), _IDENTITY_IMAGES)]
+    seen = {_IDENTITY_IMAGES: 0}
+    for word, mat, images in records:  # grows while it is walked: a queue
+        for name, gen, gen_images in _GENERATORS:
+            new_images = _after(gen_images, images)
+            if new_images not in seen:
+                seen[new_images] = len(records)
+                # time order: gen applied after word
+                records.append((word + (name,), gen @ mat, new_images))
     if len(records) != 24:
         raise RuntimeError(f"Clifford enumeration found {len(records)} elements")
-    words = []
-    unitaries = np.empty((24, 2, 2), dtype=complex)
-    x_images = []
-    z_images = []
-    for idx, (word, mat) in enumerate(records):
-        words.append(word)
-        unitaries[idx] = mat
-        udag = mat.conj().T
-        x_images.append(_classify_signed_pauli(mat @ _X2 @ udag))
-        z_images.append(_classify_signed_pauli(mat @ _Z2 @ udag))
+    words, mats, letter_images = zip(*records)
+    unitaries = np.array(mats)
     unitaries.flags.writeable = False
 
-    compose = np.empty((24, 24), dtype=np.int8)
-    for i in range(24):
-        for j in range(24):
-            compose[i, j] = seen[_action_key(unitaries[i] @ unitaries[j])]
-    inverse = np.empty(24, dtype=np.int8)
-    for i in range(24):
-        (js,) = np.nonzero(compose[i] == 0)
-        inverse[i] = js[0]
-
-    pauli_index = {}
-    for code, mat in enumerate((_I2, _X2, _Y2, _Z2)):
-        pauli_index[code] = seen[_action_key(mat)]
-    return words, unitaries, x_images, z_images, compose, inverse, pauli_index
+    compose = np.array([[seen[_after(a, b)] for b in letter_images]
+                        for a in letter_images], dtype=np.int8)
+    inverse = np.argmax(compose == 0, axis=1).astype(np.int8)
+    # Pauli (px, pz) flips the sign of each letter it anticommutes with
+    pauli_index = tuple(
+        seen[tuple((x, z, (px & z) ^ (pz & x)) for x, z, _ in _IDENTITY_IMAGES)]
+        for px, pz in ((0, 0), (1, 0), (1, 1), (0, 1))  # I, X, Y, Z
+    )
+    return words, unitaries, letter_images, compose, inverse, pauli_index
 
 
-(_CLIFF_WORDS, CLIFFORD_UNITARIES, _CLIFF_X_IMAGES, _CLIFF_Z_IMAGES,
+(_CLIFF_WORDS, CLIFFORD_UNITARIES, _LETTER_IMAGES,
  _CLIFF_COMPOSE, _CLIFF_INVERSE, _PAULI_CLIFF_INDEX) = _build_clifford_table()
+_HADAMARD_INDEX = _CLIFF_WORDS.index(("h",))
+_PHASE_INDEX = _CLIFF_WORDS.index(("s",))
+
+
+def _letter_pauli(letter: tuple) -> PauliOperator:
+    """The signed letter ``(x, z, minus)`` as a canonical one-qubit Pauli."""
+    x, z, minus = letter
+    return PauliOperator(1, x, z, (-1) ** minus * 1j ** (x & z))
 
 
 @dataclass(frozen=True, order=True)
@@ -284,11 +281,11 @@ class SingleQubitClifford:
 
     @property
     def x_image(self) -> PauliOperator:
-        return _CLIFF_X_IMAGES[self.index]
+        return _letter_pauli(_LETTER_IMAGES[self.index][0])
 
     @property
     def z_image(self) -> PauliOperator:
-        return _CLIFF_Z_IMAGES[self.index]
+        return _letter_pauli(_LETTER_IMAGES[self.index][1])
 
     def compose(self, other: "SingleQubitClifford") -> "SingleQubitClifford":
         """self after other (matrix product self.unitary @ other.unitary)."""
@@ -313,18 +310,6 @@ def clifford_named(name: str) -> SingleQubitClifford:
     raise ValueError(f"unknown Clifford name {name!r}")
 
 
-def _find_by_action(mat: np.ndarray) -> int:
-    key = _action_key(mat)
-    for idx in range(24):
-        if _action_key(CLIFFORD_UNITARIES[idx]) == key:
-            return idx
-    raise ValueError("not a Clifford action")
-
-
-_HADAMARD_INDEX = _find_by_action(_H2)
-_PHASE_INDEX = _find_by_action(_S2)
-
-
 def sample_clifford(rng: np.random.Generator) -> SingleQubitClifford:
     """Uniform draw from the 24-element single-qubit Clifford group."""
     return SingleQubitClifford(int(rng.integers(24)))
@@ -341,7 +326,11 @@ def _embed_1q(img: PauliOperator, qubit: int, n_qubits: int) -> PauliOperator:
 
 def conjugate_by_clifford(p: PauliOperator, c: SingleQubitClifford,
                           qubit: int) -> PauliOperator:
-    """Exact image ``C p C^dagger`` for a single-qubit Clifford at ``qubit``."""
+    """Exact image ``C p C^dagger`` for a single-qubit Clifford at ``qubit``.
+
+    A phase-exact reference for :class:`ZObservables`, checked against it by
+    the tests; the program itself propagates through ``ZObservables``.
+    """
     if not 0 <= qubit < p.n_qubits:
         raise ValueError("qubit out of range")
     bit = 1 << qubit
@@ -361,6 +350,8 @@ def conjugate_by_uzz(p: PauliOperator, pair: tuple) -> PauliOperator:
     """Exact image ``U p U^dagger`` for ``U = exp(-1j pi/4 ZZ)`` on ``pair``.
 
     Generator images: X_a -> Y_a Z_b, X_b -> Z_a Y_b, Z_a -> Z_a, Z_b -> Z_b.
+    Like :func:`conjugate_by_clifford`, a tested reference for
+    :class:`ZObservables`, not used by the program.
     """
     a, b = pair
     n = p.n_qubits
@@ -393,8 +384,6 @@ class CliffordGate:
     qubit: int
     clifford: SingleQubitClifford
 
-    KIND = "cliff"
-
     @property
     def qubits(self) -> tuple:
         return (self.qubit,)
@@ -406,39 +395,15 @@ class NativeGate:
 
     qubits: tuple
 
-    KIND = "uzz"
-
     def __post_init__(self):
         a, b = self.qubits
         if a == b:
             raise ValueError("UZZ needs two distinct qubits")
 
 
-def invert_layer_native(gate: NativeGate) -> tuple:
-    """Native-gate compilation of UZZ^{-1}: (X on first qubit) UZZ (X on first qubit).
-
-    Returned in application order; the product equals exp(+1j pi/4 ZZ) exactly.
-    """
-    x_gate = CliffordGate(gate.qubits[0], clifford_named("X"))
-    return (x_gate, NativeGate(gate.qubits), x_gate)
-
-
 # ---------------------------------------------------------------------------
 # Z-observable pass
 # ---------------------------------------------------------------------------
-
-
-def _letter(p: PauliOperator) -> tuple:
-    """``(x, z, minus)`` of a one-qubit Hermitian signed Pauli (Y is x = z = 1)."""
-    sign = p.phase * (-1j if p.x & p.z else 1)
-    return p.x, p.z, int(sign == -1)
-
-
-# _LETTER_IMAGES[c] holds the images C P C^dagger of the letters P = X, Z, Y
-_LETTER_IMAGES = tuple(
-    (_letter(xi), _letter(zi), _letter(PauliOperator(1, 0, 0, 1j) * xi * zi))
-    for xi, zi in zip(_CLIFF_X_IMAGES, _CLIFF_Z_IMAGES)
-)
 
 
 class ZObservables:

@@ -47,6 +47,9 @@ DATASET_FORMAT_VERSION = 1
 
 _SHOT_BLOCK = 8192  # shots per block of uniforms; bounds block x sites doubles
 
+# the most qubits each backend simulates: uint64 fault masks, dense PTMs
+_QUBIT_LIMITS = {"stabilizer": 64, "dense": 4}
+
 
 # ---------------------------------------------------------------------------
 # Noise model
@@ -204,8 +207,8 @@ class FaultProgram:
 
 
 def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultProgram:
-    if circuit.n_qubits > 64:
-        raise ValueError("stabilizer backend limited to 64 qubits")  # uint64 masks
+    if circuit.n_qubits > _QUBIT_LIMITS["stabilizer"]:
+        raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
     observables = ZObservables(circuit.n_qubits)
     masks = []
     tables = []
@@ -311,8 +314,8 @@ def _gate_ptm_embedded(kind: str, key, qubits: tuple, n_qubits: int) -> np.ndarr
 def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
     """Exact survival probability via PTM vector propagation (n <= 4)."""
     n = circuit.n_qubits
-    if n > 4:
-        raise ValueError("dense backend limited to 4 qubits")
+    if n > _QUBIT_LIMITS["dense"]:
+        raise ValueError(f"dense backend limited to {_QUBIT_LIMITS['dense']} qubits")
     vec = computational_state_vector(n, 0)
     for gate, params in _noisy_gates(circuit, noise):
         qubits = tuple(gate.qubits)

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirrorbench.circuits import (
     CompiledCircuit,
@@ -146,6 +147,19 @@ def test_compiled_unitary_equals_pauli_times_mirror_identity():
     u = compiled_unitary(circuit)
     amp = np.abs(u) ** 2
     assert np.allclose(np.max(amp, axis=0), 1.0, atol=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 63 - 2), n=st.sampled_from((2, 4, 6)),
+       length=st.integers(1, 4))
+def test_compiled_circuit_equals_its_final_pauli(seed, n, length):
+    # the whole executed gate list, Paulis folded in, is the final Pauli
+    spec = mirror_circuit_spec(seed, n, length)
+    u = compiled_unitary(build_mirror_circuit(spec))
+    ref = spec.final_pauli.to_matrix()
+    phase = np.vdot(ref, u) / 2 ** n
+    assert abs(abs(phase) - 1) < 1e-9
+    np.testing.assert_allclose(u, phase * ref, atol=1e-9)
 
 
 def test_forward_half_unitary_shape():

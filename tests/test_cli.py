@@ -290,6 +290,36 @@ def test_fit_rejects_impossible_counts_exits_2(tmp_path, shots, successes):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,args", [
+    ("run", ("6", "--backend", "dense")),  # dense holds n <= 4
+    ("run", ("66", "--backend", "stabilizer")),  # stabilizer holds n <= 64
+    ("fit", ("--resamples", "-5")),
+    ("frame-potential", ("--samples", "1")),
+    ("scatter", ("--shots", "0")),
+    ("scatter", ("--circuits", "0")),
+    ("scatter", ("--lengths", "0,2")),
+    ("scatter", ("--lengths", "4,4")),
+], ids=["dense-n6", "stabilizer-n66", "fit-resamples", "fp-samples", "scatter-shots",
+        "scatter-circuits", "scatter-lengths", "scatter-one-length"])
+def test_config_errors_exit_2(tmp_path, command, args):
+    if command == "run":
+        n, *args = args
+        gen = _generate(tmp_path, n=n, lengths="1,2", circuits="1")
+        base = ("--circuits", str(gen), "--noise", "none", "--seed", "1")
+    elif command == "fit":
+        data = tmp_path / "dataset.csv"
+        data.write_text("n,L,circuit_id,shots,successes,seed\n"
+                        "2,2,0,100,80,0\n"
+                        "2,4,1,100,60,0\n")
+        base = ("--data", str(data))
+    elif command == "frame-potential":
+        base = ("--n", "2", "--lengths", "0,1", "--seed", "1")
+    else:
+        base = ("--n", "2", "--experiments", "1", "--pmax", "0.05", "--seed", "1",
+                "--lengths", "2,4", "--circuits", "1", "--shots", "10")
+    assert run_cli(command, *base, *args, "--out", str(tmp_path / "out")) == 2
+
+
 def test_frame_potential_command(tmp_path):
     out = tmp_path / "fp"
     code = run_cli("frame-potential", "--n", "2", "--lengths", "0,1,2",

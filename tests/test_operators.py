@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrorbench.operators import (
+    _LETTER_IMAGES,
     CLIFFORD_UNITARIES,
     CliffordGate,
     NativeGate,
@@ -15,7 +16,6 @@ from mirrorbench.operators import (
     clifford_named,
     conjugate_by_clifford,
     conjugate_by_uzz,
-    invert_layer_native,
     pauli_multiply,
     sample_clifford,
     sample_pauli,
@@ -166,11 +166,16 @@ def test_inverse_table():
 def test_clifford_images_match_dense_conjugation():
     x = PAULIS_1Q["X"]
     z = PAULIS_1Q["Z"]
+    y = PAULIS_1Q["Y"]
     for i in range(24):
         c = SingleQubitClifford(i)
-        for image, base in ((c.x_image, x), (c.z_image, z)):
+        # the Y image is read from the letter table, as ZObservables reads it
+        to_x, to_z, minus = _LETTER_IMAGES[i][2]
+        y_image = (-1) ** minus * PAULIS_1Q["IXZY"[to_x + 2 * to_z]]
+        for image, base in ((c.x_image.to_matrix(), x), (c.z_image.to_matrix(), z),
+                            (y_image, y)):
             ref = c.unitary @ base @ c.unitary.conj().T
-            np.testing.assert_allclose(image.to_matrix(), ref, atol=1e-12)
+            np.testing.assert_allclose(image, ref, atol=1e-12)
 
 
 def test_from_pauli_code():
@@ -256,14 +261,6 @@ def test_conjugate_by_uzz_embedded(rng):
         got = conjugate_by_uzz(p, (1, 3))
         ref = u @ p.to_matrix() @ u.conj().T
         np.testing.assert_allclose(got.to_matrix(), ref, atol=1e-10)
-
-
-def test_invert_layer_native_realizes_inverse():
-    gates = invert_layer_native(NativeGate((0, 1)))
-    assert [g.KIND for g in gates] == ["cliff", "uzz", "cliff"]
-    x_embed = _embed(PAULIS_1Q["X"], (gates[0].qubit,), 2)
-    total = x_embed @ UZZ_REF @ x_embed
-    np.testing.assert_allclose(total, UZZ_REF.conj().T, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
