@@ -12,6 +12,7 @@ preparation, measurement, and the first-layer contraction ``f``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .channels import Depolarizing, depolarizing_tensor_unitarity
 from .circuits import sample_experiment
-from .operators import CLIFFORD_UNITARIES
+from .operators import _LETTER_MASKS, _letter_step, _uzz_step
 from .simulator import DecayDataset, NoiseModel, simulate_survival
 
 SE_FLOOR = 1e-4
@@ -273,31 +274,100 @@ class FramePotentialEstimate:
     std_error: float
 
 
-def _layer_batch_apply(unitaries: np.ndarray, rng: np.random.Generator,
-                       bits: np.ndarray) -> np.ndarray:
-    """Apply one random layer (Cliffords + random-matching UZZ) to a batch.
+# ``_LETTER_MASKS`` as uint64, one row per mask and one column per Clifford
+_LETTER_MASK_ROWS = np.array(_LETTER_MASKS, dtype=np.int64).view(np.uint64).T.copy()
 
-    Draw order (stable, relied on by tests): Clifford indices with
-    ``rng.integers(0, 24, size=(m, n))``, then a qubit permutation per sample
-    with ``rng.permuted`` whose consecutive entries form the matching.
+
+def _transpose_bits(masks: np.ndarray, width: int) -> np.ndarray:
+    """Swap the row axis of ``(rows, m)`` bitmasks with their bit axis.
+
+    Bit r of ``out[f, s]`` is bit f of ``masks[r, s]``; ``out`` has ``width`` rows.
     """
-    m, d, _ = unitaries.shape
-    n = bits.shape[1]
-    idx = rng.integers(0, 24, size=(m, n))
-    perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-    for q in range(n):
-        g = CLIFFORD_UNITARIES[idx[:, q]]
-        s1 = 1 << q
-        s2 = d >> (q + 1)
-        unitaries = np.matmul(
-            g[:, None, :, :], unitaries.reshape(m, s1, 2, s2 * d)
-        ).reshape(m, d, d)
-    pairs_a = perm[:, 0::2]
-    pairs_b = perm[:, 1::2]
-    cnt = (bits[:, pairs_a] ^ bits[:, pairs_b]).sum(axis=2)  # (d, m)
-    phase = np.exp(-1j * np.pi / 4.0 * (pairs_a.shape[1] - 2 * cnt))
-    unitaries *= phase.T[:, :, None]
-    return unitaries
+    shifts = np.arange(width, dtype=np.uint64)[:, None]
+    out = np.zeros((width, masks.shape[1]), dtype=np.uint64)
+    for r, row in enumerate(masks):
+        out |= ((row >> shifts) & 1) << r
+    return out
+
+
+class _SampledCliffords:
+    """The images of the Pauli generators under m sampled Cliffords, bit-packed.
+
+    ``ZObservables``' layout over the 2n generators X_0..X_{n-1},
+    Z_0..Z_{n-1}: bit j of ``x[p, s]`` and ``z[p, s]`` is the X and Z part,
+    at physical qubit p, of ``U_s g_j U_s^dagger`` in Hermitian letters, and
+    bit j of ``signs[s]`` marks a minus sign.  Every sample starts at the
+    identity.
+    """
+
+    def __init__(self, n_qubits: int, samples: int):
+        self.generators = np.uint64(1) << np.arange(2 * n_qubits, dtype=np.uint64)
+        self.x = np.repeat(self.generators[:n_qubits, None], samples, axis=1)
+        self.z = np.repeat(self.generators[n_qubits:, None], samples, axis=1)
+        self.signs = np.zeros(samples, dtype=np.uint64)
+
+    def apply_layer(self, rng: np.random.Generator) -> None:
+        """Append one random layer: Cliffords, then UZZ on a random matching."""
+        n, m = self.x.shape
+        idx = rng.integers(0, 24, size=(m, n))
+        perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        for p in range(n):
+            self.x[p], self.z[p], flips = _letter_step(
+                self.x[p], self.z[p], *_LETTER_MASK_ROWS[:, idx[:, p]])
+            self.signs ^= flips
+        cols = np.arange(m)
+        for a, b in zip(perm[:, 0::2].T, perm[:, 1::2].T):
+            t, flips = _uzz_step(self.x[a, cols], self.z[a, cols],
+                                 self.x[b, cols], self.z[b, cols])
+            self.z[a, cols] ^= t
+            self.z[b, cols] ^= t
+            self.signs ^= flips
+
+    def trace_squared(self) -> np.ndarray:
+        """``|Tr U|^2`` of every sample: an exact power of two, or 0.
+
+        ``|Tr U|^2 = 2^-n sum_P Tr(U P U^dagger P)``, and a Pauli P adds to
+        the sum only if U fixes it, ``U P U^dagger = +/-P``.  The fixed
+        Paulis are the kernel of S + I, S being U's symplectic matrix, and
+        their signs are a character on it: the sum is ``2^dim ker(S+I)`` if
+        U keeps the sign of every kernel basis element, and 0 otherwise
+        (Dehaene & De Moor, PRA 68, 042318).
+        """
+        n, m = self.x.shape
+        gens = self.generators[:, None]
+        # Row X_p (Z_p) of S + I: the generators whose image has an X (Z)
+        # part at qubit p, XOR the generator X_p (Z_p) itself.
+        rows = np.concatenate([self.x, self.z]) ^ gens
+        # Reduced row echelon form, column by column.  A column's pivot row
+        # leaves ``rows`` for ``pivots`` (zero where the column is free).
+        pivots = np.zeros_like(rows)
+        cols = np.arange(m)
+        for c in range(2 * n):
+            hit = (rows & gens[c]) != 0
+            pivot = rows[hit.argmax(axis=0), cols] * hit.any(axis=0)
+            rows ^= pivot * hit
+            pivots ^= pivot * ((pivots & gens[c]) != 0)
+            pivots[c] = pivot
+        free = pivots == 0
+        # Free column f gives the kernel vector v_f: f and every pivot column
+        # whose pivot row holds f.
+        basis = _transpose_bits(pivots, 2 * n) | gens
+        # Image j is i^phase[j] X^x_img[j] Z^z_img[j]: an i per Y letter, -1
+        # per minus sign.  The generators of any v multiply, in ascending
+        # order, to X^vx Z^vz with phase 1, so U keeps the sign of that Pauli
+        # iff the images of v multiply, in the same order, to phase 1.
+        x_img = _transpose_bits(self.x, 2 * n)
+        z_img = _transpose_bits(self.z, 2 * n)
+        minus = ((self.signs & gens) != 0).view(np.uint8)
+        phase = np.bitwise_count(x_img & z_img) + 2 * minus
+        total = np.zeros(basis.shape, dtype=np.uint8)  # phases add mod 4
+        z_held = np.zeros_like(basis)
+        for j in range(2 * n):
+            held = ((basis >> j) & 1).astype(np.uint8)
+            total += held * (phase[j] + 2 * np.bitwise_count(z_held & x_img[j]))
+            z_held ^= held * z_img[j]
+        keeps = (total % 4 == 0) | ~free
+        return np.where(keeps.all(axis=0), 1 << free.sum(axis=0), 0)
 
 
 def frame_potential(n_qubits: int, length: int, samples: int,
@@ -320,6 +390,17 @@ def frame_potential_profile(n_qubits: int, lengths: Sequence[int], samples: int,
     length is evaluated on the corresponding prefix.  Sharing paths gives
     every length the full sample budget in a single pass and correlates
     adjacent estimates, which stabilizes the shape of the curve.
+
+    Each circuit is tracked by the images of the Pauli generators
+    (``_SampledCliffords``), and ``|Tr U|^2`` comes from GF(2) elimination,
+    so every ``|Tr U|^4`` is an exact power of two and the sums are exact.
+
+    Draw order (stable, relied on by tests): samples are drawn in blocks of
+    ``max(16, min(samples, 2**22 // 4**n))`` (the last block takes the
+    rest).  Per block and per layer, the Clifford indices come from
+    ``rng.integers(0, 24, size=(m, n))``, then a qubit permutation per
+    sample from ``rng.permuted`` of ``(m, n)`` rows of ``arange(n)``, whose
+    consecutive entries form the matching.
     """
     if n_qubits < 2 or n_qubits % 2:
         raise ValueError("n_qubits must be even and >= 2")
@@ -332,32 +413,30 @@ def frame_potential_profile(n_qubits: int, lengths: Sequence[int], samples: int,
         raise ValueError("lengths must be non-negative")
     d = 2 ** n_qubits
     max_len = max(lengths)
-    wanted = sorted(set(x for x in lengths if x > 0))
-    sums = {x: 0.0 for x in wanted}
-    sq_sums = {x: 0.0 for x in wanted}
+    tallies = {x: Counter() for x in lengths if x > 0}  # |Tr U|^2 -> samples
     rng = _as_rng(rng)
-    bits = ((np.arange(d)[:, None] >> (n_qubits - 1 - np.arange(n_qubits))) & 1)
     block = max(16, min(samples, (1 << 22) // (d * d)))
     remaining = samples
-    while remaining > 0 and wanted:
+    while remaining > 0 and tallies:
         m = min(block, remaining)
-        unitaries = np.tile(np.eye(d, dtype=complex), (m, 1, 1))
+        cliffords = _SampledCliffords(n_qubits, m)
         for depth in range(1, max_len + 1):
-            unitaries = _layer_batch_apply(unitaries, rng, bits)
-            if depth in sums:
-                values = np.abs(np.einsum("bii->b", unitaries)) ** 4
-                sums[depth] += float(values.sum())
-                sq_sums[depth] += float((values * values).sum())
+            cliffords.apply_layer(rng)
+            if depth in tallies:
+                values, counts = np.unique(cliffords.trace_squared(), return_counts=True)
+                tallies[depth].update(dict(zip(values.tolist(), counts.tolist())))
         remaining -= m
     out = []
     for x in lengths:
         if x == 0:
             out.append(FramePotentialEstimate(n_qubits, 0, samples, float(d) ** 4, 0.0))
             continue
-        mean = sums[x] / samples
-        var = max(sq_sums[x] / samples - mean * mean, 0.0) * samples / (samples - 1)
+        total = sum(count * value ** 2 for value, count in tallies[x].items())
+        total_sq = sum(count * value ** 4 for value, count in tallies[x].items())
+        var_of_mean = ((samples * total_sq - total * total)
+                       / (samples * samples * (samples - 1)))
         out.append(FramePotentialEstimate(
-            n_qubits, x, samples, float(mean), float(math.sqrt(var / samples))))
+            n_qubits, x, samples, total / samples, math.sqrt(var_of_mean)))
     return out
 
 

@@ -436,8 +436,9 @@ def cmd_scatter(params: dict) -> int:
     )
     write_manifest(out_dir, "scatter", params)
     diffs = np.array([pt.u_est - pt.u_true for pt in points])
+    spread = f", std = {diffs.std(ddof=1):.2e}" if experiments > 1 else ""
     print(f"scatter over {experiments} experiments: "
-          f"mean(u_est - u_true) = {diffs.mean():.2e}, std = {diffs.std(ddof=1):.2e}")
+          f"mean(u_est - u_true) = {diffs.mean():.2e}{spread}")
     print(f"wrote scatter study to {out_dir}")
     return EXIT_OK
 

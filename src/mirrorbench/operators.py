@@ -20,6 +20,8 @@ Conventions used throughout the package:
 - ``ZObservables`` carries the images of every Z_q through a circuit in one
   bit-packed pass.  It is the single Clifford-propagation path behind both
   the mirror check of compiled circuits and the simulator's fault masks.
+  Its gate rules, ``_letter_step`` and ``_uzz_step``, also run on numpy
+  arrays, where ``analysis`` uses them for the frame potential.
 """
 
 from __future__ import annotations
@@ -240,6 +242,14 @@ def _build_clifford_table():
 
 (_CLIFF_WORDS, CLIFFORD_UNITARIES, _LETTER_IMAGES,
  _CLIFF_COMPOSE, _CLIFF_INVERSE, _PAULI_CLIFF_INDEX) = _build_clifford_table()
+# Each Clifford's letter images as the seven masks :func:`_letter_step` takes,
+# each all-ones (-1) or 0: the X parts of the images of X and Z, their Z
+# parts, their signs, and the sign of Y's image XOR both of those.
+_LETTER_MASKS = tuple(
+    tuple(-bit for bit in (x_img[0], z_img[0], x_img[1], z_img[1],
+                           x_img[2], z_img[2], x_img[2] ^ z_img[2] ^ y_img[2]))
+    for x_img, z_img, y_img in _LETTER_IMAGES
+)
 _HADAMARD_INDEX = _CLIFF_WORDS.index(("h",))
 _PHASE_INDEX = _CLIFF_WORDS.index(("s",))
 
@@ -406,6 +416,34 @@ class NativeGate:
 # ---------------------------------------------------------------------------
 
 
+def _letter_step(x, z, x_to_x, z_to_x, x_to_z, z_to_z, x_minus, z_minus, y_minus):
+    """The letters held in ``x`` and ``z`` after one single-qubit Clifford.
+
+    ``x`` and ``z`` hold, bit by bit, the letter at one qubit of a set of
+    Paulis (Y is x = z = 1).  The masks are the Clifford's entry of
+    ``_LETTER_MASKS``: ``x_to_z`` says the image of X has a Z part, and so
+    on.  Since Y = iXZ, X^x Z^z maps to the product of the images of X^x and
+    Z^z, and its sign flips by the XOR of theirs, corrected by ``y_minus``
+    where both are held.  Returns the new ``x`` and ``z`` and the bits whose
+    sign flips.  Python ints and numpy ``uint64`` arrays both work, the masks
+    then being arrays that pick a Clifford per element.
+    """
+    return ((x & x_to_x) ^ (z & z_to_x), (x & x_to_z) ^ (z & z_to_z),
+            (x & x_minus) ^ (z & z_minus) ^ (x & z & y_minus))
+
+
+def _uzz_step(xa, za, xb, zb):
+    """The Z-part toggle and the sign flips of UZZ on qubits a and b.
+
+    UZZ maps P to -i Z_a Z_b P when P anticommutes with Z_a Z_b, which is
+    when ``xa ^ xb``; the sign flips when the anticommuting letter is a Y.
+    The caller XORs the returned toggle into both Z parts.  Works on Python
+    ints and numpy arrays alike.
+    """
+    t = xa ^ xb
+    return t, t & ((xa & za) | (xb & zb))
+
+
 class ZObservables:
     """The n observables ``U Z_q U^dagger`` of a Clifford circuit U, bit-packed.
 
@@ -424,26 +462,14 @@ class ZObservables:
     def apply(self, gate) -> None:
         if isinstance(gate, CliffordGate):
             p = gate.qubit
-            x, z = self.x[p], self.z[p]
-            new_x = new_z = 0
-            for held, (to_x, to_z, minus) in zip(
-                (x & ~z, z & ~x, x & z), _LETTER_IMAGES[gate.clifford.index]
-            ):
-                if to_x:
-                    new_x |= held
-                if to_z:
-                    new_z |= held
-                if minus:
-                    self.signs ^= held
-            self.x[p], self.z[p] = new_x, new_z
+            self.x[p], self.z[p], flips = _letter_step(
+                self.x[p], self.z[p], *_LETTER_MASKS[gate.clifford.index])
         else:
-            # UZZ maps P to -i Z_a Z_b P when P anticommutes with Z_a Z_b; the
-            # sign flips when the anticommuting letter is a Y.
             a, b = gate.qubits
-            t = self.x[a] ^ self.x[b]
-            self.signs ^= t & ((self.x[a] & self.z[a]) | (self.x[b] & self.z[b]))
+            t, flips = _uzz_step(self.x[a], self.z[a], self.x[b], self.z[b])
             self.z[a] ^= t
             self.z[b] ^= t
+        self.signs ^= flips
 
     def fault_masks(self, qubits: tuple) -> list:
         """Final measurement flips of every Pauli fault on ``qubits`` placed here.

@@ -9,6 +9,7 @@ from scipy.optimize import least_squares
 from mirrorbench.analysis import (
     FitResult,
     ScatterPoint,
+    _SampledCliffords,
     _fit_rows,
     _length_groups,
     _resample_points,
@@ -21,6 +22,7 @@ from mirrorbench.analysis import (
 )
 from mirrorbench.channels import Depolarizing, depolarizing_tensor_unitarity
 from mirrorbench.circuits import sample_experiment
+from mirrorbench.operators import CLIFFORD_UNITARIES
 from mirrorbench.simulator import DatasetEntry, DecayDataset, NoiseModel, simulate_survival
 
 
@@ -230,6 +232,90 @@ def test_bootstrap_width_shrinks_with_shots():
 # ---------------------------------------------------------------------------
 # Frame potential
 # ---------------------------------------------------------------------------
+
+
+def _dense_layer(unitaries, rng, bits):
+    """One random layer applied to a batch of dense unitaries.
+
+    The exact reference for ``_SampledCliffords.apply_layer``: it draws from
+    ``rng`` in the same order and multiplies the 2^n x 2^n matrices out.
+    """
+    m, d, _ = unitaries.shape
+    n = bits.shape[1]
+    idx = rng.integers(0, 24, size=(m, n))
+    perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+    for q in range(n):
+        g = CLIFFORD_UNITARIES[idx[:, q]]
+        s1 = 1 << q
+        s2 = d >> (q + 1)
+        unitaries = np.matmul(
+            g[:, None, :, :], unitaries.reshape(m, s1, 2, s2 * d)
+        ).reshape(m, d, d)
+    pairs_a = perm[:, 0::2]
+    pairs_b = perm[:, 1::2]
+    cnt = (bits[:, pairs_a] ^ bits[:, pairs_b]).sum(axis=2)  # (d, m)
+    phase = np.exp(-1j * np.pi / 4.0 * (pairs_a.shape[1] - 2 * cnt))
+    return unitaries * phase.T[:, :, None]
+
+
+def _basis_bits(n_qubits):
+    d = 2 ** n_qubits
+    return (np.arange(d)[:, None] >> (n_qubits - 1 - np.arange(n_qubits))) & 1
+
+
+def _dense_profile(n_qubits, lengths, samples, seed):
+    """(Phi_2, standard error) per length from dense unitaries, in float sums.
+
+    Follows ``frame_potential_profile``'s documented block rule and draw order.
+    """
+    d = 2 ** n_qubits
+    bits = _basis_bits(n_qubits)
+    rng = np.random.default_rng(seed)
+    values = {x: [] for x in lengths if x > 0}
+    block = max(16, min(samples, (1 << 22) // (d * d)))
+    remaining = samples
+    while remaining > 0:
+        m = min(block, remaining)
+        unitaries = np.tile(np.eye(d, dtype=complex), (m, 1, 1))
+        for depth in range(1, max(lengths) + 1):
+            unitaries = _dense_layer(unitaries, rng, bits)
+            if depth in values:
+                values[depth].append(np.abs(np.einsum("bii->b", unitaries)) ** 4)
+        remaining -= m
+    out = []
+    for x in lengths:
+        if x == 0:
+            out.append((float(d) ** 4, 0.0))
+            continue
+        v = np.concatenate(values[x])
+        out.append((v.mean(), v.std(ddof=1) / math.sqrt(samples)))
+    return out
+
+
+@pytest.mark.parametrize("n_qubits,samples", [(2, 400), (4, 200), (6, 40)])
+def test_trace_squared_equals_dense_trace(n_qubits, samples):
+    d = 2 ** n_qubits
+    bits = _basis_bits(n_qubits)
+    fast_rng = np.random.default_rng(n_qubits)
+    dense_rng = np.random.default_rng(n_qubits)
+    cliffords = _SampledCliffords(n_qubits, samples)
+    unitaries = np.tile(np.eye(d, dtype=complex), (samples, 1, 1))
+    for _ in range(6):
+        cliffords.apply_layer(fast_rng)
+        unitaries = _dense_layer(unitaries, dense_rng, bits)
+        dense = np.abs(np.einsum("bii->b", unitaries)) ** 2
+        np.testing.assert_allclose(cliffords.trace_squared(), dense, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_qubits,samples,seed", [(4, 2000, 5), (6, 300, 7)])
+def test_frame_potential_profile_equals_dense_oracle(n_qubits, samples, seed):
+    lengths = range(0, 17, 2)
+    profile = frame_potential_profile(n_qubits, lengths, samples, rng=seed)
+    oracle = _dense_profile(n_qubits, lengths, samples, seed)
+    assert [e.length for e in profile] == list(lengths)
+    for est, (phi2, std_error) in zip(profile, oracle):
+        assert est.phi2 == pytest.approx(phi2, rel=1e-12, abs=0)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
 
 
 def test_frame_potential_zero_length_exact():

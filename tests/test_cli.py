@@ -5,8 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mirrorbench
 from mirrorbench.channels import AmplitudeDamping, Depolarizing
@@ -290,6 +293,21 @@ def test_fit_rejects_impossible_counts_exits_2(tmp_path, shots, successes):
     assert code == 2
 
 
+@settings(max_examples=25, deadline=None)
+@given(shots=st.integers(-2, 60), successes=st.integers(-2, 70))
+def test_fit_exit_code_follows_the_row_check(shots, successes):
+    possible = shots >= 1 and 0 <= successes <= shots
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "dataset.csv")
+        with open(data, "w") as fh:
+            fh.write("n,L,circuit_id,shots,successes,seed\n"
+                     "2,2,0,100,80,0\n"
+                     f"2,4,1,{shots},{successes},0\n")
+        code = run_cli("fit", "--data", data, "--resamples", "0",
+                       "--out", os.path.join(tmp, "fit"))
+    assert code == (0 if possible else 2)
+
+
 @pytest.mark.parametrize("command,args", [
     ("run", ("6", "--backend", "dense")),  # dense holds n <= 4
     ("run", ("66", "--backend", "stabilizer")),  # stabilizer holds n <= 64
@@ -345,6 +363,18 @@ def test_scatter_command(tmp_path):
     assert len(rows) == 2
     assert set(rows[0]) == {"p", "u_true", "u_est"}
     assert (out / "scatter.svg").exists()
+
+
+def test_scatter_single_experiment_prints_no_spread(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("scatter", "--n", "2", "--experiments", "1", "--pmax", "0.05",
+                       "--seed", "1", "--lengths", "2,4", "--circuits", "1",
+                       "--shots", "10", "--out", str(tmp_path / "sc"))
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "mean(u_est - u_true)" in printed
+    assert "std" not in printed and "nan" not in printed
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

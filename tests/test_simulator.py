@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirrorbench.channels import (
     AmplitudeDamping,
@@ -18,6 +19,7 @@ from mirrorbench.simulator import (
     DatasetEntry,
     DecayDataset,
     NoiseModel,
+    _read_entry,
     compile_fault_program,
     kernel_pauli_probs,
     propagate_faults,
@@ -248,6 +250,19 @@ def test_dataset_rejects_malformed(tmp_path):
     bad.write_text("nonsense,header\n1,2\n")
     with pytest.raises((ValueError, KeyError)):
         read_dataset_csv(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shots=st.integers(-3, 2 ** 40), successes=st.integers(-3, 2 ** 40))
+def test_read_entry_accepts_exactly_the_possible_counts(shots, successes):
+    possible = shots >= 1 and 0 <= successes <= shots
+    try:
+        entry = _read_entry("4", "1", str(shots), str(successes), "0")
+    except ValueError:
+        assert not possible
+    else:
+        assert possible
+        assert (entry.shots, entry.successes) == (shots, successes)
 
 
 def test_dataset_entries_cover_all_circuits():
