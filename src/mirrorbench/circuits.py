@@ -451,9 +451,10 @@ def circuit_from_json(data: dict) -> CompiledCircuit:
 
 
 def save_circuit(circuit: CompiledCircuit, path) -> None:
+    # json.dumps, unlike json.dump, encodes in C when there is no indent
+    text = json.dumps(circuit_to_json(circuit), separators=(",", ":"), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(circuit_to_json(circuit), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_circuit(path) -> CompiledCircuit:

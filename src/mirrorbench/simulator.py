@@ -6,9 +6,13 @@ Two backends share a gate-located noise model:
   noiseless circuit is a Pauli, so every fault site and Pauli code has one
   fixed final X-mask, the set of measured bits it flips.
   ``compile_fault_program`` tabulates those masks in one pass over the
-  circuit (``operators.ZObservables``); ``propagate_faults`` draws each
-  shot's faults and XORs their masks.  A shot succeeds iff its mask is 0,
-  since the noiseless output is a computational basis state.
+  circuit (``operators.ZObservables``) and groups the sites by channel.
+  Faults are drawn sparsely: per block of shots and per group, a binomial
+  count of faulty (shot, site) cells, placed uniformly, each with a code
+  from the group's conditional table, so the work follows the faults drawn,
+  not shots x sites.  ``propagate_faults`` XORs their masks per shot.  A shot
+  succeeds iff its mask is 0, since the noiseless output is a computational
+  basis state.
 - ``run_dense``: exact survival probability by propagating the PTM coordinate
   vector of the state through every gate and channel (up to 4 qubits).
 
@@ -45,7 +49,9 @@ from .operators import CliffordGate, SingleQubitClifford, UZZ_MATRIX, ZObservabl
 
 DATASET_FORMAT_VERSION = 1
 
-_SHOT_BLOCK = 8192  # shots per block of uniforms; bounds block x sites doubles
+# shots per draw: memory follows the faults one block draws (a block of dense
+# faults can take one int64 per (shot, site) cell while they are placed)
+_SHOT_BLOCK = 8192
 
 # the most qubits each backend simulates: uint64 fault masks, dense PTMs
 _QUBIT_LIMITS = {"stabilizer": 64, "dense": 4}
@@ -181,12 +187,27 @@ def kernel_pauli_probs(params: ChannelParams, k: int) -> np.ndarray:
     return probs
 
 
-def _cumulative_table(probs: np.ndarray) -> np.ndarray:
-    table = np.ones(16)
-    cum = np.cumsum(probs)
+@dataclass(frozen=True)
+class SiteClass:
+    """The fault sites of one program that share one channel.
+
+    ``q`` is the probability of a non-identity fault at each site, clamped to
+    [0, 1], and ``cum_codes[i]`` the probability that a fault has a code of at
+    most ``i + 1``, given that it is not the identity.
+    """
+
+    sites: np.ndarray
+    q: float
+    cum_codes: np.ndarray
+
+
+def _site_class(probs: np.ndarray, sites: list) -> SiteClass:
+    faults = np.maximum(probs[1:], 0.0)
+    total = faults.sum()
+    cum = np.cumsum(faults / total) if total > 0 else np.ones(len(faults))
     cum[-1] = 1.0  # absorb rounding so every uniform lands
-    table[: len(cum)] = np.minimum(cum, 1.0)
-    return table
+    return SiteClass(np.array(sites, dtype=np.intp), min(float(total), 1.0),
+                     np.minimum(cum, 1.0))
 
 
 @dataclass(frozen=True)
@@ -194,12 +215,12 @@ class FaultProgram:
     """The fault sites of one circuit under one noise model.
 
     ``masks[j, k]`` is the final X-mask of Pauli code k at fault site j (codes
-    as in ``kernel_pauli_probs``), and ``cum_tables[j]`` holds that site's
-    cumulative code probabilities, padded with 1.0 to 16 entries.
+    as in ``kernel_pauli_probs``, zero-padded to 16).  ``classes`` partitions
+    the sites by channel, one ``SiteClass`` per distinct channel and arity.
     """
 
     masks: np.ndarray
-    cum_tables: np.ndarray
+    classes: tuple
 
     @property
     def n_faults(self) -> int:
@@ -211,37 +232,51 @@ def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultP
         raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
     observables = ZObservables(circuit.n_qubits)
     masks = []
-    tables = []
-    table_cache = {}
+    class_sites = {}  # (params, arity) -> site indices, in first-seen order
     for gate, params in _noisy_gates(circuit, noise):
         observables.apply(gate)
         if params is None:
             continue
-        key = (params, len(gate.qubits))
-        if key not in table_cache:
-            table_cache[key] = _cumulative_table(kernel_pauli_probs(*key))
-        tables.append(table_cache[key])
+        class_sites.setdefault((params, len(gate.qubits)), []).append(len(masks))
         row = observables.fault_masks(gate.qubits)
         masks.append(row + [0] * (16 - len(row)))
     observables.outcome()  # the masks are final flips only for a mirror circuit
-    return FaultProgram(
-        np.array(masks, dtype=np.uint64).reshape(-1, 16),
-        np.array(tables, dtype=np.float64).reshape(-1, 16),
-    )
+    classes = tuple(_site_class(kernel_pauli_probs(*key), sites)
+                    for key, sites in class_sites.items())
+    return FaultProgram(np.array(masks, dtype=np.uint64).reshape(-1, 16), classes)
 
 
-def propagate_faults(program: FaultProgram, uniforms: np.ndarray) -> np.ndarray:
-    """Final X-mask of each shot of one ``(shots, n_faults)`` uniform block.
+def _draw_faults(program: FaultProgram, shots: int, rng: np.random.Generator):
+    """The non-identity faults of ``shots`` shots as (shot, site, code) arrays.
 
-    ``uniforms[s, j]`` draws the code of shot s at site j as the number of
-    cumulative-table entries at or below it (``searchsorted`` with
-    ``side="right"``).  Only the cells that draw a non-identity code are
-    looked up, and each shot's mask is the XOR of their masks.
+    Per class, the number of faulty (shot, site) cells is binomial; given that
+    number, the faulty cells of an i.i.d. grid are a uniform subset of it, and
+    each draws its code from the class's conditional table.
     """
-    shots, sites = np.nonzero(uniforms >= program.cum_tables[:, 0])
-    drawn = uniforms[shots, sites]
-    codes = np.count_nonzero(program.cum_tables[sites] <= drawn[:, None], axis=1)
-    flips = np.zeros(len(uniforms), dtype=np.uint64)
+    empty = np.zeros(0, dtype=np.intp)
+    drawn = [(empty, empty, empty)]
+    for cls in program.classes:
+        if cls.q == 0.0:
+            continue
+        cells = shots * len(cls.sites)
+        count = int(rng.binomial(cells, cls.q))
+        if count == 0:
+            continue
+        cell = rng.choice(cells, count, replace=False, shuffle=False)
+        shot, pos = np.divmod(cell, len(cls.sites))
+        codes = 1 + np.searchsorted(cls.cum_codes, rng.random(count), side="right")
+        drawn.append((shot, cls.sites[pos], codes))
+    return tuple(np.concatenate(parts) for parts in zip(*drawn))
+
+
+def propagate_faults(program: FaultProgram, shots: np.ndarray, sites: np.ndarray,
+                     codes: np.ndarray, n_shots: int) -> np.ndarray:
+    """Final X-mask of each of ``n_shots`` shots, given their faults.
+
+    Fault i has Pauli code ``codes[i]`` at site ``sites[i]`` of shot
+    ``shots[i]``; each shot's mask is the XOR of its faults' masks.
+    """
+    flips = np.zeros(n_shots, dtype=np.uint64)
     np.bitwise_xor.at(flips, shots, program.masks[sites, codes])
     return flips
 
@@ -266,8 +301,7 @@ def run_stabilizer(circuit: CompiledCircuit, noise: NoiseModel, shots: int,
     done = 0
     while done < shots:
         block = min(_SHOT_BLOCK, shots - done)
-        uniforms = rng.random((block, program.n_faults))
-        flips = propagate_faults(program, uniforms)
+        flips = propagate_faults(program, *_draw_faults(program, block, rng), block)
         successes += int(np.count_nonzero(flips == 0))
         done += block
     return ShotRecord(circuit.circuit_id, shots, successes)

@@ -240,6 +240,19 @@ def test_save_and_load_circuit(tmp_path):
     assert (tmp_path / "circ.json").read_text() == (tmp_path / "again.json").read_text()
 
 
+def test_indented_version_1_file_still_loads(tmp_path):
+    circuit = build_mirror_circuit(mirror_circuit_spec(17, 4, 3))
+    path = tmp_path / "indented.json"
+    with open(path, "w") as fh:  # the layout files were written in before
+        json.dump(circuit_to_json(circuit), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    loaded = load_circuit(path)
+    assert circuit_to_json(loaded) == circuit_to_json(circuit)
+    save_circuit(circuit, tmp_path / "compact.json")
+    assert "\n" not in (tmp_path / "compact.json").read_text().rstrip("\n")
+    assert circuit_to_json(load_circuit(tmp_path / "compact.json")) == circuit_to_json(circuit)
+
+
 # ---------------------------------------------------------------------------
 # QASM export
 # ---------------------------------------------------------------------------

@@ -93,12 +93,14 @@ def _oracle_flips(circuit, noise, uniforms):
     """Per-shot final X-masks from frames pushed through one op at a time.
 
     Each fault site takes the next uniform column and the first Pauli code
-    whose cumulative probability exceeds it.
+    whose cumulative probability exceeds it.  Also returns the faults drawn
+    (the cells at or above P(identity)) as (shot, site, code) arrays.
     """
     one = np.uint64(1)
     code_map = _letter_code_map()
     x = np.zeros(len(uniforms), dtype=np.uint64)
     z = np.zeros(len(uniforms), dtype=np.uint64)
+    faults = []
     column = 0
     for pos, gate in enumerate(circuit.gates):
         if isinstance(gate, CliffordGate):
@@ -119,13 +121,15 @@ def _oracle_flips(circuit, noise, uniforms):
         cum = np.cumsum(kernel_pauli_probs(params, len(gate.qubits)))
         cum[-1] = 1.0
         k = np.searchsorted(cum, uniforms[:, column], side="right").astype(np.uint64)
+        shots = np.flatnonzero(uniforms[:, column] >= cum[0])
+        faults.append((shots, np.full(len(shots), column), k[shots].astype(np.intp)))
         column += 1
         for slot, qubit in enumerate(gate.qubits):
             q = np.uint64(qubit)
             x ^= ((k >> np.uint64(2 * slot)) & one) << q
             z ^= ((k >> np.uint64(2 * slot + 1)) & one) << q
     assert column == uniforms.shape[1]
-    return x
+    return x, tuple(np.concatenate(parts) for parts in zip(*faults))
 
 
 @pytest.mark.parametrize("n_qubits,length", [(2, 3), (4, 4), (10, 6), (64, 4)])
@@ -135,9 +139,88 @@ def test_propagate_faults_matches_frame_oracle(n_qubits, length):
                        inverse_half_override=Depolarizing(0.2))
     program = compile_fault_program(circuit, noise)
     uniforms = np.random.default_rng(7).random((2048, program.n_faults))
-    flips = propagate_faults(program, uniforms)
-    np.testing.assert_array_equal(flips, _oracle_flips(circuit, noise, uniforms))
+    expected, (shots, sites, codes) = _oracle_flips(circuit, noise, uniforms)
+    flips = propagate_faults(program, shots, sites, codes, len(uniforms))
+    np.testing.assert_array_equal(flips, expected)
     assert np.count_nonzero(flips) > 0
+
+
+def _site_probs(program):
+    """probs[j, k]: the probability of Pauli code k at site j, from the classes."""
+    probs = np.zeros(program.masks.shape)
+    for cls in program.classes:
+        given_fault = np.diff(cls.cum_codes, prepend=0.0)
+        probs[cls.sites, 0] = 1.0 - cls.q
+        probs[cls.sites, 1:1 + len(given_fault)] = cls.q * given_fault
+    return probs
+
+
+def _exact_survival(program, n_qubits):
+    """P(all final flips cancel) = 2^-n sum_s prod_j sum_k p_j(k) (-1)^popcount(s & M[j, k])."""
+    s = np.arange(2 ** n_qubits, dtype=np.uint64)[:, None]
+    total = np.ones(2 ** n_qubits)
+    for probs, masks in zip(_site_probs(program), program.masks):
+        signs = 1.0 - 2.0 * (np.bitwise_count(s & masks) & 1)
+        total *= signs @ probs
+    return float(total.mean())
+
+
+ORACLE_NOISES = (
+    NoiseModel(two_qubit=PAULI_2Q),
+    NoiseModel(two_qubit=Depolarizing(0.05), single_qubit=PAULI_1Q),
+    NoiseModel(two_qubit=PAULI_2Q, single_qubit=StochasticPauli((0.01, 0.0, 0.02)),
+               inverse_half_override=Depolarizing(0.0)),
+    NoiseModel(two_qubit=Depolarizing(0.02), inverse_half_override=PAULI_2Q),
+)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4])
+@pytest.mark.parametrize("noise", ORACLE_NOISES)
+def test_exact_survival_oracle_matches_dense(n_qubits, noise):
+    for seed in range(3):
+        circuit = build_mirror_circuit(mirror_circuit_spec(seed, n_qubits, 2 + seed))
+        exact = _exact_survival(compile_fault_program(circuit, noise), n_qubits)
+        assert abs(exact - run_dense(circuit, noise)) < 1e-9
+
+
+@pytest.mark.parametrize("n_qubits,length,shots", [(4, 8, 20000), (10, 6, 20000)])
+def test_sparse_sampler_matches_exact_survival(n_qubits, length, shots):
+    # 20 consecutive circuit seeds; at most one count may lie past 5 sigma
+    weak_1q = StochasticPauli((0.002, 0.001, 0.003))
+    noise = NoiseModel(two_qubit=Depolarizing(0.01), single_qubit=weak_1q,
+                       inverse_half_override=stochastic_pauli_tensor(weak_1q, weak_1q))
+    rng = np.random.default_rng(60 + n_qubits)
+    excursions = 0
+    for seed in range(20):
+        circuit = build_mirror_circuit(mirror_circuit_spec(seed, n_qubits, length))
+        exact = _exact_survival(compile_fault_program(circuit, noise), n_qubits)
+        rate = run_stabilizer(circuit, noise, shots, rng).successes / shots
+        excursions += abs(rate - exact) > 5 * _binomial_sigma(exact, shots)
+    assert excursions <= 1
+
+
+def test_identity_probability_below_zero_is_clamped():
+    # the three probabilities sum to 1 + 5e-10, within StochasticPauli's tolerance
+    noise = NoiseModel(single_qubit=StochasticPauli((0.5, 0.25, 0.2500000005)),
+                       two_qubit=Depolarizing(0.05))
+    circuit = build_mirror_circuit(mirror_circuit_spec(3, 2, 3))
+    program = compile_fault_program(circuit, noise)
+    assert max(cls.q for cls in program.classes) == 1.0
+    shots = 20000
+    exact = run_dense(circuit, noise)
+    rate = run_stabilizer(circuit, noise, shots, np.random.default_rng(4)).successes / shots
+    assert abs(rate - exact) < 5 * _binomial_sigma(exact, shots)
+
+
+def test_noiseless_class_draws_nothing():
+    circuit = build_mirror_circuit(mirror_circuit_spec(6, 4, 3))
+    noise = NoiseModel(two_qubit=Depolarizing(0.0))  # as `@inverse=none` on both halves
+    program = compile_fault_program(circuit, noise)
+    assert [cls.q for cls in program.classes] == [0.0]
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert run_stabilizer(circuit, noise, 20000, rng).successes == 20000
+    assert rng.bit_generator.state == before
 
 
 # ---------------------------------------------------------------------------
