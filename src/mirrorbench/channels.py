@@ -24,7 +24,7 @@ import numpy as np
 
 from .operators import PAULI_MATRICES, CLIFFORD_UNITARIES
 
-_MAX_QUBITS = 4  # dense PTMs are capped at 4 qubits (256 x 256)
+_MAX_QUBITS = 4  # a SuperOp holds at most a 256 x 256 PTM
 
 _ATOL = 1e-10
 
@@ -410,22 +410,17 @@ def depolarizing_tensor_unitarity(p: float, n_pairs: int) -> float:
 
     Each factor acts on its own qubit pair as
     ``rho -> (1-p) rho + p Tr(rho) I/4``; the tensor channel's PTM diagonal
-    entry for a Pauli hitting ``j`` of the N pairs non-trivially is
-    ``(1-p)^j``, giving
+    entry for a Pauli hitting ``w`` of the N pairs non-trivially is
+    ``(1-p)^w``, and 15^w C(N, w) Paulis do so, giving
 
-        u = sum_{w=1}^{N} 15^w C(N, w)
-            (sum_{j} C(N-w, j) (1-p)^{N-j} p^j)^2 / (16^N - 1).
+        u = sum_{w=1}^{N} 15^w C(N, w) (1-p)^{2w} / (16^N - 1).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    total = 0.0
-    for w in range(1, n_pairs + 1):
-        inner = 0.0
-        for j in range(0, n_pairs - w + 1):
-            inner += math.comb(n_pairs - w, j) * (1.0 - p) ** (n_pairs - j) * p ** j
-        total += 15 ** w * math.comb(n_pairs, w) * inner ** 2
+    total = sum(15 ** w * math.comb(n_pairs, w) * (1.0 - p) ** (2 * w)
+                for w in range(1, n_pairs + 1))
     return total / (16 ** n_pairs - 1)
 
 
@@ -445,24 +440,15 @@ def random_stochastic_pauli(rng: np.random.Generator, n_qubits: int = 1,
 
 
 def computational_state_vector(n_qubits: int, bits: int = 0) -> np.ndarray:
-    """PTM coordinates of |b><b| for the basis state with bit b_j at qubit j."""
-    _check_n(n_qubits)
-    d = 2 ** n_qubits
-    size = d * d
-    vec = np.zeros(size)
-    scale = 1.0 / math.sqrt(d)
-    for i in range(size):
-        val = scale
-        ok = True
-        for q in range(n_qubits):
-            digit = (i // 4 ** (n_qubits - 1 - q)) % 4
-            if digit in (1, 2):  # X or Y have no diagonal part
-                ok = False
-                break
-            if digit == 3 and (bits >> q) & 1:
-                val = -val
-        if ok:
-            vec[i] = val
+    """PTM coordinates of |b><b| for the basis state with bit b_j at qubit j.
+
+    A product over qubits of ``(1, 0, 0, +-1) / sqrt(2)``, since
+    ``|0><0| = (I + Z) / 2`` and ``|1><1| = (I - Z) / 2``.
+    """
+    vec = np.ones(1)
+    for q in range(n_qubits):
+        sign = -1.0 if (bits >> q) & 1 else 1.0
+        vec = np.kron(vec, np.array([1.0, 0.0, 0.0, sign]) / math.sqrt(2.0))
     return vec
 
 

@@ -294,64 +294,6 @@ def _checked_outcome(gates: Sequence, final_pauli: PauliOperator) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Dense references
-# ---------------------------------------------------------------------------
-
-
-def _embed_1q_unitary(mat: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for q in range(n_qubits):
-        out = np.kron(out, mat if q == qubit else np.eye(2))
-    return out
-
-
-def _uzz_layer_diag(matching, n_qubits: int) -> np.ndarray:
-    d = 2 ** n_qubits
-    idx = np.arange(d)
-    diag = np.ones(d, dtype=complex)
-    for a, b in matching:
-        bit_a = (idx >> (n_qubits - 1 - a)) & 1
-        bit_b = (idx >> (n_qubits - 1 - b)) & 1
-        sgn = np.where(bit_a == bit_b, 1.0, -1.0)
-        diag *= np.exp(-1j * np.pi / 4.0 * sgn)
-    return diag
-
-
-def unitary_of(layers: Sequence[LayerSpec], n_qubits: int) -> np.ndarray:
-    """Dense unitary of the forward half (no Paulis); L = 0 gives identity.
-
-    Qubit 0 is the most significant basis bit.  Limited to n <= 8.
-    """
-    if n_qubits > 8:
-        raise ValueError("unitary_of limited to n <= 8")
-    d = 2 ** n_qubits
-    total = np.eye(d, dtype=complex)
-    for layer in layers:
-        cmat = np.array([[1.0 + 0j]])
-        for c in layer.cliffords:
-            cmat = np.kron(cmat, c.unitary)
-        total = cmat @ total
-        total = _uzz_layer_diag(layer.matching, n_qubits)[:, None] * total
-    return total
-
-
-def compiled_unitary(circuit: CompiledCircuit) -> np.ndarray:
-    """Dense unitary of the executed gate list (diagnostic; n <= 8)."""
-    if circuit.n_qubits > 8:
-        raise ValueError("compiled_unitary limited to n <= 8")
-    d = 2 ** circuit.n_qubits
-    total = np.eye(d, dtype=complex)
-    for gate in circuit.gates:
-        if isinstance(gate, CliffordGate):
-            mat = _embed_1q_unitary(gate.clifford.unitary, gate.qubit,
-                                    circuit.n_qubits)
-            total = mat @ total
-        else:
-            total = _uzz_layer_diag([gate.qubits], circuit.n_qubits)[:, None] * total
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 

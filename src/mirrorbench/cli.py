@@ -269,7 +269,7 @@ def cmd_run(params: dict) -> int:
     if backend == "stabilizer" and not noise.stabilizer_compatible():
         raise ConfigError(
             "stabilizer backend requires stochastic Pauli channels; "
-            "use --backend dense for coherent or amplitude-damping noise")
+            "use --backend dense for amplitude-damping noise")
     _ensure_dir(out_dir)
     dataset = simulate_survival(circuits, noise, shots, rng=seed, jobs=jobs,
                                 backend=backend)

@@ -13,8 +13,9 @@ Two backends share a gate-located noise model:
   not shots x sites.  ``propagate_faults`` XORs their masks per shot.  A shot
   succeeds iff its mask is 0, since the noiseless output is a computational
   basis state.
-- ``run_dense``: exact survival probability by propagating the PTM coordinate
-  vector of the state through every gate and channel (up to 4 qubits).
+- ``run_dense``: exact survival probability by propagating the PTM coordinates
+  of the state through every gate and channel, each applied as a local PTM
+  on its own qubits (up to 8 qubits).
 
 Noise placement (``_noisy_gates``, shared by both backends): the two-qubit
 channel acts after every UZZ gate, the single-qubit channel (optional) after
@@ -53,8 +54,9 @@ DATASET_FORMAT_VERSION = 1
 # faults can take one int64 per (shot, site) cell while they are placed)
 _SHOT_BLOCK = 8192
 
-# the most qubits each backend simulates: uint64 fault masks, dense PTMs
-_QUBIT_LIMITS = {"stabilizer": 64, "dense": 4}
+# the most qubits each backend simulates: uint64 fault masks, and a dense
+# state of 4^n floats (512 KB at n = 8)
+_QUBIT_LIMITS = {"stabilizer": 64, "dense": 8}
 
 
 # ---------------------------------------------------------------------------
@@ -308,61 +310,40 @@ def run_stabilizer(circuit: CompiledCircuit, noise: NoiseModel, shots: int,
 
 
 @lru_cache(maxsize=None)
-def _embedding_positions(qubits: tuple, n_qubits: int) -> np.ndarray:
-    """Permutation mapping full PTM indices to (rest, sub) block order."""
-    size = 4 ** n_qubits
-    idx = np.arange(size)
-    digits = [(idx // 4 ** (n_qubits - 1 - q)) % 4 for q in range(n_qubits)]
-    sub = np.zeros(size, dtype=np.int64)
-    for q in qubits:
-        sub = sub * 4 + digits[q]
-    rest = np.zeros(size, dtype=np.int64)
-    for q in range(n_qubits):
-        if q not in qubits:
-            rest = rest * 4 + digits[q]
-    return rest * (4 ** len(qubits)) + sub
-
-
-def _embed_ptm(mat: np.ndarray, qubits: tuple, n_qubits: int) -> np.ndarray:
-    k = len(qubits)
-    big = np.kron(np.eye(4 ** (n_qubits - k)), mat)
-    pos = _embedding_positions(qubits, n_qubits)
-    return big[np.ix_(pos, pos)]
-
-
-@lru_cache(maxsize=None)
-def _gate_ptm_embedded(kind: str, key, qubits: tuple, n_qubits: int) -> np.ndarray:
-    if kind == "c1":
-        mat = superop_of_unitary(
-            np.asarray(SingleQubitClifford(key).unitary)
-        ).mat
-    elif kind == "uzz":
-        mat = superop_of_unitary(UZZ_MATRIX).mat
-    else:  # channel
-        mat = superop_of(key, len(qubits)).mat
-    out = _embed_ptm(mat, qubits, n_qubits)
+def _local_ptm(clifford: Optional[int], params: Optional[ChannelParams],
+               k: int) -> np.ndarray:
+    """PTM of one gate (a Clifford index, or None for UZZ) and the channel after
+    it, as a ``(4,)*2k`` tensor: k output axes, then k input axes."""
+    unitary = UZZ_MATRIX if clifford is None else SingleQubitClifford(clifford).unitary
+    mat = superop_of_unitary(np.asarray(unitary)).mat
+    if params is not None:
+        mat = superop_of(params, k).mat @ mat
+    out = mat.reshape((4,) * (2 * k))
     out.flags.writeable = False
     return out
 
 
 def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
-    """Exact survival probability via PTM vector propagation (n <= 4)."""
+    """Exact survival probability via PTM propagation (n <= 8).
+
+    The state's PTM coordinates are kept as a ``(4,)*n`` tensor, axis q for
+    qubit q; each gate, merged with its channel, contracts its qubits' axes.
+    """
     n = circuit.n_qubits
     if n > _QUBIT_LIMITS["dense"]:
         raise ValueError(f"dense backend limited to {_QUBIT_LIMITS['dense']} qubits")
-    vec = computational_state_vector(n, 0)
+    state = computational_state_vector(n, 0).reshape((4,) * n)
     for gate, params in _noisy_gates(circuit, noise):
-        qubits = tuple(gate.qubits)
-        if isinstance(gate, CliffordGate):
-            vec = _gate_ptm_embedded("c1", gate.clifford.index, qubits, n) @ vec
-        else:
-            vec = _gate_ptm_embedded("uzz", None, qubits, n) @ vec
-        if params is not None:
-            vec = _gate_ptm_embedded("chan", params, qubits, n) @ vec
+        qubits = gate.qubits
+        k = len(qubits)
+        clifford = gate.clifford.index if isinstance(gate, CliffordGate) else None
+        ptm = _local_ptm(clifford, params, k)
+        state = np.tensordot(ptm, state, axes=(range(k, 2 * k), qubits))
+        state = np.moveaxis(state, range(k), qubits)
     bits = 0
     for q, bit in enumerate(circuit.expected_outcome):
         bits |= bit << q
-    prob = float(computational_effect_vector(n, bits) @ vec)
+    prob = float(computational_effect_vector(n, bits) @ state.reshape(-1))
     return min(max(prob, 0.0), 1.0)
 
 

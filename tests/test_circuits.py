@@ -14,7 +14,6 @@ from mirrorbench.circuits import (
     build_mirror_circuit,
     circuit_from_json,
     circuit_to_json,
-    compiled_unitary,
     load_circuit,
     mirror_circuit_spec,
     sample_experiment,
@@ -22,7 +21,6 @@ from mirrorbench.circuits import (
     sample_matching,
     save_circuit,
     to_qasm,
-    unitary_of,
 )
 from mirrorbench.operators import (
     CliffordGate,
@@ -32,6 +30,57 @@ from mirrorbench.operators import (
 )
 
 from conftest import H2, S2, UZZ_REF, kron_all
+
+
+# ---------------------------------------------------------------------------
+# Dense unitaries (qubit 0 is the most significant basis bit)
+# ---------------------------------------------------------------------------
+
+
+def _embed_1q_unitary(mat: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+    out = np.array([[1.0 + 0j]])
+    for q in range(n_qubits):
+        out = np.kron(out, mat if q == qubit else np.eye(2))
+    return out
+
+
+def _uzz_layer_diag(matching, n_qubits: int) -> np.ndarray:
+    d = 2 ** n_qubits
+    idx = np.arange(d)
+    diag = np.ones(d, dtype=complex)
+    for a, b in matching:
+        bit_a = (idx >> (n_qubits - 1 - a)) & 1
+        bit_b = (idx >> (n_qubits - 1 - b)) & 1
+        sgn = np.where(bit_a == bit_b, 1.0, -1.0)
+        diag *= np.exp(-1j * np.pi / 4.0 * sgn)
+    return diag
+
+
+def unitary_of(layers, n_qubits: int) -> np.ndarray:
+    """Dense unitary of the forward half (no Paulis); L = 0 gives identity."""
+    d = 2 ** n_qubits
+    total = np.eye(d, dtype=complex)
+    for layer in layers:
+        cmat = np.array([[1.0 + 0j]])
+        for c in layer.cliffords:
+            cmat = np.kron(cmat, c.unitary)
+        total = cmat @ total
+        total = _uzz_layer_diag(layer.matching, n_qubits)[:, None] * total
+    return total
+
+
+def compiled_unitary(circuit: CompiledCircuit) -> np.ndarray:
+    """Dense unitary of the executed gate list."""
+    d = 2 ** circuit.n_qubits
+    total = np.eye(d, dtype=complex)
+    for gate in circuit.gates:
+        if isinstance(gate, CliffordGate):
+            mat = _embed_1q_unitary(gate.clifford.unitary, gate.qubit,
+                                    circuit.n_qubits)
+            total = mat @ total
+        else:
+            total = _uzz_layer_diag([gate.qubits], circuit.n_qubits)[:, None] * total
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ def test_run_amp_damp_requires_dense(tmp_path):
     assert (run_out / "dataset.csv").exists()
 
 
+@pytest.mark.parametrize("n", ["6", "8"])
+def test_run_dense_above_four_qubits(tmp_path, n):
+    gen = _generate(tmp_path, n=n, lengths="1,2", circuits="1")
+    code, run_out = _run(tmp_path, gen, noise="amp_damp:0.05", backend="dense")
+    assert code == 0
+    assert (run_out / "dataset.csv").exists()
+
+
 def test_run_with_inverse_override_and_1q_noise(tmp_path):
     gen = _generate(tmp_path)
     code, _ = _run(tmp_path, gen, noise="depolarizing:0.1@inverse=depolarizing:0.0",
@@ -309,7 +317,7 @@ def test_fit_exit_code_follows_the_row_check(shots, successes):
 
 
 @pytest.mark.parametrize("command,args", [
-    ("run", ("6", "--backend", "dense")),  # dense holds n <= 4
+    ("run", ("10", "--backend", "dense")),  # dense holds n <= 8
     ("run", ("66", "--backend", "stabilizer")),  # stabilizer holds n <= 64
     ("fit", ("--resamples", "-5")),
     ("frame-potential", ("--samples", "1")),
@@ -317,7 +325,7 @@ def test_fit_exit_code_follows_the_row_check(shots, successes):
     ("scatter", ("--circuits", "0")),
     ("scatter", ("--lengths", "0,2")),
     ("scatter", ("--lengths", "4,4")),
-], ids=["dense-n6", "stabilizer-n66", "fit-resamples", "fp-samples", "scatter-shots",
+], ids=["dense-n10", "stabilizer-n66", "fit-resamples", "fp-samples", "scatter-shots",
         "scatter-circuits", "scatter-lengths", "scatter-one-length"])
 def test_config_errors_exit_2(tmp_path, command, args):
     if command == "run":

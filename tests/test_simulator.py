@@ -1,5 +1,6 @@
 """Noisy simulation: fault masks, stabilizer and dense backends, datasets."""
 
+import itertools
 import math
 import os
 
@@ -11,6 +12,7 @@ from mirrorbench.channels import (
     AmplitudeDamping,
     Depolarizing,
     StochasticPauli,
+    UnitaryError,
     stochastic_pauli_tensor,
 )
 from mirrorbench.circuits import build_mirror_circuit, mirror_circuit_spec
@@ -32,7 +34,7 @@ from mirrorbench.simulator import (
     write_dataset_json,
 )
 
-from conftest import I2, X2, Y2, Z2
+from conftest import H2, I2, PAULIS_1Q, S2, UZZ_REF, X2, Y2, Z2, kron_all
 
 
 PAULI_1Q = StochasticPauli((0.03, 0.01, 0.02))
@@ -174,7 +176,7 @@ ORACLE_NOISES = (
 )
 
 
-@pytest.mark.parametrize("n_qubits", [2, 4])
+@pytest.mark.parametrize("n_qubits", [2, 4, 6, 8])
 @pytest.mark.parametrize("noise", ORACLE_NOISES)
 def test_exact_survival_oracle_matches_dense(n_qubits, noise):
     for seed in range(3):
@@ -221,6 +223,88 @@ def test_noiseless_class_draws_nothing():
     before = rng.bit_generator.state
     assert run_stabilizer(circuit, noise, 20000, rng).successes == 20000
     assert rng.bit_generator.state == before
+
+
+# ---------------------------------------------------------------------------
+# Density-matrix oracle for non-Pauli noise
+# ---------------------------------------------------------------------------
+
+
+def _on_qubits(ops, qubits, n):
+    """The 2x2 ``ops`` placed at ``qubits`` of an n-qubit register (qubit 0 leftmost)."""
+    placed = dict(zip(qubits, ops))
+    return kron_all([placed.get(q, I2) for q in range(n)])
+
+
+def _uzz_on(a, b, n):
+    """UZZ on the pair (a, b): ``UZZ_REF``'s diagonal read per basis state."""
+    idx = np.arange(2 ** n)
+    bit_a = (idx >> (n - 1 - a)) & 1
+    bit_b = (idx >> (n - 1 - b)) & 1
+    return np.diag(np.diag(UZZ_REF)[2 * bit_a + bit_b])
+
+
+def _kraus_ops(params, qubits, n):
+    """Kraus operators of a channel on ``qubits`` of an n-qubit register."""
+    k = len(qubits)
+    if isinstance(params, AmplitudeDamping):  # one damping channel per qubit
+        g = params.gamma
+        damp = (np.array([[1, 0], [0, math.sqrt(1 - g)]]),
+                np.array([[0, math.sqrt(g)], [0, 0]]))
+        return [_on_qubits(ops, qubits, n) for ops in itertools.product(damp, repeat=k)]
+    if isinstance(params, Depolarizing):  # (1-p) rho + p 4^-k sum_P P rho P
+        paulis = itertools.product((I2, X2, Y2, Z2), repeat=k)
+        return [math.sqrt(1 - params.p) * np.eye(2 ** n)] + [
+            math.sqrt(params.p / 4 ** k) * _on_qubits(ops, qubits, n) for ops in paulis]
+    if isinstance(params, UnitaryError):
+        axis = _on_qubits([PAULIS_1Q[c] for c in params.axis], qubits, n)
+        return [math.cos(params.theta / 2) * np.eye(2 ** n)
+                - 1j * math.sin(params.theta / 2) * axis]
+    raise TypeError(f"no Kraus form for {params!r}")
+
+
+def _density_matrix_survival(circuit, noise):
+    """P(expected outcome) from |0...0><0...0| pushed through the gate list."""
+    n = circuit.n_qubits
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    for pos, gate in enumerate(circuit.gates):
+        if isinstance(gate, CliffordGate):
+            u = I2
+            for letter in gate.clifford.word:  # time order
+                u = {"h": H2, "s": S2}[letter] @ u
+            u = _on_qubits([u], gate.qubits, n)
+            params = noise.single_qubit
+        else:
+            u = _uzz_on(*gate.qubits, n)
+            params = noise.two_qubit
+            if pos >= circuit.mirror_start and noise.inverse_half_override is not None:
+                params = noise.inverse_half_override
+        rho = u @ rho @ u.conj().T
+        if params is not None:
+            rho = sum(k @ rho @ k.conj().T for k in _kraus_ops(params, gate.qubits, n))
+    index = sum(bit << (n - 1 - q) for q, bit in enumerate(circuit.expected_outcome))
+    return float(rho[index, index].real)
+
+
+NON_PAULI_NOISES = (
+    NoiseModel(two_qubit=AmplitudeDamping(0.06), single_qubit=AmplitudeDamping(0.03)),
+    NoiseModel(two_qubit=Depolarizing(0.04), single_qubit=AmplitudeDamping(0.05),
+               inverse_half_override=AmplitudeDamping(0.1)),
+    NoiseModel(two_qubit=UnitaryError("ZZ", 0.3), single_qubit=UnitaryError("X", 0.2)),
+    # an asymmetric axis: the channel's first slot is the gate's first qubit
+    NoiseModel(two_qubit=AmplitudeDamping(0.05), inverse_half_override=UnitaryError("XY", 0.4)),
+)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4, 6])
+@pytest.mark.parametrize("noise", NON_PAULI_NOISES)
+def test_dense_matches_density_matrix_oracle(n_qubits, noise):
+    for seed in range(3):
+        circuit = build_mirror_circuit(mirror_circuit_spec(seed, n_qubits, 2 + seed))
+        expected = _density_matrix_survival(circuit, noise)
+        assert expected < 0.99
+        assert abs(run_dense(circuit, noise) - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +360,7 @@ def test_stabilizer_rejects_non_pauli_noise():
 
 
 def test_run_dense_rejects_large_systems():
-    circuit = build_mirror_circuit(mirror_circuit_spec(2, 6, 1))
+    circuit = build_mirror_circuit(mirror_circuit_spec(2, 10, 1))
     with pytest.raises(ValueError):
         run_dense(circuit, NoiseModel())
 
