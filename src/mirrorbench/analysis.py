@@ -19,8 +19,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .channels import Depolarizing, depolarizing_tensor_unitarity
-from .circuits import sample_experiment
-from .operators import _LETTER_MASKS, _letter_step, _uzz_step
+from .circuits import sample_experiment, sample_matchings
+from .operators import (
+    _clifford_masks,
+    _clifford_round,
+    _clifford_signs,
+    _partners,
+    _uzz_round,
+    _uzz_signs,
+)
 from .simulator import DecayDataset, NoiseModel, simulate_survival
 
 SE_FLOOR = 1e-4
@@ -274,10 +281,6 @@ class FramePotentialEstimate:
     std_error: float
 
 
-# ``_LETTER_MASKS`` as uint64, one row per mask and one column per Clifford
-_LETTER_MASK_ROWS = np.array(_LETTER_MASKS, dtype=np.int64).view(np.uint64).T.copy()
-
-
 def _transpose_bits(masks: np.ndarray, width: int) -> np.ndarray:
     """Swap the row axis of ``(rows, m)`` bitmasks with their bit axis.
 
@@ -293,7 +296,7 @@ def _transpose_bits(masks: np.ndarray, width: int) -> np.ndarray:
 class _SampledCliffords:
     """The images of the Pauli generators under m sampled Cliffords, bit-packed.
 
-    ``ZObservables``' layout over the 2n generators X_0..X_{n-1},
+    ``operators``' bit-packed layout over the 2n generators X_0..X_{n-1},
     Z_0..Z_{n-1}: bit j of ``x[p, s]`` and ``z[p, s]`` is the X and Z part,
     at physical qubit p, of ``U_s g_j U_s^dagger`` in Hermitian letters, and
     bit j of ``signs[s]`` marks a minus sign.  Every sample starts at the
@@ -309,19 +312,14 @@ class _SampledCliffords:
     def apply_layer(self, rng: np.random.Generator) -> None:
         """Append one random layer: Cliffords, then UZZ on a random matching."""
         n, m = self.x.shape
-        idx = rng.integers(0, 24, size=(m, n))
-        perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-        for p in range(n):
-            self.x[p], self.z[p], flips = _letter_step(
-                self.x[p], self.z[p], *_LETTER_MASK_ROWS[:, idx[:, p]])
-            self.signs ^= flips
-        cols = np.arange(m)
-        for a, b in zip(perm[:, 0::2].T, perm[:, 1::2].T):
-            t, flips = _uzz_step(self.x[a, cols], self.z[a, cols],
-                                 self.x[b, cols], self.z[b, cols])
-            self.z[a, cols] ^= t
-            self.z[b, cols] ^= t
-            self.signs ^= flips
+        cliffords = rng.integers(0, 24, size=(m, n))
+        pairs = sample_matchings(rng, n, m)
+        masks = _clifford_masks(cliffords.T)
+        self.signs ^= np.bitwise_xor.reduce(_clifford_signs(self.x, self.z, masks), axis=0)
+        self.x, self.z = _clifford_round(self.x, self.z, masks)
+        x_partner = np.take_along_axis(self.x, _partners(pairs).T, axis=0)
+        self.signs ^= np.bitwise_xor.reduce(_uzz_signs(self.x, self.z, x_partner), axis=0)
+        self.z = _uzz_round(self.x, self.z, x_partner)
 
     def trace_squared(self) -> np.ndarray:
         """``|Tr U|^2`` of every sample: an exact power of two, or 0.

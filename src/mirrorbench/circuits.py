@@ -1,4 +1,4 @@
-"""Mirror circuit sampling, compilation, and serialization.
+"""Mirror circuit sampling, compilation, and serialization, as integer arrays.
 
 A mirror circuit on an even number of qubits applies L random layers and then
 their inverses in reverse order.  Each layer is a round of independent
@@ -9,130 +9,204 @@ boundary Pauli is cancelled by its push-through partner so the net unitary is
 the final Pauli alone, and in the absence of noise the circuit maps |0...0>
 to a known computational basis state.
 
+A spec is three integer arrays: ``cliffords (L, n)`` (indices into the
+24-element table), ``matchings (L, n/2, 2)`` and ``paulis (2L+1, n)`` (codes
+0-3 for I, X, Y, Z; 2L randomizers, then the final Pauli).
+
 Compilation merges every inserted Pauli (including the X wrappers from the
 native-gate inverse of UZZ) into neighboring single-qubit Cliffords, so the
-executed gate list contains only CliffordGate and NativeGate entries: exactly
-one CliffordGate per qubit per round plus the round's UZZ gates.
+executed circuit is ``rounds (2L, n)``, one merged Clifford per qubit per
+round, with a UZZ layer after each forward round and before each mirrored
+round.  Since the Pauli frame resets to the randomizer after every round, the
+frame entering a round is the previous randomizer pushed through one UZZ
+layer (or an X-wrapped one), and all rounds come from table lookups on whole
+arrays.  ``CompiledCircuit.gates`` lists the same circuit gate by gate.
 
-Every compiled or loaded gate list is checked by one pass of
-``operators.ZObservables``: the gates must multiply to a Pauli whose X part
-is the final Pauli's, and the signs of that pass give the noiseless outcome.
+Every compiled or loaded circuit is checked by one round-by-round pass of the
+images of the Z_q (``operators._clifford_round`` and ``_uzz_round``): the
+circuit must map each Z_q to +/-Z_q, which makes its output on |0...0> a
+basis state, and the flipped bits must be the X part of the final Pauli.
+The pass keeps each round's images, from which the simulator reads its
+fault masks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .operators import (
+    _CLIFF_COMPOSE,
+    _CLIFF_INVERSE,
+    _PAULI_CLIFF_INDEX,
     CliffordGate,
     NativeGate,
-    PauliOperator,
     SingleQubitClifford,
-    mirror_outcome,
-    sample_clifford,
-    sample_pauli,
+    _clifford_masks,
+    _clifford_round,
+    _clifford_signs,
+    _partners,
+    _uzz_round,
+    _uzz_signs,
 )
 
-CIRCUIT_FORMAT_VERSION = 1
+CIRCUIT_FORMAT_VERSION = 2
+
+# the Clifford index of the one-qubit Pauli with X bit x and Z bit z, at x + 2z
+_FRAME_CLIFF = _PAULI_CLIFF_INDEX[[0, 1, 3, 2]]
 
 
 class CompilationError(RuntimeError):
     """Raised when a compiled circuit fails its internal consistency check."""
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """One layer: a single-qubit Clifford per qubit plus a perfect matching."""
-
-    cliffords: tuple
-    matching: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "cliffords", tuple(self.cliffords))
-        object.__setattr__(
-            self, "matching", tuple(tuple(pair) for pair in self.matching)
-        )
+def _int_array(values, shape: tuple, high: int, name: str) -> np.ndarray:
+    """A read-only int64 copy of ``values``, of ``shape`` with entries in [0, high)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" or arr.shape != shape:
+        raise ValueError(f"{name} must be integers of shape {shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= high):
+        raise ValueError(f"{name} entries must lie in [0, {high})")
+    arr = arr.astype(np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
-def _validate_matching(matching: Sequence, n_qubits: int) -> None:
-    seen = set()
-    for a, b in matching:
-        if a == b or not (0 <= a < n_qubits and 0 <= b < n_qubits):
-            raise ValueError(f"bad pair {(a, b)}")
-        if a in seen or b in seen:
-            raise ValueError("matching reuses a qubit")
-        seen.update((a, b))
-    if len(seen) != n_qubits:
-        raise ValueError("matching must cover every qubit")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MirrorCircuitSpec:
     """Abstract description of one mirror circuit.
 
     Args:
         n_qubits: even qubit count >= 2.
         length: L, the number of forward layers (the circuit runs 2L rounds).
-        layers: L LayerSpec entries for the forward half.
-        randomizing_paulis: 2L uniform Paulis, one per layer boundary of both
-            halves (forward boundaries first, then mirror boundaries in
-            execution order).
-        final_pauli: the Pauli inserted before measurement.
+        cliffords: ``(L, n)`` Clifford indices, layer by layer.
+        matchings: ``(L, n/2, 2)`` qubit pairs, one perfect matching per layer.
+        paulis: ``(2L+1, n)`` Pauli codes (0-3 for I, X, Y, Z): one randomizer
+            per layer boundary of both halves (forward boundaries first, then
+            mirror boundaries in execution order), then the final Pauli
+            inserted before measurement.
         seed: the seed this spec was drawn from (recorded for provenance).
         circuit_id: dataset row identifier.
     """
 
     n_qubits: int
     length: int
-    layers: tuple
-    randomizing_paulis: tuple
-    final_pauli: PauliOperator
+    cliffords: np.ndarray
+    matchings: np.ndarray
+    paulis: np.ndarray
     seed: int
     circuit_id: int = 0
 
     def __post_init__(self):
-        if self.n_qubits < 2 or self.n_qubits % 2:
+        n, length = self.n_qubits, self.length
+        if n < 2 or n % 2:
             raise ValueError("n_qubits must be even and >= 2")
-        if self.length < 1:
+        if length < 1:
             raise ValueError("length must be >= 1")
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(
-            self, "randomizing_paulis", tuple(self.randomizing_paulis)
-        )
-        if len(self.layers) != self.length:
-            raise ValueError("layers must have exactly `length` entries")
-        for layer in self.layers:
-            if len(layer.cliffords) != self.n_qubits:
-                raise ValueError("layer needs one Clifford per qubit")
-            _validate_matching(layer.matching, self.n_qubits)
-        if len(self.randomizing_paulis) != 2 * self.length:
-            raise ValueError("need 2 L randomizing Paulis")
-        for p in tuple(self.randomizing_paulis) + (self.final_pauli,):
-            if p.n_qubits != self.n_qubits:
-                raise ValueError("Pauli qubit count mismatch")
+        for name, shape, high in (("cliffords", (length, n), 24),
+                                  ("matchings", (length, n // 2, 2), n),
+                                  ("paulis", (2 * length + 1, n), 4)):
+            object.__setattr__(self, name,
+                               _int_array(getattr(self, name), shape, high, name))
+        covered = np.sort(self.matchings.reshape(length, n), axis=1)
+        if not (covered == np.arange(n)).all():
+            raise ValueError("each matching must pair every qubit exactly once")
+
+    def __eq__(self, other):
+        if not isinstance(other, MirrorCircuitSpec):
+            return NotImplemented
+        return ((self.n_qubits, self.length, self.seed, self.circuit_id)
+                == (other.n_qubits, other.length, other.seed, other.circuit_id)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("cliffords", "matchings", "paulis")))
+
+    __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+def _uzz_layers(matchings: np.ndarray) -> np.ndarray:
+    """The UZZ layer of each round in execution order: after forward round r
+    it is ``matchings[r]``, before mirrored round ``2L-1-k`` ``matchings[k]``."""
+    return np.concatenate([matchings, matchings[::-1]])
+
+
+@lru_cache(maxsize=64)
+def _gate_layout(n: int, length: int) -> tuple:
+    """Where each gate of the execution order sits in the round arrays.
+
+    Forward round r runs its n Cliffords and then its n/2 UZZ gates;
+    mirrored rounds run the UZZ layer first.  Returns, per gate, its round,
+    whether it is a UZZ, and its slot: the qubit of a Clifford, the pair of
+    a UZZ (read-only arrays, cached per size).
+    """
+    half = n // 2
+    rounds = np.repeat(np.arange(2 * length), n + half)
+    pos = np.tile(np.arange(n + half), 2 * length)
+    mirrored = rounds >= length
+    is_uzz = np.where(mirrored, pos < half, pos >= n)
+    slot = pos - np.where(mirrored, half * ~is_uzz, n * is_uzz)
+    for array in (rounds, is_uzz, slot):
+        array.flags.writeable = False
+    return rounds, is_uzz, slot
+
+
+@dataclass(frozen=True, eq=False)
 class CompiledCircuit:
-    """Executable gate list plus the noiseless measurement outcome.
+    """Executable rounds, the noiseless measurement outcome and the Z images.
 
-    ``gates`` holds CliffordGate and NativeGate entries in execution order;
-    ``mirror_start`` is the index of the first mirrored-half gate;
-    ``expected_outcome`` is the noiseless outcome bit per qubit.
+    ``rounds[r, q]`` is the merged Clifford at qubit q in round r.  Forward
+    round r (r < L) is followed by UZZ on ``uzz_layers[r]``; mirrored round r
+    is preceded by it.  ``expected_outcome`` is the noiseless outcome bit per
+    qubit.  ``x_images`` and ``z_images`` are ``(2L, 2, n, words)`` uint64:
+    bit q of word ``q // 64`` at ``[r, 0, p]`` is the X (in ``z_images`` the
+    Z) part, at physical qubit p, of the image of Z_q after round r's
+    Cliffords, and at ``[r, 1, p]`` after its UZZ layer.
     """
 
-    n_qubits: int
-    length: int
-    seed: int
-    circuit_id: int
-    gates: tuple
+    spec: MirrorCircuitSpec
+    rounds: np.ndarray
     expected_outcome: tuple
-    mirror_start: int
-    spec: MirrorCircuitSpec = field(repr=False, default=None, compare=False)
+    x_images: np.ndarray = field(repr=False)
+    z_images: np.ndarray = field(repr=False)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.spec.n_qubits
+
+    @property
+    def length(self) -> int:
+        return self.spec.length
+
+    @property
+    def seed(self) -> int:
+        return self.spec.seed
+
+    @property
+    def circuit_id(self) -> int:
+        return self.spec.circuit_id
+
+    @property
+    def uzz_layers(self) -> np.ndarray:
+        return _uzz_layers(self.spec.matchings)
+
+    @property
+    def mirror_start(self) -> int:
+        """Index in ``gates`` of the first mirrored-half gate."""
+        return self.length * (self.n_qubits + self.n_qubits // 2)
+
+    @cached_property
+    def gates(self) -> tuple:
+        """CliffordGate and NativeGate entries in execution order."""
+        rounds, layers = self.rounds.tolist(), self.uzz_layers.tolist()
+        return tuple(
+            NativeGate(tuple(layers[r][slot])) if is_uzz
+            else CliffordGate(slot, SingleQubitClifford(rounds[r][slot]))
+            for r, is_uzz, slot in zip(*(a.tolist() for a in
+                                         _gate_layout(self.n_qubits, self.length))))
 
 
 # ---------------------------------------------------------------------------
@@ -140,35 +214,33 @@ class CompiledCircuit:
 # ---------------------------------------------------------------------------
 
 
-def sample_matching(rng: np.random.Generator, n_qubits: int) -> tuple:
-    """Uniform perfect matching: pair the lowest unpaired qubit with a
-    uniformly random remaining one, repeatedly."""
+def sample_matchings(rng: np.random.Generator, n_qubits: int, count: int) -> np.ndarray:
+    """``count`` uniform perfect matchings as a ``(count, n/2, 2)`` array.
+
+    Each is a uniform permutation of the qubits (``rng.permuted``) cut into
+    consecutive pairs, each pair sorted.
+    """
     if n_qubits < 2 or n_qubits % 2:
         raise ValueError("n_qubits must be even and >= 2")
-    unpaired = list(range(n_qubits))
-    pairs = []
-    while unpaired:
-        a = unpaired.pop(0)
-        b = unpaired.pop(int(rng.integers(len(unpaired))))
-        pairs.append((a, b))
-    return tuple(pairs)
-
-
-def sample_layer(rng: np.random.Generator, n_qubits: int) -> LayerSpec:
-    cliffords = tuple(sample_clifford(rng) for _ in range(n_qubits))
-    return LayerSpec(cliffords, sample_matching(rng, n_qubits))
+    perm = rng.permuted(np.tile(np.arange(n_qubits), (count, 1)), axis=1)
+    return np.sort(perm.reshape(count, n_qubits // 2, 2), axis=2)
 
 
 def mirror_circuit_spec(seed: int, n_qubits: int, length: int,
                         circuit_id: int = 0) -> MirrorCircuitSpec:
-    """Draw a full circuit spec from a single seed (fixed draw order)."""
+    """Draw a full circuit spec from a single seed.
+
+    Three draws from ``default_rng(seed)``, in this order: the Cliffords,
+    ``integers(24)`` of shape ``(L, n)``; the matchings
+    (``sample_matchings``); the Paulis, ``integers(4)`` of shape
+    ``(2L+1, n)``.
+    """
     rng = np.random.default_rng(seed)
-    layers = tuple(sample_layer(rng, n_qubits) for _ in range(length))
-    randomizing = tuple(sample_pauli(rng, n_qubits) for _ in range(2 * length))
-    final = sample_pauli(rng, n_qubits)
-    return MirrorCircuitSpec(
-        n_qubits, length, layers, randomizing, final, seed=seed, circuit_id=circuit_id
-    )
+    cliffords = rng.integers(24, size=(length, n_qubits))
+    matchings = sample_matchings(rng, n_qubits, length)
+    paulis = rng.integers(4, size=(2 * length + 1, n_qubits))
+    return MirrorCircuitSpec(n_qubits, length, cliffords, matchings, paulis,
+                             seed=seed, circuit_id=circuit_id)
 
 
 def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
@@ -191,106 +263,108 @@ def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Compilation
+# Compilation and the Z pass
 # ---------------------------------------------------------------------------
 
-# qubit-level Pauli code (IXYZ order) from x/z bits: (x + 2z) -> code
-_BITS_TO_CODE = (0, 1, 3, 2)
+
+def _merged_rounds(spec: MirrorCircuitSpec) -> np.ndarray:
+    """The ``(2L, n)`` merged Cliffords: each round's Pauli after its Clifford,
+    after the frame that the previous randomizer leaves.
+
+    Round r's frame is randomizer r-1 pushed through the UZZ layers between
+    the two rounds: the forward layer r-1 when r <= L, and the X-wrapped
+    mirrored layer r when r >= L (``X_a UZZ X_a = UZZ^dagger``; the wraps
+    ride the frame instead of being executed).  A UZZ toggles the Z bits of
+    a pair whose X bits differ; a wrapped one, of a pair whose X bits agree.
+    The last round takes the final Pauli in place of its randomizer, which
+    folds the leftover frame into it.  Pauli phases do not matter, since
+    merging a Pauli into a Clifford ignores them.
+    """
+    length, paulis = spec.length, spec.paulis
+    layers = _uzz_layers(spec.matchings)
+    fx = np.zeros((2 * length, spec.n_qubits), dtype=bool)
+    fz = np.zeros_like(fx)
+    fx[1:] = (paulis[:-2] == 1) | (paulis[:-2] == 2)  # X or Y
+    fz[1:] = paulis[:-2] >= 2  # Y or Z
+    for rounds, layer, wrapped in ((np.arange(1, length + 1), np.arange(length), False),
+                                   (np.arange(length, 2 * length),
+                                    np.arange(length, 2 * length), True)):
+        row = rounds[:, None]
+        a, b = layers[layer, :, 0], layers[layer, :, 1]
+        toggle = fx[row, a] ^ fx[row, b] ^ wrapped
+        fz[row, a] ^= toggle
+        fz[row, b] ^= toggle
+    body = np.concatenate([spec.cliffords, _CLIFF_INVERSE[spec.cliffords[::-1]]])
+    post = _PAULI_CLIFF_INDEX[np.concatenate([paulis[:-2], paulis[-1:]])]
+    frame = _FRAME_CLIFF[fx + 2 * fz.astype(np.intp)]
+    return _CLIFF_COMPOSE[post, _CLIFF_COMPOSE[body, frame]]
 
 
-def _pauli_clifford_at(x: int, z: int, qubit: int) -> SingleQubitClifford:
-    bits = ((x >> qubit) & 1) + 2 * ((z >> qubit) & 1)
-    return SingleQubitClifford.from_pauli_code(_BITS_TO_CODE[bits])
+def _z_pass(rounds: np.ndarray, layers: np.ndarray, n: int) -> tuple:
+    """Carry the images of every Z_q through the rounds.
+
+    Returns the outcome bits and the ``x_images``, ``z_images`` described
+    in ``CompiledCircuit``.  Raises ValueError unless the circuit maps each
+    Z_q to +/-Z_q; bit q of the outcome is 1 where it is -Z_q, since the
+    circuit's output on |0...0> is then the basis state with those bits.
+    The images are carried round by round and the signs come afterwards,
+    from the images before each round.
+    """
+    half = len(rounds) // 2
+    words = (n + 63) // 64
+    q = np.arange(n)
+    start = np.zeros((n, words), dtype=np.uint64)
+    start[q, q // 64] = np.uint64(1) << (q % 64).astype(np.uint64)
+    masks = _clifford_masks(rounds[:, :, None])
+    partners = _partners(layers)
+    x, z = np.zeros_like(start), start
+    xs, zs = [x], [z]  # the images before each step, and after the last
+    for r in range(len(rounds)):  # in the order of _gate_layout
+        for is_clifford in ((True, False) if r < half else (False, True)):
+            if is_clifford:
+                x, z = _clifford_round(x, z, masks[:, r])
+            else:
+                z = _uzz_round(x, z, x[partners[r]])
+            xs.append(x)
+            zs.append(z)
+    if x.any() or not np.array_equal(z, start):
+        raise ValueError("circuit does not map each Z_q to +/-Z_q")
+    # step 2r of round r is its Cliffords when forward, its UZZ layer when
+    # mirrored; step 2r + 1 is the other
+    mirrored = np.arange(len(rounds)) >= half
+    clifford_step = 2 * np.arange(len(rounds)) + mirrored
+    uzz_step = clifford_step + 1 - 2 * mirrored
+    xs, zs = (np.concatenate(images).reshape(len(images), n, words) for images in (xs, zs))
+    flips = (_clifford_signs(xs[clifford_step], zs[clifford_step], masks),
+             _uzz_signs(xs[uzz_step], zs[uzz_step], xs[uzz_step[:, None], partners]))
+    signs = np.bitwise_xor.reduce(np.concatenate(flips).reshape(-1, words), axis=0)
+    outcome = (signs[q // 64] >> (q % 64).astype(np.uint64)) & np.uint64(1)
+    after = np.stack([clifford_step, uzz_step], axis=1) + 1
+    return tuple(outcome.tolist()), xs[after], zs[after]
+
+
+def _checked_circuit(spec: MirrorCircuitSpec, rounds: np.ndarray) -> CompiledCircuit:
+    """The compiled circuit of ``rounds``, which must invert to the final Pauli.
+
+    Raises ValueError if the rounds do not map each Z_q to +/-Z_q or flip
+    other bits than the X part of the final Pauli.
+    """
+    outcome, x_images, z_images = _z_pass(rounds, _uzz_layers(spec.matchings),
+                                          spec.n_qubits)
+    final = spec.paulis[-1]
+    if outcome != tuple(((final == 1) | (final == 2)).astype(int).tolist()):
+        raise ValueError("circuit does not invert to its final Pauli")
+    return CompiledCircuit(spec, rounds, outcome, x_images, z_images)
 
 
 def build_mirror_circuit(spec: MirrorCircuitSpec) -> CompiledCircuit:
-    """Compile a spec into executed gates and the expected outcome.
-
-    Maintains the invariant ``ideal_prefix = frame @ executed_prefix`` up to
-    global phase, where ``frame`` is the Pauli still owed to future
-    single-qubit layers.  Only its X and Z bitmasks ``fx, fz`` are carried:
-    merging a Pauli into a Clifford ignores its phase.  At the end the
-    leftover frame and the final Pauli are folded into the last single-qubit
-    round, so the executed circuit equals the ideal one up to global phase.
-    """
-    n = spec.n_qubits
-    gates = []
-    fx = fz = 0
-
-    def emit_sq_layer(cliffords, post: PauliOperator):
-        for q in range(n):
-            merged = _pauli_clifford_at(post.x, post.z, q).compose(
-                cliffords[q].compose(_pauli_clifford_at(fx, fz, q))
-            )
-            gates.append(CliffordGate(q, merged))
-
-    def emit_uzz_layer(matching):
-        nonlocal fz
-        for a, b in matching:
-            gates.append(NativeGate((a, b)))
-            # UZZ maps X_a to Y_a Z_b and X_b to Z_a Y_b; Z is unchanged
-            if ((fx >> a) ^ (fx >> b)) & 1:
-                fz ^= (1 << a) | (1 << b)
-
-    # forward half
-    for i, layer in enumerate(spec.layers):
-        randomizer = spec.randomizing_paulis[i]
-        emit_sq_layer(layer.cliffords, post=randomizer)
-        fx, fz = randomizer.x, randomizer.z  # its adjoint differs in phase only
-        emit_uzz_layer(layer.matching)
-    mirror_start = len(gates)
-
-    # mirrored half: per original layer k (reverse order) the compiled inverse
-    # is X-wrap, UZZ, X-wrap (X_a UZZ X_a = UZZ^dagger on each pair (a, b)),
-    # then the inverse Cliffords; the wraps ride the frame instead of being
-    # emitted.
-    for step, k in enumerate(reversed(range(spec.length))):
-        layer = spec.layers[k]
-        wrap = 0
-        for a, _ in layer.matching:
-            wrap |= 1 << a
-        fx ^= wrap
-        emit_uzz_layer(layer.matching)
-        fx ^= wrap
-        randomizer = spec.randomizing_paulis[spec.length + step]
-        emit_sq_layer(tuple(c.inverse() for c in layer.cliffords), post=randomizer)
-        fx, fz = randomizer.x, randomizer.z
-
-    # fold the leftover frame and the final Pauli into the last 1q round
-    tail_x, tail_z = spec.final_pauli.x ^ fx, spec.final_pauli.z ^ fz
-    for q in range(n):
-        idx = len(gates) - n + q
-        gates[idx] = CliffordGate(
-            q, _pauli_clifford_at(tail_x, tail_z, q).compose(gates[idx].clifford)
-        )
-
+    """Compile a spec into merged rounds and the expected outcome."""
+    rounds = _merged_rounds(spec)
+    rounds.flags.writeable = False
     try:
-        outcome = _checked_outcome(gates, spec.final_pauli)
+        return _checked_circuit(spec, rounds)
     except ValueError as exc:
         raise CompilationError(f"compiled circuit is wrong: {exc}") from None
-    return CompiledCircuit(
-        n_qubits=n,
-        length=spec.length,
-        seed=spec.seed,
-        circuit_id=spec.circuit_id,
-        gates=tuple(gates),
-        expected_outcome=outcome,
-        mirror_start=mirror_start,
-        spec=spec,
-    )
-
-
-def _checked_outcome(gates: Sequence, final_pauli: PauliOperator) -> tuple:
-    """Noiseless outcome of a gate list that must invert to ``final_pauli``.
-
-    Raises ValueError if the gates are not a Pauli or flip other bits than
-    the X part of ``final_pauli``.
-    """
-    n = final_pauli.n_qubits
-    outcome = mirror_outcome(gates, n)
-    if outcome != tuple((final_pauli.x >> q) & 1 for q in range(n)):
-        raise ValueError("circuit does not invert to its final Pauli")
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -299,97 +373,160 @@ def _checked_outcome(gates: Sequence, final_pauli: PauliOperator) -> tuple:
 
 
 def circuit_to_json(circuit: CompiledCircuit) -> dict:
-    """JSON-ready dict for one compiled circuit (schema version 1)."""
+    """JSON-ready dict for one compiled circuit (schema version 2).
+
+    The spec arrays and the rounds are stored flat, in C order.
+    """
     spec = circuit.spec
-    if spec is None:
-        raise ValueError("circuit has no spec attached")
-    gates = []
-    for gate in circuit.gates:
-        if isinstance(gate, CliffordGate):
-            gates.append({"gate": "c1", "q": gate.qubit,
-                          "index": gate.clifford.index})
-        else:
-            gates.append({"gate": "uzz", "q": list(gate.qubits)})
     return {
         "version": CIRCUIT_FORMAT_VERSION,
         "n": circuit.n_qubits,
         "L": circuit.length,
         "seed": circuit.seed,
         "circuit_id": circuit.circuit_id,
-        "layers": [
-            {
-                "cliffords": [c.index for c in layer.cliffords],
-                "matching": [list(pair) for pair in layer.matching],
-            }
-            for layer in spec.layers
-        ],
-        "randomizing_paulis": [p.to_label() for p in spec.randomizing_paulis],
-        "final_pauli": spec.final_pauli.to_label(),
+        "cliffords": spec.cliffords.ravel().tolist(),
+        "matchings": spec.matchings.ravel().tolist(),
+        "paulis": spec.paulis.ravel().tolist(),
+        "rounds": circuit.rounds.ravel().tolist(),
         "mirror_start": circuit.mirror_start,
-        "gates": gates,
-        "expected_outcome": "".join(str(b) for b in circuit.expected_outcome),
+        "expected_outcome": list(circuit.expected_outcome),
     }
 
 
-def circuit_from_json(data: dict) -> CompiledCircuit:
-    """Rebuild a compiled circuit from its stored gate list.
+def _is_int(value) -> bool:
+    return type(value) is int
 
-    The gates are not recompiled from the spec, so datasets stay
-    reproducible even if the sampler changes.  They are checked instead:
-    a gate list that is not a mirror, or whose outcome differs from the
-    stored ``expected_outcome`` or from the final Pauli, raises ValueError,
-    as does a stored ``mirror_start`` (where ``@inverse=`` noise begins)
-    other than the forward half's gate count from the spec's layers.
-    """
-    if data.get("version") != CIRCUIT_FORMAT_VERSION:
-        raise ValueError(f"unsupported circuit format version {data.get('version')!r}")
-    n = int(data["n"])
-    layers = tuple(
-        LayerSpec(
-            tuple(SingleQubitClifford(int(i)) for i in layer["cliffords"]),
-            tuple(tuple(int(q) for q in pair) for pair in layer["matching"]),
-        )
-        for layer in data["layers"]
-    )
-    spec = MirrorCircuitSpec(
-        n_qubits=n,
-        length=int(data["L"]),
-        layers=layers,
-        randomizing_paulis=tuple(
-            PauliOperator.from_label(lab) for lab in data["randomizing_paulis"]
-        ),
-        final_pauli=PauliOperator.from_label(data["final_pauli"]),
-        seed=int(data["seed"]),
-        circuit_id=int(data.get("circuit_id", 0)),
-    )
-    gates = []
-    for rec in data["gates"]:
-        if rec["gate"] == "c1":
-            gate = CliffordGate(int(rec["q"]), SingleQubitClifford(int(rec["index"])))
-        elif rec["gate"] == "uzz":
-            gate = NativeGate(tuple(int(q) for q in rec["q"]))
+
+def _int_field(data: dict, key: str) -> int:
+    value = data.get(key)
+    if not _is_int(value):
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _list_field(data: dict, key: str, size: int) -> list:
+    value = data.get(key)
+    if not isinstance(value, list) or len(value) != size:
+        raise ValueError(f"field {key!r} must be a list of {size} entries")
+    return value
+
+
+def _int_list(data: dict, key: str, shape: tuple, high: int) -> np.ndarray:
+    """A flat list of integers in [0, high), reshaped to ``shape``."""
+    values = _list_field(data, key, math.prod(shape))
+    if set(map(type, values)) != {int}:  # bool, an int subclass, is out too
+        raise ValueError(f"field {key!r} must hold only integers")
+    return _int_array(np.array(values).reshape(shape), shape, high, key)
+
+
+def _pauli_codes(label, n: int) -> list:
+    """Codes 0-3 of a version-1 Pauli label such as ``"+IXZY"``."""
+    if not isinstance(label, str):
+        raise ValueError(f"Pauli label must be a string, got {label!r}")
+    body = label
+    for prefix in ("+i", "-i", "+", "-"):
+        if body.startswith(prefix):
+            body = body[len(prefix):]
+            break
+    if len(body) != n or any(ch not in "IXYZ" for ch in body):
+        raise ValueError(f"bad {n}-qubit Pauli label {label!r}")
+    return ["IXYZ".index(ch) for ch in body]
+
+
+def _pairs_v1(layer: dict, n: int) -> np.ndarray:
+    """A version-1 matching: a list of ``[a, b]`` pairs."""
+    pairs = _list_field(layer, "matching", n // 2)
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ValueError(f"field 'matching' must hold pairs, got {pairs!r}")
+    return _int_list({"matching": sum(pairs, [])}, "matching", (n // 2, 2), n)
+
+
+def _spec_v1(data: dict, n: int, length: int) -> MirrorCircuitSpec:
+    layers = _list_field(data, "layers", length)
+    if not all(isinstance(layer, dict) for layer in layers):
+        raise ValueError("field 'layers' must hold objects")
+    labels = _list_field(data, "randomizing_paulis", 2 * length) + [data.get("final_pauli")]
+    circuit_id = data.get("circuit_id", 0)
+    if not _is_int(circuit_id):
+        raise ValueError(f"field 'circuit_id' must be an integer, got {circuit_id!r}")
+    return MirrorCircuitSpec(
+        n, length,
+        np.stack([_int_list(layer, "cliffords", (n,), 24) for layer in layers]),
+        np.stack([_pairs_v1(layer, n) for layer in layers]),
+        np.array([_pauli_codes(label, n) for label in labels]),
+        seed=_int_field(data, "seed"), circuit_id=circuit_id)
+
+
+def _rounds_v1(data: dict, spec: MirrorCircuitSpec) -> np.ndarray:
+    """The rounds of a version-1 gate list, which must follow the round
+    layout of the spec (``_gate_layout``), UZZ pairs as in the matchings."""
+    n, length = spec.n_qubits, spec.length
+    layers = _uzz_layers(spec.matchings).tolist()
+    layout = [a.tolist() for a in _gate_layout(n, length)]
+    records = _list_field(data, "gates", len(layout[0]))
+    rounds = np.zeros((2 * length, n), dtype=np.int64)
+    for pos, (rec, r, is_uzz, slot) in enumerate(zip(records, *layout)):
+        if not isinstance(rec, dict):
+            raise ValueError(f"gate record {pos} ({rec!r}) is not an object")
+        if is_uzz:
+            ok = (rec.get("gate") == "uzz" and isinstance(rec.get("q"), list)
+                  and all(map(_is_int, rec["q"])) and rec["q"] == layers[r][slot])
         else:
-            raise ValueError(f"unknown gate record {rec!r}")
-        if not all(0 <= q < n for q in gate.qubits):
-            raise ValueError(f"gate record {rec!r} acts outside {n} qubits")
-        gates.append(gate)
-    outcome = _checked_outcome(gates, spec.final_pauli)
-    if data["expected_outcome"] != "".join(str(b) for b in outcome):
-        raise ValueError("stored expected_outcome differs from the gates' outcome")
-    mirror_start = sum(n + len(layer.matching) for layer in layers)
-    if int(data["mirror_start"]) != mirror_start:
-        raise ValueError(f"stored mirror_start {data['mirror_start']!r} differs from "
-                         f"the {mirror_start} gates of the forward half")
-    return CompiledCircuit(
-        n_qubits=n,
-        length=int(data["L"]),
-        seed=int(data["seed"]),
-        circuit_id=int(data.get("circuit_id", 0)),
-        gates=tuple(gates),
-        expected_outcome=outcome,
-        mirror_start=mirror_start,
-        spec=spec,
-    )
+            index = rec.get("index")
+            ok = (rec.get("gate") == "c1" and _is_int(rec.get("q")) and rec["q"] == slot
+                  and _is_int(index) and 0 <= index < 24)
+            if ok:
+                rounds[r, slot] = index
+        if not ok:
+            expected = f"uzz on {layers[r][slot]}" if is_uzz else f"c1 on {slot}"
+            raise ValueError(f"gate record {pos} ({rec!r}) is not the {expected} "
+                             f"of the round layout")
+    return rounds
+
+
+def circuit_from_json(data) -> CompiledCircuit:
+    """Rebuild a compiled circuit from its stored rounds (schema 1 or 2).
+
+    The rounds are not recompiled from the spec, so datasets stay
+    reproducible even if the compiler changes.  They are checked instead:
+    rounds that do not map each Z_q to +/-Z_q, or whose outcome differs
+    from the stored ``expected_outcome`` or from the final Pauli, raise
+    ValueError, as does a stored ``mirror_start`` (where ``@inverse=`` noise
+    begins) other than the forward half's gate count, and any field of the
+    wrong JSON type or out of range.  A version-1 file stores a gate list;
+    it must follow the round layout (``_rounds_v1``).
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a circuit file must hold a JSON object")
+    version = data.get("version")
+    if not _is_int(version) or version not in (1, 2):
+        raise ValueError(f"unsupported circuit format version {version!r}")
+    n, length = _int_field(data, "n"), _int_field(data, "L")
+    if n < 2 or n % 2 or length < 1:
+        raise ValueError(f"need an even n >= 2 and L >= 1, got n={n} L={length}")
+    if version == 1:
+        spec = _spec_v1(data, n, length)
+        rounds = _rounds_v1(data, spec)
+        stored = data.get("expected_outcome")
+        if not (isinstance(stored, str) and len(stored) == n and set(stored) <= {"0", "1"}):
+            raise ValueError(f"field 'expected_outcome' must be {n} bits, got {stored!r}")
+        stored = tuple(map(int, stored))
+    else:
+        spec = MirrorCircuitSpec(
+            n, length, _int_list(data, "cliffords", (length, n), 24),
+            _int_list(data, "matchings", (length, n // 2, 2), n),
+            _int_list(data, "paulis", (2 * length + 1, n), 4),
+            seed=_int_field(data, "seed"), circuit_id=_int_field(data, "circuit_id"))
+        rounds = _int_list(data, "rounds", (2 * length, n), 24)
+        stored = tuple(_int_list(data, "expected_outcome", (n,), 2).tolist())
+    circuit = _checked_circuit(spec, rounds)
+    if stored != circuit.expected_outcome:
+        raise ValueError("stored expected_outcome differs from the rounds' outcome")
+    mirror_start = _int_field(data, "mirror_start")
+    if mirror_start != circuit.mirror_start:
+        raise ValueError(f"stored mirror_start {mirror_start!r} differs from the "
+                         f"{circuit.mirror_start} gates of the forward half")
+    return circuit
 
 
 def save_circuit(circuit: CompiledCircuit, path) -> None:

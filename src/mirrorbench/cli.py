@@ -227,8 +227,12 @@ def cmd_generate(params: dict) -> int:
     return EXIT_OK
 
 
-def _load_circuits(circuits_dir: str):
-    """Load circuit JSON files from a directory (or its circuits/ child)."""
+def _load_circuits(circuits_dir: str, backend: str):
+    """Load circuit JSON files from a directory (or its circuits/ child).
+
+    Stops at the first file wider than ``backend`` simulates, so a
+    directory of wide circuits is not held in memory only to be refused.
+    """
     root = circuits_dir
     if not os.path.isdir(root):
         raise ConfigError(f"circuit directory not found: {root}")
@@ -239,12 +243,17 @@ def _load_circuits(circuits_dir: str):
                    and f != MANIFEST_NAME)
     if not names:
         raise ConfigError(f"no circuit .json files in {root}")
+    limit = _QUBIT_LIMITS[backend]
     out = []
     for name in names:
         try:
-            out.append(load_circuit(os.path.join(root, name)))
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            circuit = load_circuit(os.path.join(root, name))
+        except ValueError as exc:  # json.JSONDecodeError included
             raise ConfigError(f"bad circuit file {name}: {exc}") from None
+        if circuit.n_qubits > limit:
+            raise ConfigError(f"{backend} backend limited to {limit} qubits, "
+                              f"got {circuit.n_qubits}-qubit circuits")
+        out.append(circuit)
     n = out[0].n_qubits
     if any(c.n_qubits != n for c in out):
         raise ConfigError("circuit files mix different qubit counts")
@@ -252,7 +261,6 @@ def _load_circuits(circuits_dir: str):
 
 
 def cmd_run(params: dict) -> int:
-    circuits = _load_circuits(params["circuits"])
     noise = parse_noise_spec(params["noise"], params.get("noise_1q", "none"))
     backend = params["backend"]
     shots = int(params["shots"])
@@ -263,13 +271,11 @@ def cmd_run(params: dict) -> int:
         raise ConfigError("--shots must be positive")
     if backend not in _BACKENDS:
         raise ConfigError(f"unknown backend {backend!r} (expected {', '.join(_BACKENDS)})")
-    if circuits[0].n_qubits > _QUBIT_LIMITS[backend]:
-        raise ConfigError(f"{backend} backend limited to {_QUBIT_LIMITS[backend]} qubits, "
-                          f"got {circuits[0].n_qubits}-qubit circuits")
     if backend == "stabilizer" and not noise.stabilizer_compatible():
         raise ConfigError(
             "stabilizer backend requires stochastic Pauli channels; "
             "use --backend dense for amplitude-damping noise")
+    circuits = _load_circuits(params["circuits"], backend)
     _ensure_dir(out_dir)
     dataset = simulate_survival(circuits, noise, shots, rng=seed, jobs=jobs,
                                 backend=backend)
@@ -292,7 +298,7 @@ def _load_dataset(path: str):
         if path.endswith(".json"):
             return read_dataset_json(path)
         return read_dataset_csv(path)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad dataset file {path}: {exc}") from None
 
 

@@ -3,10 +3,12 @@
 Two backends share a gate-located noise model:
 
 - ``run_stabilizer``: Monte Carlo sampling of stochastic Pauli faults.  The
-  noiseless circuit is a Pauli, so every fault site and Pauli code has one
-  fixed final X-mask, the set of measured bits it flips.
-  ``compile_fault_program`` tabulates those masks in one pass over the
-  circuit (``operators.ZObservables``) and groups the sites by channel.
+  noiseless circuit maps each Z_q to +/-Z_q, so every fault site and Pauli
+  code has one fixed final X-mask, the set of measured bits it flips: the
+  Z_q whose image where the fault occurs it anticommutes with.
+  ``compile_fault_program`` reads those masks, for every site at once, from
+  the round-by-round Z images that the circuit's mirror check kept (no
+  second pass over the gates), and groups the sites by channel.
   Faults are drawn sparsely: per block of shots and per group, a binomial
   count of faulty (shot, site) cells, placed uniformly, each with a code
   from the group's conditional table, so the work follows the faults drawn,
@@ -17,10 +19,11 @@ Two backends share a gate-located noise model:
   of the state through every gate and channel, each applied as a local PTM
   on its own qubits (up to 8 qubits).
 
-Noise placement (``_noisy_gates``, shared by both backends): the two-qubit
+Noise placement (``_channel``, shared by both backends): the two-qubit
 channel acts after every UZZ gate, the single-qubit channel (optional) after
 every single-qubit Clifford, and ``inverse_half_override`` replaces the
-two-qubit channel on mirrored-half UZZ gates.
+two-qubit channel on mirrored-half UZZ gates.  The dense backend applies it
+gate by gate (``_noisy_gates``), the fault program to whole rounds.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from .channels import (
     superop_of,
     superop_of_unitary,
 )
-from .circuits import CompiledCircuit, MirrorCircuitSpec, build_mirror_circuit
-from .operators import CliffordGate, SingleQubitClifford, UZZ_MATRIX, ZObservables
+from .circuits import CompiledCircuit, MirrorCircuitSpec, _gate_layout, build_mirror_circuit
+from .operators import CliffordGate, SingleQubitClifford, UZZ_MATRIX
 
 DATASET_FORMAT_VERSION = 1
 
@@ -151,16 +154,20 @@ class DecayDataset:
 _CODE_FROM_DIGIT = (0, 1, 3, 2)  # PTM digit I,X,Y,Z -> symplectic code x + 2z
 
 
+def _channel(noise: NoiseModel, arity: int, mirrored: bool) -> Optional[ChannelParams]:
+    """The channel placed after a gate on ``arity`` qubits, in the mirrored
+    half or not (None for a noiseless gate)."""
+    if arity == 1:
+        return noise.single_qubit
+    if mirrored and noise.inverse_half_override is not None:
+        return noise.inverse_half_override
+    return noise.two_qubit
+
+
 def _noisy_gates(circuit: CompiledCircuit, noise: NoiseModel):
     """Yield each gate of ``circuit`` with the channel placed after it (or None)."""
     for gate_pos, gate in enumerate(circuit.gates):
-        if isinstance(gate, CliffordGate):
-            yield gate, noise.single_qubit
-        elif (gate_pos >= circuit.mirror_start
-              and noise.inverse_half_override is not None):
-            yield gate, noise.inverse_half_override
-        else:
-            yield gate, noise.two_qubit
+        yield gate, _channel(noise, len(gate.qubits), gate_pos >= circuit.mirror_start)
 
 
 def kernel_pauli_probs(params: ChannelParams, k: int) -> np.ndarray:
@@ -203,7 +210,7 @@ class SiteClass:
     cum_codes: np.ndarray
 
 
-def _site_class(probs: np.ndarray, sites: list) -> SiteClass:
+def _site_class(probs: np.ndarray, sites: np.ndarray) -> SiteClass:
     faults = np.maximum(probs[1:], 0.0)
     total = faults.sum()
     cum = np.cumsum(faults / total) if total > 0 else np.ones(len(faults))
@@ -229,23 +236,53 @@ class FaultProgram:
         return len(self.masks)
 
 
+def _code_masks(generators: np.ndarray) -> np.ndarray:
+    """The flip masks of every Pauli code at a site, zero-padded to 16 codes.
+
+    Code k flips the XOR of the generators (last axis) at its set bits.  At
+    a site on qubits (a, b) they are the outcome bits that X_a, Z_a, X_b and
+    Z_b flip: the Z_q whose images have a Z part at a, an X part at a, and
+    so on.
+    """
+    masks = np.zeros(generators.shape[:-1] + (16,), dtype=np.uint64)
+    for j in range(generators.shape[-1]):
+        masks[..., 1 << j:2 << j] = masks[..., :1 << j] ^ generators[..., j, None]
+    return masks
+
+
 def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultProgram:
-    if circuit.n_qubits > _QUBIT_LIMITS["stabilizer"]:
+    """The fault sites of ``circuit`` in gate order, with their masks and classes.
+
+    A fault flips outcome bit q iff it anticommutes with the image of Z_q
+    where it occurs (the circuit maps each Z_q to +/-Z_q), so the masks are
+    read from the Z images the circuit's check kept, round by round.
+    """
+    n, length = circuit.n_qubits, circuit.length
+    if n > _QUBIT_LIMITS["stabilizer"]:
         raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
-    observables = ZObservables(circuit.n_qubits)
-    masks = []
-    class_sites = {}  # (params, arity) -> site indices, in first-seen order
-    for gate, params in _noisy_gates(circuit, noise):
-        observables.apply(gate)
-        if params is None:
-            continue
-        class_sites.setdefault((params, len(gate.qubits)), []).append(len(masks))
-        row = observables.fault_masks(gate.qubits)
-        masks.append(row + [0] * (16 - len(row)))
-    observables.outcome()  # the masks are final flips only for a mirror circuit
-    classes = tuple(_site_class(kernel_pauli_probs(*key), sites)
-                    for key, sites in class_sites.items())
-    return FaultProgram(np.array(masks, dtype=np.uint64).reshape(-1, 16), classes)
+    x, z = circuit.x_images[..., 0], circuit.z_images[..., 0]  # (2L, 2, n)
+    one_masks = _code_masks(np.stack([z[:, 0], x[:, 0]], axis=-1))
+    rows, pairs = np.arange(2 * length)[:, None], circuit.uzz_layers
+    xa, xb, za, zb = (images[rows, 1, pairs[..., side]]
+                      for images in (x, z) for side in (0, 1))
+    two_masks = _code_masks(np.stack([za, xa, zb, xb], axis=-1))
+    rounds, is_uzz, slot = _gate_layout(n, length)
+    # each gate's row among the Clifford masks, then the UZZ masks
+    row = np.where(is_uzz, one_masks.shape[0] * n + rounds * (n // 2), rounds * n) + slot
+    masks = np.concatenate([one_masks.reshape(-1, 16), two_masks.reshape(-1, 16)])
+    kind = is_uzz * (1 + (rounds >= length))  # Clifford, forward UZZ, mirrored UZZ
+    keys = {}  # (params, arity) -> class number, in order of first site
+    class_of_kind = []
+    for arity, mirrored in ((1, False), (2, False), (2, True)):
+        params = _channel(noise, arity, mirrored)
+        class_of_kind.append(-1 if params is None
+                             else keys.setdefault((params, arity), len(keys)))
+    gate_class = np.array(class_of_kind)[kind]
+    noisy = gate_class >= 0
+    classes = tuple(_site_class(kernel_pauli_probs(*key),
+                                np.flatnonzero(gate_class[noisy] == number))
+                    for key, number in keys.items())
+    return FaultProgram(masks[row[noisy]], classes)
 
 
 def _draw_faults(program: FaultProgram, shots: int, rng: np.random.Generator):
@@ -425,6 +462,12 @@ def _read_entry(length, circuit_id, shots, successes, seed) -> DatasetEntry:
     return entry
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool, an int subclass, is out too
+        raise ValueError(f"dataset {what} must be an integer, got {value!r}")
+    return value
+
+
 def write_dataset_csv(dataset: DecayDataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -444,11 +487,10 @@ def read_dataset_csv(path) -> DecayDataset:
         if missing:
             raise ValueError(f"dataset CSV missing columns {sorted(missing)}")
         for row in reader:
+            if None in row.values():
+                raise ValueError(f"dataset CSV row {reader.line_num} is short")
             n_values.add(int(row["n"]))
-            entries.append(
-                _read_entry(row["L"], row["circuit_id"], row["shots"],
-                            row["successes"], row["seed"])
-            )
+            entries.append(_read_entry(*(row[key] for key in _CSV_COLUMNS[1:])))
     if len(n_values) != 1:
         raise ValueError("dataset CSV must describe a single qubit count")
     return DecayDataset(n_values.pop(), tuple(entries))
@@ -472,10 +514,14 @@ def write_dataset_json(dataset: DecayDataset, path) -> None:
 def read_dataset_json(path) -> DecayDataset:
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("version") != DATASET_FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset version {data.get('version')!r}")
-    entries = tuple(
-        _read_entry(e["L"], e["circuit_id"], e["shots"], e["successes"], e["seed"])
-        for e in data["entries"]
-    )
-    return DecayDataset(int(data["n"]), entries)
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
+        raise ValueError("a dataset file must hold an object with a list of entries")
+    version = data.get("version")
+    if type(version) is not int or version != DATASET_FORMAT_VERSION:
+        raise ValueError(f"unsupported dataset version {version!r}")
+    keys = ("L", "circuit_id", "shots", "successes", "seed")
+    if not all(isinstance(e, dict) for e in data["entries"]):
+        raise ValueError("dataset entries must be objects")
+    entries = tuple(_read_entry(*(_json_int(e.get(key), key) for key in keys))
+                    for e in data["entries"])
+    return DecayDataset(_json_int(data.get("n"), "n"), entries)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,27 +10,27 @@ from hypothesis import given, settings, strategies as st
 
 from mirrorbench.circuits import (
     CompiledCircuit,
-    LayerSpec,
-    MirrorCircuitSpec,
+    _z_pass,
     build_mirror_circuit,
     circuit_from_json,
     circuit_to_json,
     load_circuit,
     mirror_circuit_spec,
     sample_experiment,
-    sample_layer,
-    sample_matching,
+    sample_matchings,
     save_circuit,
     to_qasm,
 )
 from mirrorbench.operators import (
+    CLIFFORD_UNITARIES,
     CliffordGate,
     NativeGate,
     SingleQubitClifford,
     clifford_named,
 )
 
-from conftest import H2, S2, UZZ_REF, kron_all
+from conftest import H2, S2, UZZ_REF, kron_all, pauli_matrix_from_label
+from pauli_reference import ZObservables, circuit_to_v1_json
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +57,16 @@ def _uzz_layer_diag(matching, n_qubits: int) -> np.ndarray:
     return diag
 
 
-def unitary_of(layers, n_qubits: int) -> np.ndarray:
+def unitary_of(cliffords, matchings, n_qubits: int) -> np.ndarray:
     """Dense unitary of the forward half (no Paulis); L = 0 gives identity."""
     d = 2 ** n_qubits
     total = np.eye(d, dtype=complex)
-    for layer in layers:
+    for layer, matching in zip(cliffords, matchings):
         cmat = np.array([[1.0 + 0j]])
-        for c in layer.cliffords:
-            cmat = np.kron(cmat, c.unitary)
+        for c in layer:
+            cmat = np.kron(cmat, CLIFFORD_UNITARIES[c])
         total = cmat @ total
-        total = _uzz_layer_diag(layer.matching, n_qubits)[:, None] * total
+        total = _uzz_layer_diag(matching, n_qubits)[:, None] * total
     return total
 
 
@@ -90,29 +91,30 @@ def compiled_unitary(circuit: CompiledCircuit) -> np.ndarray:
 
 def test_sample_matching_covers_all_qubits(rng):
     for n in (2, 4, 6, 8):
-        matching = sample_matching(rng, n)
+        matching = sample_matchings(rng, n, 1)[0].tolist()
         flat = [q for pair in matching for q in pair]
         assert sorted(flat) == list(range(n))
         assert len(matching) == n // 2
 
 
 def test_sample_matching_two_qubits_is_fixed(rng):
-    assert sample_matching(rng, 2) == ((0, 1),)
+    assert sample_matchings(rng, 2, 1).tolist() == [[[0, 1]]]
 
 
 def test_sample_layer_structure(rng):
-    layer = sample_layer(rng, 6)
-    assert isinstance(layer, LayerSpec)
-    assert len(layer.cliffords) == 6
-    assert all(0 <= c.index < 24 for c in layer.cliffords)
+    # a layer is one row of the spec: a Clifford per qubit and a matching
+    spec = mirror_circuit_spec(int(rng.integers(2 ** 32)), 6, 1)
+    assert spec.cliffords.shape == (1, 6)
+    assert all(0 <= c < 24 for c in spec.cliffords[0])
+    assert spec.matchings.shape == (1, 3, 2)
 
 
 def test_mirror_circuit_spec_deterministic():
     a = mirror_circuit_spec(123, 4, 5)
     b = mirror_circuit_spec(123, 4, 5)
     assert a == b
-    assert len(a.layers) == 5
-    assert len(a.randomizing_paulis) == 10
+    assert len(a.cliffords) == 5
+    assert len(a.paulis[:-1]) == 10  # randomizers; the last row is the final Pauli
     c = mirror_circuit_spec(124, 4, 5)
     assert c != a
 
@@ -205,7 +207,7 @@ def test_compiled_circuit_equals_its_final_pauli(seed, n, length):
     # the whole executed gate list, Paulis folded in, is the final Pauli
     spec = mirror_circuit_spec(seed, n, length)
     u = compiled_unitary(build_mirror_circuit(spec))
-    ref = spec.final_pauli.to_matrix()
+    ref = pauli_matrix_from_label("".join("IXYZ"[c] for c in spec.paulis[-1]))
     phase = np.vdot(ref, u) / 2 ** n
     assert abs(abs(phase) - 1) < 1e-9
     np.testing.assert_allclose(u, phase * ref, atol=1e-9)
@@ -213,7 +215,7 @@ def test_compiled_circuit_equals_its_final_pauli(seed, n, length):
 
 def test_forward_half_unitary_shape():
     spec = mirror_circuit_spec(3, 2, 2)
-    u = unitary_of(spec.layers, 2)
+    u = unitary_of(spec.cliffords, spec.matchings, 2)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
 
 
@@ -242,36 +244,63 @@ def test_json_rejects_wrong_version():
         circuit_from_json(data)
 
 
+# Each edit takes a version-1 or a version-2 circuit dict.
+
+
 def _edit_clifford_index(data):
-    gate = next(g for g in data["gates"] if g["gate"] == "c1")
-    edited = clifford_named("H").compose(SingleQubitClifford(gate["index"]))
-    gate["index"] = edited.index  # an extra H: the gates are no longer a Pauli
+    if data["version"] == 1:
+        gate = next(g for g in data["gates"] if g["gate"] == "c1")
+        edited = clifford_named("H").compose(SingleQubitClifford(gate["index"]))
+        gate["index"] = edited.index  # an extra H: the gates are no longer a Pauli
+    else:
+        edited = clifford_named("H").compose(SingleQubitClifford(data["rounds"][0]))
+        data["rounds"][0] = edited.index
 
 
 def _edit_expected_outcome(data):
-    first = data["expected_outcome"][0]
-    data["expected_outcome"] = "10"[int(first)] + data["expected_outcome"][1:]
+    if data["version"] == 1:
+        first = data["expected_outcome"][0]
+        data["expected_outcome"] = "10"[int(first)] + data["expected_outcome"][1:]
+    else:
+        data["expected_outcome"][0] ^= 1
 
 
 def _edit_final_pauli(data):
-    sign, letters = data["final_pauli"][0], data["final_pauli"][1:]
-    flipped = {"I": "X", "X": "I", "Z": "Y", "Y": "Z"}[letters[0]]
-    data["final_pauli"] = sign + flipped + letters[1:]
+    if data["version"] == 1:
+        sign, letters = data["final_pauli"][0], data["final_pauli"][1:]
+        flipped = {"I": "X", "X": "I", "Z": "Y", "Y": "Z"}[letters[0]]
+        data["final_pauli"] = sign + flipped + letters[1:]
+    else:  # codes 0-3 are I, X, Y, Z: XOR 1 swaps I, X and Y, Z
+        data["paulis"][-data["n"]] ^= 1
 
 
 def _edit_gate_qubit(data):
-    data["gates"][0]["q"] = -1
+    if data["version"] == 1:
+        data["gates"][0]["q"] = -1
+    else:
+        data["matchings"][0] = -1
 
 
 def _edit_mirror_start(data):
     data["mirror_start"] = 0  # would put @inverse= noise on the forward half
 
 
-@pytest.mark.parametrize("edit", [_edit_clifford_index, _edit_expected_outcome,
-                                  _edit_final_pauli, _edit_gate_qubit,
-                                  _edit_mirror_start])
+_EDITS = [_edit_clifford_index, _edit_expected_outcome, _edit_final_pauli,
+          _edit_gate_qubit, _edit_mirror_start]
+
+
+@pytest.mark.parametrize("edit", _EDITS)
 def test_json_rejects_edited_circuit(edit):
     data = circuit_to_json(build_mirror_circuit(mirror_circuit_spec(11, 4, 2)))
+    circuit_from_json(json.loads(json.dumps(data)))
+    edit(data)
+    with pytest.raises(ValueError):
+        circuit_from_json(data)
+
+
+@pytest.mark.parametrize("edit", _EDITS)
+def test_json_rejects_edited_version_1_circuit(edit):
+    data = circuit_to_v1_json(build_mirror_circuit(mirror_circuit_spec(11, 4, 2)))
     circuit_from_json(json.loads(json.dumps(data)))
     edit(data)
     with pytest.raises(ValueError):
@@ -293,7 +322,7 @@ def test_indented_version_1_file_still_loads(tmp_path):
     circuit = build_mirror_circuit(mirror_circuit_spec(17, 4, 3))
     path = tmp_path / "indented.json"
     with open(path, "w") as fh:  # the layout files were written in before
-        json.dump(circuit_to_json(circuit), fh, indent=2, sort_keys=True)
+        json.dump(circuit_to_v1_json(circuit), fh, indent=2, sort_keys=True)
         fh.write("\n")
     loaded = load_circuit(path)
     assert circuit_to_json(loaded) == circuit_to_json(circuit)
@@ -376,3 +405,156 @@ def test_uzz_reference_decomposition():
     n = 2
     text = "\n".join(["cx q[0],q[1];", "rz(pi/2) q[1];", "cx q[0],q[1];"])
     np.testing.assert_allclose(_unitary_from_qasm(text, n), UZZ_REF, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The round-wise Z pass against the per-gate reference
+# ---------------------------------------------------------------------------
+
+
+def _gate_list(rounds, layers, length):
+    """Forward rounds run Cliffords then UZZ, mirrored rounds UZZ then Cliffords."""
+    gates = []
+    for r, (cliffords, pairs) in enumerate(zip(rounds, layers)):
+        ones = [CliffordGate(q, SingleQubitClifford(int(c))) for q, c in enumerate(cliffords)]
+        twos = [NativeGate(tuple(int(q) for q in pair)) for pair in pairs]
+        gates.append(ones + twos if r < length else twos + ones)
+    return gates
+
+
+def _word_value(words):
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+def _check_z_pass_against_reference(rounds, matchings, n, length):
+    layers = np.concatenate([matchings, matchings[::-1]])
+    reference = ZObservables(n)
+    snapshots = []  # (round, part, x, z) after each Clifford round and UZZ layer
+    for r, gates in enumerate(_gate_list(rounds, layers, length)):
+        parts = ((0, n), (1, len(gates))) if r < length else ((1, n // 2), (0, len(gates)))
+        done = 0
+        for part, end in parts:
+            for gate in gates[done:end]:
+                reference.apply(gate)
+            done = end
+            snapshots.append((r, part, list(reference.x), list(reference.z)))
+    try:
+        expected = reference.outcome()
+    except ValueError:
+        with pytest.raises(ValueError, match=r"each Z_q to \+/-Z_q"):
+            _z_pass(rounds, layers, n)
+        return False
+    outcome, x_images, z_images = _z_pass(rounds, layers, n)
+    assert outcome == expected
+    for r, part, x, z in snapshots:
+        assert [_word_value(w) for w in x_images[r, part]] == x
+        assert [_word_value(w) for w in z_images[r, part]] == z
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.sampled_from((2, 4, 6, 10, 66)),
+       length=st.integers(1, 4), edits=st.lists(
+           st.tuples(st.integers(0, 10 ** 6), st.integers(0, 23)), max_size=2))
+def test_z_pass_matches_the_per_gate_reference(seed, n, length, edits):
+    spec = mirror_circuit_spec(seed, n, length)
+    rounds = build_mirror_circuit(spec).rounds.copy()
+    for position, index in edits:  # mostly no longer a mirror
+        rounds.flat[position % rounds.size] = index
+    mirror = _check_z_pass_against_reference(rounds, spec.matchings, n, length)
+    assert mirror or edits
+
+
+def test_compiled_images_are_the_z_pass():
+    circuit = build_mirror_circuit(mirror_circuit_spec(3, 66, 2))
+    assert circuit.x_images.shape == (4, 2, 66, 2)  # 66 qubits: two words
+    assert _check_z_pass_against_reference(circuit.rounds, circuit.spec.matchings, 66, 2)
+
+
+# ---------------------------------------------------------------------------
+# Edited circuit files
+# ---------------------------------------------------------------------------
+
+
+def _outcome_probability(circuit) -> float:
+    """P(stored outcome) for |0...0> pushed through the gate list, as a state
+    vector; each Clifford is the product of its H/S word."""
+    n = circuit.n_qubits
+    state = np.zeros((2,) * n, dtype=complex)
+    state[(0,) * n] = 1.0
+    bits = np.indices((2,) * n)
+    for gate in circuit.gates:
+        if isinstance(gate, CliffordGate):
+            u = np.eye(2, dtype=complex)
+            for letter in gate.clifford.word:
+                u = {"h": H2, "s": S2}[letter] @ u
+            state = np.moveaxis(np.tensordot(u, state, axes=(1, gate.qubit)), 0, gate.qubit)
+        else:
+            a, b = gate.qubits
+            state = state * np.exp(-1j * np.pi / 4 * np.where(bits[a] == bits[b], 1, -1))
+    return float(abs(state[tuple(circuit.expected_outcome)]) ** 2)
+
+
+def _integer_slots(data):
+    return ([(key, None) for key, value in sorted(data.items()) if type(value) is int]
+            + [(key, i) for key, value in sorted(data.items()) if isinstance(value, list)
+               for i in range(len(value))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.sampled_from((2, 4, 6)),
+       length=st.integers(1, 3), data=st.data())
+def test_single_integer_edit_is_rejected_or_still_correct(seed, n, length, data):
+    # any one integer of a version-2 file changed: the load either fails, or
+    # gives a circuit that sends |0...0> to its stored outcome for certain
+    original = circuit_to_json(build_mirror_circuit(mirror_circuit_spec(seed, n, length)))
+    key, i = data.draw(st.sampled_from(_integer_slots(original)))
+    value = data.draw(st.one_of(st.integers(-2, 30), st.integers()))
+    edited = json.loads(json.dumps(original))
+    if i is None:
+        edited[key] = value
+    else:
+        edited[key][i] = value
+    try:
+        circuit = circuit_from_json(edited)
+    except ValueError:
+        return
+    assert abs(_outcome_probability(circuit) - 1.0) < 1e-9
+
+
+def test_diagonal_cliffords_pass_the_check_at_gate_0():
+    # the check proves U maps each Z_q to +/-Z_q, not that U is a Pauli: a
+    # diagonal Clifford ahead of gate 0 fixes Z_0, so 4 of the 24 indices load
+    data = circuit_to_json(build_mirror_circuit(mirror_circuit_spec(11, 4, 2)))
+    loaded = []
+    for index in range(24):
+        data["rounds"][0] = index
+        try:
+            loaded.append(circuit_from_json(data))
+        except ValueError:
+            continue
+    assert len(loaded) == 4
+    for circuit in loaded:
+        assert abs(_outcome_probability(circuit) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Matching distribution
+# ---------------------------------------------------------------------------
+
+
+def test_matchings_are_uniform():
+    # 6 qubits have 5 * 3 * 1 = 15 perfect matchings; each of five
+    # consecutive seeds draws 3000 through sample_experiment, and Pearson's
+    # statistic must stay below the 1 - 1e-4 quantile of chi-square with 14
+    # degrees of freedom (41.1)
+    from scipy.stats import chi2
+    bound = chi2.ppf(1.0 - 1e-4, 14)
+    for seed in range(5):
+        specs = sample_experiment(seed, 6, (10,), 300)
+        counts = Counter(tuple(sorted(map(tuple, matching)))
+                         for spec in specs for matching in spec.matchings.tolist())
+        assert len(counts) == 15
+        expected = 3000 / 15
+        stat = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert stat < bound, (seed, stat, bound)

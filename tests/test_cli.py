@@ -234,10 +234,111 @@ def test_run_rejects_edited_circuit_exits_2(tmp_path):
     gen = _generate(tmp_path)
     path = sorted((gen / "circuits").glob("*.json"))[0]
     data = json.loads(path.read_text())
-    gate = next(g for g in data["gates"] if g["gate"] == "c1")
-    gate["index"] = clifford_named("H").compose(SingleQubitClifford(gate["index"])).index
+    data["rounds"][0] = clifford_named("H").compose(
+        SingleQubitClifford(data["rounds"][0])).index
     path.write_text(json.dumps(data))
     code, _ = _run(tmp_path, gen, noise="none")
+    assert code == 2
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_version_1_circuits_reproduce_their_dataset(tmp_path):
+    # circuits and dataset.csv written by the version-1 code (gate lists);
+    # the fault sites, their order and the RNG stream of run are unchanged
+    golden = os.path.join(DATA, "v1_n4")
+    code, out = _run(tmp_path, golden, seed="5", shots="2000",
+                     noise="pauli:0.01,0.002,0.005@inverse=depolarizing:0.02",
+                     extra=("--noise-1q", "pauli:0.001,0.002,0.003"))
+    assert code == 0
+    assert read_bytes(out / "dataset.csv") == read_bytes(os.path.join(golden, "dataset.csv"))
+
+
+def test_more_than_64_qubits_generate_and_load(tmp_path, capsys):
+    from mirrorbench.circuits import circuit_to_json, load_circuit
+    gen = _generate(tmp_path, n="66", lengths="1,2", circuits="1")
+    paths = sorted((gen / "circuits").glob("*.json"))
+    for path in paths:
+        assert circuit_to_json(load_circuit(path)) == json.loads(path.read_text())
+    paths[-1].write_text("{")  # never read: loading stops at the first wide file
+    code, _ = _run(tmp_path, gen, noise="none", backend="stabilizer")
+    assert code == 2  # the stabilizer backend holds n <= 64
+    assert "limited to 64 qubits" in capsys.readouterr().err
+
+
+def _v1_circuit():
+    with open(os.path.join(DATA, "v1_n4", "circuits", "circuit_L002_000.json")) as fh:
+        return json.load(fh)
+
+
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+        return data
+    return edit
+
+
+def _set_clifford_index(value):
+    def edit(data):
+        next(g for g in data["gates"] if g["gate"] == "c1")["index"] = value
+        return data
+    return edit
+
+
+def _set_entry(key, value):
+    def edit(data):
+        data["entries"][0][key] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("kind,edit", [
+    ("circuit", _set("n", None)),
+    ("circuit", _set("gates", 5)),
+    ("circuit", _set("layers", "x")),
+    ("circuit", lambda data: [data]),
+    ("circuit", _set_clifford_index(1.5)),
+    ("circuit", _set_clifford_index(True)),
+    ("circuit", _set("version", 2)),  # a version-1 body under version 2
+    ("circuit", lambda data: dict(data, layers=[  # layer 0 pairs [0, 1], [2, 3]
+        dict(data["layers"][0], matching=[[0, 1, 2], [3]])] + data["layers"][1:])),
+    ("circuit-v2", _set("rounds", 5)),
+    ("circuit-v2", _set("L", "2")),
+    ("circuit-v2", lambda data: dict(data, paulis=data["paulis"][:-1] + [2.0])),
+    ("circuit-v2", lambda data: dict(  # true == 1 and false == 0 as numbers
+        data, expected_outcome=[bool(data["expected_outcome"][0])]
+        + data["expected_outcome"][1:])),
+    ("dataset", _set("entries", 5)),
+    ("dataset", _set_entry("L", None)),
+    ("dataset", _set_entry("shots", 2.5)),
+    ("dataset", _set("n", [1])),
+    ("dataset", lambda data: [data]),
+], ids=["n-null", "gates-int", "layers-str", "circuit-list", "index-float",
+        "index-bool", "version-mismatch", "pair-of-three", "rounds-int", "L-str", "pauli-float", "outcome-bool",
+        "entries-int", "entry-L-null", "entry-shots-float", "n-list", "dataset-list"])
+def test_wrong_json_types_exit_2(tmp_path, kind, edit):
+    gen = tmp_path / "gen" / "circuits"
+    gen.mkdir(parents=True)
+    if kind == "dataset":
+        data = {"version": 1, "n": 2, "entries": [
+            {"L": 2, "circuit_id": 0, "shots": 100, "successes": 80, "seed": 0},
+            {"L": 4, "circuit_id": 1, "shots": 100, "successes": 60, "seed": 0}]}
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(edit(data)))
+        code = run_cli("fit", "--data", str(path), "--resamples", "0",
+                       "--out", str(tmp_path / "fit"))
+    else:
+        if kind == "circuit":
+            data = _v1_circuit()
+        else:
+            assert run_cli("generate", "--n", "2", "--lengths", "2", "--circuits", "1",
+                           "--seed", "1", "--out", str(tmp_path / "gen")) == 0
+            path = next(gen.glob("*.json"))
+            data = json.loads(path.read_text())
+            path.unlink()
+        (gen / "circuit.json").write_text(json.dumps(edit(data)))
+        code, _ = _run(tmp_path, tmp_path / "gen", noise="none")
     assert code == 2
 
 

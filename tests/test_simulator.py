@@ -22,6 +22,7 @@ from mirrorbench.simulator import (
     DecayDataset,
     NoiseModel,
     _read_entry,
+    _site_class,
     compile_fault_program,
     kernel_pauli_probs,
     propagate_faults,
@@ -35,6 +36,7 @@ from mirrorbench.simulator import (
 )
 
 from conftest import H2, I2, PAULIS_1Q, S2, UZZ_REF, X2, Y2, Z2, kron_all
+from pauli_reference import ZObservables
 
 
 PAULI_1Q = StochasticPauli((0.03, 0.01, 0.02))
@@ -145,6 +147,60 @@ def test_propagate_faults_matches_frame_oracle(n_qubits, length):
     flips = propagate_faults(program, shots, sites, codes, len(uniforms))
     np.testing.assert_array_equal(flips, expected)
     assert np.count_nonzero(flips) > 0
+
+
+def _reference_fault_program(circuit, noise):
+    """The fault program built gate by gate with the per-gate Z pass.
+
+    Masks come from ``ZObservables.fault_masks`` after each noisy gate, and
+    the sites are grouped by ``(channel, arity)`` in order of first site.
+    """
+    observables = ZObservables(circuit.n_qubits)
+    masks = []
+    class_sites = {}
+    for pos, gate in enumerate(circuit.gates):
+        observables.apply(gate)
+        if isinstance(gate, CliffordGate):
+            params = noise.single_qubit
+        elif pos >= circuit.mirror_start and noise.inverse_half_override is not None:
+            params = noise.inverse_half_override
+        else:
+            params = noise.two_qubit
+        if params is None:
+            continue
+        class_sites.setdefault((params, len(gate.qubits)), []).append(len(masks))
+        row = observables.fault_masks(gate.qubits)
+        masks.append(row + [0] * (16 - len(row)))
+    assert observables.outcome() == circuit.expected_outcome
+    return np.array(masks, dtype=np.uint64).reshape(-1, 16), class_sites
+
+
+MASK_NOISES = (
+    NoiseModel(single_qubit=PAULI_1Q),
+    NoiseModel(two_qubit=PAULI_2Q),
+    NoiseModel(two_qubit=PAULI_2Q, single_qubit=PAULI_1Q),
+    NoiseModel(two_qubit=Depolarizing(0.05), inverse_half_override=PAULI_2Q),
+    NoiseModel(two_qubit=PAULI_2Q, single_qubit=PAULI_1Q,
+               inverse_half_override=Depolarizing(0.02)),
+    NoiseModel(two_qubit=Depolarizing(0.05), inverse_half_override=Depolarizing(0.05)),
+    NoiseModel(inverse_half_override=Depolarizing(0.05)),
+)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4, 10, 64])
+@pytest.mark.parametrize("noise", MASK_NOISES)
+def test_round_wise_masks_equal_the_per_gate_reference(n_qubits, noise):
+    for seed, length in ((n_qubits, 1), (n_qubits + 1, 3), (n_qubits + 2, 6)):
+        circuit = build_mirror_circuit(mirror_circuit_spec(seed, n_qubits, length))
+        program = compile_fault_program(circuit, noise)
+        masks, class_sites = _reference_fault_program(circuit, noise)
+        np.testing.assert_array_equal(program.masks, masks)
+        assert len(program.classes) == len(class_sites)
+        for cls, ((params, arity), sites) in zip(program.classes, class_sites.items()):
+            np.testing.assert_array_equal(cls.sites, sites)
+            ref = _site_class(kernel_pauli_probs(params, arity), sites)
+            assert cls.q == ref.q
+            np.testing.assert_array_equal(cls.cum_codes, ref.cum_codes)
 
 
 def _site_probs(program):
