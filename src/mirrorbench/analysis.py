@@ -33,6 +33,7 @@ from .simulator import DecayDataset, NoiseModel, simulate_survival
 SE_FLOOR = 1e-4
 CI_PERCENTILES = (16.0, 84.0)
 DEFAULT_RESAMPLES = 1000
+FRAME_POTENTIAL_QUBIT_LIMIT = 8  # largest n the frame potential accepts
 
 _FIT_BLOCK = 1024  # rows fitted at once; bounds the (rows, grid) arrays
 _U_GRID = np.linspace(0.0, 1.0, 257)
@@ -374,7 +375,7 @@ def frame_potential(n_qubits: int, length: int, samples: int,
     """Estimate Phi_2 of the L-layer ensemble; 2 marks a unitary 2-design.
 
     ``length == 0`` is the trivial ensemble {identity} with Phi_2 = d^4
-    exactly.  Limited to n <= 8.
+    exactly.  Limited to n <= ``FRAME_POTENTIAL_QUBIT_LIMIT``.
     """
     return frame_potential_profile(n_qubits, (length,), samples, rng)[0]
 
@@ -402,8 +403,9 @@ def frame_potential_profile(n_qubits: int, lengths: Sequence[int], samples: int,
     """
     if n_qubits < 2 or n_qubits % 2:
         raise ValueError("n_qubits must be even and >= 2")
-    if n_qubits > 8:
-        raise ValueError("frame_potential limited to n <= 8")
+    if n_qubits > FRAME_POTENTIAL_QUBIT_LIMIT:
+        raise ValueError(
+            f"frame_potential limited to n <= {FRAME_POTENTIAL_QUBIT_LIMIT}")
     if samples < 2:
         raise ValueError("need at least two samples")
     lengths = [int(x) for x in lengths]

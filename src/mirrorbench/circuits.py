@@ -394,6 +394,7 @@ def circuit_to_json(circuit: CompiledCircuit) -> dict:
 
 
 def _is_int(value) -> bool:
+    """Whether a JSON value is an integer (a bool, an int subclass, is not)."""
     return type(value) is int
 
 

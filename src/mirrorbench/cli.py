@@ -5,12 +5,16 @@ them under a noise model, ``fit`` the survival decay, estimate the
 ``frame-potential`` curve, and run a fitted-vs-true ``scatter`` study.
 Every command writes a ``manifest.json`` capturing its exact parameters;
 ``rerun`` replays a manifest, so any output directory can be reproduced
-from the manifest alone.
+from the manifest alone.  ``COMMANDS`` declares each command's parameters
+once; the argument parser, the params a run records and rerun's check of
+a manifest all come from it.
 
-Exit codes: 0 success, 2 configuration error (bad arguments, malformed noise
-spec, missing inputs, incompatible backend, a circuit file that fails its
-mirror check, a dataset row with impossible counts), 3 runtime failure
-(unwritable output, internal error).
+Exit codes: 0 success, 2 configuration error (bad arguments, a negative
+seed, fewer than one job, a manifest param that is missing, of the wrong
+JSON type or not one of its choices, malformed noise spec, missing inputs,
+incompatible backend, a circuit file that fails its mirror check, a dataset
+row with impossible counts), 3 runtime failure (unwritable output, internal
+error).
 
 Noise specs: ``none``, ``depolarizing:<p>``, ``pauli:<pX>,<pY>,<pZ>``,
 ``amp_damp:<gamma>``; append ``@inverse=<spec>`` to override the channel
@@ -31,6 +35,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DEFAULT_RESAMPLES,
+    FRAME_POTENTIAL_QUBIT_LIMIT,
     FitResult,
     fit_decay,
     frame_potential_profile,
@@ -44,7 +49,13 @@ from .channels import (
     depolarizing_tensor_unitarity,
     stochastic_pauli_tensor,
 )
-from .circuits import build_mirror_circuit, load_circuit, sample_experiment, save_circuit
+from .circuits import (
+    _is_int,
+    build_mirror_circuit,
+    load_circuit,
+    sample_experiment,
+    save_circuit,
+)
 from .plotting import Series, write_chart
 from .simulator import (
     _QUBIT_LIMITS,
@@ -58,8 +69,6 @@ from .simulator import (
 
 OUTPUT_DIR_ENV = "MIRRORBENCH_OUTPUT_DIR"
 MANIFEST_NAME = "manifest.json"
-
-_BACKENDS = ("stabilizer", "dense")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,13 +164,14 @@ def format_noise_model(model: NoiseModel) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int_list(text: str, what: str) -> list:
+def _int_list(text: str) -> list:
+    """The int-list param kind: comma-separated on the command line."""
     try:
         values = [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not values:
-        raise ConfigError(f"{what}: empty list")
+        raise argparse.ArgumentTypeError("empty list")
     return values
 
 
@@ -204,12 +214,7 @@ def _write_csv(path: str, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(params: dict) -> int:
-    n = int(params["n"])
-    lengths = [int(x) for x in params["lengths"]]
-    circuits = int(params["circuits"])
-    seed = int(params["seed"])
-    out_dir = params["out"]
+def cmd_generate(n: int, lengths: list, circuits: int, seed: int, out: str) -> None:
     if n < 2 or n % 2:
         raise ConfigError("--n must be even and >= 2")
     if any(x < 1 for x in lengths):
@@ -217,14 +222,12 @@ def cmd_generate(params: dict) -> int:
     if circuits < 1:
         raise ConfigError("--circuits must be positive")
     specs = sample_experiment(seed, n, lengths, circuits)
-    circ_dir = os.path.join(out_dir, "circuits")
+    circ_dir = os.path.join(out, "circuits")
     _ensure_dir(circ_dir)
     for spec in specs:
         name = f"circuit_L{spec.length:03d}_{spec.circuit_id:03d}.json"
         save_circuit(build_mirror_circuit(spec), os.path.join(circ_dir, name))
-    write_manifest(out_dir, "generate", params)
     print(f"wrote {len(specs)} circuits to {circ_dir}")
-    return EXIT_OK
 
 
 def _load_circuits(circuits_dir: str, backend: str):
@@ -260,35 +263,27 @@ def _load_circuits(circuits_dir: str, backend: str):
     return out
 
 
-def cmd_run(params: dict) -> int:
-    noise = parse_noise_spec(params["noise"], params.get("noise_1q", "none"))
-    backend = params["backend"]
-    shots = int(params["shots"])
-    seed = int(params["seed"])
-    jobs = int(params.get("jobs", 1))
-    out_dir = params["out"]
+def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,
+            backend: str, jobs: int, out: str) -> None:
+    model = parse_noise_spec(noise, noise_1q)
     if shots < 1:
         raise ConfigError("--shots must be positive")
-    if backend not in _BACKENDS:
-        raise ConfigError(f"unknown backend {backend!r} (expected {', '.join(_BACKENDS)})")
-    if backend == "stabilizer" and not noise.stabilizer_compatible():
+    if backend == "stabilizer" and not model.stabilizer_compatible():
         raise ConfigError(
             "stabilizer backend requires stochastic Pauli channels; "
             "use --backend dense for amplitude-damping noise")
-    circuits = _load_circuits(params["circuits"], backend)
-    _ensure_dir(out_dir)
-    dataset = simulate_survival(circuits, noise, shots, rng=seed, jobs=jobs,
+    loaded = _load_circuits(circuits, backend)
+    _ensure_dir(out)
+    dataset = simulate_survival(loaded, model, shots, rng=seed, jobs=jobs,
                                 backend=backend)
-    write_dataset_csv(dataset, os.path.join(out_dir, "dataset.csv"))
-    write_dataset_json(dataset, os.path.join(out_dir, "dataset.json"))
-    write_manifest(out_dir, "run", params)
+    write_dataset_csv(dataset, os.path.join(out, "dataset.csv"))
+    write_dataset_json(dataset, os.path.join(out, "dataset.json"))
     lengths, p_hat, _ = survival_points(dataset)
     pairs = " ".join(f"L={int(length)}:{p:.4f}" for length, p in zip(lengths, p_hat))
-    print(f"simulated {len(circuits)} circuits x {shots} shots "
-          f"({format_noise_model(noise)})")
+    print(f"simulated {len(loaded)} circuits x {shots} shots "
+          f"({format_noise_model(model)})")
     print(f"survival {pairs}")
-    print(f"wrote dataset to {out_dir}")
-    return EXIT_OK
+    print(f"wrote dataset to {out}")
 
 
 def _load_dataset(path: str):
@@ -318,22 +313,19 @@ def fit_result_to_dict(fit: FitResult) -> dict:
     return data
 
 
-def cmd_fit(params: dict) -> int:
-    dataset = _load_dataset(params["data"])
-    resamples = int(params.get("resamples", DEFAULT_RESAMPLES))
-    seed = int(params["seed"])
-    out_dir = params["out"]
+def cmd_fit(data: str, resamples: int, seed: int, out: str) -> None:
+    dataset = _load_dataset(data)
     if resamples < 0:
         raise ConfigError("--resamples must be >= 0 (0 disables the bootstrap)")
     fit = fit_decay(dataset, resamples=resamples or None, rng=seed)
-    _ensure_dir(out_dir)
-    with open(os.path.join(out_dir, "fit.json"), "w", encoding="utf-8") as fh:
+    _ensure_dir(out)
+    with open(os.path.join(out, "fit.json"), "w", encoding="utf-8") as fh:
         json.dump(fit_result_to_dict(fit), fh, indent=2, sort_keys=True)
         fh.write("\n")
     lengths, p_hat, se = survival_points(dataset)
     grid = np.linspace(lengths.min(), lengths.max(), 64)
     write_chart(
-        os.path.join(out_dir, "decay.svg"),
+        os.path.join(out, "decay.svg"),
         [
             Series(xs=list(lengths), ys=list(p_hat), yerr=list(se),
                    label="measured", style="points"),
@@ -344,7 +336,6 @@ def cmd_fit(params: dict) -> int:
         xlabel="sequence length L",
         ylabel="success probability",
     )
-    write_manifest(out_dir, "fit", params)
     line = (f"A = {fit.amplitude:.6f}  u = {fit.u:.6f}  "
             f"B = {fit.baseline:.6f}  residual = {fit.residual_norm:.3g}")
     if fit.bootstrap_ci is not None:
@@ -353,32 +344,28 @@ def cmd_fit(params: dict) -> int:
     if fit.degenerate:
         line += "  [degenerate: no resolvable decay]"
     print(line)
-    print(f"wrote fit to {out_dir}")
-    return EXIT_OK
+    print(f"wrote fit to {out}")
 
 
-def cmd_frame_potential(params: dict) -> int:
-    n = int(params["n"])
-    lengths = [int(x) for x in params["lengths"]]
-    samples = int(params["samples"])
-    seed = int(params["seed"])
-    out_dir = params["out"]
-    if n < 2 or n % 2 or n > 8:
-        raise ConfigError("--n must be even, >= 2, and <= 8")
+def cmd_frame_potential(n: int, lengths: list, samples: int, seed: int,
+                        out: str) -> None:
+    if n < 2 or n % 2 or n > FRAME_POTENTIAL_QUBIT_LIMIT:
+        raise ConfigError(
+            f"--n must be even, >= 2, and <= {FRAME_POTENTIAL_QUBIT_LIMIT}")
     if any(x < 0 for x in lengths):
         raise ConfigError("--lengths must be non-negative")
     if samples < 2:
         raise ConfigError("--samples must be >= 2")
     estimates = frame_potential_profile(n, lengths, samples, rng=seed)
-    _ensure_dir(out_dir)
+    _ensure_dir(out)
     _write_csv(
-        os.path.join(out_dir, "frame_potential.csv"),
+        os.path.join(out, "frame_potential.csv"),
         ("n", "L", "samples", "phi2", "std_error"),
         [(e.n_qubits, e.length, e.samples, repr(e.phi2), repr(e.std_error))
          for e in estimates],
     )
     write_chart(
-        os.path.join(out_dir, "frame_potential.svg"),
+        os.path.join(out, "frame_potential.svg"),
         [
             Series(xs=[e.length for e in estimates],
                    ys=[e.phi2 for e in estimates],
@@ -391,46 +378,36 @@ def cmd_frame_potential(params: dict) -> int:
         xlabel="layers L",
         ylabel="frame potential",
     )
-    write_manifest(out_dir, "frame-potential", params)
     curve = " ".join(f"L={e.length}:{e.phi2:.3f}" for e in estimates)
     print(f"frame potential (n={n}, {samples} samples) {curve}")
-    print(f"wrote frame potential to {out_dir}")
-    return EXIT_OK
+    print(f"wrote frame potential to {out}")
 
 
-def cmd_scatter(params: dict) -> int:
-    n = int(params["n"])
-    experiments = int(params["experiments"])
-    p_max = float(params["pmax"])
-    seed = int(params["seed"])
-    lengths = [int(x) for x in params["lengths"]]
-    circuits = int(params["circuits"])
-    shots = int(params["shots"])
-    jobs = int(params.get("jobs", 1))
-    out_dir = params["out"]
+def cmd_scatter(n: int, experiments: int, pmax: float, seed: int, lengths: list,
+                circuits: int, shots: int, jobs: int, out: str) -> None:
     if n < 2 or n % 2:
         raise ConfigError("--n must be even and >= 2")
     if experiments < 1:
         raise ConfigError("--experiments must be positive")
-    if not 0.0 <= p_max <= 1.0:
+    if not 0.0 <= pmax <= 1.0:
         raise ConfigError("--pmax must lie in [0, 1]")
     if any(x < 1 for x in lengths) or len(set(lengths)) < 2:
         raise ConfigError("--lengths needs two or more distinct positive lengths")
     if circuits < 1 or shots < 1:
         raise ConfigError("--circuits and --shots must be positive")
     points = scatter_experiment(
-        n, experiments, p_max, rng=seed, lengths=lengths,
+        n, experiments, pmax, rng=seed, lengths=lengths,
         circuits_per_length=circuits, shots=shots, jobs=jobs)
-    _ensure_dir(out_dir)
+    _ensure_dir(out)
     _write_csv(
-        os.path.join(out_dir, "scatter.csv"),
+        os.path.join(out, "scatter.csv"),
         ("p", "u_true", "u_est"),
         [(repr(pt.p), repr(pt.u_true), repr(pt.u_est)) for pt in points],
     )
-    grid = np.linspace(0.0, p_max, 64)
+    grid = np.linspace(0.0, pmax, 64)
     truth = [depolarizing_tensor_unitarity(p, n // 2) for p in grid]
     write_chart(
-        os.path.join(out_dir, "scatter.svg"),
+        os.path.join(out, "scatter.svg"),
         [
             Series(xs=[pt.p for pt in points], ys=[pt.u_est for pt in points],
                    label="fitted u", style="points"),
@@ -440,66 +417,106 @@ def cmd_scatter(params: dict) -> int:
         xlabel="two-qubit depolarizing rate p",
         ylabel="unitarity",
     )
-    write_manifest(out_dir, "scatter", params)
     diffs = np.array([pt.u_est - pt.u_true for pt in points])
     spread = f", std = {diffs.std(ddof=1):.2e}" if experiments > 1 else ""
     print(f"scatter over {experiments} experiments: "
           f"mean(u_est - u_true) = {diffs.mean():.2e}{spread}")
-    print(f"wrote scatter study to {out_dir}")
-    return EXIT_OK
+    print(f"wrote scatter study to {out}")
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "run": cmd_run,
-    "fit": cmd_fit,
-    "frame-potential": cmd_frame_potential,
-    "scatter": cmd_scatter,
+# ---------------------------------------------------------------------------
+# Command table, params and manifests
+# ---------------------------------------------------------------------------
+
+# Per command: its function, its help line and its params as (name, kind,
+# CLI default, help).  A kind is int, float, str, _int_list (comma-separated
+# on the command line, a list of ints in a manifest) or a tuple of choices;
+# a default of None makes the flag required.
+COMMANDS = {
+    "generate": (cmd_generate, "sample mirror circuits to JSON files", (
+        ("n", int, None, "qubit count (even)"),
+        ("lengths", _int_list, "4,8,12,16", "comma-separated sequence lengths"),
+        ("circuits", int, 10, "circuits per length"),
+        ("seed", int, None, "sampling seed"),
+    )),
+    "run": (cmd_run, "simulate circuits under a noise model", (
+        ("circuits", str, None, "directory of circuit .json files (a generate output)"),
+        ("noise", str, None, "two-qubit noise spec, e.g. depolarizing:0.01"),
+        ("noise_1q", str, "none", "single-qubit noise spec (default none)"),
+        ("shots", int, 100, "shots per circuit"),
+        ("seed", int, None, "simulation seed"),
+        ("backend", tuple(_QUBIT_LIMITS), "stabilizer", "simulator backend"),
+        ("jobs", int, 1, "worker processes"),
+    )),
+    "fit": (cmd_fit, "fit the survival decay of a dataset", (
+        ("data", str, None, "dataset.csv or dataset.json"),
+        ("resamples", int, DEFAULT_RESAMPLES,
+         "bootstrap resamples for the u CI (0 disables)"),
+        ("seed", int, 0, "bootstrap seed"),
+    )),
+    "frame-potential": (cmd_frame_potential, "estimate the frame potential curve", (
+        ("n", int, None, f"qubit count (even, <= {FRAME_POTENTIAL_QUBIT_LIMIT})"),
+        ("lengths", _int_list, "2,4,6,8,10,12,14,16", "comma-separated layer counts"),
+        ("samples", int, 2000, "sampled circuits per layer count"),
+        ("seed", int, None, "sampling seed"),
+    )),
+    "scatter": (cmd_scatter, "fitted vs true unitarity over random noise rates", (
+        ("n", int, None, "qubit count (even)"),
+        ("experiments", int, None, "experiments, each at a random noise rate"),
+        ("pmax", float, None, "largest two-qubit depolarizing rate"),
+        ("seed", int, None, "study seed"),
+        ("lengths", _int_list, "4,8,12,16", "comma-separated sequence lengths"),
+        ("circuits", int, 10, "circuits per length"),
+        ("shots", int, 100, "shots per circuit"),
+        ("jobs", int, 1, "worker processes"),
+    )),
 }
+# every command also takes --out (not required: see resolve_output_dir)
+_OUT = ("out", str, None, "output directory")
+# added after the first manifests were written: a manifest may lack them,
+# and then the command runs with the default
+_ADDED_PARAMS = ("noise_1q", "jobs", "resamples")
+_MINIMA = {"seed": 0, "jobs": 1}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _has_kind(value, kind) -> bool:
+    """Whether a param value, as a manifest holds it, is of ``kind``."""
+    if kind is int:
+        return _is_int(value)
+    if kind is float:
+        return _is_int(value) or isinstance(value, float)
+    if kind is str:
+        return isinstance(value, str)
+    if kind is _int_list:
+        return isinstance(value, list) and bool(value) and all(map(_is_int, value))
+    return value in kind
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+def run_command(command: str, params: dict) -> int:
+    """Check ``params``, run ``command`` with them and write its manifest.
 
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and bool(value) and all(map(_is_int, value))
-
-
-# per command: the params a manifest must hold, with a check of each value's
-# type; the values themselves are checked by the command
-_REQUIRED_PARAMS = {
-    "generate": {"n": _is_int, "lengths": _is_int_list, "circuits": _is_int,
-                 "seed": _is_int},
-    "run": {"circuits": _is_str, "noise": _is_str, "shots": _is_int,
-            "seed": _is_int, "backend": _is_str},
-    "fit": {"data": _is_str, "seed": _is_int},
-    "frame-potential": {"n": _is_int, "lengths": _is_int_list,
-                        "samples": _is_int, "seed": _is_int},
-    "scatter": {"n": _is_int, "experiments": _is_int, "pmax": _is_number,
-                "seed": _is_int, "lengths": _is_int_list, "circuits": _is_int,
-                "shots": _is_int},
-}
-_OPTIONAL_PARAMS = {"noise_1q": _is_str, "jobs": _is_int, "resamples": _is_int}
-
-
-def _check_manifest_params(command: str, params: dict) -> None:
-    """Raise ConfigError for a missing or ill-typed manifest param."""
-    required = dict(_REQUIRED_PARAMS[command], out=_is_str)
-    missing = [key for key in required if key not in params]
+    A param missing from ``params``, of the wrong type, not one of its
+    choices or below its minimum raises ConfigError before anything is
+    written.  The manifest records ``params`` exactly as given, so one that
+    lacks an added param reruns with its default and still lacks it.
+    """
+    func, _, table = COMMANDS[command]
+    table = (*table, _OUT)
+    missing = [name for name, *_ in table
+               if name not in params and name not in _ADDED_PARAMS]
     if missing:
-        raise ConfigError(f"manifest params lack {', '.join(missing)}")
-    for key, ok in {**required, **_OPTIONAL_PARAMS}.items():
-        if key in params and not ok(params[key]):
-            raise ConfigError(f"manifest param {key!r} has a bad value {params[key]!r}")
+        raise ConfigError(f"params lack {', '.join(missing)}")
+    args = {}
+    for name, kind, default, _ in table:
+        value = params.get(name, default)
+        if not _has_kind(value, kind):
+            raise ConfigError(f"param {name!r} has a bad value {value!r}")
+        if name in _MINIMA and value < _MINIMA[name]:
+            raise ConfigError(f"--{name} must be >= {_MINIMA[name]}, got {value}")
+        args[name] = value
+    func(**args)
+    write_manifest(args["out"], command, params)
+    return EXIT_OK
 
 
 def cmd_rerun(manifest_path: str, out_override=None) -> int:
@@ -510,15 +527,17 @@ def cmd_rerun(manifest_path: str, out_override=None) -> int:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError("a manifest must hold a JSON object")
     command = manifest.get("command")
     params = manifest.get("params")
-    if command not in _COMMANDS or not isinstance(params, dict):
+    if not (isinstance(command, str) and command in COMMANDS
+            and isinstance(params, dict)):
         raise ConfigError("manifest missing a known command and params")
     params = dict(params)
     if out_override:
         params["out"] = str(out_override)
-    _check_manifest_params(command, params)
-    return _COMMANDS[command](params)
+    return run_command(command, params)
 
 
 # ---------------------------------------------------------------------------
@@ -534,55 +553,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"mirrorbench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="sample mirror circuits to JSON files")
-    p.add_argument("--n", type=int, required=True, help="qubit count (even)")
-    p.add_argument("--lengths", default="4,8,12,16",
-                   help="comma-separated sequence lengths")
-    p.add_argument("--circuits", type=int, default=10, help="circuits per length")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None, help="output directory")
-
-    p = sub.add_parser("run", help="simulate circuits under a noise model")
-    p.add_argument("--circuits", required=True,
-                   help="directory of circuit .json files (a generate output)")
-    p.add_argument("--noise", required=True,
-                   help="two-qubit noise spec, e.g. depolarizing:0.01")
-    p.add_argument("--noise-1q", default="none", dest="noise_1q",
-                   help="single-qubit noise spec (default none)")
-    p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--backend", choices=_BACKENDS,
-                   default="stabilizer")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("fit", help="fit the survival decay of a dataset")
-    p.add_argument("--data", required=True, help="dataset.csv or dataset.json")
-    p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES,
-                   help="bootstrap resamples for the u CI (0 disables)")
-    p.add_argument("--seed", type=int, default=0, help="bootstrap seed")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("frame-potential",
-                       help="estimate the frame potential curve")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lengths", default="2,4,6,8,10,12,14,16")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("scatter",
-                       help="fitted vs true unitarity over random noise rates")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--experiments", type=int, required=True)
-    p.add_argument("--pmax", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lengths", default="4,8,12,16")
-    p.add_argument("--circuits", type=int, default=10)
-    p.add_argument("--shots", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None)
+    for command, (_, command_help, table) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for name, kind, default, help_text in table:
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument("--" + name.replace("_", "-"),
+                           type=None if choices else kind, choices=choices,
+                           default=default, required=default is None, help=help_text)
+        p.add_argument("--out", help=_OUT[3])
 
     p = sub.add_parser("rerun", help="replay a previous run from its manifest")
     p.add_argument("manifest", help="path to a manifest.json")
@@ -591,66 +569,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_args(args: argparse.Namespace) -> dict:
-    if args.command == "generate":
-        return {
-            "n": args.n,
-            "lengths": _parse_int_list(args.lengths, "--lengths"),
-            "circuits": args.circuits,
-            "seed": args.seed,
-            "out": resolve_output_dir(args.out, "generate"),
-        }
-    if args.command == "run":
-        return {
-            "circuits": args.circuits,
-            "noise": args.noise,
-            "noise_1q": args.noise_1q,
-            "shots": args.shots,
-            "seed": args.seed,
-            "backend": args.backend,
-            "jobs": args.jobs,
-            "out": resolve_output_dir(args.out, "run"),
-        }
-    if args.command == "fit":
-        return {
-            "data": args.data,
-            "resamples": args.resamples,
-            "seed": args.seed,
-            "out": resolve_output_dir(args.out, "fit"),
-        }
-    if args.command == "frame-potential":
-        return {
-            "n": args.n,
-            "lengths": _parse_int_list(args.lengths, "--lengths"),
-            "samples": args.samples,
-            "seed": args.seed,
-            "out": resolve_output_dir(args.out, "frame-potential"),
-        }
-    if args.command == "scatter":
-        return {
-            "n": args.n,
-            "experiments": args.experiments,
-            "pmax": args.pmax,
-            "seed": args.seed,
-            "lengths": _parse_int_list(args.lengths, "--lengths"),
-            "circuits": args.circuits,
-            "shots": args.shots,
-            "jobs": args.jobs,
-            "out": resolve_output_dir(args.out, "scatter"),
-        }
-    raise ConfigError(f"unknown command {args.command!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    params = vars(args)
+    command = params.pop("command")
     try:
-        if args.command == "rerun":
-            return cmd_rerun(args.manifest, args.out)
-        return _COMMANDS[args.command](_params_from_args(args))
+        if command == "rerun":
+            return cmd_rerun(params["manifest"], params["out"])
+        params["out"] = resolve_output_dir(params["out"], command)
+        return run_command(command, params)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

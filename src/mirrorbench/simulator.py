@@ -48,7 +48,13 @@ from .channels import (
     superop_of,
     superop_of_unitary,
 )
-from .circuits import CompiledCircuit, MirrorCircuitSpec, _gate_layout, build_mirror_circuit
+from .circuits import (
+    CompiledCircuit,
+    MirrorCircuitSpec,
+    _gate_layout,
+    _is_int,
+    build_mirror_circuit,
+)
 from .operators import CliffordGate, SingleQubitClifford, UZZ_MATRIX
 
 DATASET_FORMAT_VERSION = 1
@@ -463,7 +469,7 @@ def _read_entry(length, circuit_id, shots, successes, seed) -> DatasetEntry:
 
 
 def _json_int(value, what: str) -> int:
-    if type(value) is not int:  # bool, an int subclass, is out too
+    if not _is_int(value):
         raise ValueError(f"dataset {what} must be an integer, got {value!r}")
     return value
 

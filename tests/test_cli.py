@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 import mirrorbench
 from mirrorbench.channels import AmplitudeDamping, Depolarizing
 from mirrorbench.cli import (
+    COMMANDS,
     ConfigError,
+    build_parser,
     main,
     parse_channel_spec,
     parse_noise_spec,
@@ -157,17 +160,6 @@ def test_zero_noise_run_fits_degenerate(tmp_path):
     assert all(int(r["successes"]) == int(r["shots"]) for r in rows)
 
 
-def test_rerun_reproduces_outputs(tmp_path):
-    gen = _generate(tmp_path)
-    code, run_out = _run(tmp_path, gen)
-    assert code == 0
-    redo = tmp_path / "redo"
-    code = run_cli("rerun", str(run_out / "manifest.json"), "--out", str(redo))
-    assert code == 0
-    assert read_bytes(redo / "dataset.csv") == read_bytes(run_out / "dataset.csv")
-    assert read_bytes(redo / "dataset.json") == read_bytes(run_out / "dataset.json")
-
-
 def test_run_amp_damp_requires_dense(tmp_path):
     gen = _generate(tmp_path)
     code, _ = _run(tmp_path, gen, noise="amp_damp:0.1")
@@ -242,6 +234,7 @@ def test_run_rejects_edited_circuit_exits_2(tmp_path):
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+V1_N4 = os.path.join(DATA, "v1_n4")
 
 
 def test_version_1_circuits_reproduce_their_dataset(tmp_path):
@@ -352,6 +345,137 @@ def test_run_rejects_edited_mirror_start_exits_2(tmp_path):
     assert code == 2
 
 
+def data_files(root):
+    """Every file under ``root`` but the manifest, by relative path."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--n", "2", "--lengths", "2,3", "--circuits", "2", "--seed", "5"),
+    ("run", "--circuits", V1_N4, "--noise", "depolarizing:0.05", "--shots", "200",
+     "--seed", "7", "--noise-1q", "pauli:0.01,0.0,0.02"),
+    ("fit", "--data", os.path.join(V1_N4, "dataset.csv"), "--resamples", "50",
+     "--seed", "3"),
+    ("frame-potential", "--n", "2", "--lengths", "0,1,2", "--samples", "64",
+     "--seed", "9"),
+    ("scatter", "--n", "2", "--experiments", "2", "--pmax", "0.05", "--seed", "4",
+     "--lengths", "2,4", "--circuits", "2", "--shots", "40"),
+], ids=lambda argv: argv[0])
+def test_rerun_reproduces_outputs(tmp_path, argv):
+    first, redo = tmp_path / "first", tmp_path / "redo"
+    assert run_cli(*argv, "--out", str(first)) == 0
+    assert run_cli("rerun", str(first / "manifest.json"), "--out", str(redo)) == 0
+    files = data_files(first)
+    assert len(files) >= 2 and data_files(redo) == files
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["params"]["out"] = str(redo)
+    assert json.loads((redo / "manifest.json").read_text()) == manifest
+
+
+@pytest.mark.parametrize("argv,added", [
+    (("run", "--circuits", V1_N4, "--noise", "depolarizing:0.05", "--shots", "200",
+      "--seed", "7"), ("noise_1q", "jobs")),
+    (("fit", "--data", os.path.join(V1_N4, "dataset.csv"), "--seed", "3"),
+     ("resamples",)),
+], ids=["run", "fit"])
+def test_rerun_of_a_manifest_without_added_params(tmp_path, argv, added):
+    # manifests written before --noise-1q, --jobs and --resamples existed
+    # rerun with the defaults, and the manifest they write still lacks them
+    fresh, redo = tmp_path / "fresh", tmp_path / "redo"
+    assert run_cli(*argv, "--out", str(fresh)) == 0
+    manifest = json.loads((fresh / "manifest.json").read_text())
+    for key in added:
+        del manifest["params"][key]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    assert run_cli("rerun", str(old), "--out", str(redo)) == 0
+    assert data_files(redo) == data_files(fresh)
+    manifest["params"]["out"] = str(redo)
+    assert json.loads((redo / "manifest.json").read_text()) == manifest
+
+
+def valid_params(command, out):
+    """A params dict from the command table: each flag's default, else "1"."""
+    argv = [command, "--out", out]
+    for name, _, default, _ in COMMANDS[command][2]:
+        if default is None:
+            argv += ["--" + name.replace("_", "-"), "1"]
+    params = vars(build_parser().parse_args(argv))
+    del params["command"]
+    return params
+
+
+# per kind of param, values of another JSON type (or no choice)
+BAD_VALUES = {
+    int: [True, 2.5, "2", None, [2], []],
+    float: [True, "0.5", None, [0.5], []],
+    str: [True, 2, 2.5, None, ["x"], []],
+    "int list": [True, 2, 2.5, "2,4", None, [], [2.5], [True], [None]],
+    "choices": [True, 2, None, ["stabilizer"], [], "tensor"],
+}
+
+
+def bad_edits(command, params):
+    kinds = {name: kind for name, kind, *_ in COMMANDS[command][2]}
+    kinds["out"] = str
+    edits = [(name, "drop") for name in params
+             if name not in ("noise_1q", "jobs", "resamples")]
+    for name, kind in kinds.items():
+        key = (kind if kind in (int, float, str)
+               else "choices" if isinstance(kind, tuple) else "int list")
+        edits += [(name, value) for value in BAD_VALUES[key]]
+    edits += [("seed", -1), ("seed", -2 ** 40)]
+    if "jobs" in params:
+        edits += [("jobs", 0), ("jobs", -3)]
+    return edits
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_rerun_rejects_a_bad_manifest_param(data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    calls = []
+
+    def record(out, **params):
+        calls.append(params)
+        os.makedirs(out)
+
+    _, help_text, table = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(COMMANDS, {command: (record, help_text, table)}):
+        params = valid_params(command, os.path.join(tmp, "out"))
+        manifest = os.path.join(tmp, "manifest.json")
+        with open(manifest, "w") as fh:
+            json.dump({"command": command, "params": params}, fh)
+        assert run_cli("rerun", manifest, "--out", os.path.join(tmp, "ok")) == 0
+        assert len(calls) == 1
+
+        name, value = data.draw(st.sampled_from(bad_edits(command, params)))
+        if value == "drop":
+            del params[name]
+        else:
+            params[name] = value
+        with open(manifest, "w") as fh:
+            json.dump({"command": command, "params": params}, fh)
+        assert run_cli("rerun", manifest) == 2
+        assert len(calls) == 1
+        assert sorted(os.listdir(tmp)) == ["manifest.json", "ok"]
+
+
+@pytest.mark.parametrize("manifest", [
+    [{"command": "fit", "params": {}}],
+    {"command": ["fit"], "params": {}},
+    {"command": "rerun", "params": {}},
+    {"command": "fit", "params": []},
+], ids=["list", "command-list", "command-rerun", "params-list"])
+def test_rerun_of_a_malformed_manifest_exits_2(tmp_path, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli("rerun", str(path)) == 2
+
+
 @pytest.mark.parametrize("params", [
     {},
     {"out": "fit"},
@@ -426,10 +550,24 @@ def test_fit_exit_code_follows_the_row_check(shots, successes):
     ("scatter", ("--circuits", "0")),
     ("scatter", ("--lengths", "0,2")),
     ("scatter", ("--lengths", "4,4")),
+    ("generate", ("--seed", "-1")),
+    ("run", ("2", "--seed", "-1")),
+    ("fit", ("--seed", "-1")),
+    ("frame-potential", ("--seed", "-1")),
+    ("scatter", ("--seed", "-1")),
+    ("run", ("2", "--jobs", "0")),
+    ("run", ("2", "--jobs", "-3")),
+    ("scatter", ("--jobs", "0")),
+    ("scatter", ("--jobs", "-3")),
 ], ids=["dense-n10", "stabilizer-n66", "fit-resamples", "fp-samples", "scatter-shots",
-        "scatter-circuits", "scatter-lengths", "scatter-one-length"])
+        "scatter-circuits", "scatter-lengths", "scatter-one-length", "generate-seed",
+        "run-seed", "fit-seed", "fp-seed", "scatter-seed", "run-jobs-0", "run-jobs-neg",
+        "scatter-jobs-0", "scatter-jobs-neg"])
 def test_config_errors_exit_2(tmp_path, command, args):
-    if command == "run":
+    # a later flag overrides the same flag in the base arguments
+    if command == "generate":
+        base = ("--n", "2", "--lengths", "1", "--circuits", "1")
+    elif command == "run":
         n, *args = args
         gen = _generate(tmp_path, n=n, lengths="1,2", circuits="1")
         base = ("--circuits", str(gen), "--noise", "none", "--seed", "1")
@@ -445,6 +583,7 @@ def test_config_errors_exit_2(tmp_path, command, args):
         base = ("--n", "2", "--experiments", "1", "--pmax", "0.05", "--seed", "1",
                 "--lengths", "2,4", "--circuits", "1", "--shots", "10")
     assert run_cli(command, *base, *args, "--out", str(tmp_path / "out")) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_frame_potential_command(tmp_path):
