@@ -38,7 +38,6 @@ FRAME_POTENTIAL_QUBIT_LIMIT = 8  # largest n the frame potential accepts
 _FIT_BLOCK = 1024  # rows fitted at once; bounds the (rows, grid) arrays
 _U_GRID = np.linspace(0.0, 1.0, 257)
 _GOLDEN_STEPS = 40  # shrink a grid bracket of width 2/256 below 1e-10
-_NEWTON_STEPS = 3
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -57,8 +56,9 @@ def _as_rng(rng: Union[None, int, np.random.Generator]) -> np.random.Generator:
 class FitResult:
     """Result of the fixed-baseline exponential fit.
 
-    ``bootstrap_ci`` is the 68% percentile interval for ``u`` when a bootstrap
-    was run (``resamples`` then records the resample count).
+    ``bootstrap_ci`` is the 68% percentile interval for ``u``, from the 16th
+    to the 84th percentile (``CI_PERCENTILES``) of the resampled fits, when a
+    bootstrap was run (``resamples`` then records the resample count).
     """
 
     amplitude: float
@@ -69,7 +69,6 @@ class FitResult:
     degenerate: bool
     bootstrap_ci: Optional[tuple] = None
     resamples: Optional[int] = None
-    ci_percentiles: tuple = CI_PERCENTILES
 
     def predict(self, length) -> np.ndarray:
         length = np.asarray(length, dtype=float)
@@ -133,7 +132,8 @@ def _lower(fit, candidate):
 
 
 def _fit_block(ey, powers, w, y) -> tuple:
-    """Fit one block of rows; see ``_fit_rows``."""
+    """Fit one block of rows by grid bracket, golden section and ends; see
+    ``_fit_rows``."""
     # 1. profile cost on the grid; the constant sum(w y^2) is left out, so
     #    this expanded form only ranks grid points
     num = (w * y) @ powers.T
@@ -156,27 +156,9 @@ def _fit_block(ey, powers, w, y) -> tuple:
         c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
                         np.where(left, fprobe, fd), np.where(left, fc, fprobe))
     fit = _profile(np.where(fc < fd, c, d), ey, w, y)
+    # 3. the ends u = 0 and u = 1, which the bracket's interior never reaches
     for edge in (0.0, 1.0):
         fit = _lower(fit, _profile(np.full(len(y), edge), ey, w, y))
-    # 3. Gauss-Newton steps on (A, u), kept only where the cost falls
-    dexp = np.maximum(ey - 1.0, 0.0)
-    for _ in range(_NEWTON_STEPS):
-        a, u, _ = fit
-        ja = u[:, None] ** ey
-        ju = a[:, None] * ey * u[:, None] ** dexp
-        r = y - a[:, None] * ja
-        h11 = (w * ja * ja).sum(axis=1)
-        h12 = (w * ja * ju).sum(axis=1)
-        h22 = (w * ju * ju).sum(axis=1)
-        b1 = (w * ja * r).sum(axis=1)
-        b2 = (w * ju * r).sum(axis=1)
-        det = h11 * h22 - h12 * h12
-        ok = det > 1e-12 * h11 * h22  # singular where A = 0 or g = 0
-        det = np.where(ok, det, 1.0)
-        a_new = np.clip(a + (h22 * b1 - h12 * b2) / det, 0.0, 2.0)
-        u_new = np.clip(u + (h11 * b2 - h12 * b1) / det, 0.0, 1.0)
-        cost_new = np.where(ok, _cost(a_new, u_new[:, None] ** ey, w, y), np.inf)
-        fit = _lower(fit, (a_new, u_new, cost_new))
     return fit
 
 
@@ -188,8 +170,9 @@ def _fit_rows(lengths: np.ndarray, p_hat: np.ndarray, se: np.ndarray,
     and u in [0, 1] for each row of the ``(rows, lengths)`` arrays.  The
     search is over u alone, with A at its closed-form best for each u: a
     fixed grid over [0, 1] brackets the minimum, golden-section steps
-    narrow it, the ends u = 0 and u = 1 are tried, and Gauss-Newton steps
-    on (A, u) polish the result.  Returns the arrays ``(A, u, cost)``.
+    narrow the bracket, and the ends u = 0 and u = 1 are tried; each row
+    keeps whichever of these has the lowest cost.  Returns the arrays
+    ``(A, u, cost)``.
     """
     ey = np.asarray(lengths, dtype=float) - 1.0
     y = np.atleast_2d(p_hat) - baseline
@@ -246,9 +229,8 @@ def _resample_points(counts: list, resamples: int,
 
 
 def bootstrap_ci(dataset: DecayDataset, resamples: int = DEFAULT_RESAMPLES,
-                 rng: Union[None, int, np.random.Generator] = None,
-                 percentiles: tuple = CI_PERCENTILES) -> tuple:
-    """Percentile bootstrap interval for u.
+                 rng: Union[None, int, np.random.Generator] = None) -> tuple:
+    """68% percentile bootstrap interval for u (``CI_PERCENTILES``).
 
     Each resample redraws circuits per length with replacement and redraws
     each chosen circuit's counts binomially.  All resamples are drawn first
@@ -262,7 +244,7 @@ def bootstrap_ci(dataset: DecayDataset, resamples: int = DEFAULT_RESAMPLES,
         raise ValueError("need at least two distinct lengths")
     p_hat, se = _resample_points(counts, int(resamples), rng)
     _, us, _ = _fit_rows(lengths, p_hat, se, 1.0 / 2 ** dataset.n_qubits)
-    lo, hi = np.percentile(us, percentiles)
+    lo, hi = np.percentile(us, CI_PERCENTILES)
     return (float(lo), float(hi))
 
 

@@ -9,12 +9,12 @@ from the manifest alone.  ``COMMANDS`` declares each command's parameters
 once; the argument parser, the params a run records and rerun's check of
 a manifest all come from it.
 
-Exit codes: 0 success, 2 configuration error (bad arguments, a negative
-seed, fewer than one job, a manifest param that is missing, of the wrong
-JSON type or not one of its choices, malformed noise spec, missing inputs,
-incompatible backend, a circuit file that fails its mirror check, a dataset
-row with impossible counts), 3 runtime failure (unwritable output, internal
-error).
+Exit codes: 0 success, 2 configuration error (bad arguments, a count below
+its least value in ``_MINIMA`` such as a negative seed or no jobs, a
+manifest param that is missing, of the wrong JSON type or not one of its
+choices, malformed noise spec, missing inputs, incompatible backend, a
+circuit file that fails its mirror check, a dataset row with impossible
+counts), 3 runtime failure (unwritable output, internal error).
 
 Noise specs: ``none``, ``depolarizing:<p>``, ``pauli:<pX>,<pY>,<pZ>``,
 ``amp_damp:<gamma>``; append ``@inverse=<spec>`` to override the channel
@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    CI_PERCENTILES,
     DEFAULT_RESAMPLES,
     FRAME_POTENTIAL_QUBIT_LIMIT,
     FitResult,
@@ -175,10 +176,10 @@ def _int_list(text: str) -> list:
     return values
 
 
-def resolve_output_dir(out, command: str) -> str:
-    """Pick the output directory: --out, else $MIRRORBENCH_OUTPUT_DIR/<cmd>."""
+def resolve_output_dir(out: str, command: str) -> str:
+    """Pick the output directory: ``out``, else $MIRRORBENCH_OUTPUT_DIR/<cmd>."""
     if out:
-        return str(out)
+        return out
     env = os.environ.get(OUTPUT_DIR_ENV)
     if env:
         return os.path.join(env, command)
@@ -219,8 +220,6 @@ def cmd_generate(n: int, lengths: list, circuits: int, seed: int, out: str) -> N
         raise ConfigError("--n must be even and >= 2")
     if any(x < 1 for x in lengths):
         raise ConfigError("--lengths must be positive")
-    if circuits < 1:
-        raise ConfigError("--circuits must be positive")
     specs = sample_experiment(seed, n, lengths, circuits)
     circ_dir = os.path.join(out, "circuits")
     _ensure_dir(circ_dir)
@@ -266,8 +265,6 @@ def _load_circuits(circuits_dir: str, backend: str):
 def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,
             backend: str, jobs: int, out: str) -> None:
     model = parse_noise_spec(noise, noise_1q)
-    if shots < 1:
-        raise ConfigError("--shots must be positive")
     if backend == "stabilizer" and not model.stabilizer_compatible():
         raise ConfigError(
             "stabilizer backend requires stochastic Pauli channels; "
@@ -309,14 +306,12 @@ def fit_result_to_dict(fit: FitResult) -> dict:
     if fit.bootstrap_ci is not None:
         data["bootstrap_ci"] = list(fit.bootstrap_ci)
         data["resamples"] = fit.resamples
-        data["ci_percentiles"] = list(fit.ci_percentiles)
+        data["ci_percentiles"] = list(CI_PERCENTILES)
     return data
 
 
 def cmd_fit(data: str, resamples: int, seed: int, out: str) -> None:
     dataset = _load_dataset(data)
-    if resamples < 0:
-        raise ConfigError("--resamples must be >= 0 (0 disables the bootstrap)")
     fit = fit_decay(dataset, resamples=resamples or None, rng=seed)
     _ensure_dir(out)
     with open(os.path.join(out, "fit.json"), "w", encoding="utf-8") as fh:
@@ -354,8 +349,6 @@ def cmd_frame_potential(n: int, lengths: list, samples: int, seed: int,
             f"--n must be even, >= 2, and <= {FRAME_POTENTIAL_QUBIT_LIMIT}")
     if any(x < 0 for x in lengths):
         raise ConfigError("--lengths must be non-negative")
-    if samples < 2:
-        raise ConfigError("--samples must be >= 2")
     estimates = frame_potential_profile(n, lengths, samples, rng=seed)
     _ensure_dir(out)
     _write_csv(
@@ -387,14 +380,10 @@ def cmd_scatter(n: int, experiments: int, pmax: float, seed: int, lengths: list,
                 circuits: int, shots: int, jobs: int, out: str) -> None:
     if n < 2 or n % 2:
         raise ConfigError("--n must be even and >= 2")
-    if experiments < 1:
-        raise ConfigError("--experiments must be positive")
     if not 0.0 <= pmax <= 1.0:
         raise ConfigError("--pmax must lie in [0, 1]")
     if any(x < 1 for x in lengths) or len(set(lengths)) < 2:
         raise ConfigError("--lengths needs two or more distinct positive lengths")
-    if circuits < 1 or shots < 1:
-        raise ConfigError("--circuits and --shots must be positive")
     points = scatter_experiment(
         n, experiments, pmax, rng=seed, lengths=lengths,
         circuits_per_length=circuits, shots=shots, jobs=jobs)
@@ -476,7 +465,9 @@ _OUT = ("out", str, None, "output directory")
 # added after the first manifests were written: a manifest may lack them,
 # and then the command runs with the default
 _ADDED_PARAMS = ("noise_1q", "jobs", "resamples")
-_MINIMA = {"seed": 0, "jobs": 1}
+# the least value of an int param of this name (run's --circuits is a path)
+_MINIMA = {"seed": 0, "jobs": 1, "circuits": 1, "shots": 1, "experiments": 1,
+           "samples": 2, "resamples": 0}
 
 
 def _has_kind(value, kind) -> bool:
@@ -497,8 +488,10 @@ def run_command(command: str, params: dict) -> int:
 
     A param missing from ``params``, of the wrong type, not one of its
     choices or below its minimum raises ConfigError before anything is
-    written.  The manifest records ``params`` exactly as given, so one that
-    lacks an added param reruns with its default and still lacks it.
+    written.  An empty ``out`` resolves as ``resolve_output_dir`` says, for
+    flags and manifests alike.  The manifest records ``params`` as given,
+    with ``out`` resolved, so one that lacks an added param reruns with its
+    default and still lacks it.
     """
     func, _, table = COMMANDS[command]
     table = (*table, _OUT)
@@ -511,11 +504,12 @@ def run_command(command: str, params: dict) -> int:
         value = params.get(name, default)
         if not _has_kind(value, kind):
             raise ConfigError(f"param {name!r} has a bad value {value!r}")
-        if name in _MINIMA and value < _MINIMA[name]:
+        if kind is int and name in _MINIMA and value < _MINIMA[name]:
             raise ConfigError(f"--{name} must be >= {_MINIMA[name]}, got {value}")
         args[name] = value
+    args["out"] = resolve_output_dir(args["out"], command)
     func(**args)
-    write_manifest(args["out"], command, params)
+    write_manifest(args["out"], command, dict(params, out=args["out"]))
     return EXIT_OK
 
 
@@ -534,9 +528,8 @@ def cmd_rerun(manifest_path: str, out_override=None) -> int:
     if not (isinstance(command, str) and command in COMMANDS
             and isinstance(params, dict)):
         raise ConfigError("manifest missing a known command and params")
-    params = dict(params)
-    if out_override:
-        params["out"] = str(out_override)
+    if out_override is not None:
+        params = dict(params, out=out_override)
     return run_command(command, params)
 
 
@@ -560,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + name.replace("_", "-"),
                            type=None if choices else kind, choices=choices,
                            default=default, required=default is None, help=help_text)
-        p.add_argument("--out", help=_OUT[3])
+        p.add_argument("--out", default="", help=_OUT[3])
 
     p = sub.add_parser("rerun", help="replay a previous run from its manifest")
     p.add_argument("manifest", help="path to a manifest.json")
@@ -580,7 +573,6 @@ def main(argv=None) -> int:
     try:
         if command == "rerun":
             return cmd_rerun(params["manifest"], params["out"])
-        params["out"] = resolve_output_dir(params["out"], command)
         return run_command(command, params)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -523,7 +523,7 @@ def read_dataset_json(path) -> DecayDataset:
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ValueError("a dataset file must hold an object with a list of entries")
     version = data.get("version")
-    if type(version) is not int or version != DATASET_FORMAT_VERSION:
+    if not _is_int(version) or version != DATASET_FORMAT_VERSION:
         raise ValueError(f"unsupported dataset version {version!r}")
     keys = ("L", "circuit_id", "shots", "successes", "seed")
     if not all(isinstance(e, dict) for e in data["entries"]):

@@ -179,6 +179,21 @@ def test_fit_flags_flat_data_degenerate():
     assert abs(fit.predict(4) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("rates,u", [
+    ({4: 100, 8: 100, 12: 100, 16: 100}, 1.0),  # no decay at all
+    ({1: 90, 2: 25, 4: 25, 8: 25}, 0.0),  # at the baseline 1/4 from L = 2 on
+], ids=["u=1", "u=0"])
+def test_fit_lands_exactly_on_an_end_of_u(rates, u):
+    # golden-section probes stay inside their bracket; only the end tries
+    # give the exact bound and a zero residual
+    entries = tuple(
+        DatasetEntry(length=length, circuit_id=k, shots=100, successes=successes, seed=0)
+        for length, successes in rates.items() for k in range(3))
+    fit = fit_decay(DecayDataset(n_qubits=2, entries=entries))
+    assert fit.u == u
+    assert fit.residual_norm == 0.0
+
+
 def test_fit_requires_two_lengths():
     entries = (DatasetEntry(length=4, circuit_id=0, shots=10, successes=5, seed=0),)
     with pytest.raises(ValueError):

@@ -429,6 +429,8 @@ def bad_edits(command, params):
     edits += [("seed", -1), ("seed", -2 ** 40)]
     if "jobs" in params:
         edits += [("jobs", 0), ("jobs", -3)]
+    below = {"circuits": 0, "shots": 0, "experiments": 0, "samples": 1, "resamples": -1}
+    edits += [(name, value) for name, value in below.items() if kinds.get(name) is int]
     return edits
 
 
@@ -632,6 +634,24 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
                    "--seed", "1")
     assert code == 0
     assert (tmp_path / "envout" / "generate" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("manifest_out,override", [("", None), ("elsewhere", "")],
+                         ids=["manifest", "rerun-flag"])
+def test_rerun_resolves_an_empty_out_like_the_flag(tmp_path, monkeypatch,
+                                                  manifest_out, override):
+    env, work = tmp_path / "env", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("MIRRORBENCH_OUTPUT_DIR", str(env))
+    monkeypatch.chdir(work)
+    params = {"n": 2, "lengths": [2], "circuits": 1, "seed": 1, "out": manifest_out}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "generate", "params": params}))
+    flags = () if override is None else ("--out", override)
+    assert run_cli("rerun", str(manifest), *flags) == 0
+    assert os.listdir(work) == []
+    written = json.loads((env / "generate" / "manifest.json").read_text())
+    assert written["params"]["out"] == str(env / "generate")
 
 
 def test_version_flag():
