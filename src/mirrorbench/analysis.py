@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .channels import Depolarizing, depolarizing_tensor_unitarity
-from .circuits import sample_experiment, sample_matchings
+from .circuits import build_mirror_circuits, sample_experiment, sample_matchings
 from .operators import (
     _clifford_masks,
     _clifford_round,
@@ -450,14 +450,18 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
     if n_qubits % 2:
         raise ValueError("n_qubits must be even")
     rng = _as_rng(rng)
+    draws = [(float(rng.uniform(0.0, p_max)), int(rng.integers(0, 2 ** 63 - 1)),
+              int(rng.integers(0, 2 ** 63 - 1))) for _ in range(num_experiments)]
+    specs = [spec for _, gen_seed, _ in draws
+             for spec in sample_experiment(gen_seed, n_qubits, lengths, circuits_per_length)]
+    # every experiment's circuits of one length compile as one batch
+    compiled = build_mirror_circuits(specs)
+    size = len(lengths) * circuits_per_length
     points = []
-    for _ in range(num_experiments):
-        p = float(rng.uniform(0.0, p_max))
-        gen_seed = int(rng.integers(0, 2 ** 63 - 1))
-        sim_seed = int(rng.integers(0, 2 ** 63 - 1))
-        specs = sample_experiment(gen_seed, n_qubits, lengths, circuits_per_length)
+    for k, (p, _, sim_seed) in enumerate(draws):
         noise = NoiseModel(two_qubit=Depolarizing(p))
-        dataset = simulate_survival(specs, noise, shots, rng=sim_seed, jobs=jobs)
+        dataset = simulate_survival(compiled[k * size:(k + 1) * size], noise, shots,
+                                    rng=sim_seed, jobs=jobs)
         fit = fit_decay(dataset)
         points.append(
             ScatterPoint(p, depolarizing_tensor_unitarity(p, n_qubits // 2), fit.u)

@@ -51,9 +51,11 @@ from .channels import (
     stochastic_pauli_tensor,
 )
 from .circuits import (
+    CircuitCheckError,
     _is_int,
-    build_mirror_circuit,
-    load_circuit,
+    build_mirror_circuits,
+    check_circuits,
+    read_circuit,
     sample_experiment,
     save_circuit,
 )
@@ -223,17 +225,19 @@ def cmd_generate(n: int, lengths: list, circuits: int, seed: int, out: str) -> N
     specs = sample_experiment(seed, n, lengths, circuits)
     circ_dir = os.path.join(out, "circuits")
     _ensure_dir(circ_dir)
-    for spec in specs:
-        name = f"circuit_L{spec.length:03d}_{spec.circuit_id:03d}.json"
-        save_circuit(build_mirror_circuit(spec), os.path.join(circ_dir, name))
+    for circuit in build_mirror_circuits(specs):
+        name = f"circuit_L{circuit.length:03d}_{circuit.circuit_id:03d}.json"
+        save_circuit(circuit, os.path.join(circ_dir, name))
     print(f"wrote {len(specs)} circuits to {circ_dir}")
 
 
 def _load_circuits(circuits_dir: str, backend: str):
     """Load circuit JSON files from a directory (or its circuits/ child).
 
-    Stops at the first file wider than ``backend`` simulates, so a
-    directory of wide circuits is not held in memory only to be refused.
+    Each file is parsed on its own, stopping at the first file wider than
+    ``backend`` simulates, so a directory of wide circuits is not held in
+    memory only to be refused; then the circuits are checked together, one
+    batch per (n, L), and a failing check names its file.
     """
     root = circuits_dir
     if not os.path.isdir(root):
@@ -246,20 +250,22 @@ def _load_circuits(circuits_dir: str, backend: str):
     if not names:
         raise ConfigError(f"no circuit .json files in {root}")
     limit = _QUBIT_LIMITS[backend]
-    out = []
+    parsed = []
     for name in names:
         try:
-            circuit = load_circuit(os.path.join(root, name))
+            spec, rounds, stored = read_circuit(os.path.join(root, name))
         except ValueError as exc:  # json.JSONDecodeError included
             raise ConfigError(f"bad circuit file {name}: {exc}") from None
-        if circuit.n_qubits > limit:
+        if spec.n_qubits > limit:
             raise ConfigError(f"{backend} backend limited to {limit} qubits, "
-                              f"got {circuit.n_qubits}-qubit circuits")
-        out.append(circuit)
-    n = out[0].n_qubits
-    if any(c.n_qubits != n for c in out):
+                              f"got {spec.n_qubits}-qubit circuits")
+        parsed.append((spec, rounds, stored))
+    if len({spec.n_qubits for spec, _, _ in parsed}) > 1:
         raise ConfigError("circuit files mix different qubit counts")
-    return out
+    try:
+        return check_circuits(parsed)
+    except CircuitCheckError as exc:
+        raise ConfigError(f"bad circuit file {names[exc.index]}: {exc}") from None
 
 
 def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,

@@ -8,7 +8,9 @@ Two backends share a gate-located noise model:
   Z_q whose image where the fault occurs it anticommutes with.
   ``compile_fault_program`` reads those masks, for every site at once, from
   the round-by-round Z images that the circuit's mirror check kept (no
-  second pass over the gates), and groups the sites by channel.
+  second pass over the gates: that check is one pass per (n, L) group of
+  circuits), and takes the sites' grouping by channel, which depends only
+  on (n, L, noise), from a cache shared by the group.
   Faults are drawn sparsely: per block of shots and per group, a binomial
   count of faulty (shot, site) cells, placed uniformly, each with a code
   from the group's conditional table, so the work follows the faults drawn,
@@ -53,7 +55,7 @@ from .circuits import (
     MirrorCircuitSpec,
     _gate_layout,
     _is_int,
-    build_mirror_circuit,
+    build_mirror_circuits,
 )
 from .operators import CliffordGate, SingleQubitClifford, UZZ_MATRIX
 
@@ -217,12 +219,15 @@ class SiteClass:
 
 
 def _site_class(probs: np.ndarray, sites: np.ndarray) -> SiteClass:
+    """The class of ``sites`` under fault probabilities ``probs``, with
+    read-only arrays, since programs of one (n, L, noise) share it."""
     faults = np.maximum(probs[1:], 0.0)
     total = faults.sum()
     cum = np.cumsum(faults / total) if total > 0 else np.ones(len(faults))
     cum[-1] = 1.0  # absorb rounding so every uniform lands
-    return SiteClass(np.array(sites, dtype=np.intp), min(float(total), 1.0),
-                     np.minimum(cum, 1.0))
+    sites, cum = np.array(sites, dtype=np.intp), np.minimum(cum, 1.0)
+    sites.flags.writeable = cum.flags.writeable = False
+    return SiteClass(sites, min(float(total), 1.0), cum)
 
 
 @dataclass(frozen=True)
@@ -256,26 +261,15 @@ def _code_masks(generators: np.ndarray) -> np.ndarray:
     return masks
 
 
-def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultProgram:
-    """The fault sites of ``circuit`` in gate order, with their masks and classes.
-
-    A fault flips outcome bit q iff it anticommutes with the image of Z_q
-    where it occurs (the circuit maps each Z_q to +/-Z_q), so the masks are
-    read from the Z images the circuit's check kept, round by round.
-    """
-    n, length = circuit.n_qubits, circuit.length
-    if n > _QUBIT_LIMITS["stabilizer"]:
-        raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
-    x, z = circuit.x_images[..., 0], circuit.z_images[..., 0]  # (2L, 2, n)
-    one_masks = _code_masks(np.stack([z[:, 0], x[:, 0]], axis=-1))
-    rows, pairs = np.arange(2 * length)[:, None], circuit.uzz_layers
-    xa, xb, za, zb = (images[rows, 1, pairs[..., side]]
-                      for images in (x, z) for side in (0, 1))
-    two_masks = _code_masks(np.stack([za, xa, zb, xb], axis=-1))
+@lru_cache(maxsize=64)
+def _fault_sites(n: int, length: int, noise: NoiseModel) -> tuple:
+    """Where the fault sites of every circuit of one (n, L) under ``noise``
+    sit, in gate order: their rows among the Clifford masks and then the UZZ
+    masks of ``compile_fault_program``, and their classes (read-only, cached
+    per (n, L, noise), so one group of circuits builds them once)."""
     rounds, is_uzz, slot = _gate_layout(n, length)
     # each gate's row among the Clifford masks, then the UZZ masks
-    row = np.where(is_uzz, one_masks.shape[0] * n + rounds * (n // 2), rounds * n) + slot
-    masks = np.concatenate([one_masks.reshape(-1, 16), two_masks.reshape(-1, 16)])
+    row = np.where(is_uzz, 2 * length * n + rounds * (n // 2), rounds * n) + slot
     kind = is_uzz * (1 + (rounds >= length))  # Clifford, forward UZZ, mirrored UZZ
     keys = {}  # (params, arity) -> class number, in order of first site
     class_of_kind = []
@@ -288,7 +282,32 @@ def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultP
     classes = tuple(_site_class(kernel_pauli_probs(*key),
                                 np.flatnonzero(gate_class[noisy] == number))
                     for key, number in keys.items())
-    return FaultProgram(masks[row[noisy]], classes)
+    rows = row[noisy]
+    rows.flags.writeable = False
+    return rows, classes
+
+
+def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultProgram:
+    """The fault sites of ``circuit`` in gate order, with their masks and classes.
+
+    A fault flips outcome bit q iff it anticommutes with the image of Z_q
+    where it occurs (the circuit maps each Z_q to +/-Z_q), so the masks are
+    read from the Z images the circuit's check kept, round by round.  The
+    sites and classes depend only on (n, L, noise) (``_fault_sites``); only
+    the masks are the circuit's own.
+    """
+    n, length = circuit.n_qubits, circuit.length
+    if n > _QUBIT_LIMITS["stabilizer"]:
+        raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
+    rows, classes = _fault_sites(n, length, noise)
+    x, z = circuit.x_images, circuit.z_images  # (2L, 2, n)
+    one_masks = _code_masks(np.stack([z[:, 0], x[:, 0]], axis=-1))
+    pairs = circuit.uzz_layers
+    xa, xb, za, zb = (images[np.arange(2 * length)[:, None], 1, pairs[..., side]]
+                      for images in (x, z) for side in (0, 1))
+    two_masks = _code_masks(np.stack([za, xa, zb, xb], axis=-1))
+    masks = np.concatenate([one_masks.reshape(-1, 16), two_masks.reshape(-1, 16)])
+    return FaultProgram(masks[rows], classes)
 
 
 def _draw_faults(program: FaultProgram, shots: int, rng: np.random.Generator):
@@ -395,12 +414,17 @@ def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_compiled(item) -> CompiledCircuit:
-    if isinstance(item, CompiledCircuit):
-        return item
-    if isinstance(item, MirrorCircuitSpec):
-        return build_mirror_circuit(item)
-    raise TypeError(f"expected a circuit spec or compiled circuit, got {item!r}")
+def _as_compiled(items: Sequence) -> list:
+    """``items`` with every spec compiled, all specs in one
+    ``build_mirror_circuits`` call (one batch per (n, L))."""
+    out = list(items)
+    for item in out:
+        if not isinstance(item, (CompiledCircuit, MirrorCircuitSpec)):
+            raise TypeError(f"expected a circuit spec or compiled circuit, got {item!r}")
+    at = [i for i, item in enumerate(out) if isinstance(item, MirrorCircuitSpec)]
+    for i, circuit in zip(at, build_mirror_circuits([out[i] for i in at])):
+        out[i] = circuit
+    return out
 
 
 def _run_one(args):
@@ -424,10 +448,11 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
 
     ``rng`` may be a seed or a Generator; each circuit gets a child stream
     derived from ``(master_seed, position)``, so results are independent of
-    ``jobs`` and of circuit order within a job.  The dense backend computes
+    ``jobs`` and of circuit order within a job.  Specs among ``circuits`` are
+    compiled together, one batch per (n, L).  The dense backend computes
     the exact probability and draws binomial counts from it.
     """
-    compiled = [_as_compiled(c) for c in circuits]
+    compiled = _as_compiled(circuits)
     if not compiled:
         raise ValueError("no circuits given")
     n = compiled[0].n_qubits

@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrorbench.circuits import (
+    CircuitCheckError,
+    CompilationError,
     CompiledCircuit,
+    MirrorCircuitSpec,
+    _batches,
+    _checked_circuit,
+    _uzz_layers,
     _z_pass,
     build_mirror_circuit,
+    build_mirror_circuits,
+    check_circuits,
     circuit_from_json,
     circuit_to_json,
     load_circuit,
@@ -422,14 +430,12 @@ def _gate_list(rounds, layers, length):
     return gates
 
 
-def _word_value(words):
-    return sum(int(w) << (64 * i) for i, w in enumerate(words))
-
-
-def _check_z_pass_against_reference(rounds, matchings, n, length):
+def _reference_pass(rounds, matchings, n, length):
+    """The per-gate pass: the outcome (None unless a mirror) and the
+    ``(round, part, x, z)`` images after each Clifford round and UZZ layer."""
     layers = np.concatenate([matchings, matchings[::-1]])
     reference = ZObservables(n)
-    snapshots = []  # (round, part, x, z) after each Clifford round and UZZ layer
+    snapshots = []
     for r, gates in enumerate(_gate_list(rounds, layers, length)):
         parts = ((0, n), (1, len(gates))) if r < length else ((1, n // 2), (0, len(gates)))
         done = 0
@@ -439,17 +445,32 @@ def _check_z_pass_against_reference(rounds, matchings, n, length):
             done = end
             snapshots.append((r, part, list(reference.x), list(reference.z)))
     try:
-        expected = reference.outcome()
+        return reference.outcome(), snapshots
     except ValueError:
-        with pytest.raises(ValueError, match=r"each Z_q to \+/-Z_q"):
-            _z_pass(rounds, layers, n)
-        return False
-    outcome, x_images, z_images = _z_pass(rounds, layers, n)
-    assert outcome == expected
-    for r, part, x, z in snapshots:
-        assert [_word_value(w) for w in x_images[r, part]] == x
-        assert [_word_value(w) for w in z_images[r, part]] == z
-    return True
+        return None, snapshots
+
+
+def _check_z_pass_against_reference(rounds, matchings, n, length):
+    """Check one batch, ``(C, 2L, n)`` rounds and ``(C, L, n/2, 2)``
+    matchings, against the per-gate pass of each circuit; return which
+    circuits are mirrors.  Images are kept, as word 0, only up to 64 qubits."""
+    outcome, mirrors, x_images, z_images = _z_pass(rounds, _uzz_layers(matchings))
+    assert (x_images is None) == (z_images is None) == (n > 64)
+    for c in range(len(rounds)):
+        expected, snapshots = _reference_pass(rounds[c], matchings[c], n, length)
+        assert mirrors[c] == (expected is not None)
+        if expected is None:
+            spec = mirror_circuit_spec(0, n, length)
+            spec = MirrorCircuitSpec(n, length, spec.cliffords, matchings[c], spec.paulis, 0)
+            with pytest.raises(ValueError, match=r"each Z_q to \+/-Z_q"):
+                _checked_circuit(spec, rounds[c], (0,) * n)
+            continue
+        assert tuple(outcome[c].tolist()) == expected
+        if x_images is not None:
+            for r, part, x, z in snapshots:
+                assert x_images[c, r, part].tolist() == x
+                assert z_images[c, r, part].tolist() == z
+    return mirrors.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,14 +482,106 @@ def test_z_pass_matches_the_per_gate_reference(seed, n, length, edits):
     rounds = build_mirror_circuit(spec).rounds.copy()
     for position, index in edits:  # mostly no longer a mirror
         rounds.flat[position % rounds.size] = index
-    mirror = _check_z_pass_against_reference(rounds, spec.matchings, n, length)
+    [mirror] = _check_z_pass_against_reference(rounds[None], spec.matchings[None], n, length)
     assert mirror or edits
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.sampled_from((2, 4, 6, 66)),
+       length=st.integers(1, 3), count=st.integers(2, 6), data=st.data())
+def test_edited_rounds_fail_only_their_own_circuit_of_a_batch(seed, n, length, count, data):
+    # one batch of circuits, some with edited rounds: the batch's verdict on
+    # each circuit is its own per-gate pass, so exactly the edited circuits
+    # that are no longer mirrors, or no longer give their stored outcome, fail
+    specs = sample_experiment(seed, n, (length,), count)
+    circuits = build_mirror_circuits(specs)
+    rounds = np.stack([circuit.rounds for circuit in circuits])
+    edited = data.draw(st.sets(st.integers(0, count - 1), max_size=count))
+    for c in sorted(edited):
+        position = data.draw(st.integers(0, rounds[c].size - 1))
+        rounds[c].flat[position] = data.draw(st.integers(0, 23))
+    matchings = np.stack([spec.matchings for spec in specs])
+    mirrors = _check_z_pass_against_reference(rounds, matchings, n, length)
+    outcome = _z_pass(rounds, _uzz_layers(matchings))[0]
+    failing = [c for c in range(count) if not mirrors[c]
+               or tuple(outcome[c].tolist()) != circuits[c].expected_outcome]
+    assert set(failing) <= edited
+    parsed = [(spec, rounds[c], circuits[c].expected_outcome) for c, spec in enumerate(specs)]
+    if not failing:
+        assert len(check_circuits(parsed)) == count
+        return
+    with pytest.raises(CircuitCheckError) as info:
+        check_circuits(parsed)
+    assert info.value.index == failing[0]
+
+
 def test_compiled_images_are_the_z_pass():
-    circuit = build_mirror_circuit(mirror_circuit_spec(3, 66, 2))
-    assert circuit.x_images.shape == (4, 2, 66, 2)  # 66 qubits: two words
-    assert _check_z_pass_against_reference(circuit.rounds, circuit.spec.matchings, 66, 2)
+    for n in (64, 66):  # up to 64 qubits the images are kept, as one word
+        circuit = build_mirror_circuit(mirror_circuit_spec(3, n, 2))
+        if n == 64:
+            assert circuit.x_images.shape == circuit.z_images.shape == (4, 2, 64)
+        else:
+            assert circuit.x_images is None and circuit.z_images is None
+        assert _check_z_pass_against_reference(
+            circuit.rounds[None], circuit.spec.matchings[None], n, 2) == [True]
+
+
+def test_build_mirror_circuits_equals_each_circuit_built_alone():
+    # mixed n and interleaved lengths: batches by (n, L), results in input order
+    shapes = [(4, 8), (4, 4), (6, 8), (4, 8), (2, 2), (66, 2), (4, 4), (6, 8), (4, 8)]
+    specs = [mirror_circuit_spec(100 + i, n, length, circuit_id=i)
+             for i, (n, length) in enumerate(shapes)]
+    batched = build_mirror_circuits(specs)
+    assert [circuit.circuit_id for circuit in batched] == list(range(len(specs)))
+    for spec, circuit in zip(specs, batched):
+        alone = build_mirror_circuit(spec)
+        assert circuit.spec is spec
+        np.testing.assert_array_equal(circuit.rounds, alone.rounds)
+        assert not circuit.rounds.flags.writeable
+        assert circuit.expected_outcome == alone.expected_outcome
+        for images, alone_images in ((circuit.x_images, alone.x_images),
+                                     (circuit.z_images, alone.z_images)):
+            if spec.n_qubits > 64:
+                assert images is None and alone_images is None
+            else:
+                np.testing.assert_array_equal(images, alone_images)
+        expected, snapshots = _reference_pass(circuit.rounds, spec.matchings,
+                                              spec.n_qubits, spec.length)
+        assert circuit.expected_outcome == expected
+        if circuit.x_images is not None:
+            for r, part, x, z in snapshots:
+                assert circuit.x_images[r, part].tolist() == x
+                assert circuit.z_images[r, part].tolist() == z
+
+
+def test_build_mirror_circuits_batches_by_size():
+    # a batch holds at most _BATCH_WORDS image words; every batch gives the
+    # same circuits
+    specs = sample_experiment(8, 4, (3, 2), 5)
+    batches = _batches(specs)
+    assert batches == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    assert _batches(sample_experiment(8, 2048, (1,), 5)) == [[0, 1, 2, 3], [4]]
+    whole = build_mirror_circuits(specs)
+    assert [circuit_to_json(c) for c in whole] == \
+        [circuit_to_json(build_mirror_circuit(spec)) for spec in specs]
+
+
+def test_a_failing_spec_names_its_circuit_id(monkeypatch):
+    import mirrorbench.circuits as circuits_module
+
+    merged_rounds = circuits_module._merged_rounds
+
+    def break_second_of_length_3(cliffords, matchings, paulis):
+        rounds = merged_rounds(cliffords, matchings, paulis)
+        if cliffords.shape[1] == 3:  # an extra H in round 0 of the batch's second circuit
+            rounds[1, 0, 0] = clifford_named("H").compose(
+                SingleQubitClifford(int(rounds[1, 0, 0]))).index
+        return rounds
+
+    monkeypatch.setattr(circuits_module, "_merged_rounds", break_second_of_length_3)
+    specs = sample_experiment(5, 4, (2, 3), 4)  # circuit ids 0-7; 5 breaks
+    with pytest.raises(CompilationError, match=r"compiled circuit 5 is wrong"):
+        build_mirror_circuits(specs)
 
 
 # ---------------------------------------------------------------------------

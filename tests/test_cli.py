@@ -233,6 +233,34 @@ def test_run_rejects_edited_circuit_exits_2(tmp_path):
     assert code == 2
 
 
+def _extra_h_in_round_0(data):
+    data["rounds"][0] = clifford_named("H").compose(
+        SingleQubitClifford(data["rounds"][0])).index
+
+
+def _flip_outcome_bit_0(data):
+    data["expected_outcome"][0] ^= 1
+
+
+@pytest.mark.parametrize("lengths,edited", [("3", 2), ("2,3", 7)])
+@pytest.mark.parametrize("edit", [_extra_h_in_round_0, _flip_outcome_bit_0])
+def test_run_names_the_edited_file_of_a_batch(tmp_path, capsys, edit, lengths, edited):
+    # the files of one length are checked as one batch; an edit to one
+    # integer of one file (the third of its batch) fails the run and names
+    # that file alone
+    gen = _generate(tmp_path, n="4", lengths=lengths, circuits="5")
+    paths = sorted((gen / "circuits").glob("*.json"))
+    data = json.loads(paths[edited].read_text())
+    edit(data)
+    paths[edited].write_text(json.dumps(data))
+    capsys.readouterr()
+    code, _ = _run(tmp_path, gen, noise="none")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad circuit file {paths[edited].name}" in err
+    assert not any(path.name in err for i, path in enumerate(paths) if i != edited)
+
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 V1_N4 = os.path.join(DATA, "v1_n4")
 
