@@ -36,6 +36,11 @@ DEFAULT_RESAMPLES = 1000
 FRAME_POTENTIAL_QUBIT_LIMIT = 8  # largest n the frame potential accepts
 
 _FIT_BLOCK = 1024  # rows fitted at once; bounds the (rows, grid) arrays
+# round-qubit cells of the circuits a scatter study compiles and holds at
+# once, so that its memory does not grow with the number of experiments: 10
+# experiments of the default design at n = 4 (batches of 100 circuits, which
+# compiled fastest; 40 experiments ran slower), and at least one
+_SCATTER_CELLS = 1 << 14
 _U_GRID = np.linspace(0.0, 1.0, 257)
 _GOLDEN_STEPS = 40  # shrink a grid bracket of width 2/256 below 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -452,18 +457,22 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
     rng = _as_rng(rng)
     draws = [(float(rng.uniform(0.0, p_max)), int(rng.integers(0, 2 ** 63 - 1)),
               int(rng.integers(0, 2 ** 63 - 1))) for _ in range(num_experiments)]
-    specs = [spec for _, gen_seed, _ in draws
-             for spec in sample_experiment(gen_seed, n_qubits, lengths, circuits_per_length)]
-    # every experiment's circuits of one length compile as one batch
-    compiled = build_mirror_circuits(specs)
     size = len(lengths) * circuits_per_length
+    cells = circuits_per_length * sum(lengths) * n_qubits  # per experiment
+    chunk = max(1, _SCATTER_CELLS // max(cells, 1))
     points = []
-    for k, (p, _, sim_seed) in enumerate(draws):
-        noise = NoiseModel(two_qubit=Depolarizing(p))
-        dataset = simulate_survival(compiled[k * size:(k + 1) * size], noise, shots,
-                                    rng=sim_seed, jobs=jobs)
-        fit = fit_decay(dataset)
-        points.append(
-            ScatterPoint(p, depolarizing_tensor_unitarity(p, n_qubits // 2), fit.u)
-        )
+    for start in range(0, num_experiments, chunk):
+        group = draws[start:start + chunk]
+        # the chunk's circuits of one length compile as one batch
+        compiled = build_mirror_circuits(
+            [spec for _, gen_seed, _ in group
+             for spec in sample_experiment(gen_seed, n_qubits, lengths, circuits_per_length)])
+        for k, (p, _, sim_seed) in enumerate(group):
+            noise = NoiseModel(two_qubit=Depolarizing(p))
+            dataset = simulate_survival(compiled[k * size:(k + 1) * size], noise, shots,
+                                        rng=sim_seed, jobs=jobs)
+            fit = fit_decay(dataset)
+            points.append(
+                ScatterPoint(p, depolarizing_tensor_unitarity(p, n_qubits // 2), fit.u)
+            )
     return points

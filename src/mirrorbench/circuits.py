@@ -273,10 +273,13 @@ def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
 
 
 # words of one image array in a batch's Z pass: a batch holds at most
-# 2^18 / (n * ceil(n/64)) circuits (at least one), so batching keeps the pass's
-# few live arrays near 2 MB each at any n instead of multiplying them
-_BATCH_WORDS = 1 << 18
-
+# 2^14 / (n * ceil(n/64)) circuits (at least one), so the pass's few live
+# arrays stay within 128 KB each, or one circuit's, instead of growing with
+# the batch.  Batching pays at small n, where per-step numpy overhead
+# dominates; above 2^14 words the pass ran no faster at any n from 4 to 512
+# and needs more memory (``generate --n 2048 --lengths 16 --circuits 100``
+# peaks at 645 MB as one batch, 156 MB in batches of one)
+_BATCH_WORDS = 1 << 14
 
 
 class CircuitCheckError(ValueError):

@@ -208,8 +208,8 @@ class NativeGate:
 # tracked Pauli j (Y is x = z = 1).  Each rule comes in two parts: the new
 # images, and the sign flips per qubit, whose XOR over the qubits is the
 # round's.  The flips are computed from the images before the round, so a
-# sequential pass can apply the image parts one round at a time and every
-# sign part afterwards, on all rounds at once.
+# sequential pass (``circuits._z_pass``) takes each round's sign part before
+# its image part and XORs the flips up round by round.
 
 
 def _clifford_masks(cliffords: np.ndarray) -> np.ndarray:

@@ -395,6 +395,29 @@ def test_scatter_experiment_points_and_determinism():
     assert pts == again
 
 
+def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch):
+    # memory must not grow with the number of experiments: with a budget of
+    # two experiments' cells, seven experiments compile in chunks of at most
+    # two, and give the points of one chunk holding all seven
+    import mirrorbench.analysis as analysis_module
+
+    build = analysis_module.build_mirror_circuits
+    sizes = []
+
+    def recording(specs):
+        sizes.append(len(specs))
+        return build(specs)
+
+    monkeypatch.setattr(analysis_module, "build_mirror_circuits", recording)
+    kwargs = dict(rng=5, lengths=(2, 4), circuits_per_length=3, shots=50)
+    whole = scatter_experiment(2, 7, 0.05, **kwargs)
+    assert sizes == [42]
+    sizes.clear()
+    monkeypatch.setattr(analysis_module, "_SCATTER_CELLS", 2 * 3 * (2 + 4) * 2)
+    assert scatter_experiment(2, 7, 0.05, **kwargs) == whole
+    assert sizes == [12, 12, 12, 6]
+
+
 def test_estimator_calibration_at_fixed_noise():
     # mean(u_est - u_true) consistent with zero across repeated experiments
     p = 0.02

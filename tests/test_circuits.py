@@ -560,7 +560,9 @@ def test_build_mirror_circuits_batches_by_size():
     specs = sample_experiment(8, 4, (3, 2), 5)
     batches = _batches(specs)
     assert batches == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
-    assert _batches(sample_experiment(8, 2048, (1,), 5)) == [[0, 1, 2, 3], [4]]
+    assert _batches(sample_experiment(8, 256, (1,), 20)) == [list(range(16)),
+                                                             list(range(16, 20))]
+    assert _batches(sample_experiment(8, 2048, (1,), 2)) == [[0], [1]]
     whole = build_mirror_circuits(specs)
     assert [circuit_to_json(c) for c in whole] == \
         [circuit_to_json(build_mirror_circuit(spec)) for spec in specs]
