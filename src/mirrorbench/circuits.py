@@ -248,6 +248,15 @@ def mirror_circuit_spec(seed: int, n_qubits: int, length: int,
                              seed=seed, circuit_id=circuit_id)
 
 
+def _experiment_seeds(rng, lengths: Sequence[int], circuits_per_length: int) -> list:
+    """The (length, seed) of each spec of an experiment, in circuit-id order:
+    one ``integers(0, 2^63 - 1)`` draw from ``rng`` per spec."""
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(int(rng))
+    return [(int(length), int(rng.integers(0, 2 ** 63 - 1)))
+            for length in lengths for _ in range(circuits_per_length)]
+
+
 def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
                       circuits_per_length: int) -> list:
     """Independent circuit specs for each (length, repeat) cell.
@@ -255,16 +264,24 @@ def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
     ``rng`` may be a Generator or an integer seed.  Each spec records its own
     seed so it can be regenerated independently.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    specs = []
-    circuit_id = 0
-    for length in lengths:
-        for _ in range(circuits_per_length):
-            seed = int(rng.integers(0, 2 ** 63 - 1))
-            specs.append(mirror_circuit_spec(seed, n_qubits, int(length), circuit_id))
-            circuit_id += 1
-    return specs
+    return [mirror_circuit_spec(seed, n_qubits, length, circuit_id)
+            for circuit_id, (length, seed)
+            in enumerate(_experiment_seeds(rng, lengths, circuits_per_length))]
+
+
+def compile_experiment(rng, n_qubits: int, lengths: Sequence[int],
+                       circuits_per_length: int):
+    """Yield the compiled circuits of ``sample_experiment`` with the same
+    arguments, sampling and compiling one batch (``_batches``) at a time.
+
+    Only the specs' seeds are drawn up front, so memory holds one batch's
+    specs and circuits, not the experiment's.  Circuits come in batch order:
+    each length's in circuit-id order, lengths in order of first appearance.
+    """
+    cells = _experiment_seeds(rng, lengths, circuits_per_length)
+    for batch in _batches([(n_qubits, length) for length, _ in cells]):
+        yield from build_mirror_circuits(
+            [mirror_circuit_spec(cells[i][1], n_qubits, cells[i][0], i) for i in batch])
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +308,13 @@ class CircuitCheckError(ValueError):
         self.index = index
 
 
-def _batches(specs: Sequence[MirrorCircuitSpec]) -> list:
-    """The positions of ``specs`` grouped by (n, L), in order of first
-    appearance, each group cut into batches of at most ``_BATCH_WORDS``
-    image words."""
+def _batches(sizes: Sequence[tuple]) -> list:
+    """The positions of circuits of the given (n, L) ``sizes``, grouped by
+    size in order of first appearance, each group cut into batches of at
+    most ``_BATCH_WORDS`` image words."""
     groups = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault((spec.n_qubits, spec.length), []).append(i)
+    for i, size in enumerate(sizes):
+        groups.setdefault(size, []).append(i)
     out = []
     for (n, _), members in groups.items():
         size = max(1, _BATCH_WORDS // (n * ((n + 63) // 64)))
@@ -410,7 +427,7 @@ def _compiled_circuits(specs: Sequence[MirrorCircuitSpec], batch_rounds,
     and images are read-only slices of its batch's arrays.
     """
     out = [None] * len(specs)
-    for batch in _batches(specs):
+    for batch in _batches([(spec.n_qubits, spec.length) for spec in specs]):
         group = [specs[i] for i in batch]
         rounds = batch_rounds(batch)
         rounds.flags.writeable = False

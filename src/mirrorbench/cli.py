@@ -53,10 +53,9 @@ from .channels import (
 from .circuits import (
     CircuitCheckError,
     _is_int,
-    build_mirror_circuits,
     check_circuits,
+    compile_experiment,
     read_circuit,
-    sample_experiment,
     save_circuit,
 )
 from .plotting import Series, write_chart
@@ -222,13 +221,12 @@ def cmd_generate(n: int, lengths: list, circuits: int, seed: int, out: str) -> N
         raise ConfigError("--n must be even and >= 2")
     if any(x < 1 for x in lengths):
         raise ConfigError("--lengths must be positive")
-    specs = sample_experiment(seed, n, lengths, circuits)
     circ_dir = os.path.join(out, "circuits")
     _ensure_dir(circ_dir)
-    for circuit in build_mirror_circuits(specs):
+    for circuit in compile_experiment(seed, n, lengths, circuits):
         name = f"circuit_L{circuit.length:03d}_{circuit.circuit_id:03d}.json"
         save_circuit(circuit, os.path.join(circ_dir, name))
-    print(f"wrote {len(specs)} circuits to {circ_dir}")
+    print(f"wrote {len(lengths) * circuits} circuits to {circ_dir}")
 
 
 def _load_circuits(circuits_dir: str, backend: str):

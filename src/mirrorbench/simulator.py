@@ -18,14 +18,16 @@ Two backends share a gate-located noise model:
   succeeds iff its mask is 0, since the noiseless output is a computational
   basis state.
 - ``run_dense``: exact survival probability by propagating the PTM coordinates
-  of the state through every gate and channel, each applied as a local PTM
-  on its own qubits (up to 8 qubits).
+  of the state round by round (up to 8 qubits): a Clifford round as n local
+  4x4 PTMs, a UZZ layer as one axis permutation and n/2 local 16x16 PTMs,
+  each gate merged with the channel after it.
 
 Noise placement (``_channel``, shared by both backends): the two-qubit
 channel acts after every UZZ gate, the single-qubit channel (optional) after
 every single-qubit Clifford, and ``inverse_half_override`` replaces the
-two-qubit channel on mirrored-half UZZ gates.  The dense backend applies it
-gate by gate (``_noisy_gates``), the fault program to whole rounds.
+two-qubit channel on mirrored-half UZZ gates.  Both backends apply it to
+whole rounds: the dense backend merges each round's channels into its local
+PTMs, the fault program places its sites with ``_fault_sites``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .circuits import (
     _is_int,
     build_mirror_circuits,
 )
-from .operators import CliffordGate, SingleQubitClifford, UZZ_MATRIX
+from .operators import SingleQubitClifford, UZZ_MATRIX
 
 DATASET_FORMAT_VERSION = 1
 
@@ -170,12 +172,6 @@ def _channel(noise: NoiseModel, arity: int, mirrored: bool) -> Optional[ChannelP
     if mirrored and noise.inverse_half_override is not None:
         return noise.inverse_half_override
     return noise.two_qubit
-
-
-def _noisy_gates(circuit: CompiledCircuit, noise: NoiseModel):
-    """Yield each gate of ``circuit`` with the channel placed after it (or None)."""
-    for gate_pos, gate in enumerate(circuit.gates):
-        yield gate, _channel(noise, len(gate.qubits), gate_pos >= circuit.mirror_start)
 
 
 def kernel_pauli_probs(params: ChannelParams, k: int) -> np.ndarray:
@@ -385,23 +381,53 @@ def _local_ptm(clifford: Optional[int], params: Optional[ChannelParams],
     return out
 
 
+def _uzz_layer(state: np.ndarray, axes: list, inverse: list, ptm: np.ndarray) -> np.ndarray:
+    """``state`` after a UZZ layer merged with its channel (``ptm``, the
+    transposed 16x16 PTM).
+
+    ``axes`` lists the layer's pairs one after another, each as (a, b), and
+    ``inverse`` is its inverse permutation.  The state is transposed so that
+    each pair's axes are adjacent, then each product contracts the first
+    pair's 16-wide axis and appends it, so after n/2 of them the axes are in
+    ``axes`` order again and are transposed back.
+    """
+    n = len(axes)
+    state = state.reshape((4,) * n).transpose(axes)
+    for _ in range(n // 2):
+        state = np.dot(state.reshape(16, -1).T, ptm)
+    return state.reshape((4,) * n).transpose(inverse)
+
+
 def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
     """Exact survival probability via PTM propagation (n <= 8).
 
-    The state's PTM coordinates are kept as a ``(4,)*n`` tensor, axis q for
-    qubit q; each gate, merged with its channel, contracts its qubits' axes.
+    The state's 4^n PTM coordinates are kept with qubit 0's digit first,
+    and the circuit is applied round by round, each gate merged with the
+    channel after it.  A Clifford round is n products of the
+    ``(4^(n-1), 4)`` view with a local 4x4 PTM: each contracts the first
+    axis and appends it, so after n of them the axes are back in order.  A
+    UZZ layer is one transpose that makes each pair adjacent, n/2 products
+    on 16-wide axes and the transpose back (``_uzz_layer``).
     """
-    n = circuit.n_qubits
+    n, length = circuit.n_qubits, circuit.length
     if n > _QUBIT_LIMITS["dense"]:
         raise ValueError(f"dense backend limited to {_QUBIT_LIMITS['dense']} qubits")
-    state = computational_state_vector(n, 0).reshape((4,) * n)
-    for gate, params in _noisy_gates(circuit, noise):
-        qubits = gate.qubits
-        k = len(qubits)
-        clifford = gate.clifford.index if isinstance(gate, CliffordGate) else None
-        ptm = _local_ptm(clifford, params, k)
-        state = np.tensordot(ptm, state, axes=(range(k, 2 * k), qubits))
-        state = np.moveaxis(state, range(k), qubits)
+    layers = circuit.uzz_layers.reshape(2 * length, n)
+    inverses = np.argsort(layers, axis=1).tolist()
+    layers = layers.tolist()
+    # transposed, since each product multiplies the state's view from the right
+    clifford_ptms = [_local_ptm(c, _channel(noise, 1, False), 1).T for c in range(24)]
+    uzz_ptms = [_local_ptm(None, _channel(noise, 2, mirrored), 2).reshape(16, 16).T
+                for mirrored in (False, True)]
+    state = computational_state_vector(n, 0)
+    for r, cliffords in enumerate(circuit.rounds.tolist()):
+        mirrored = r >= length
+        if mirrored:  # the UZZ layer comes first in the mirrored half
+            state = _uzz_layer(state, layers[r], inverses[r], uzz_ptms[1])
+        for clifford in cliffords:
+            state = np.dot(state.reshape(4, -1).T, clifford_ptms[clifford])
+        if not mirrored:
+            state = _uzz_layer(state, layers[r], inverses[r], uzz_ptms[0])
     bits = 0
     for q, bit in enumerate(circuit.expected_outcome):
         bits |= bit << q

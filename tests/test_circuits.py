@@ -22,6 +22,7 @@ from mirrorbench.circuits import (
     check_circuits,
     circuit_from_json,
     circuit_to_json,
+    compile_experiment,
     load_circuit,
     mirror_circuit_spec,
     sample_experiment,
@@ -558,14 +559,26 @@ def test_build_mirror_circuits_batches_by_size():
     # a batch holds at most _BATCH_WORDS image words; every batch gives the
     # same circuits
     specs = sample_experiment(8, 4, (3, 2), 5)
-    batches = _batches(specs)
+    batches = _batches([(spec.n_qubits, spec.length) for spec in specs])
     assert batches == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
-    assert _batches(sample_experiment(8, 256, (1,), 20)) == [list(range(16)),
-                                                             list(range(16, 20))]
-    assert _batches(sample_experiment(8, 2048, (1,), 2)) == [[0], [1]]
+    assert _batches([(256, 1)] * 20) == [list(range(16)), list(range(16, 20))]
+    assert _batches([(2048, 1)] * 2) == [[0], [1]]
     whole = build_mirror_circuits(specs)
     assert [circuit_to_json(c) for c in whole] == \
         [circuit_to_json(build_mirror_circuit(spec)) for spec in specs]
+
+
+def test_compile_experiment_is_the_sampled_experiment_batch_by_batch():
+    # a repeated length joins its first appearance's group; at n = 256 the
+    # group is cut into batches of 16 and 2
+    for n, lengths, count, order in (
+            (4, (3, 2, 3), 4, [0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7]),
+            (256, (1,), 18, list(range(18)))):
+        whole = build_mirror_circuits(sample_experiment(9, n, lengths, count))
+        streamed = list(compile_experiment(9, n, lengths, count))
+        assert [c.circuit_id for c in streamed] == order
+        assert [circuit_to_json(c) for c in streamed] == \
+            [circuit_to_json(whole[i]) for i in order]
 
 
 def test_a_failing_spec_names_its_circuit_id(monkeypatch):

@@ -353,14 +353,28 @@ NON_PAULI_NOISES = (
 )
 
 
-@pytest.mark.parametrize("n_qubits", [2, 4, 6])
-@pytest.mark.parametrize("noise", NON_PAULI_NOISES)
+# (n, index into NON_PAULI_NOISES): every model up to n = 6, and at n = 8
+# the coherent and the asymmetric-axis ones, where one circuit's oracle
+# takes about 0.5 s
+ORACLE_CASES = [(n, i) for n in (2, 4, 6) for i in range(len(NON_PAULI_NOISES))] + [
+    (8, 2), (8, 3)]
+
+
+@pytest.mark.parametrize("n_qubits, noise",
+                         [(n, NON_PAULI_NOISES[i]) for n, i in ORACLE_CASES],
+                         ids=[f"noise{i}-{n}" for n, i in ORACLE_CASES])
 def test_dense_matches_density_matrix_oracle(n_qubits, noise):
-    for seed in range(3):
+    for seed in range(3 if n_qubits < 8 else 1):
         circuit = build_mirror_circuit(mirror_circuit_spec(seed, n_qubits, 2 + seed))
         expected = _density_matrix_survival(circuit, noise)
         assert expected < 0.99
         assert abs(run_dense(circuit, noise) - expected) < 1e-12
+
+
+def test_dense_reads_rounds_not_the_gate_list():
+    circuit = build_mirror_circuit(mirror_circuit_spec(5, 6, 3))
+    run_dense(circuit, NON_PAULI_NOISES[1])
+    assert "gates" not in vars(circuit)
 
 
 # ---------------------------------------------------------------------------
