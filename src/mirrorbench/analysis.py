@@ -356,21 +356,11 @@ class _SampledCliffords:
         return np.where(keeps.all(axis=0), 1 << free.sum(axis=0), 0)
 
 
-def frame_potential(n_qubits: int, length: int, samples: int,
-                    rng: Union[None, int, np.random.Generator] = None
-                    ) -> FramePotentialEstimate:
-    """Estimate Phi_2 of the L-layer ensemble; 2 marks a unitary 2-design.
-
-    ``length == 0`` is the trivial ensemble {identity} with Phi_2 = d^4
-    exactly.  Limited to n <= ``FRAME_POTENTIAL_QUBIT_LIMIT``.
-    """
-    return frame_potential_profile(n_qubits, (length,), samples, rng)[0]
-
-
 def frame_potential_profile(n_qubits: int, lengths: Sequence[int], samples: int,
                             rng: Union[None, int, np.random.Generator] = None
                             ) -> list:
-    """Estimate Phi_2 at several lengths from common sample paths.
+    """Estimate Phi_2 (2 marks a unitary 2-design) at several lengths from
+    common sample paths; length 0, the identity alone, gives d^4 exactly.
 
     One set of circuits of depth max(lengths) is sampled; each requested
     length is evaluated on the corresponding prefix.  Sharing paths gives

@@ -470,15 +470,11 @@ def build_mirror_circuits(specs: Sequence[MirrorCircuitSpec]) -> list:
                                f"is wrong: {exc}") from None
 
 
-def build_mirror_circuit(spec: MirrorCircuitSpec) -> CompiledCircuit:
-    """Compile one spec: ``build_mirror_circuits`` on a batch of one."""
-    return build_mirror_circuits([spec])[0]
-
-
 def check_circuits(parsed: Sequence[tuple]) -> list:
     """The compiled circuits of ``(spec, rounds, stored outcome)`` triples
     (``read_circuit``), in input order, checked one batch per (n, L) as in
-    ``_compiled_circuits``.
+    ``_compiled_circuits``.  Stored rounds are checked, not recompiled, so
+    datasets stay reproducible even if the compiler changes.
 
     Raises CircuitCheckError, whose ``index`` is the position of a failing
     triple.
@@ -486,12 +482,6 @@ def check_circuits(parsed: Sequence[tuple]) -> list:
     return _compiled_circuits([spec for spec, _, _ in parsed],
                               lambda batch: np.stack([parsed[i][1] for i in batch]),
                               [outcome for _, _, outcome in parsed])
-
-
-def _checked_circuit(spec: MirrorCircuitSpec, rounds: np.ndarray,
-                     stored: tuple) -> CompiledCircuit:
-    """The compiled circuit of ``rounds``, checked as a batch of one."""
-    return check_circuits([(spec, rounds, stored)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -651,19 +641,6 @@ def _parsed_circuit(data) -> tuple:
     return spec, rounds, stored
 
 
-def circuit_from_json(data) -> CompiledCircuit:
-    """Rebuild a compiled circuit from its stored rounds (schema 1 or 2).
-
-    The rounds are not recompiled from the spec, so datasets stay
-    reproducible even if the compiler changes.  They are checked instead,
-    as a batch of one (``check_circuits``): rounds that do not map each Z_q
-    to +/-Z_q, or whose outcome differs from the stored ``expected_outcome``
-    or from the final Pauli, raise ValueError, as does any field that
-    ``_parsed_circuit`` rejects.
-    """
-    return _checked_circuit(*_parsed_circuit(data))
-
-
 def save_circuit(circuit: CompiledCircuit, path) -> None:
     # json.dumps, unlike json.dump, encodes in C when there is no indent
     text = json.dumps(circuit_to_json(circuit), separators=(",", ":"), sort_keys=True)
@@ -676,11 +653,6 @@ def read_circuit(path) -> tuple:
     checked: pass a list of them to ``check_circuits``."""
     with open(path) as fh:
         return _parsed_circuit(json.load(fh))
-
-
-def load_circuit(path) -> CompiledCircuit:
-    with open(path) as fh:
-        return circuit_from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ Exit codes: 0 success, 2 configuration error (bad arguments, a count below
 its least value in ``_MINIMA`` such as a negative seed or no jobs, a
 manifest param that is missing, of the wrong JSON type or not one of its
 choices, malformed noise spec, missing inputs, incompatible backend, a
-circuit file that fails its mirror check, a dataset row with impossible
-counts), 3 runtime failure (unwritable output, internal error).
+circuit file that fails its mirror check, a dataset with impossible rows
+or under two lengths), 3 runtime failure (unwritable output, internal error).
 
 Noise specs: ``none``, ``depolarizing:<p>``, ``pauli:<pX>,<pY>,<pZ>``,
 ``amp_damp:<gamma>``; append ``@inverse=<spec>`` to override the channel
@@ -229,7 +229,7 @@ def cmd_generate(n: int, lengths: list, circuits: int, seed: int, out: str) -> N
     print(f"wrote {len(lengths) * circuits} circuits to {circ_dir}")
 
 
-def _load_circuits(circuits_dir: str, backend: str):
+def _circuits_from_dir(circuits_dir: str, backend: str):
     """Load circuit JSON files from a directory (or its circuits/ child).
 
     Each file is parsed on its own, stopping at the first file wider than
@@ -273,7 +273,7 @@ def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,
         raise ConfigError(
             "stabilizer backend requires stochastic Pauli channels; "
             "use --backend dense for amplitude-damping noise")
-    loaded = _load_circuits(circuits, backend)
+    loaded = _circuits_from_dir(circuits, backend)
     _ensure_dir(out)
     dataset = simulate_survival(loaded, model, shots, rng=seed, jobs=jobs,
                                 backend=backend)
@@ -316,6 +316,8 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 
 def cmd_fit(data: str, resamples: int, seed: int, out: str) -> None:
     dataset = _load_dataset(data)
+    if len(dataset.lengths()) < 2:
+        raise ConfigError(f"dataset {data} needs at least two distinct lengths to fit")
     fit = fit_decay(dataset, resamples=resamples or None, rng=seed)
     _ensure_dir(out)
     with open(os.path.join(out, "fit.json"), "w", encoding="utf-8") as fh:

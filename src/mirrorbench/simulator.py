@@ -124,15 +124,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    """Outcome counts for one circuit."""
-
-    circuit_id: int
-    shots: int
-    successes: int
-
-
-@dataclass(frozen=True)
 class DatasetEntry:
     """One dataset row: counts for one circuit at one length."""
 
@@ -151,6 +142,8 @@ class DecayDataset:
     entries: tuple
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError(f"dataset n must be >= 1, got {self.n_qubits}")
         object.__setattr__(self, "entries", tuple(self.entries))
 
     def lengths(self) -> tuple:
@@ -347,8 +340,9 @@ def propagate_faults(program: FaultProgram, shots: np.ndarray, sites: np.ndarray
 
 
 def run_stabilizer(circuit: CompiledCircuit, noise: NoiseModel, shots: int,
-                   rng: np.random.Generator) -> ShotRecord:
-    """Monte Carlo survival counts under stochastic Pauli noise."""
+                   rng: np.random.Generator) -> int:
+    """How many of ``shots`` Monte Carlo shots survive under stochastic Pauli
+    noise."""
     if not noise.stabilizer_compatible():
         raise ValueError(
             "stabilizer backend requires stochastic Pauli channels; "
@@ -358,13 +352,11 @@ def run_stabilizer(circuit: CompiledCircuit, noise: NoiseModel, shots: int,
         raise ValueError("shots must be >= 1")
     program = compile_fault_program(circuit, noise)
     successes = 0
-    done = 0
-    while done < shots:
+    for done in range(0, shots, _SHOT_BLOCK):
         block = min(_SHOT_BLOCK, shots - done)
         flips = propagate_faults(program, *_draw_faults(program, block, rng), block)
         successes += int(np.count_nonzero(flips == 0))
-        done += block
-    return ShotRecord(circuit.circuit_id, shots, successes)
+    return successes
 
 
 @lru_cache(maxsize=None)
@@ -457,8 +449,7 @@ def _run_one(args):
     circuit, noise, shots, child_seed, backend = args
     rng = np.random.default_rng(np.random.SeedSequence(child_seed))
     if backend == "stabilizer":
-        record = run_stabilizer(circuit, noise, shots, rng)
-        successes = record.successes
+        successes = run_stabilizer(circuit, noise, shots, rng)
     elif backend == "dense":
         successes = int(rng.binomial(shots, run_dense(circuit, noise)))
     else:
@@ -508,14 +499,13 @@ _CSV_COLUMNS = ("n", "L", "circuit_id", "shots", "successes", "seed")
 
 
 def _read_entry(length, circuit_id, shots, successes, seed) -> DatasetEntry:
-    """One dataset row from a file, rejecting counts no experiment gives."""
+    """One dataset row from a file, rejecting rows no experiment gives."""
     entry = DatasetEntry(int(length), int(circuit_id), int(shots), int(successes),
                          int(seed))
-    if entry.shots < 1 or not 0 <= entry.successes <= entry.shots:
+    if entry.length < 1 or entry.shots < 1 or not 0 <= entry.successes <= entry.shots:
         raise ValueError(
-            f"dataset row needs shots >= 1 and 0 <= successes <= shots, "
-            f"got shots={entry.shots} successes={entry.successes}"
-        )
+            f"dataset row needs L >= 1, shots >= 1 and 0 <= successes <= shots, got "
+            f"L={entry.length} shots={entry.shots} successes={entry.successes}")
     return entry
 
 

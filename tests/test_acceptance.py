@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 
 from mirrorbench.analysis import (
     fit_decay,
-    frame_potential,
     frame_potential_profile,
     scatter_experiment,
     survival_points,
@@ -37,7 +36,7 @@ from mirrorbench.channels import (
     SuperOp,
 )
 from mirrorbench.circuits import (
-    build_mirror_circuit,
+    build_mirror_circuits,
     mirror_circuit_spec,
     sample_experiment,
 )
@@ -127,7 +126,7 @@ def test_criterion_3_fidelity_bounds():
 
 
 def test_criterion_4_frame_potential():
-    est = frame_potential(4, 16, 10000, rng=np.random.default_rng(5))
+    [est] = frame_potential_profile(4, (16,), 10000, rng=np.random.default_rng(5))
     conv_ok = abs(est.phi2 - 2.0) <= 3.0 * est.std_error
     medians = {}
     for n, reps in sorted(FP_MEDIAN_REPS.items()):
@@ -163,13 +162,13 @@ def test_criterion_6_backend_equivalence():
     excursions = 0
     worst = 0.0
     for i in range(20):
-        circuit = build_mirror_circuit(
+        [circuit] = build_mirror_circuits([
             mirror_circuit_spec(seed=600 + i, n_qubits=2, length=2 + 2 * (i % 4))
-        )
+        ])
         p_exact = run_dense(circuit, noise)
-        record = run_stabilizer(circuit, noise, shots, np.random.default_rng((6, i)))
+        successes = run_stabilizer(circuit, noise, shots, np.random.default_rng((6, i)))
         sigma = max(np.sqrt(p_exact * (1.0 - p_exact) * shots), 1.0)
-        z = abs(record.successes - p_exact * shots) / sigma
+        z = abs(successes - p_exact * shots) / sigma
         worst = max(worst, z)
         if z > 5.0:
             excursions += 1
@@ -179,9 +178,9 @@ def test_criterion_6_backend_equivalence():
 
 
 def test_criterion_7_degenerate_limits():
-    circuits = [build_mirror_circuit(mirror_circuit_spec(seed=700 + i, n_qubits=2,
-                                                         length=ell))
-                for i, ell in enumerate((2, 6, 10))]
+    circuits = build_mirror_circuits([mirror_circuit_spec(seed=700 + i, n_qubits=2,
+                                                          length=ell)
+                                      for i, ell in enumerate((2, 6, 10))])
     clean = simulate_survival(circuits, NoiseModel(), shots=2000, rng=70)
     clean_ok = all(e.successes == e.shots for e in clean.entries)
     full = NoiseModel(two_qubit=Depolarizing(1.0))

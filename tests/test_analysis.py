@@ -15,7 +15,6 @@ from mirrorbench.analysis import (
     _resample_points,
     bootstrap_ci,
     fit_decay,
-    frame_potential,
     frame_potential_profile,
     scatter_experiment,
     survival_points,
@@ -334,7 +333,7 @@ def test_frame_potential_profile_equals_dense_oracle(n_qubits, samples, seed):
 
 
 def test_frame_potential_zero_length_exact():
-    est = frame_potential(4, 0, 128)
+    [est] = frame_potential_profile(4, (0,), 128)
     assert est.phi2 == float(2 ** 16)
     assert est.std_error == 0.0
 
@@ -348,37 +347,44 @@ def test_frame_potential_single_layer_two_qubits_matches_enumeration():
             u = UZZ_MATRIX @ np.kron(CLIFFORD_UNITARIES[i], CLIFFORD_UNITARIES[j])
             total += abs(np.trace(u)) ** 4
     exact = total / 24 ** 2
-    est = frame_potential(2, 1, 20000, rng=3)
+    [est] = frame_potential_profile(2, (1,), 20000, rng=3)
     assert abs(est.phi2 - exact) <= 3.0 * est.std_error
     assert est.std_error > 0
 
 
 def test_frame_potential_validation():
     with pytest.raises(ValueError):
-        frame_potential(3, 2, 100)
+        frame_potential_profile(3, (2,), 100)
     with pytest.raises(ValueError):
-        frame_potential(10, 2, 100)
+        frame_potential_profile(10, (2,), 100)
     with pytest.raises(ValueError):
-        frame_potential(2, 2, 1)
+        frame_potential_profile(2, (2,), 1)
 
 
 def test_frame_potential_profile_matches_single_runs_statistically():
     profile = frame_potential_profile(2, (1, 2), 20000, rng=11)
     assert [e.length for e in profile] == [1, 2]
-    single = frame_potential(2, 2, 20000, rng=12)
+    [single] = frame_potential_profile(2, (2,), 20000, rng=12)
     joint_se = math.hypot(profile[1].std_error, single.std_error)
     assert abs(profile[1].phi2 - single.phi2) <= 4 * joint_se
 
 
 def test_frame_potential_deterministic_for_seed():
-    a = frame_potential(2, 3, 4000, rng=21)
-    b = frame_potential(2, 3, 4000, rng=21)
+    [a] = frame_potential_profile(2, (3,), 4000, rng=21)
+    [b] = frame_potential_profile(2, (3,), 4000, rng=21)
     assert a == b
 
 
 # ---------------------------------------------------------------------------
 # Scatter studies and estimator calibration
 # ---------------------------------------------------------------------------
+
+
+def test_scatter_experiment_is_independent_of_jobs():
+    # with jobs > 1 each experiment simulates in its own process pool
+    design = dict(lengths=(2, 4), circuits_per_length=2, shots=20)
+    assert scatter_experiment(2, 2, 0.05, rng=4, jobs=2, **design) == \
+        scatter_experiment(2, 2, 0.05, rng=4, jobs=1, **design)
 
 
 def test_scatter_experiment_points_and_determinism():

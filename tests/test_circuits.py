@@ -14,17 +14,15 @@ from mirrorbench.circuits import (
     CompiledCircuit,
     MirrorCircuitSpec,
     _batches,
-    _checked_circuit,
+    _parsed_circuit,
     _uzz_layers,
     _z_pass,
-    build_mirror_circuit,
     build_mirror_circuits,
     check_circuits,
-    circuit_from_json,
     circuit_to_json,
     compile_experiment,
-    load_circuit,
     mirror_circuit_spec,
+    read_circuit,
     sample_experiment,
     sample_matchings,
     save_circuit,
@@ -151,7 +149,7 @@ def test_spec_validation():
 
 def test_compiled_gate_counts():
     for seed, n, length in ((0, 2, 1), (1, 4, 3), (2, 6, 4)):
-        circuit = build_mirror_circuit(mirror_circuit_spec(seed, n, length))
+        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n, length)])
         sq = [g for g in circuit.gates if isinstance(g, CliffordGate)]
         uzz = [g for g in circuit.gates if isinstance(g, NativeGate)]
         assert len(sq) == 2 * length * n
@@ -161,7 +159,7 @@ def test_compiled_gate_counts():
 
 
 def test_one_clifford_per_qubit_per_round():
-    circuit = build_mirror_circuit(mirror_circuit_spec(5, 4, 3))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(5, 4, 3)])
     rounds = []
     current = {}
     for g in circuit.gates:
@@ -190,20 +188,20 @@ def _success_probability(circuit: CompiledCircuit) -> float:
 
 
 def test_noiseless_compiled_circuit_is_deterministic():
-    for seed in range(6):
-        circuit = build_mirror_circuit(mirror_circuit_spec(seed, 2, int(1 + seed % 4)))
+    specs = [mirror_circuit_spec(seed, 2, 1 + seed % 4) for seed in range(6)]
+    for circuit in build_mirror_circuits(specs):
         assert abs(_success_probability(circuit) - 1.0) < 1e-9
 
 
 def test_noiseless_compiled_circuit_four_qubits():
-    circuit = build_mirror_circuit(mirror_circuit_spec(42, 4, 3))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(42, 4, 3)])
     assert abs(_success_probability(circuit) - 1.0) < 1e-9
 
 
 def test_compiled_unitary_equals_pauli_times_mirror_identity():
     # the executed circuit acts as a Pauli operator: all basis states map to
     # definite basis states with unit probability
-    circuit = build_mirror_circuit(mirror_circuit_spec(9, 2, 2))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(9, 2, 2)])
     u = compiled_unitary(circuit)
     amp = np.abs(u) ** 2
     assert np.allclose(np.max(amp, axis=0), 1.0, atol=1e-9)
@@ -215,7 +213,7 @@ def test_compiled_unitary_equals_pauli_times_mirror_identity():
 def test_compiled_circuit_equals_its_final_pauli(seed, n, length):
     # the whole executed gate list, Paulis folded in, is the final Pauli
     spec = mirror_circuit_spec(seed, n, length)
-    u = compiled_unitary(build_mirror_circuit(spec))
+    u = compiled_unitary(build_mirror_circuits([spec])[0])
     ref = pauli_matrix_from_label("".join("IXYZ"[c] for c in spec.paulis[-1]))
     phase = np.vdot(ref, u) / 2 ** n
     assert abs(abs(phase) - 1) < 1e-9
@@ -234,9 +232,9 @@ def test_forward_half_unitary_shape():
 
 
 def test_json_round_trip():
-    circuit = build_mirror_circuit(mirror_circuit_spec(11, 4, 2))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(11, 4, 2)])
     data = circuit_to_json(circuit)
-    loaded = circuit_from_json(json.loads(json.dumps(data)))
+    [loaded] = check_circuits([_parsed_circuit(json.loads(json.dumps(data)))])
     assert loaded.n_qubits == circuit.n_qubits
     assert loaded.length == circuit.length
     assert loaded.gates == circuit.gates
@@ -246,11 +244,11 @@ def test_json_round_trip():
 
 
 def test_json_rejects_wrong_version():
-    circuit = build_mirror_circuit(mirror_circuit_spec(1, 2, 1))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(1, 2, 1)])
     data = circuit_to_json(circuit)
     data["version"] = 99
     with pytest.raises(ValueError):
-        circuit_from_json(data)
+        check_circuits([_parsed_circuit(data)])
 
 
 # Each edit takes a version-1 or a version-2 circuit dict.
@@ -300,27 +298,27 @@ _EDITS = [_edit_clifford_index, _edit_expected_outcome, _edit_final_pauli,
 
 @pytest.mark.parametrize("edit", _EDITS)
 def test_json_rejects_edited_circuit(edit):
-    data = circuit_to_json(build_mirror_circuit(mirror_circuit_spec(11, 4, 2)))
-    circuit_from_json(json.loads(json.dumps(data)))
+    data = circuit_to_json(build_mirror_circuits([mirror_circuit_spec(11, 4, 2)])[0])
+    check_circuits([_parsed_circuit(json.loads(json.dumps(data)))])
     edit(data)
     with pytest.raises(ValueError):
-        circuit_from_json(data)
+        check_circuits([_parsed_circuit(data)])
 
 
 @pytest.mark.parametrize("edit", _EDITS)
 def test_json_rejects_edited_version_1_circuit(edit):
-    data = circuit_to_v1_json(build_mirror_circuit(mirror_circuit_spec(11, 4, 2)))
-    circuit_from_json(json.loads(json.dumps(data)))
+    data = circuit_to_v1_json(build_mirror_circuits([mirror_circuit_spec(11, 4, 2)])[0])
+    check_circuits([_parsed_circuit(json.loads(json.dumps(data)))])
     edit(data)
     with pytest.raises(ValueError):
-        circuit_from_json(data)
+        check_circuits([_parsed_circuit(data)])
 
 
 def test_save_and_load_circuit(tmp_path):
-    circuit = build_mirror_circuit(mirror_circuit_spec(17, 2, 2))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(17, 2, 2)])
     path = tmp_path / "circ.json"
     save_circuit(circuit, path)
-    loaded = load_circuit(path)
+    [loaded] = check_circuits([read_circuit(path)])
     assert loaded.gates == circuit.gates
     # file is stable on disk
     save_circuit(circuit, tmp_path / "again.json")
@@ -328,16 +326,17 @@ def test_save_and_load_circuit(tmp_path):
 
 
 def test_indented_version_1_file_still_loads(tmp_path):
-    circuit = build_mirror_circuit(mirror_circuit_spec(17, 4, 3))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(17, 4, 3)])
     path = tmp_path / "indented.json"
     with open(path, "w") as fh:  # the layout files were written in before
         json.dump(circuit_to_v1_json(circuit), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    loaded = load_circuit(path)
+    [loaded] = check_circuits([read_circuit(path)])
     assert circuit_to_json(loaded) == circuit_to_json(circuit)
     save_circuit(circuit, tmp_path / "compact.json")
     assert "\n" not in (tmp_path / "compact.json").read_text().rstrip("\n")
-    assert circuit_to_json(load_circuit(tmp_path / "compact.json")) == circuit_to_json(circuit)
+    [compact] = check_circuits([read_circuit(tmp_path / "compact.json")])
+    assert circuit_to_json(compact) == circuit_to_json(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ def _unitary_from_qasm(text: str, n: int) -> np.ndarray:
 
 
 def test_qasm_reproduces_compiled_unitary_exactly():
-    circuit = build_mirror_circuit(mirror_circuit_spec(23, 2, 2))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(23, 2, 2)])
     text = to_qasm(circuit)
     assert text.startswith("OPENQASM 2.0;")
     assert "measure q -> c;" in text
@@ -404,7 +403,7 @@ def test_qasm_reproduces_compiled_unitary_exactly():
 
 
 def test_qasm_four_qubits():
-    circuit = build_mirror_circuit(mirror_circuit_spec(29, 4, 1))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(29, 4, 1)])
     rebuilt = _unitary_from_qasm(to_qasm(circuit), 4)
     np.testing.assert_allclose(rebuilt, compiled_unitary(circuit), atol=1e-10)
 
@@ -464,7 +463,7 @@ def _check_z_pass_against_reference(rounds, matchings, n, length):
             spec = mirror_circuit_spec(0, n, length)
             spec = MirrorCircuitSpec(n, length, spec.cliffords, matchings[c], spec.paulis, 0)
             with pytest.raises(ValueError, match=r"each Z_q to \+/-Z_q"):
-                _checked_circuit(spec, rounds[c], (0,) * n)
+                check_circuits([(spec, rounds[c], (0,) * n)])
             continue
         assert tuple(outcome[c].tolist()) == expected
         if x_images is not None:
@@ -480,7 +479,7 @@ def _check_z_pass_against_reference(rounds, matchings, n, length):
            st.tuples(st.integers(0, 10 ** 6), st.integers(0, 23)), max_size=2))
 def test_z_pass_matches_the_per_gate_reference(seed, n, length, edits):
     spec = mirror_circuit_spec(seed, n, length)
-    rounds = build_mirror_circuit(spec).rounds.copy()
+    rounds = build_mirror_circuits([spec])[0].rounds.copy()
     for position, index in edits:  # mostly no longer a mirror
         rounds.flat[position % rounds.size] = index
     [mirror] = _check_z_pass_against_reference(rounds[None], spec.matchings[None], n, length)
@@ -518,7 +517,7 @@ def test_edited_rounds_fail_only_their_own_circuit_of_a_batch(seed, n, length, c
 
 def test_compiled_images_are_the_z_pass():
     for n in (64, 66):  # up to 64 qubits the images are kept, as one word
-        circuit = build_mirror_circuit(mirror_circuit_spec(3, n, 2))
+        [circuit] = build_mirror_circuits([mirror_circuit_spec(3, n, 2)])
         if n == 64:
             assert circuit.x_images.shape == circuit.z_images.shape == (4, 2, 64)
         else:
@@ -535,7 +534,7 @@ def test_build_mirror_circuits_equals_each_circuit_built_alone():
     batched = build_mirror_circuits(specs)
     assert [circuit.circuit_id for circuit in batched] == list(range(len(specs)))
     for spec, circuit in zip(specs, batched):
-        alone = build_mirror_circuit(spec)
+        [alone] = build_mirror_circuits([spec])
         assert circuit.spec is spec
         np.testing.assert_array_equal(circuit.rounds, alone.rounds)
         assert not circuit.rounds.flags.writeable
@@ -565,7 +564,7 @@ def test_build_mirror_circuits_batches_by_size():
     assert _batches([(2048, 1)] * 2) == [[0], [1]]
     whole = build_mirror_circuits(specs)
     assert [circuit_to_json(c) for c in whole] == \
-        [circuit_to_json(build_mirror_circuit(spec)) for spec in specs]
+        [circuit_to_json(build_mirror_circuits([spec])[0]) for spec in specs]
 
 
 def test_compile_experiment_is_the_sampled_experiment_batch_by_batch():
@@ -635,7 +634,8 @@ def _integer_slots(data):
 def test_single_integer_edit_is_rejected_or_still_correct(seed, n, length, data):
     # any one integer of a version-2 file changed: the load either fails, or
     # gives a circuit that sends |0...0> to its stored outcome for certain
-    original = circuit_to_json(build_mirror_circuit(mirror_circuit_spec(seed, n, length)))
+    [compiled] = build_mirror_circuits([mirror_circuit_spec(seed, n, length)])
+    original = circuit_to_json(compiled)
     key, i = data.draw(st.sampled_from(_integer_slots(original)))
     value = data.draw(st.one_of(st.integers(-2, 30), st.integers()))
     edited = json.loads(json.dumps(original))
@@ -644,7 +644,7 @@ def test_single_integer_edit_is_rejected_or_still_correct(seed, n, length, data)
     else:
         edited[key][i] = value
     try:
-        circuit = circuit_from_json(edited)
+        [circuit] = check_circuits([_parsed_circuit(edited)])
     except ValueError:
         return
     assert abs(_outcome_probability(circuit) - 1.0) < 1e-9
@@ -653,12 +653,12 @@ def test_single_integer_edit_is_rejected_or_still_correct(seed, n, length, data)
 def test_diagonal_cliffords_pass_the_check_at_gate_0():
     # the check proves U maps each Z_q to +/-Z_q, not that U is a Pauli: a
     # diagonal Clifford ahead of gate 0 fixes Z_0, so 4 of the 24 indices load
-    data = circuit_to_json(build_mirror_circuit(mirror_circuit_spec(11, 4, 2)))
+    data = circuit_to_json(build_mirror_circuits([mirror_circuit_spec(11, 4, 2)])[0])
     loaded = []
     for index in range(24):
         data["rounds"][0] = index
         try:
-            loaded.append(circuit_from_json(data))
+            loaded.extend(check_circuits([_parsed_circuit(data)]))
         except ValueError:
             continue
     assert len(loaded) == 4

@@ -277,11 +277,11 @@ def test_version_1_circuits_reproduce_their_dataset(tmp_path):
 
 
 def test_more_than_64_qubits_generate_and_load(tmp_path, capsys):
-    from mirrorbench.circuits import circuit_to_json, load_circuit
+    from mirrorbench.circuits import check_circuits, circuit_to_json, read_circuit
     gen = _generate(tmp_path, n="66", lengths="1,2", circuits="1")
     paths = sorted((gen / "circuits").glob("*.json"))
-    for path in paths:
-        assert circuit_to_json(load_circuit(path)) == json.loads(path.read_text())
+    for path, circuit in zip(paths, check_circuits([read_circuit(p) for p in paths])):
+        assert circuit_to_json(circuit) == json.loads(path.read_text())
     paths[-1].write_text("{")  # never read: loading stops at the first wide file
     code, _ = _run(tmp_path, gen, noise="none", backend="stabilizer")
     assert code == 2  # the stabilizer backend holds n <= 64
@@ -545,15 +545,30 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("shots,successes", [(0, 0), (10, 20), (10, -1)])
-def test_fit_rejects_impossible_counts_exits_2(tmp_path, shots, successes):
-    data = tmp_path / "dataset.csv"
-    data.write_text("n,L,circuit_id,shots,successes,seed\n"
-                    "2,2,0,100,80,0\n"
-                    f"2,4,1,{shots},{successes},0\n")
-    code = run_cli("fit", "--data", str(data), "--resamples", "0",
-                   "--out", str(tmp_path / "fit"))
-    assert code == 2
+@pytest.mark.parametrize("rows", [
+    ["2,2,0,100,80,0", "2,4,1,0,0,0"],
+    ["2,2,0,100,80,0", "2,4,1,10,20,0"],
+    ["2,2,0,100,80,0", "2,4,1,10,-1,0"],
+    ["2,2,0,100,80,0", "2,0,1,100,80,0", "2,-2,2,100,80,0"],
+    ["-2,2,0,100,80,0", "-2,4,1,100,60,0"],
+    ["2,4,0,100,80,0", "2,4,1,100,60,0"],
+], ids=["0-0", "10-20", "10--1", "L-below-1", "n-below-1", "one-length"])
+def test_fit_rejects_impossible_counts_exits_2(tmp_path, rows):
+    # rows of n, L, circuit_id, shots, successes, seed: in CSV and in JSON,
+    # fit exits 2 before it writes anything
+    columns = ("n", "L", "circuit_id", "shots", "successes", "seed")
+    values = [[int(v) for v in row.split(",")] for row in rows]
+    csv_data = tmp_path / "dataset.csv"
+    csv_data.write_text("\n".join([",".join(columns)] + rows) + "\n")
+    json_data = tmp_path / "dataset.json"
+    json_data.write_text(json.dumps({
+        "version": 1, "n": values[0][0],
+        "entries": [dict(zip(columns[1:], row[1:])) for row in values]}))
+    for data in (csv_data, json_data):
+        out = tmp_path / f"fit_{data.suffix[1:]}"
+        code = run_cli("fit", "--data", str(data), "--resamples", "0", "--out", str(out))
+        assert code == 2
+        assert not out.exists()
 
 
 @settings(max_examples=25, deadline=None)

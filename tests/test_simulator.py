@@ -15,7 +15,7 @@ from mirrorbench.channels import (
     UnitaryError,
     stochastic_pauli_tensor,
 )
-from mirrorbench.circuits import build_mirror_circuit, mirror_circuit_spec
+from mirrorbench.circuits import build_mirror_circuits, mirror_circuit_spec
 from mirrorbench.operators import CliffordGate, SingleQubitClifford
 from mirrorbench.simulator import (
     DatasetEntry,
@@ -138,7 +138,8 @@ def _oracle_flips(circuit, noise, uniforms):
 
 @pytest.mark.parametrize("n_qubits,length", [(2, 3), (4, 4), (10, 6), (64, 4)])
 def test_propagate_faults_matches_frame_oracle(n_qubits, length):
-    circuit = build_mirror_circuit(mirror_circuit_spec(3 + n_qubits, n_qubits, length))
+    spec = mirror_circuit_spec(3 + n_qubits, n_qubits, length)
+    [circuit] = build_mirror_circuits([spec])
     noise = NoiseModel(two_qubit=PAULI_2Q, single_qubit=PAULI_1Q,
                        inverse_half_override=Depolarizing(0.2))
     program = compile_fault_program(circuit, noise)
@@ -191,7 +192,7 @@ MASK_NOISES = (
 @pytest.mark.parametrize("noise", MASK_NOISES)
 def test_round_wise_masks_equal_the_per_gate_reference(n_qubits, noise):
     for seed, length in ((n_qubits, 1), (n_qubits + 1, 3), (n_qubits + 2, 6)):
-        circuit = build_mirror_circuit(mirror_circuit_spec(seed, n_qubits, length))
+        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, length)])
         program = compile_fault_program(circuit, noise)
         masks, class_sites = _reference_fault_program(circuit, noise)
         np.testing.assert_array_equal(program.masks, masks)
@@ -236,7 +237,7 @@ ORACLE_NOISES = (
 @pytest.mark.parametrize("noise", ORACLE_NOISES)
 def test_exact_survival_oracle_matches_dense(n_qubits, noise):
     for seed in range(3):
-        circuit = build_mirror_circuit(mirror_circuit_spec(seed, n_qubits, 2 + seed))
+        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, 2 + seed)])
         exact = _exact_survival(compile_fault_program(circuit, noise), n_qubits)
         assert abs(exact - run_dense(circuit, noise)) < 1e-9
 
@@ -250,9 +251,9 @@ def test_sparse_sampler_matches_exact_survival(n_qubits, length, shots):
     rng = np.random.default_rng(60 + n_qubits)
     excursions = 0
     for seed in range(20):
-        circuit = build_mirror_circuit(mirror_circuit_spec(seed, n_qubits, length))
+        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, length)])
         exact = _exact_survival(compile_fault_program(circuit, noise), n_qubits)
-        rate = run_stabilizer(circuit, noise, shots, rng).successes / shots
+        rate = run_stabilizer(circuit, noise, shots, rng) / shots
         excursions += abs(rate - exact) > 5 * _binomial_sigma(exact, shots)
     assert excursions <= 1
 
@@ -261,23 +262,23 @@ def test_identity_probability_below_zero_is_clamped():
     # the three probabilities sum to 1 + 5e-10, within StochasticPauli's tolerance
     noise = NoiseModel(single_qubit=StochasticPauli((0.5, 0.25, 0.2500000005)),
                        two_qubit=Depolarizing(0.05))
-    circuit = build_mirror_circuit(mirror_circuit_spec(3, 2, 3))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(3, 2, 3)])
     program = compile_fault_program(circuit, noise)
     assert max(cls.q for cls in program.classes) == 1.0
     shots = 20000
     exact = run_dense(circuit, noise)
-    rate = run_stabilizer(circuit, noise, shots, np.random.default_rng(4)).successes / shots
+    rate = run_stabilizer(circuit, noise, shots, np.random.default_rng(4)) / shots
     assert abs(rate - exact) < 5 * _binomial_sigma(exact, shots)
 
 
 def test_noiseless_class_draws_nothing():
-    circuit = build_mirror_circuit(mirror_circuit_spec(6, 4, 3))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(6, 4, 3)])
     noise = NoiseModel(two_qubit=Depolarizing(0.0))  # as `@inverse=none` on both halves
     program = compile_fault_program(circuit, noise)
     assert [cls.q for cls in program.classes] == [0.0]
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    assert run_stabilizer(circuit, noise, 20000, rng).successes == 20000
+    assert run_stabilizer(circuit, noise, 20000, rng) == 20000
     assert rng.bit_generator.state == before
 
 
@@ -365,14 +366,14 @@ ORACLE_CASES = [(n, i) for n in (2, 4, 6) for i in range(len(NON_PAULI_NOISES))]
                          ids=[f"noise{i}-{n}" for n, i in ORACLE_CASES])
 def test_dense_matches_density_matrix_oracle(n_qubits, noise):
     for seed in range(3 if n_qubits < 8 else 1):
-        circuit = build_mirror_circuit(mirror_circuit_spec(seed, n_qubits, 2 + seed))
+        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, 2 + seed)])
         expected = _density_matrix_survival(circuit, noise)
         assert expected < 0.99
         assert abs(run_dense(circuit, noise) - expected) < 1e-12
 
 
 def test_dense_reads_rounds_not_the_gate_list():
-    circuit = build_mirror_circuit(mirror_circuit_spec(5, 6, 3))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(5, 6, 3)])
     run_dense(circuit, NON_PAULI_NOISES[1])
     assert "gates" not in vars(circuit)
 
@@ -387,16 +388,15 @@ def test_stabilizer_matches_dense_probability():
     noise = NoiseModel(two_qubit=PAULI_2Q, single_qubit=PAULI_1Q)
     rng = np.random.default_rng(11)
     for seed in (0, 1, 2):
-        circuit = build_mirror_circuit(mirror_circuit_spec(seed, 2, 3))
+        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, 2, 3)])
         exact = run_dense(circuit, noise)
-        record = run_stabilizer(circuit, noise, shots, rng)
-        rate = record.successes / shots
+        rate = run_stabilizer(circuit, noise, shots, rng) / shots
         assert abs(rate - exact) < 5 * _binomial_sigma(exact, shots)
 
 
 def test_inverse_half_override_changes_rates():
     spec = mirror_circuit_spec(5, 2, 4)
-    circuit = build_mirror_circuit(spec)
+    [circuit] = build_mirror_circuits([spec])
     noisy = NoiseModel(two_qubit=Depolarizing(0.3))
     clean_half = NoiseModel(two_qubit=Depolarizing(0.3),
                             inverse_half_override=Depolarizing(0.0))
@@ -406,31 +406,30 @@ def test_inverse_half_override_changes_rates():
 
 
 def test_zero_noise_always_succeeds():
-    circuit = build_mirror_circuit(mirror_circuit_spec(8, 4, 3))
-    record = run_stabilizer(circuit, NoiseModel(), 2000, np.random.default_rng(0))
-    assert record.successes == 2000
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(8, 4, 3)])
+    successes = run_stabilizer(circuit, NoiseModel(), 2000, np.random.default_rng(0))
+    assert type(successes) is int and successes == 2000
     assert abs(run_dense(circuit, NoiseModel()) - 1.0) < 1e-12
 
 
 def test_fully_depolarizing_hits_baseline():
     noise = NoiseModel(two_qubit=Depolarizing(1.0))
-    circuit = build_mirror_circuit(mirror_circuit_spec(21, 2, 4))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(21, 2, 4)])
     assert abs(run_dense(circuit, noise) - 0.25) < 1e-12
     shots = 20000
-    record = run_stabilizer(circuit, noise, shots, np.random.default_rng(1))
-    rate = record.successes / shots
+    rate = run_stabilizer(circuit, noise, shots, np.random.default_rng(1)) / shots
     assert abs(rate - 0.25) < 5 * _binomial_sigma(0.25, shots)
 
 
 def test_stabilizer_rejects_non_pauli_noise():
-    circuit = build_mirror_circuit(mirror_circuit_spec(2, 2, 1))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(2, 2, 1)])
     noise = NoiseModel(two_qubit=AmplitudeDamping(0.2))
     with pytest.raises(ValueError, match="stochastic Pauli"):
         run_stabilizer(circuit, noise, 10, np.random.default_rng(0))
 
 
 def test_run_dense_rejects_large_systems():
-    circuit = build_mirror_circuit(mirror_circuit_spec(2, 10, 1))
+    [circuit] = build_mirror_circuits([mirror_circuit_spec(2, 10, 1)])
     with pytest.raises(ValueError):
         run_dense(circuit, NoiseModel())
 
@@ -455,7 +454,7 @@ def test_simulate_survival_deterministic_and_jobs_invariant():
 
 def test_simulate_survival_accepts_compiled_circuits():
     specs = [mirror_circuit_spec(0, 2, 1), mirror_circuit_spec(1, 2, 2)]
-    compiled = [build_mirror_circuit(s) for s in specs]
+    compiled = build_mirror_circuits(specs)
     noise = NoiseModel(two_qubit=Depolarizing(0.05))
     assert simulate_survival(specs, noise, 300, rng=9) == \
         simulate_survival(compiled, noise, 300, rng=9)
@@ -465,7 +464,7 @@ def test_simulate_survival_dense_backend_draws_binomial():
     specs = [mirror_circuit_spec(4, 2, 2)]
     noise = NoiseModel(two_qubit=Depolarizing(0.2))
     ds = simulate_survival(specs, noise, 100000, rng=5, backend="dense")
-    exact = run_dense(build_mirror_circuit(specs[0]), noise)
+    exact = run_dense(build_mirror_circuits(specs)[0], noise)
     rate = ds.entries[0].successes / ds.entries[0].shots
     assert abs(rate - exact) < 5 * _binomial_sigma(exact, 100000)
 
