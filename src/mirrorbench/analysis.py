@@ -5,8 +5,12 @@ The survival data of a mirror experiment is fit to
     p(L) = A * u**(L - 1) + B,      B fixed to 1/2**n,
 
 with inverse-variance weights from binomial standard errors.  The fitted ``u``
-estimates the unitarity of the per-layer error channel; ``A`` absorbs state
-preparation, measurement, and the first-layer contraction ``f``.
+is the decay rate of these circuits' mean survival; ``A`` absorbs state
+preparation, measurement, and the first-layer contraction ``f``.  For
+two-qubit depolarizing noise ``u`` matches the unitarity's closed form
+(``depolarizing_tensor_unitarity``) within its error bars; for coherent
+errors it does not, since each layer is twirled one qubit at a time, not by
+a 2-design.
 """
 
 from __future__ import annotations
@@ -434,8 +438,7 @@ class ScatterPoint:
 def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
                        rng: Union[None, int, np.random.Generator] = None,
                        lengths: Sequence[int] = (4, 8, 12, 16),
-                       circuits_per_length: int = 10, shots: int = 100,
-                       jobs: int = 1) -> list:
+                       circuits_per_length: int = 10, shots: int = 100) -> list:
     """Simulate fitted-vs-true unitarity pairs under two-qubit depolarizing noise.
 
     Each experiment draws ``p`` uniformly in ``[0, p_max]``, runs the standard
@@ -460,7 +463,7 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
         for k, (p, _, sim_seed) in enumerate(group):
             noise = NoiseModel(two_qubit=Depolarizing(p))
             dataset = simulate_survival(compiled[k * size:(k + 1) * size], noise, shots,
-                                        rng=sim_seed, jobs=jobs)
+                                        rng=sim_seed)
             fit = fit_decay(dataset)
             points.append(
                 ScatterPoint(p, depolarizing_tensor_unitarity(p, n_qubits // 2), fit.u)

@@ -46,10 +46,10 @@ import numpy as np
 from .operators import (
     _CLIFF_COMPOSE,
     _CLIFF_INVERSE,
+    _CLIFF_WORDS,
     _PAULI_CLIFF_INDEX,
     CliffordGate,
     NativeGate,
-    SingleQubitClifford,
     _clifford_masks,
     _clifford_round,
     _clifford_signs,
@@ -209,7 +209,7 @@ class CompiledCircuit:
         rounds, layers = self.rounds.tolist(), self.uzz_layers.tolist()
         return tuple(
             NativeGate(tuple(layers[r][slot])) if is_uzz
-            else CliffordGate(slot, SingleQubitClifford(rounds[r][slot]))
+            else CliffordGate(slot, rounds[r][slot])
             for r, is_uzz, slot in zip(*(a.tolist() for a in
                                          _gate_layout(self.n_qubits, self.length))))
 
@@ -667,25 +667,20 @@ def to_qasm(circuit: CompiledCircuit) -> str:
     each UZZ becomes the standard decomposition cx a,b; rz(pi/2) b; cx a,b,
     which equals exp(-1j pi/4 ZZ) exactly, including global phase.
     """
-    n = circuit.n_qubits
+    n, length = circuit.n_qubits, circuit.length
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{n}];",
         f"creg c[{n}];",
     ]
-    for gate in circuit.gates:
-        if isinstance(gate, CliffordGate):
-            word = gate.clifford.word
-            if not word:
-                lines.append(f"id q[{gate.qubit}];")
-            else:
-                for letter in word:
-                    lines.append(f"{letter} q[{gate.qubit}];")
-        else:
-            a, b = gate.qubits
-            lines.append(f"cx q[{a}],q[{b}];")
-            lines.append(f"rz(pi/2) q[{b}];")
-            lines.append(f"cx q[{a}],q[{b}];")
+    layers = circuit.uzz_layers.tolist()
+    for r, cliffords in enumerate(circuit.rounds.tolist()):
+        ones = [f"{letter} q[{q}];" for q, c in enumerate(cliffords)
+                for letter in _CLIFF_WORDS[c] or ("id",)]
+        uzz = [line for a, b in layers[r] for line in
+               (f"cx q[{a}],q[{b}];", f"rz(pi/2) q[{b}];", f"cx q[{a}],q[{b}];")]
+        # as in _gate_layout: the mirrored half runs its UZZ layer first
+        lines += ones + uzz if r < length else uzz + ones
     lines.append("measure q -> c;")
     return "\n".join(lines) + "\n"

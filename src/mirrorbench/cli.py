@@ -383,16 +383,17 @@ def cmd_frame_potential(n: int, lengths: list, samples: int, seed: int,
 
 
 def cmd_scatter(n: int, experiments: int, pmax: float, seed: int, lengths: list,
-                circuits: int, shots: int, jobs: int, out: str) -> None:
-    if n < 2 or n % 2:
-        raise ConfigError("--n must be even and >= 2")
+                circuits: int, shots: int, out: str) -> None:
+    limit = _QUBIT_LIMITS["stabilizer"]
+    if n < 2 or n % 2 or n > limit:
+        raise ConfigError(f"--n must be even, >= 2, and <= {limit} (the stabilizer limit)")
     if not 0.0 <= pmax <= 1.0:
         raise ConfigError("--pmax must lie in [0, 1]")
     if any(x < 1 for x in lengths) or len(set(lengths)) < 2:
         raise ConfigError("--lengths needs two or more distinct positive lengths")
     points = scatter_experiment(
         n, experiments, pmax, rng=seed, lengths=lengths,
-        circuits_per_length=circuits, shots=shots, jobs=jobs)
+        circuits_per_length=circuits, shots=shots)
     _ensure_dir(out)
     _write_csv(
         os.path.join(out, "scatter.csv"),
@@ -463,7 +464,6 @@ COMMANDS = {
         ("lengths", _int_list, "4,8,12,16", "comma-separated sequence lengths"),
         ("circuits", int, 10, "circuits per length"),
         ("shots", int, 100, "shots per circuit"),
-        ("jobs", int, 1, "worker processes"),
     )),
 }
 # every command also takes --out (not required: see resolve_output_dir)

@@ -102,6 +102,11 @@ def _build_clifford_table():
     return words, unitaries, letter_images, compose, inverse, pauli_index
 
 
+# A Clifford is its index c in these tables: ``_CLIFF_WORDS[c]`` is its
+# generator word in time order ('h'/'s'), ``CLIFFORD_UNITARIES[c]`` the
+# product of that word, ``_CLIFF_COMPOSE[a, b]`` is a after b,
+# ``_CLIFF_INVERSE[c]`` the inverse and ``_PAULI_CLIFF_INDEX[code]`` the
+# Pauli I/X/Y/Z of code 0-3.
 (_CLIFF_WORDS, CLIFFORD_UNITARIES, _LETTER_IMAGES,
  _CLIFF_COMPOSE, _CLIFF_INVERSE, _PAULI_CLIFF_INDEX) = _build_clifford_table()
 # Each Clifford's letter images as the seven masks :func:`_letter_step` takes,
@@ -114,60 +119,6 @@ _LETTER_MASKS = tuple(
 )
 # ``_LETTER_MASKS`` as uint64, one row per mask and one column per Clifford
 _LETTER_MASK_ROWS = np.array(_LETTER_MASKS, dtype=np.int64).view(np.uint64).T.copy()
-_HADAMARD_INDEX = _CLIFF_WORDS.index(("h",))
-_PHASE_INDEX = _CLIFF_WORDS.index(("s",))
-
-
-@dataclass(frozen=True, order=True)
-class SingleQubitClifford:
-    """One of the 24 single-qubit Cliffords, identified by table index."""
-
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < 24:
-            raise ValueError("Clifford index must be in [0, 24)")
-
-    @classmethod
-    def identity(cls) -> "SingleQubitClifford":
-        return cls(0)
-
-    @classmethod
-    def from_pauli_code(cls, code: int) -> "SingleQubitClifford":
-        """The Clifford whose conjugation action equals Pauli I/X/Y/Z (code 0..3)."""
-        return cls(int(_PAULI_CLIFF_INDEX[code]))
-
-    @property
-    def word(self) -> tuple:
-        """Generator word in application (time) order, letters 'h'/'s'."""
-        return _CLIFF_WORDS[self.index]
-
-    @property
-    def unitary(self) -> np.ndarray:
-        """Canonical 2x2 matrix: the product of the generator word."""
-        return CLIFFORD_UNITARIES[self.index]
-
-    def compose(self, other: "SingleQubitClifford") -> "SingleQubitClifford":
-        """self after other (matrix product self.unitary @ other.unitary)."""
-        return SingleQubitClifford(int(_CLIFF_COMPOSE[self.index, other.index]))
-
-    def inverse(self) -> "SingleQubitClifford":
-        return SingleQubitClifford(int(_CLIFF_INVERSE[self.index]))
-
-    def __repr__(self) -> str:
-        return f"SingleQubitClifford({self.index})"
-
-
-def clifford_named(name: str) -> SingleQubitClifford:
-    """Look up I, X, Y, Z, H or S by conjugation action."""
-    name = name.upper()
-    if name in ("I", "X", "Y", "Z"):
-        return SingleQubitClifford.from_pauli_code("IXYZ".index(name))
-    if name == "H":
-        return SingleQubitClifford(_HADAMARD_INDEX)
-    if name == "S":
-        return SingleQubitClifford(_PHASE_INDEX)
-    raise ValueError(f"unknown Clifford name {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +131,7 @@ class CliffordGate:
     """A single-qubit Clifford applied at one qubit."""
 
     qubit: int
-    clifford: SingleQubitClifford
+    clifford: int  # index into the Clifford table
 
     @property
     def qubits(self) -> tuple:

@@ -59,7 +59,7 @@ from .circuits import (
     _is_int,
     build_mirror_circuits,
 )
-from .operators import SingleQubitClifford, UZZ_MATRIX
+from .operators import CLIFFORD_UNITARIES, UZZ_MATRIX
 
 DATASET_FORMAT_VERSION = 1
 
@@ -154,7 +154,20 @@ class DecayDataset:
 # Fault program
 # ---------------------------------------------------------------------------
 
-_CODE_FROM_DIGIT = (0, 1, 3, 2)  # PTM digit I,X,Y,Z -> symplectic code x + 2z
+_CODE_FROM_DIGIT = np.array([0, 1, 3, 2])  # PTM digit I,X,Y,Z -> symplectic code x + 2z
+
+
+@lru_cache(maxsize=None)
+def _kernel_codes(k: int) -> np.ndarray:
+    """The kernel code of each of the 4^k PTM indices on k qubits.
+
+    PTM digits run most-significant-first over the slot qubits; kernel
+    codes pack the first slot qubit into the low bits.
+    """
+    digits = np.indices((4,) * k).reshape(k, -1)  # digit of each slot qubit
+    codes = (_CODE_FROM_DIGIT[digits] << (2 * np.arange(k))[:, None]).sum(axis=0)
+    codes.flags.writeable = False
+    return codes
 
 
 def _channel(noise: NoiseModel, arity: int, mirrored: bool) -> Optional[ChannelParams]:
@@ -178,18 +191,8 @@ def kernel_pauli_probs(params: ChannelParams, k: int) -> np.ndarray:
     else:
         if params.n_qubits != k:
             raise ValueError("StochasticPauli qubit count mismatch")
-        full = params.full_probs()  # PTM digit order
         probs = np.zeros(size)
-        for ptm_idx in range(size):
-            kern = 0
-            rest = ptm_idx
-            # PTM digits run most-significant-first over the slot qubits;
-            # kernel codes pack the first slot qubit into the low bits.
-            for slot in reversed(range(k)):
-                digit = rest % 4
-                rest //= 4
-                kern |= _CODE_FROM_DIGIT[digit] << (2 * slot)
-            probs[kern] = full[ptm_idx]
+        probs[_kernel_codes(k)] = params.full_probs()  # from PTM digit order
     return probs
 
 
@@ -348,8 +351,6 @@ def run_stabilizer(circuit: CompiledCircuit, noise: NoiseModel, shots: int,
             "stabilizer backend requires stochastic Pauli channels; "
             "use run_dense for coherent or amplitude-damping noise"
         )
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     program = compile_fault_program(circuit, noise)
     successes = 0
     for done in range(0, shots, _SHOT_BLOCK):
@@ -364,8 +365,8 @@ def _local_ptm(clifford: Optional[int], params: Optional[ChannelParams],
                k: int) -> np.ndarray:
     """PTM of one gate (a Clifford index, or None for UZZ) and the channel after
     it, as a ``(4,)*2k`` tensor: k output axes, then k input axes."""
-    unitary = UZZ_MATRIX if clifford is None else SingleQubitClifford(clifford).unitary
-    mat = superop_of_unitary(np.asarray(unitary)).mat
+    mat = superop_of_unitary(UZZ_MATRIX if clifford is None
+                             else CLIFFORD_UNITARIES[clifford]).mat
     if params is not None:
         mat = superop_of(params, k).mat @ mat
     out = mat.reshape((4,) * (2 * k))
@@ -469,6 +470,8 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
     compiled together, one batch per (n, L).  The dense backend computes
     the exact probability and draws binomial counts from it.
     """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     compiled = _as_compiled(circuits)
     if not compiled:
         raise ValueError("no circuits given")

@@ -15,10 +15,11 @@ from typing import Iterable
 import numpy as np
 
 from mirrorbench.operators import (
+    _CLIFF_COMPOSE,
+    _CLIFF_WORDS,
     _LETTER_IMAGES,
     _LETTER_MASKS,
     CliffordGate,
-    SingleQubitClifford,
 )
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -166,9 +167,14 @@ def sample_pauli(rng: np.random.Generator, n_qubits: int) -> PauliOperator:
 
 
 
-def sample_clifford(rng: np.random.Generator) -> SingleQubitClifford:
-    """Uniform draw from the 24-element single-qubit Clifford group."""
-    return SingleQubitClifford(int(rng.integers(24)))
+def sample_clifford(rng: np.random.Generator) -> int:
+    """Uniform draw from the 24-element single-qubit Clifford group (its index)."""
+    return int(rng.integers(24))
+
+
+def after_hadamard(c) -> int:
+    """The Clifford index of H applied after Clifford index ``c``."""
+    return int(_CLIFF_COMPOSE[_CLIFF_WORDS.index(("h",)), c])
 
 
 def _letter_pauli(letter: tuple) -> PauliOperator:
@@ -177,14 +183,14 @@ def _letter_pauli(letter: tuple) -> PauliOperator:
     return PauliOperator(1, x, z, (-1) ** minus * 1j ** (x & z))
 
 
-def x_image(c: SingleQubitClifford) -> PauliOperator:
-    """``C X C^dagger`` read from the letter table."""
-    return _letter_pauli(_LETTER_IMAGES[c.index][0])
+def x_image(c: int) -> PauliOperator:
+    """``C X C^dagger`` of Clifford index ``c``, read from the letter table."""
+    return _letter_pauli(_LETTER_IMAGES[c][0])
 
 
-def z_image(c: SingleQubitClifford) -> PauliOperator:
-    """``C Z C^dagger`` read from the letter table."""
-    return _letter_pauli(_LETTER_IMAGES[c.index][1])
+def z_image(c: int) -> PauliOperator:
+    """``C Z C^dagger`` of Clifford index ``c``, read from the letter table."""
+    return _letter_pauli(_LETTER_IMAGES[c][1])
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +202,8 @@ def _embed_1q(img: PauliOperator, qubit: int, n_qubits: int) -> PauliOperator:
     return PauliOperator(n_qubits, img.x << qubit, img.z << qubit, img.phase)
 
 
-def conjugate_by_clifford(p: PauliOperator, c: SingleQubitClifford,
-                          qubit: int) -> PauliOperator:
-    """Exact image ``C p C^dagger`` for a single-qubit Clifford at ``qubit``."""
+def conjugate_by_clifford(p: PauliOperator, c: int, qubit: int) -> PauliOperator:
+    """Exact image ``C p C^dagger`` for single-qubit Clifford index ``c`` at ``qubit``."""
     if not 0 <= qubit < p.n_qubits:
         raise ValueError("qubit out of range")
     bit = 1 << qubit
@@ -278,7 +283,7 @@ class ZObservables:
         if isinstance(gate, CliffordGate):
             p = gate.qubit
             self.x[p], self.z[p], flips = _letter_step(
-                self.x[p], self.z[p], *_LETTER_MASKS[gate.clifford.index])
+                self.x[p], self.z[p], *_LETTER_MASKS[gate.clifford])
         else:
             a, b = gate.qubits
             t, flips = _uzz_step(self.x[a], self.z[a], self.x[b], self.z[b])
@@ -338,7 +343,7 @@ def circuit_to_v1_json(circuit) -> dict:
     gates = []
     for gate in circuit.gates:
         if isinstance(gate, CliffordGate):
-            gates.append({"gate": "c1", "q": gate.qubit, "index": gate.clifford.index})
+            gates.append({"gate": "c1", "q": gate.qubit, "index": gate.clifford})
         else:
             gates.append({"gate": "uzz", "q": list(gate.qubits)})
     return {

@@ -380,13 +380,6 @@ def test_frame_potential_deterministic_for_seed():
 # ---------------------------------------------------------------------------
 
 
-def test_scatter_experiment_is_independent_of_jobs():
-    # with jobs > 1 each experiment simulates in its own process pool
-    design = dict(lengths=(2, 4), circuits_per_length=2, shots=20)
-    assert scatter_experiment(2, 2, 0.05, rng=4, jobs=2, **design) == \
-        scatter_experiment(2, 2, 0.05, rng=4, jobs=1, **design)
-
-
 def test_scatter_experiment_points_and_determinism():
     pts = scatter_experiment(2, 3, 0.05, rng=5, lengths=(2, 4), circuits_per_length=3,
                              shots=50)

@@ -29,15 +29,14 @@ from mirrorbench.circuits import (
     to_qasm,
 )
 from mirrorbench.operators import (
+    _CLIFF_WORDS,
     CLIFFORD_UNITARIES,
     CliffordGate,
     NativeGate,
-    SingleQubitClifford,
-    clifford_named,
 )
 
 from conftest import H2, S2, UZZ_REF, kron_all, pauli_matrix_from_label
-from pauli_reference import ZObservables, circuit_to_v1_json
+from pauli_reference import ZObservables, after_hadamard, circuit_to_v1_json
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ def compiled_unitary(circuit: CompiledCircuit) -> np.ndarray:
     total = np.eye(d, dtype=complex)
     for gate in circuit.gates:
         if isinstance(gate, CliffordGate):
-            mat = _embed_1q_unitary(gate.clifford.unitary, gate.qubit,
+            mat = _embed_1q_unitary(CLIFFORD_UNITARIES[gate.clifford], gate.qubit,
                                     circuit.n_qubits)
             total = mat @ total
         else:
@@ -257,11 +256,10 @@ def test_json_rejects_wrong_version():
 def _edit_clifford_index(data):
     if data["version"] == 1:
         gate = next(g for g in data["gates"] if g["gate"] == "c1")
-        edited = clifford_named("H").compose(SingleQubitClifford(gate["index"]))
-        gate["index"] = edited.index  # an extra H: the gates are no longer a Pauli
+        # an extra H: the gates are no longer a Pauli
+        gate["index"] = after_hadamard(gate["index"])
     else:
-        edited = clifford_named("H").compose(SingleQubitClifford(data["rounds"][0]))
-        data["rounds"][0] = edited.index
+        data["rounds"][0] = after_hadamard(data["rounds"][0])
 
 
 def _edit_expected_outcome(data):
@@ -424,7 +422,7 @@ def _gate_list(rounds, layers, length):
     """Forward rounds run Cliffords then UZZ, mirrored rounds UZZ then Cliffords."""
     gates = []
     for r, (cliffords, pairs) in enumerate(zip(rounds, layers)):
-        ones = [CliffordGate(q, SingleQubitClifford(int(c))) for q, c in enumerate(cliffords)]
+        ones = [CliffordGate(q, int(c)) for q, c in enumerate(cliffords)]
         twos = [NativeGate(tuple(int(q) for q in pair)) for pair in pairs]
         gates.append(ones + twos if r < length else twos + ones)
     return gates
@@ -588,8 +586,7 @@ def test_a_failing_spec_names_its_circuit_id(monkeypatch):
     def break_second_of_length_3(cliffords, matchings, paulis):
         rounds = merged_rounds(cliffords, matchings, paulis)
         if cliffords.shape[1] == 3:  # an extra H in round 0 of the batch's second circuit
-            rounds[1, 0, 0] = clifford_named("H").compose(
-                SingleQubitClifford(int(rounds[1, 0, 0]))).index
+            rounds[1, 0, 0] = after_hadamard(rounds[1, 0, 0])
         return rounds
 
     monkeypatch.setattr(circuits_module, "_merged_rounds", break_second_of_length_3)
@@ -613,7 +610,7 @@ def _outcome_probability(circuit) -> float:
     for gate in circuit.gates:
         if isinstance(gate, CliffordGate):
             u = np.eye(2, dtype=complex)
-            for letter in gate.clifford.word:
+            for letter in _CLIFF_WORDS[gate.clifford]:
                 u = {"h": H2, "s": S2}[letter] @ u
             state = np.moveaxis(np.tensordot(u, state, axes=(1, gate.qubit)), 0, gate.qubit)
         else:

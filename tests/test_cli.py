@@ -22,7 +22,8 @@ from mirrorbench.cli import (
     parse_channel_spec,
     parse_noise_spec,
 )
-from mirrorbench.operators import SingleQubitClifford, clifford_named
+
+from pauli_reference import after_hadamard
 
 
 def run_cli(*argv):
@@ -226,16 +227,14 @@ def test_run_rejects_edited_circuit_exits_2(tmp_path):
     gen = _generate(tmp_path)
     path = sorted((gen / "circuits").glob("*.json"))[0]
     data = json.loads(path.read_text())
-    data["rounds"][0] = clifford_named("H").compose(
-        SingleQubitClifford(data["rounds"][0])).index
+    _extra_h_in_round_0(data)
     path.write_text(json.dumps(data))
     code, _ = _run(tmp_path, gen, noise="none")
     assert code == 2
 
 
 def _extra_h_in_round_0(data):
-    data["rounds"][0] = clifford_named("H").compose(
-        SingleQubitClifford(data["rounds"][0])).index
+    data["rounds"][0] = after_hadamard(data["rounds"][0])
 
 
 def _flip_outcome_bit_0(data):
@@ -424,6 +423,18 @@ def test_rerun_of_a_manifest_without_added_params(tmp_path, argv, added):
     assert json.loads((redo / "manifest.json").read_text()) == manifest
 
 
+def test_rerun_of_a_scatter_manifest_that_records_jobs(tmp_path):
+    # written when scatter still took --jobs 2: the param is ignored, and
+    # the study is the same to the byte
+    old = os.path.join(DATA, "scatter_jobs")
+    with open(os.path.join(old, "manifest.json")) as fh:
+        assert json.load(fh)["params"]["jobs"] == 2
+    assert run_cli("rerun", os.path.join(old, "manifest.json"),
+                   "--out", str(tmp_path / "redo")) == 0
+    assert (read_bytes(tmp_path / "redo" / "scatter.csv")
+            == read_bytes(os.path.join(old, "scatter.csv")))
+
+
 def valid_params(command, out):
     """A params dict from the command table: each flag's default, else "1"."""
     argv = [command, "--out", out]
@@ -602,12 +613,11 @@ def test_fit_exit_code_follows_the_row_check(shots, successes):
     ("scatter", ("--seed", "-1")),
     ("run", ("2", "--jobs", "0")),
     ("run", ("2", "--jobs", "-3")),
-    ("scatter", ("--jobs", "0")),
-    ("scatter", ("--jobs", "-3")),
+    ("scatter", ("--n", "66")),  # scatter runs the stabilizer backend
 ], ids=["dense-n10", "stabilizer-n66", "fit-resamples", "fp-samples", "scatter-shots",
         "scatter-circuits", "scatter-lengths", "scatter-one-length", "generate-seed",
         "run-seed", "fit-seed", "fp-seed", "scatter-seed", "run-jobs-0", "run-jobs-neg",
-        "scatter-jobs-0", "scatter-jobs-neg"])
+        "scatter-n66"])
 def test_config_errors_exit_2(tmp_path, command, args):
     # a later flag overrides the same flag in the base arguments
     if command == "generate":

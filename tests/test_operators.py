@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrorbench.operators import (
+    _CLIFF_COMPOSE,
+    _CLIFF_INVERSE,
+    _CLIFF_WORDS,
     _LETTER_IMAGES,
+    _PAULI_CLIFF_INDEX,
     CLIFFORD_UNITARIES,
     CliffordGate,
     NativeGate,
-    SingleQubitClifford,
     UZZ_MATRIX,
-    clifford_named,
 )
 
 from pauli_reference import (
@@ -137,65 +139,75 @@ def test_clifford_group_has_24_distinct_elements():
 
 
 def test_clifford_identity_is_index_zero():
-    assert SingleQubitClifford.identity().index == 0
+    assert _CLIFF_WORDS[0] == ()
     np.testing.assert_allclose(CLIFFORD_UNITARIES[0], np.eye(2), atol=1e-12)
+    every = np.arange(24)
+    np.testing.assert_array_equal(_CLIFF_COMPOSE[0], every)
+    np.testing.assert_array_equal(_CLIFF_COMPOSE[:, 0], every)
 
 
 def test_named_cliffords_match_literals():
     from conftest import H2, S2
-    for name, ref in (("H", H2), ("S", S2)):
-        u = clifford_named(name).unitary
+    for word, ref in ((("h",), H2), (("s",), S2)):
+        u = CLIFFORD_UNITARIES[_CLIFF_WORDS.index(word)]
         phase = np.vdot(ref, u) / 2
         np.testing.assert_allclose(u, phase * ref, atol=1e-12)
         assert abs(abs(phase) - 1) < 1e-12
 
 
+def test_unitaries_are_products_of_their_words():
+    from conftest import H2, S2
+    assert len(set(_CLIFF_WORDS)) == 24
+    for c, word in enumerate(_CLIFF_WORDS):
+        u = np.eye(2, dtype=complex)
+        for letter in word:  # time order
+            u = {"h": H2, "s": S2}[letter] @ u
+        np.testing.assert_allclose(CLIFFORD_UNITARIES[c], u, atol=1e-12)
+
+
 def test_compose_table_matches_matrix_product():
     for i in range(24):
         for j in range(24):
-            a = SingleQubitClifford(i)
-            b = SingleQubitClifford(j)
-            c = a.compose(b)
-            prod = a.unitary @ b.unitary
-            overlap = abs(np.trace(c.unitary.conj().T @ prod)) / 2
+            prod = CLIFFORD_UNITARIES[i] @ CLIFFORD_UNITARIES[j]
+            c = CLIFFORD_UNITARIES[_CLIFF_COMPOSE[i, j]]
+            overlap = abs(np.trace(c.conj().T @ prod)) / 2
             assert abs(overlap - 1) < 1e-10
 
 
 def test_inverse_table():
     for i in range(24):
-        c = SingleQubitClifford(i)
-        assert c.compose(c.inverse()).index == 0
-        assert c.inverse().compose(c).index == 0
+        assert _CLIFF_COMPOSE[i, _CLIFF_INVERSE[i]] == 0
+        assert _CLIFF_COMPOSE[_CLIFF_INVERSE[i], i] == 0
 
 
 def test_clifford_images_match_dense_conjugation():
     x = PAULIS_1Q["X"]
     z = PAULIS_1Q["Z"]
     y = PAULIS_1Q["Y"]
-    for i in range(24):
-        c = SingleQubitClifford(i)
+    for c in range(24):
+        u = CLIFFORD_UNITARIES[c]
         # the Y image is read from the letter table, as ZObservables reads it
-        to_x, to_z, minus = _LETTER_IMAGES[i][2]
+        to_x, to_z, minus = _LETTER_IMAGES[c][2]
         y_image = (-1) ** minus * PAULIS_1Q["IXZY"[to_x + 2 * to_z]]
         for image, base in ((x_image(c).to_matrix(), x), (z_image(c).to_matrix(), z),
                             (y_image, y)):
-            ref = c.unitary @ base @ c.unitary.conj().T
+            ref = u @ base @ u.conj().T
             np.testing.assert_allclose(image, ref, atol=1e-12)
 
 
 def test_from_pauli_code():
     for code, label in enumerate("IXYZ"):
-        c = SingleQubitClifford.from_pauli_code(code)
+        u = CLIFFORD_UNITARIES[_PAULI_CLIFF_INDEX[code]]
         ref = PAULIS_1Q[label]
-        overlap = abs(np.trace(c.unitary.conj().T @ ref)) / 2
+        overlap = abs(np.trace(u.conj().T @ ref)) / 2
         assert abs(overlap - 1) < 1e-12
 
 
 def test_sample_clifford_deterministic_and_in_range():
     rng = np.random.default_rng(3)
-    seq = [sample_clifford(rng).index for _ in range(50)]
+    seq = [sample_clifford(rng) for _ in range(50)]
     rng = np.random.default_rng(3)
-    assert seq == [sample_clifford(rng).index for _ in range(50)]
+    assert seq == [sample_clifford(rng) for _ in range(50)]
     assert set(seq) <= set(range(24))
     assert len(set(seq)) > 10
 
@@ -245,7 +257,7 @@ def test_conjugate_by_clifford_matches_dense(rng):
         qubit = int(rng.integers(n))
         c = sample_clifford(rng)
         got = conjugate_by_clifford(p, c, qubit)
-        u = _embed(c.unitary, (qubit,), n)
+        u = _embed(CLIFFORD_UNITARIES[c], (qubit,), n)
         ref = u @ p.to_matrix() @ u.conj().T
         np.testing.assert_allclose(got.to_matrix(), ref, atol=1e-10)
 
@@ -278,7 +290,7 @@ def gate_lists(draw):
     """A qubit count and any gate list on it, mirror or not."""
     n = draw(st.integers(2, 6))
     clifford_gate = st.builds(CliffordGate, st.integers(0, n - 1),
-                              st.builds(SingleQubitClifford, st.integers(0, 23)))
+                              st.integers(0, 23))
     uzz_gate = st.permutations(range(n)).map(lambda perm: NativeGate(tuple(perm[:2])))
     return n, draw(st.lists(st.one_of(clifford_gate, uzz_gate), max_size=30))
 

@@ -16,7 +16,7 @@ from mirrorbench.channels import (
     stochastic_pauli_tensor,
 )
 from mirrorbench.circuits import build_mirror_circuits, mirror_circuit_spec
-from mirrorbench.operators import CliffordGate, SingleQubitClifford
+from mirrorbench.operators import _CLIFF_WORDS, CLIFFORD_UNITARIES, CliffordGate
 from mirrorbench.simulator import (
     DatasetEntry,
     DecayDataset,
@@ -73,6 +73,20 @@ def test_kernel_probs_single_qubit_order():
     np.testing.assert_allclose(probs, [0.4, 0.1, 0.3, 0.2], atol=1e-15)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kernel_probs_match_the_digit_loop(k):
+    # the table must place the same floats in the same slots as this loop
+    full = StochasticPauli(tuple(np.random.default_rng(k).random(4 ** k - 1) / 4 ** k))
+    ref = np.zeros(4 ** k)
+    for ptm_idx, prob in enumerate(full.full_probs()):
+        kern, rest = 0, ptm_idx
+        for slot in reversed(range(k)):  # PTM digits run first slot qubit first
+            kern |= (0, 1, 3, 2)[rest % 4] << (2 * slot)
+            rest //= 4
+        ref[kern] = prob
+    assert kernel_pauli_probs(full, k).tobytes() == ref.tobytes()
+
+
 def test_kernel_probs_depolarizing_uniform():
     probs = kernel_pauli_probs(Depolarizing(0.3), 2)
     assert abs(probs[0] - (1 - 0.3 * 15 / 16)) < 1e-15
@@ -85,7 +99,7 @@ def _letter_code_map():
     letters = [I2, X2, Z2, Y2]
     table = np.zeros((24, 4), dtype=np.uint64)
     for idx in range(24):
-        u = SingleQubitClifford(idx).unitary
+        u = CLIFFORD_UNITARIES[idx]
         for code, pauli in enumerate(letters):
             image = u @ pauli @ u.conj().T
             overlaps = [abs(np.trace(ref @ image)) for ref in letters]
@@ -109,7 +123,7 @@ def _oracle_flips(circuit, noise, uniforms):
     for pos, gate in enumerate(circuit.gates):
         if isinstance(gate, CliffordGate):
             q = np.uint64(gate.qubit)
-            new = code_map[gate.clifford.index][((x >> q) & one) | (((z >> q) & one) << one)]
+            new = code_map[gate.clifford][((x >> q) & one) | (((z >> q) & one) << one)]
             x = (x & ~(one << q)) | ((new & one) << q)
             z = (z & ~(one << q)) | (((new >> one) & one) << q)
             params = noise.single_qubit
@@ -328,7 +342,7 @@ def _density_matrix_survival(circuit, noise):
     for pos, gate in enumerate(circuit.gates):
         if isinstance(gate, CliffordGate):
             u = I2
-            for letter in gate.clifford.word:  # time order
+            for letter in _CLIFF_WORDS[gate.clifford]:  # time order
                 u = {"h": H2, "s": S2}[letter] @ u
             u = _on_qubits([u], gate.qubits, n)
             params = noise.single_qubit
@@ -450,6 +464,14 @@ def test_simulate_survival_deterministic_and_jobs_invariant():
     assert a == c
     d = simulate_survival(specs, noise, 500, rng=43)
     assert a != d
+
+
+@pytest.mark.parametrize("backend", ["stabilizer", "dense"])
+def test_simulate_survival_rejects_zero_shots(backend):
+    # a dataset row needs shots >= 1, so neither backend may write one with 0
+    noise = NoiseModel(two_qubit=Depolarizing(0.1))
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        simulate_survival([mirror_circuit_spec(0, 2, 1)], noise, 0, rng=1, backend=backend)
 
 
 def test_simulate_survival_accepts_compiled_circuits():
