@@ -1,16 +1,17 @@
 """Quantum channels in the Pauli transfer matrix (PTM) representation.
 
-A channel on n qubits is a real (4^n x 4^n) matrix with entries
-``M[i, j] = Tr(P_i M(P_j)) / d`` in the normalized Pauli basis
-``P_i / sqrt(d)``, where ``d = 2^n`` and the basis is ordered by base-4
+A channel on k qubits is its PTM: a real ``(4^k, 4^k)`` numpy array with
+entries ``M[i, j] = Tr(P_i M(P_j)) / d`` in the normalized Pauli basis
+``P_i / sqrt(d)``, where ``d = 2^k`` and the basis is ordered by base-4
 digits (I, X, Y, Z) with qubit 0 as the most significant digit.  Channel
-composition is matrix multiplication, the adjoint (dual) is the transpose,
-trace preservation means the first row is ``(1, 0, ..., 0)``, and unitality
-means the same for the first column.
+composition is ``@``, the adjoint (dual) is ``.T``, the tensor product is
+``np.kron`` with qubit 0's factor first, trace preservation means the first
+row is ``(1, 0, ..., 0)``, and unitality means the same for the first column.
+Every function here that takes a PTM checks its shape (k <= 4).
 
-States and measurement effects are real coordinate vectors
-``r_j = Tr(P_j rho) / sqrt(d)`` and ``e_j = Tr(P_j E) / sqrt(d)``, so that
-``Tr(E M(rho)) = e @ M @ r``.
+A state is its real coordinate vector ``r_j = Tr(P_j rho) / sqrt(d)``, and
+a measurement effect E likewise, so that ``Tr(E M(rho)) = e @ M @ r``; the
+projector effect ``|b><b|`` has the same coordinates as the state.
 """
 
 from __future__ import annotations
@@ -18,21 +19,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .operators import PAULI_MATRICES, CLIFFORD_UNITARIES
 
-_MAX_QUBITS = 4  # a SuperOp holds at most a 256 x 256 PTM
-
-_ATOL = 1e-10
+_MAX_QUBITS = 4  # a PTM here is at most 256 x 256
 
 
 def _check_n(n_qubits: int) -> int:
     if not 1 <= n_qubits <= _MAX_QUBITS:
         raise ValueError(f"dense channels support 1..{_MAX_QUBITS} qubits")
     return n_qubits
+
+
+def _as_ptm(op) -> tuple:
+    """``(op as a float array, d)``, after checking that ``op`` is the
+    ``(4^k, 4^k)`` PTM of a channel on k <= 4 qubits."""
+    mat = np.asarray(op, dtype=float)
+    size = len(mat) if mat.ndim == 2 else 0
+    k = (size.bit_length() - 1) // 2
+    if mat.shape != (size, size) or size != 4 ** k:
+        raise ValueError(f"a PTM is a (4^k, 4^k) matrix, not one of shape {mat.shape}")
+    return mat, 2 ** _check_n(k)
 
 
 @lru_cache(maxsize=None)
@@ -57,55 +67,6 @@ def _basis_stack(n_qubits: int) -> np.ndarray:
     stack = np.array(mats)
     stack.flags.writeable = False
     return stack
-
-
-@dataclass(frozen=True)
-class SuperOp:
-    """A channel as a real PTM acting on n <= 4 qubits.
-
-    Args:
-        d: Hilbert space dimension 2^n.
-        mat: real (d^2, d^2) transfer matrix.
-    """
-
-    d: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        n = self.d.bit_length() - 1
-        if self.d != 2 ** n:
-            raise ValueError("d must be a power of two")
-        _check_n(n)
-        mat = np.asarray(self.mat, dtype=float)
-        if mat.shape != (self.d ** 2, self.d ** 2):
-            raise ValueError("PTM shape mismatch")
-        object.__setattr__(self, "mat", mat)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.d.bit_length() - 1
-
-    @classmethod
-    def identity(cls, d: int) -> "SuperOp":
-        return cls(d, np.eye(d * d))
-
-    def __matmul__(self, other: "SuperOp") -> "SuperOp":
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        return SuperOp(self.d, self.mat @ other.mat)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.mat @ vec
-
-    def is_trace_preserving(self, atol: float = _ATOL) -> bool:
-        row = np.zeros(self.d ** 2)
-        row[0] = 1.0
-        return bool(np.allclose(self.mat[0], row, atol=atol))
-
-    def is_unital(self, atol: float = _ATOL) -> bool:
-        col = np.zeros(self.d ** 2)
-        col[0] = 1.0
-        return bool(np.allclose(self.mat[:, 0], col, atol=atol))
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +97,19 @@ class StochasticPauli:
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probs)
-        m = 1
-        while 4 ** m - 1 < len(probs):
-            m += 1
-        if 4 ** m - 1 != len(probs):
+        object.__setattr__(self, "probs", probs)
+        m = self.n_qubits
+        if m < 1 or 4 ** m - 1 != len(probs):
             raise ValueError("probs length must be 4^m - 1 for m qubits")
         if any(p < -1e-12 or p > 1.0 + 1e-12 for p in probs):
             raise ValueError("probabilities must lie in [0, 1]")
         if sum(probs) > 1.0 + 1e-9:
             raise ValueError("probabilities must sum to at most 1")
-        object.__setattr__(self, "probs", probs)
 
     @property
     def n_qubits(self) -> int:
-        m = 1
-        while 4 ** m - 1 != len(self.probs):
-            m += 1
-        return m
+        """m, where ``probs`` has 4^m - 1 entries (checked on construction)."""
+        return (len(self.probs) + 1).bit_length() // 2
 
     def full_probs(self) -> np.ndarray:
         """All 4^m probabilities in PTM order, identity first."""
@@ -200,30 +157,20 @@ def _pauli_sign_table(n_qubits: int) -> np.ndarray:
     return np.where(sym % 2 == 0, 1.0, -1.0)
 
 
-def superop_of_unitary(unitary: np.ndarray) -> SuperOp:
+def _ptm_of_kraus(*kraus: np.ndarray) -> np.ndarray:
+    """PTM of rho -> sum_K K rho K^dag: M[i,j] = sum_K Tr(P_i K P_j K^dag) / d."""
+    d = kraus[0].shape[0]
+    basis = _basis_stack(d.bit_length() - 1)
+    return sum(np.einsum("iab,jba->ij", basis, k @ basis @ k.conj().T).real / d
+               for k in kraus)
+
+
+def superop_of_unitary(unitary: np.ndarray) -> np.ndarray:
     """PTM of conjugation by a unitary: M[i,j] = Tr(P_i U P_j U^dag) / d."""
-    unitary = np.asarray(unitary, dtype=complex)
-    d = unitary.shape[0]
-    n = d.bit_length() - 1
-    _check_n(n)
-    basis = _basis_stack(n)
-    moved = unitary @ basis @ unitary.conj().T
-    mat = np.einsum("iab,jba->ij", basis, moved).real / d
-    return SuperOp(d, mat)
+    return _ptm_of_kraus(np.asarray(unitary, dtype=complex))
 
 
-def _amp_damp_ptm_1q(gamma: float) -> np.ndarray:
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    basis = _basis_stack(1)
-    mat = np.zeros((4, 4))
-    for kraus in (k0, k1):
-        moved = kraus @ basis @ kraus.conj().T
-        mat += np.einsum("iab,jba->ij", basis, moved).real / 2.0
-    return mat
-
-
-def superop_of(params: ChannelParams, n_qubits: int) -> SuperOp:
+def superop_of(params: ChannelParams, n_qubits: int) -> np.ndarray:
     """Build the PTM of a parameterized channel on ``n_qubits`` qubits.
 
     Depolarizing and StochasticPauli act on the full register; UnitaryError
@@ -235,30 +182,31 @@ def superop_of(params: ChannelParams, n_qubits: int) -> SuperOp:
     if isinstance(params, Depolarizing):
         diag = np.full(d * d, 1.0 - params.p)
         diag[0] = 1.0
-        return SuperOp(d, np.diag(diag))
+        return np.diag(diag)
     if isinstance(params, StochasticPauli):
         if params.n_qubits != n_qubits:
             raise ValueError("StochasticPauli qubit count mismatch")
         signs = _pauli_sign_table(n_qubits)
-        diag = signs @ params.full_probs()
-        return SuperOp(d, np.diag(diag))
+        return np.diag(signs @ params.full_probs())
     if isinstance(params, UnitaryError):
         if len(params.axis) != n_qubits:
             raise ValueError("axis length must equal n_qubits")
-        axis = np.array([[1.0 + 0j]])
-        for ch in params.axis:
-            axis = np.kron(axis, PAULI_MATRICES[ch])
+        axis = _basis_stack(n_qubits)[pauli_labels(n_qubits).index(params.axis)]
         unitary = (
             math.cos(params.theta / 2.0) * np.eye(d)
             - 1j * math.sin(params.theta / 2.0) * axis
         )
-        return SuperOp(d, superop_of_unitary(unitary).mat)
+        return superop_of_unitary(unitary)
     if isinstance(params, AmplitudeDamping):
-        one = _amp_damp_ptm_1q(params.gamma)
+        gamma = params.gamma
+        one = _ptm_of_kraus(
+            np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
+            np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
+        )
         mat = one
         for _ in range(n_qubits - 1):
             mat = np.kron(mat, one)
-        return SuperOp(d, mat)
+        return mat
     raise TypeError(f"unknown channel params {params!r}")
 
 
@@ -270,90 +218,75 @@ def stochastic_pauli_tensor(a: StochasticPauli, b: StochasticPauli) -> Stochasti
     return StochasticPauli(tuple(full[1:]))
 
 
-def tensor(ops: Sequence[SuperOp]) -> SuperOp:
-    """Tensor product of channels; the first factor is qubit 0 (high digits)."""
-    mat = np.array([[1.0]])
-    d = 1
-    for op in ops:
-        mat = np.kron(mat, op.mat)
-        d *= op.d
-    return SuperOp(d, mat)
-
-
-def dual(op: SuperOp) -> SuperOp:
-    """Adjoint channel: the PTM transpose."""
-    return SuperOp(op.d, op.mat.T.copy())
-
-
-def pi1(d: int) -> SuperOp:
+def pi1(d: int) -> np.ndarray:
     """Projector onto the identity component (rank one)."""
     mat = np.zeros((d * d, d * d))
     mat[0, 0] = 1.0
-    return SuperOp(d, mat)
+    return mat
 
 
-def pi2(d: int) -> SuperOp:
+def pi2(d: int) -> np.ndarray:
     """Projector onto the traceless (non-identity Pauli) component."""
     diag = np.ones(d * d)
     diag[0] = 0.0
-    return SuperOp(d, np.diag(diag))
+    return np.diag(diag)
 
 
-def f_value(op: SuperOp) -> float:
+def f_value(op: np.ndarray) -> float:
     """Depolarizing parameter f = Tr(Pi2 E) / (d^2 - 1)."""
-    big_d = op.d ** 2 - 1
-    return float((np.trace(op.mat) - op.mat[0, 0]) / big_d)
+    mat, d = _as_ptm(op)
+    big_d = d ** 2 - 1
+    return float((np.trace(mat) - mat[0, 0]) / big_d)
 
 
-def process_fidelity(op: SuperOp) -> float:
+def process_fidelity(op: np.ndarray) -> float:
     """Entanglement fidelity to the identity: F = (1 + (d^2-1) f) / d^2."""
-    big_d = op.d ** 2 - 1
-    return float((1.0 + big_d * f_value(op)) / op.d ** 2)
+    d = _as_ptm(op)[1]
+    return float((1.0 + (d ** 2 - 1) * f_value(op)) / d ** 2)
 
 
-def unitarity(op: SuperOp) -> float:
+def unitarity(op: np.ndarray) -> float:
     """u = Tr(Pi2 E^dag Pi2 E) / (d^2 - 1): mean squared action on traceless part."""
-    big_d = op.d ** 2 - 1
-    block = op.mat[1:, 1:]
-    return float(np.sum(block * block) / big_d)
-
-
-def twirl_over_group(op: SuperOp, group: Sequence[SuperOp]) -> SuperOp:
-    """Average g^{-1} E g over a finite unitary group (PTMs are orthogonal)."""
-    if not group:
-        raise ValueError("empty group")
-    acc = np.zeros_like(op.mat)
-    for g in group:
-        if g.d != op.d:
-            raise ValueError("dimension mismatch in group element")
-        acc += g.mat.T @ op.mat @ g.mat
-    return SuperOp(op.d, acc / len(group))
+    mat, d = _as_ptm(op)
+    block = mat[1:, 1:]
+    return float(np.sum(block * block) / (d ** 2 - 1))
 
 
 @lru_cache(maxsize=None)
-def single_qubit_clifford_group() -> tuple:
-    """PTMs of the 24 single-qubit Cliffords (a unitary 2-design)."""
-    return tuple(superop_of_unitary(CLIFFORD_UNITARIES[i]) for i in range(24))
+def single_qubit_clifford_group() -> np.ndarray:
+    """(24, 4, 4) PTMs of the single-qubit Cliffords (a unitary 2-design)."""
+    group = np.array([superop_of_unitary(u) for u in CLIFFORD_UNITARIES])
+    group.flags.writeable = False
+    return group
 
 
-def t_sequence(op: SuperOp, op_inv: SuperOp = None, group: Sequence[SuperOp] = None,
-               length: int = 1) -> SuperOp:
+def twirl_over_group(op: np.ndarray) -> np.ndarray:
+    """Average g^{-1} E g over the 24 single-qubit Cliffords (PTMs are
+    orthogonal, so g^{-1} is g.T); E must act on one qubit."""
+    mat, d = _as_ptm(op)
+    if d != 2:
+        raise ValueError("the Clifford twirl acts on one qubit")
+    group = single_qubit_clifford_group()
+    acc = np.zeros_like(mat)
+    for g in group:
+        acc += g.T @ mat @ g
+    return acc / len(group)
+
+
+def t_sequence(op: np.ndarray, op_inv: np.ndarray = None, length: int = 1) -> np.ndarray:
     """Iterated twirled composition T_1 = twirl(E), T_{l+1} = twirl(E_inv T_l E).
 
-    For a 2-design twirl this collapses to Pi1 + f(E) v^{l-1} Pi2 with
-    v = Tr(Pi2 E_inv Pi2 E) / (d^2 - 1); ``op_inv`` defaults to the dual.
+    For the single-qubit Clifford twirl (a 2-design) this collapses to
+    Pi1 + f(E) v^{l-1} Pi2 with v = Tr(Pi2 E_inv Pi2 E) / (d^2 - 1);
+    ``op_inv`` defaults to the dual ``op.T``.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    if op_inv is None:
-        op_inv = dual(op)
-    if group is None:
-        if op.d != 2:
-            raise ValueError("a twirling group is required for d > 2")
-        group = single_qubit_clifford_group()
-    t_mat = twirl_over_group(op, group)
+    mat = _as_ptm(op)[0]
+    inv = mat.T if op_inv is None else _as_ptm(op_inv)[0]
+    t_mat = twirl_over_group(mat)
     for _ in range(length - 1):
-        t_mat = twirl_over_group(SuperOp(op.d, op_inv.mat @ t_mat.mat @ op.mat), group)
+        t_mat = twirl_over_group(inv @ t_mat @ mat)
     return t_mat
 
 
@@ -373,23 +306,24 @@ def fidelity_bounds(u: float, d: int) -> tuple:
     return (lower, upper)
 
 
-def nonunital_split(op: SuperOp) -> tuple:
+def nonunital_split(op: np.ndarray) -> tuple:
     """Split E = Pi1 + E_n + E_u for a trace-preserving channel.
 
     Returns ``(E_n, E_u)`` where ``E_n = Pi2 E Pi1`` is the non-unital part
     (first column below the top entry) and ``E_u = Pi2 E Pi2`` the unital block.
     """
-    if not op.is_trace_preserving(atol=1e-9):
+    mat, d = _as_ptm(op)
+    size = d ** 2
+    if not np.allclose(mat[0], pi1(d)[0], atol=1e-9):
         raise ValueError("channel is not trace preserving")
-    size = op.d ** 2
     e_n = np.zeros((size, size))
-    e_n[1:, 0] = op.mat[1:, 0]
+    e_n[1:, 0] = mat[1:, 0]
     e_u = np.zeros((size, size))
-    e_u[1:, 1:] = op.mat[1:, 1:]
-    return (SuperOp(op.d, e_n), SuperOp(op.d, e_u))
+    e_u[1:, 1:] = mat[1:, 1:]
+    return (e_n, e_u)
 
 
-def inverse_half_channel(op: SuperOp) -> SuperOp:
+def inverse_half_channel(op: np.ndarray) -> np.ndarray:
     """The partner channel E' = Pi1 + E_n + E_u^T.
 
     E' keeps the non-unital part of E and transposes (adjoints) its unital
@@ -400,13 +334,10 @@ def inverse_half_channel(op: SuperOp) -> SuperOp:
     ``UnitaryError("XI", 0.4)`` paired with its E' decays at about 0.92
     at n = 2, while its unitarity is 1.
     """
-    e_n, e_u = nonunital_split(op)
-    size = op.d ** 2
-    mat = np.zeros((size, size))
+    mat, e_u = nonunital_split(op)  # mat starts as E_n
     mat[0, 0] = 1.0
-    mat[1:, 0] = e_n.mat[1:, 0]
-    mat[1:, 1:] = e_u.mat[1:, 1:].T
-    return SuperOp(op.d, mat)
+    mat[1:, 1:] = e_u[1:, 1:].T
+    return mat
 
 
 def depolarizing_tensor_unitarity(p: float, n_pairs: int) -> float:
@@ -447,18 +378,14 @@ def computational_state_vector(n_qubits: int, bits: int = 0) -> np.ndarray:
     """PTM coordinates of |b><b| for the basis state with bit b_j at qubit j.
 
     A product over qubits of ``(1, 0, 0, +-1) / sqrt(2)``, since
-    ``|0><0| = (I + Z) / 2`` and ``|1><1| = (I - Z) / 2``.
+    ``|0><0| = (I + Z) / 2`` and ``|1><1| = (I - Z) / 2``.  These are also
+    the coordinates of the projector effect |b><b|.
     """
     vec = np.ones(1)
     for q in range(n_qubits):
         sign = -1.0 if (bits >> q) & 1 else 1.0
         vec = np.kron(vec, np.array([1.0, 0.0, 0.0, sign]) / math.sqrt(2.0))
     return vec
-
-
-def computational_effect_vector(n_qubits: int, bits: int = 0) -> np.ndarray:
-    """PTM coordinates of the projector effect |b><b| (same as the state)."""
-    return computational_state_vector(n_qubits, bits)
 
 
 @dataclass(frozen=True)
@@ -476,7 +403,7 @@ class DecayLawParams:
         return self.amplitude * self.f * self.u ** (length - 1) + self.baseline
 
     @classmethod
-    def from_channel(cls, op: SuperOp, state: np.ndarray,
+    def from_channel(cls, op: np.ndarray, state: np.ndarray,
                      effect: np.ndarray) -> "DecayLawParams":
         f = f_value(op)
         u = unitarity(op)

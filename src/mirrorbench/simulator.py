@@ -47,7 +47,6 @@ from .channels import (
     Depolarizing,
     StochasticPauli,
     UnitaryError,
-    computational_effect_vector,
     computational_state_vector,
     superop_of,
     superop_of_unitary,
@@ -84,7 +83,7 @@ def _channel_arity_ok(params: ChannelParams, k: int) -> bool:
         return params.n_qubits == k
     if isinstance(params, UnitaryError):
         return len(params.axis) == k
-    return False
+    raise TypeError(f"{params!r} is not a channel")
 
 
 def is_pauli_stochastic(params: ChannelParams) -> bool:
@@ -366,9 +365,9 @@ def _local_ptm(clifford: Optional[int], params: Optional[ChannelParams],
     """PTM of one gate (a Clifford index, or None for UZZ) and the channel after
     it, as a ``(4,)*2k`` tensor: k output axes, then k input axes."""
     mat = superop_of_unitary(UZZ_MATRIX if clifford is None
-                             else CLIFFORD_UNITARIES[clifford]).mat
+                             else CLIFFORD_UNITARIES[clifford])
     if params is not None:
-        mat = superop_of(params, k).mat @ mat
+        mat = superop_of(params, k) @ mat
     out = mat.reshape((4,) * (2 * k))
     out.flags.writeable = False
     return out
@@ -424,7 +423,7 @@ def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
     bits = 0
     for q, bit in enumerate(circuit.expected_outcome):
         bits |= bit << q
-    prob = float(computational_effect_vector(n, bits) @ state.reshape(-1))
+    prob = float(computational_state_vector(n, bits) @ state.reshape(-1))
     return min(max(prob, 0.0), 1.0)
 
 

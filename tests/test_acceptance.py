@@ -33,7 +33,6 @@ from mirrorbench.channels import (
     superop_of,
     t_sequence,
     unitarity,
-    SuperOp,
 )
 from mirrorbench.circuits import (
     build_mirror_circuits,
@@ -67,18 +66,18 @@ def test_criterion_1_twirled_sequence_oracle():
     op = superop_of(random_stochastic_pauli(rng), 1)
     f = f_value(op)
     u = unitarity(op)
-    p1 = pi1(2).mat
-    p2 = pi2(2).mat
+    p1 = pi1(2)
+    p2 = pi2(2)
     seq_err = 0.0
     for ell in range(1, 9):
-        t_mat = t_sequence(op, length=ell).mat
+        t_mat = t_sequence(op, length=ell)
         seq_err = max(seq_err, np.max(np.abs(t_mat - (p1 + f * u ** (ell - 1) * p2))))
     state = computational_state_vector(1, 0)
     law = DecayLawParams.from_channel(op, state, state)
     spam_err = max(abs(law.amplitude - 0.5), abs(law.baseline - 0.5))
     law_err = 0.0
     for ell in range(1, 9):
-        p_direct = float(state @ t_sequence(op, length=ell).mat @ state)
+        p_direct = float(state @ t_sequence(op, length=ell) @ state)
         law_err = max(law_err, abs(p_direct - law.predict(ell)))
     elapsed = time.perf_counter() - start
     ok = seq_err <= 1e-10 and law_err <= 1e-10 and spam_err <= 1e-12 and elapsed < 1.0
@@ -93,7 +92,7 @@ def test_criterion_2_tensor_unitarity_closure():
         m1 = superop_of(Depolarizing(p), 2)
         direct1 = unitarity(m1)
         worst = max(worst, abs(depolarizing_tensor_unitarity(p, 1) - direct1))
-        m2 = SuperOp(16, np.kron(m1.mat, m1.mat))
+        m2 = np.kron(m1, m1)
         direct2 = unitarity(m2)
         worst = max(worst, abs(depolarizing_tensor_unitarity(p, 2) - direct2))
     spot1 = abs(depolarizing_tensor_unitarity(0.01, 1) - 0.9801)

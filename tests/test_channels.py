@@ -11,12 +11,9 @@ from mirrorbench.channels import (
     DecayLawParams,
     Depolarizing,
     StochasticPauli,
-    SuperOp,
     UnitaryError,
-    computational_effect_vector,
     computational_state_vector,
     depolarizing_tensor_unitarity,
-    dual,
     f_value,
     fidelity_bounds,
     inverse_half_channel,
@@ -31,7 +28,6 @@ from mirrorbench.channels import (
     superop_of,
     superop_of_unitary,
     t_sequence,
-    tensor,
     twirl_over_group,
     unitarity,
 )
@@ -58,9 +54,9 @@ def test_superop_of_unitary_matches_reference(rng):
         h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         u = expm(1j * (h + h.conj().T))
         got = superop_of_unitary(u)
-        np.testing.assert_allclose(got.mat, ptm_of_unitary_ref(u), atol=1e-12)
-        assert got.is_trace_preserving()
-        assert got.is_unital()
+        np.testing.assert_allclose(got, ptm_of_unitary_ref(u), atol=1e-12)
+        assert np.allclose(got[0], pi1(d)[0], atol=1e-10)  # trace preserving
+        assert np.allclose(got[:, 0], pi1(d)[:, 0], atol=1e-10)  # unital
 
 
 def test_depolarizing_ptm_is_uniform_contraction():
@@ -68,7 +64,7 @@ def test_depolarizing_ptm_is_uniform_contraction():
         op = superop_of(Depolarizing(p), n)
         ref = np.eye(4 ** n) * (1.0 - p)
         ref[0, 0] = 1.0
-        np.testing.assert_allclose(op.mat, ref, atol=1e-14)
+        np.testing.assert_allclose(op, ref, atol=1e-14)
 
 
 def test_stochastic_pauli_matches_kraus_reference():
@@ -79,7 +75,7 @@ def test_stochastic_pauli_matches_kraus_reference():
              math.sqrt(probs[0]) * PAULIS_1Q["X"],
              math.sqrt(probs[1]) * PAULIS_1Q["Y"],
              math.sqrt(probs[2]) * PAULIS_1Q["Z"]]
-    np.testing.assert_allclose(op.mat, ptm_of_kraus_ref(kraus, 1), atol=1e-12)
+    np.testing.assert_allclose(op, ptm_of_kraus_ref(kraus, 1), atol=1e-12)
 
 
 def test_stochastic_pauli_two_qubit_order():
@@ -89,7 +85,7 @@ def test_stochastic_pauli_two_qubit_order():
     op = superop_of(StochasticPauli(tuple(probs)), 2)
     kraus = [math.sqrt(0.75) * np.eye(4),
              math.sqrt(0.25) * pauli_matrix_from_label("IX")]
-    np.testing.assert_allclose(op.mat, ptm_of_kraus_ref(kraus, 2), atol=1e-12)
+    np.testing.assert_allclose(op, ptm_of_kraus_ref(kraus, 2), atol=1e-12)
 
 
 def test_stochastic_pauli_validation():
@@ -106,7 +102,7 @@ def test_unitary_error_matches_expm():
         n = len(axis)
         op = superop_of(UnitaryError(axis, theta), n)
         u = expm(-0.5j * theta * pauli_matrix_from_label(axis))
-        np.testing.assert_allclose(op.mat, ptm_of_unitary_ref(u), atol=1e-12)
+        np.testing.assert_allclose(op, ptm_of_unitary_ref(u), atol=1e-12)
 
 
 def test_amplitude_damping_matches_kraus():
@@ -114,26 +110,21 @@ def test_amplitude_damping_matches_kraus():
     k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
     one = superop_of(AmplitudeDamping(gamma), 1)
-    np.testing.assert_allclose(one.mat, ptm_of_kraus_ref([k0, k1], 1), atol=1e-12)
-    assert one.is_trace_preserving()
-    assert not one.is_unital()
+    np.testing.assert_allclose(one, ptm_of_kraus_ref([k0, k1], 1), atol=1e-12)
+    assert np.allclose(one[0], pi1(2)[0], atol=1e-10)  # trace preserving
+    assert not np.allclose(one[:, 0], pi1(2)[:, 0], atol=1e-10)  # not unital
     # two-qubit version is the kron of per-qubit PTMs
     two = superop_of(AmplitudeDamping(gamma), 2)
     kraus2 = [np.kron(a, b) for a in (k0, k1) for b in (k0, k1)]
-    np.testing.assert_allclose(two.mat, ptm_of_kraus_ref(kraus2, 2), atol=1e-12)
+    np.testing.assert_allclose(two, ptm_of_kraus_ref(kraus2, 2), atol=1e-12)
 
 
 def test_tensor_and_stochastic_pauli_tensor():
     a = StochasticPauli((0.04, 0.01, 0.02))
     b = StochasticPauli((0.03, 0.02, 0.05))
     combined = superop_of(stochastic_pauli_tensor(a, b), 2)
-    ref = tensor([superop_of(a, 1), superop_of(b, 1)])
-    np.testing.assert_allclose(combined.mat, ref.mat, atol=1e-12)
-
-
-def test_dual_is_transpose(rng):
-    op = superop_of(random_stochastic_pauli(rng), 1)
-    np.testing.assert_array_equal(dual(op).mat, op.mat.T)
+    ref = np.kron(superop_of(a, 1), superop_of(b, 1))
+    np.testing.assert_allclose(combined, ref, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +152,8 @@ def test_unitarity_of_unitary_channel_is_one(rng):
 
 def test_projectors():
     for d in (2, 4):
-        p1 = pi1(d).mat
-        p2 = pi2(d).mat
+        p1 = pi1(d)
+        p2 = pi2(d)
         np.testing.assert_allclose(p1 + p2, np.eye(d * d), atol=1e-15)
         np.testing.assert_allclose(p1 @ p1, p1, atol=1e-15)
         np.testing.assert_allclose(p2 @ p2, p2, atol=1e-15)
@@ -170,14 +161,13 @@ def test_projectors():
 
 
 def test_twirl_is_depolarizing_projection(rng):
-    group = single_qubit_clifford_group()
-    assert len(group) == 24
+    assert len(single_qubit_clifford_group()) == 24
     for _ in range(5):
         op = superop_of(random_stochastic_pauli(rng), 1)
-        tw = twirl_over_group(op, group)
+        tw = twirl_over_group(op)
         f = f_value(op)
-        ref = pi1(2).mat + f * pi2(2).mat
-        np.testing.assert_allclose(tw.mat, ref, atol=1e-12)
+        ref = pi1(2) + f * pi2(2)
+        np.testing.assert_allclose(tw, ref, atol=1e-12)
 
 
 def test_t_sequence_recursion_shape(rng):
@@ -186,8 +176,8 @@ def test_t_sequence_recursion_shape(rng):
     u = unitarity(op)
     for ell in range(1, 7):
         t = t_sequence(op, length=ell)
-        ref = pi1(2).mat + f * u ** (ell - 1) * pi2(2).mat
-        assert np.max(np.abs(t.mat - ref)) < 1e-10
+        ref = pi1(2) + f * u ** (ell - 1) * pi2(2)
+        assert np.max(np.abs(t - ref)) < 1e-10
 
 
 def test_t_sequence_nonunital_inverse_pairing():
@@ -198,14 +188,14 @@ def test_t_sequence_nonunital_inverse_pairing():
     f = f_value(op)
     for ell in range(1, 6):
         t = t_sequence(op, op_inv=inverse_half_channel(op), length=ell)
-        ref = pi1(2).mat + f * u ** (ell - 1) * pi2(2).mat
-        assert np.max(np.abs(t.mat - ref)) < 1e-10
+        ref = pi1(2) + f * u ** (ell - 1) * pi2(2)
+        assert np.max(np.abs(t - ref)) < 1e-10
 
 
 def test_nonunital_split_reassembles():
     op = superop_of(AmplitudeDamping(0.4), 1)
-    e_n, e_u = (part.mat for part in nonunital_split(op))
-    np.testing.assert_allclose(pi1(2).mat + e_n + e_u, op.mat, atol=1e-14)
+    e_n, e_u = nonunital_split(op)
+    np.testing.assert_allclose(pi1(2) + e_n + e_u, op, atol=1e-14)
     # unital part has empty first row and column
     assert np.allclose(e_u[0, :], 0) and np.allclose(e_u[:, 0], 0)
     # nonunital part lives in the first column below the unit entry
@@ -217,7 +207,7 @@ def test_inverse_half_channel_v_factor_equals_unitarity():
         op = superop_of(AmplitudeDamping(gamma), 1)
         inv = inverse_half_channel(op)
         d = 2
-        v = np.trace(pi2(d).mat @ inv.mat @ pi2(d).mat @ op.mat) / (d * d - 1)
+        v = np.trace(pi2(d) @ inv @ pi2(d) @ op) / (d * d - 1)
         assert abs(v - unitarity(op)) < 1e-12
 
 
@@ -235,8 +225,8 @@ def test_fidelity_bounds_hold_and_saturate(rng):
 def test_depolarizing_tensor_unitarity_against_ptm():
     for n_pairs in (1, 2):
         for p in (0.0, 0.01, 0.1, 1.0):
-            ops = [superop_of(Depolarizing(p), 2)] * n_pairs
-            direct = unitarity(tensor(ops))
+            pair = superop_of(Depolarizing(p), 2)
+            direct = unitarity(pair if n_pairs == 1 else np.kron(pair, pair))
             closed = depolarizing_tensor_unitarity(p, n_pairs)
             assert abs(direct - closed) < 1e-10
 
@@ -253,11 +243,9 @@ def test_depolarizing_tensor_unitarity_frozen_values():
 
 def test_computational_vectors_single_qubit():
     r = computational_state_vector(1, 0)
-    e = computational_effect_vector(1, 0)
     ref = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
     np.testing.assert_allclose(r, ref, atol=1e-15)
-    np.testing.assert_allclose(e, ref, atol=1e-15)
-    assert abs(e @ r - 1.0) < 1e-14
+    assert abs(r @ r - 1.0) < 1e-14  # the projector effect |0><0| has r's coordinates
 
 
 def test_computational_vectors_norm_and_overlap(rng):
@@ -265,9 +253,8 @@ def test_computational_vectors_norm_and_overlap(rng):
     bits = int(rng.integers(0, 2 ** n))
     other = bits ^ (2 ** n - 1)
     r = computational_state_vector(n, bits)
-    e = computational_effect_vector(n, bits)
-    assert abs(e @ r - 1.0) < 1e-12
-    assert abs(computational_effect_vector(n, other) @ r) < 1e-12
+    assert abs(r @ r - 1.0) < 1e-12
+    assert abs(computational_state_vector(n, other) @ r) < 1e-12
 
 
 def test_decay_law_ideal_spam_single_qubit(rng):
@@ -275,7 +262,7 @@ def test_decay_law_ideal_spam_single_qubit(rng):
     params = DecayLawParams.from_channel(
         op,
         computational_state_vector(1, 0),
-        computational_effect_vector(1, 0),
+        computational_state_vector(1, 0),
     )
     assert abs(params.amplitude - 0.5) < 1e-12
     assert abs(params.baseline - 0.5) < 1e-12
@@ -297,8 +284,41 @@ def test_random_stochastic_pauli_is_valid_and_seeded():
 
 def test_superop_validation():
     with pytest.raises(ValueError):
-        SuperOp(2, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
         Depolarizing(1.5)
     with pytest.raises(ValueError):
         AmplitudeDamping(-0.1)
+
+
+# every public function that takes a PTM checks its shape: a square
+# (4^k, 4^k) matrix with 1 <= k <= 4
+_PTM_TAKERS = {
+    "f_value": f_value,
+    "process_fidelity": process_fidelity,
+    "unitarity": unitarity,
+    "t_sequence": t_sequence,
+    "nonunital_split": nonunital_split,
+    "inverse_half_channel": inverse_half_channel,
+    "DecayLawParams.from_channel": lambda op: DecayLawParams.from_channel(
+        op, computational_state_vector(1, 0), computational_state_vector(1, 0)),
+}
+_MALFORMED = {
+    "not-square": np.eye(4)[:, :3],
+    "not-4^k": np.eye(3),
+    "k=5": np.zeros((4 ** 5, 4 ** 5)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_MALFORMED))
+@pytest.mark.parametrize("name", sorted(_PTM_TAKERS))
+def test_ptm_functions_reject_malformed_matrices(name, shape):
+    with pytest.raises(ValueError):
+        _PTM_TAKERS[name](_MALFORMED[shape])
+
+
+def test_t_sequence_rejects_two_qubit_ptms():
+    # the twirl is over the single-qubit Cliffords only
+    op = superop_of(Depolarizing(0.1), 2)
+    with pytest.raises(ValueError):
+        t_sequence(op)
+    with pytest.raises(ValueError):
+        twirl_over_group(op)

@@ -61,6 +61,13 @@ def test_noise_model_arity_validation():
         NoiseModel(inverse_half_override=PAULI_1Q)
 
 
+@pytest.mark.parametrize("slot", ["two_qubit", "single_qubit", "inverse_half_override"])
+def test_noise_model_rejects_a_non_channel(slot):
+    # a spec string is not a channel: the error names it, not a qubit count
+    with pytest.raises(TypeError, match="'depolarizing:0.1' is not a channel"):
+        NoiseModel(**{slot: "depolarizing:0.1"})
+
+
 def test_stabilizer_compatibility_flag():
     assert NoiseModel(two_qubit=Depolarizing(0.1)).stabilizer_compatible()
     assert NoiseModel(two_qubit=PAULI_2Q, single_qubit=PAULI_1Q).stabilizer_compatible()
