@@ -25,7 +25,7 @@ import numpy as np
 from .channels import Depolarizing, depolarizing_tensor_unitarity
 from .circuits import build_mirror_circuits, sample_experiment, sample_matchings
 from .operators import (
-    _clifford_masks,
+    _LETTER_MASK_ROWS,
     _clifford_round,
     _clifford_signs,
     _partners,
@@ -276,13 +276,19 @@ class FramePotentialEstimate:
 def _transpose_bits(masks: np.ndarray, width: int) -> np.ndarray:
     """Swap the row axis of ``(rows, m)`` bitmasks with their bit axis.
 
-    Bit r of ``out[f, s]`` is bit f of ``masks[r, s]``; ``out`` has ``width`` rows.
+    Bit r of ``out[f, s]`` is bit f of ``masks[r, s]``; ``out`` has ``width``
+    rows and the word type of ``masks``.
     """
-    shifts = np.arange(width, dtype=np.uint64)[:, None]
-    out = np.zeros((width, masks.shape[1]), dtype=np.uint64)
+    shifts = np.arange(width, dtype=masks.dtype)[:, None]
+    out = np.zeros((width, masks.shape[1]), dtype=masks.dtype)
     for r, row in enumerate(masks):
         out |= ((row >> shifts) & 1) << r
     return out
+
+
+# ``_LETTER_MASK_ROWS`` in the frame potential's 16-bit words; every mask is
+# all ones or zero, so it truncates exactly
+_LETTER_MASK_ROWS_16 = _LETTER_MASK_ROWS.astype(np.uint16)
 
 
 class _SampledCliffords:
@@ -291,22 +297,23 @@ class _SampledCliffords:
     ``operators``' bit-packed layout over the 2n generators X_0..X_{n-1},
     Z_0..Z_{n-1}: bit j of ``x[p, s]`` and ``z[p, s]`` is the X and Z part,
     at physical qubit p, of ``U_s g_j U_s^dagger`` in Hermitian letters, and
-    bit j of ``signs[s]`` marks a minus sign.  Every sample starts at the
-    identity.
+    bit j of ``signs[s]`` marks a minus sign.  The words are ``uint16``:
+    n <= ``FRAME_POTENTIAL_QUBIT_LIMIT`` = 8, so the 2n generator bits fit.
+    Every sample starts at the identity.
     """
 
     def __init__(self, n_qubits: int, samples: int):
-        self.generators = np.uint64(1) << np.arange(2 * n_qubits, dtype=np.uint64)
+        self.generators = np.uint16(1) << np.arange(2 * n_qubits, dtype=np.uint16)
         self.x = np.repeat(self.generators[:n_qubits, None], samples, axis=1)
         self.z = np.repeat(self.generators[n_qubits:, None], samples, axis=1)
-        self.signs = np.zeros(samples, dtype=np.uint64)
+        self.signs = np.zeros(samples, dtype=np.uint16)
 
     def apply_layer(self, rng: np.random.Generator) -> None:
         """Append one random layer: Cliffords, then UZZ on a random matching."""
         n, m = self.x.shape
         cliffords = rng.integers(0, 24, size=(m, n))
         pairs = sample_matchings(rng, n, m)
-        masks = _clifford_masks(cliffords.T)
+        masks = np.take(_LETTER_MASK_ROWS_16, cliffords.T, axis=1)
         self.signs ^= np.bitwise_xor.reduce(_clifford_signs(self.x, self.z, masks), axis=0)
         self.x, self.z = _clifford_round(self.x, self.z, masks)
         x_partner = np.take_along_axis(self.x, _partners(pairs).T, axis=0)
@@ -325,19 +332,26 @@ class _SampledCliffords:
         """
         n, m = self.x.shape
         gens = self.generators[:, None]
+        images = np.concatenate([self.x, self.z])
         # Row X_p (Z_p) of S + I: the generators whose image has an X (Z)
         # part at qubit p, XOR the generator X_p (Z_p) itself.
-        rows = np.concatenate([self.x, self.z]) ^ gens
-        # Reduced row echelon form, column by column.  A column's pivot row
-        # leaves ``rows`` for ``pivots`` (zero where the column is free).
-        pivots = np.zeros_like(rows)
-        cols = np.arange(m)
-        for c in range(2 * n):
-            hit = (rows & gens[c]) != 0
-            pivot = rows[hit.argmax(axis=0), cols] * hit.any(axis=0)
-            rows ^= pivot * hit
-            pivots ^= pivot * ((pivots & gens[c]) != 0)
-            pivots[c] = pivot
+        rows = images ^ gens
+        # Reduced row echelon form by a scan over the rows: each row in turn,
+        # already cleared of the earlier rows' pivot columns, pivots on its
+        # lowest set column and clears that column from every other row.
+        # The form is unique, so the order of the scan does not matter.
+        for r in range(2 * n):
+            row = rows[r].copy()
+            rows ^= row * ((rows & (row & -row)) != 0)
+            rows[r] = row
+        # File each pivot row under its column (``pivots`` is zero where the
+        # column is free).  The column is the row's count of trailing zeros;
+        # a zero row counts all of the word's bits and lands in a spare row
+        # past the 2n columns.
+        column = np.bitwise_count((rows & -rows) - 1)
+        pivots = np.zeros((8 * rows.itemsize + 1, m), dtype=rows.dtype)
+        pivots[column, np.arange(m)] = rows
+        pivots = pivots[:2 * n]
         free = pivots == 0
         # Free column f gives the kernel vector v_f: f and every pivot column
         # whose pivot row holds f.
@@ -346,8 +360,9 @@ class _SampledCliffords:
         # per minus sign.  The generators of any v multiply, in ascending
         # order, to X^vx Z^vz with phase 1, so U keeps the sign of that Pauli
         # iff the images of v multiply, in the same order, to phase 1.
-        x_img = _transpose_bits(self.x, 2 * n)
-        z_img = _transpose_bits(self.z, 2 * n)
+        transposed = _transpose_bits(images, 2 * n)
+        x_img = transposed & ((1 << n) - 1)
+        z_img = transposed >> n
         minus = ((self.signs & gens) != 0).view(np.uint8)
         phase = np.bitwise_count(x_img & z_img) + 2 * minus
         total = np.zeros(basis.shape, dtype=np.uint8)  # phases add mod 4
@@ -460,12 +475,16 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
         compiled = build_mirror_circuits(
             [spec for _, gen_seed, _ in group
              for spec in sample_experiment(gen_seed, n_qubits, lengths, circuits_per_length)])
-        for k, (p, _, sim_seed) in enumerate(group):
-            noise = NoiseModel(two_qubit=Depolarizing(p))
-            dataset = simulate_survival(compiled[k * size:(k + 1) * size], noise, shots,
-                                        rng=sim_seed)
-            fit = fit_decay(dataset)
-            points.append(
-                ScatterPoint(p, depolarizing_tensor_unitarity(p, n_qubits // 2), fit.u)
-            )
+        fit_lengths, p_hat, se = zip(*[
+            survival_points(simulate_survival(
+                compiled[k * size:(k + 1) * size], NoiseModel(two_qubit=Depolarizing(p)),
+                shots, rng=sim_seed))
+            for k, (p, _, sim_seed) in enumerate(group)])
+        if len(fit_lengths[0]) < 2:
+            raise ValueError("need at least two distinct lengths to fit")
+        # the chunk's experiments are fitted together, one row each
+        _, u_est, _ = _fit_rows(fit_lengths[0], np.array(p_hat), np.array(se),
+                                1.0 / 2 ** n_qubits)
+        points += [ScatterPoint(p, depolarizing_tensor_unitarity(p, n_qubits // 2), float(u))
+                   for (p, _, _), u in zip(group, u_est)]
     return points

@@ -228,7 +228,11 @@ def sample_matchings(rng: np.random.Generator, n_qubits: int, count: int) -> np.
     if n_qubits < 2 or n_qubits % 2:
         raise ValueError("n_qubits must be even and >= 2")
     perm = rng.permuted(np.tile(np.arange(n_qubits), (count, 1)), axis=1)
-    return np.sort(perm.reshape(count, n_qubits // 2, 2), axis=2)
+    first, second = perm[:, 0::2], perm[:, 1::2]
+    pairs = np.empty((count, n_qubits // 2, 2), dtype=perm.dtype)
+    np.minimum(first, second, out=pairs[..., 0])
+    np.maximum(first, second, out=pairs[..., 1])
+    return pairs
 
 
 def mirror_circuit_spec(seed: int, n_qubits: int, length: int,

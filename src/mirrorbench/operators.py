@@ -16,13 +16,14 @@ Conventions used throughout the package:
   in that one letter table, and the unitaries ride along as products of
   each generator word.
 - The images of a set of Paulis under a Clifford circuit are carried
-  bit-packed in numpy ``uint64`` words: ``x[p]`` and ``z[p]`` hold, bit by
-  bit, the X and Z letter of each tracked Pauli at physical qubit p, one
-  column per word or per sample.  ``_clifford_round`` applies one
-  single-qubit Clifford to every qubit and ``_uzz_round`` one layer of UZZ
-  gates, both on every column at once.  They are the one propagation path:
-  the mirror check and fault masks of ``circuits`` and the frame potential
-  of ``analysis`` run on them.
+  bit-packed in unsigned numpy words (``uint64`` in ``circuits``, ``uint16``
+  in the frame potential): ``x[p]`` and ``z[p]`` hold, bit by bit, the X
+  and Z letter of each tracked Pauli at physical qubit p, one column per
+  word or per sample.  ``_clifford_round`` applies one single-qubit
+  Clifford to every qubit and ``_uzz_round`` one layer of UZZ gates, both
+  on every column at once.  They are the one propagation path: the mirror
+  check and fault masks of ``circuits`` and the frame potential of
+  ``analysis`` run on them.
 """
 
 from __future__ import annotations
@@ -154,13 +155,14 @@ class NativeGate:
 # Round rules on bit-packed Pauli images
 # ---------------------------------------------------------------------------
 #
-# ``x`` and ``z`` are uint64 arrays whose second-to-last axis is the physical
-# qubit p; bit j of ``x[..., p, :]`` and ``z[..., p, :]`` is the letter at p of
-# tracked Pauli j (Y is x = z = 1).  Each rule comes in two parts: the new
-# images, and the sign flips per qubit, whose XOR over the qubits is the
-# round's.  The flips are computed from the images before the round, so a
-# sequential pass (``circuits._z_pass``) takes each round's sign part before
-# its image part and XORs the flips up round by round.
+# ``x`` and ``z`` are unsigned integer arrays, and the masks of the same word
+# type, whose second-to-last axis is the physical qubit p; bit j of
+# ``x[..., p, :]`` and ``z[..., p, :]`` is the letter at p of tracked Pauli j
+# (Y is x = z = 1).  Each rule comes in two parts: the new images, and the
+# sign flips per qubit, whose XOR over the qubits is the round's.  The flips
+# are computed from the images before the round, so a sequential pass
+# (``circuits._z_pass``) takes each round's sign part before its image part
+# and XORs the flips up round by round.
 
 
 def _clifford_masks(cliffords: np.ndarray) -> np.ndarray:

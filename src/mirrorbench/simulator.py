@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -486,6 +485,10 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
         for pos, c in enumerate(compiled)
     ]
     if jobs > 1:
+        # imported here: the pool is the one user of concurrent.futures and
+        # multiprocessing, which every other call would pay to import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             entries = list(pool.map(_run_one, tasks, chunksize=1))
     else:

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from mirrorbench.analysis import (
+    FRAME_POTENTIAL_QUBIT_LIMIT,
     FitResult,
     ScatterPoint,
     _SampledCliffords,
@@ -306,7 +307,7 @@ def _dense_profile(n_qubits, lengths, samples, seed):
     return out
 
 
-@pytest.mark.parametrize("n_qubits,samples", [(2, 400), (4, 200), (6, 40)])
+@pytest.mark.parametrize("n_qubits,samples", [(2, 400), (4, 200), (6, 40), (8, 8)])
 def test_trace_squared_equals_dense_trace(n_qubits, samples):
     d = 2 ** n_qubits
     bits = _basis_bits(n_qubits)
@@ -319,6 +320,15 @@ def test_trace_squared_equals_dense_trace(n_qubits, samples):
         unitaries = _dense_layer(unitaries, dense_rng, bits)
         dense = np.abs(np.einsum("bii->b", unitaries)) ** 2
         np.testing.assert_allclose(cliffords.trace_squared(), dense, rtol=0, atol=1e-9)
+
+
+def test_frame_potential_word_holds_every_generator():
+    # the 2n generator bits of the widest register the frame potential
+    # accepts must fit its word
+    n = FRAME_POTENTIAL_QUBIT_LIMIT
+    gens = _SampledCliffords(n, 1).generators
+    assert np.iinfo(gens.dtype).bits >= 2 * n
+    assert gens.tolist() == [1 << j for j in range(2 * n)]
 
 
 @pytest.mark.parametrize("n_qubits,samples,seed", [(4, 2000, 5), (6, 300, 7)])
@@ -392,6 +402,9 @@ def test_scatter_experiment_points_and_determinism():
     again = scatter_experiment(2, 3, 0.05, rng=5, lengths=(2, 4), circuits_per_length=3,
                                shots=50)
     assert pts == again
+    with pytest.raises(ValueError, match="two distinct lengths"):
+        scatter_experiment(2, 3, 0.05, rng=5, lengths=(4, 4), circuits_per_length=3,
+                           shots=50)
 
 
 def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch):

@@ -107,6 +107,18 @@ def test_sample_matching_two_qubits_is_fixed(rng):
     assert sample_matchings(rng, 2, 1).tolist() == [[[0, 1]]]
 
 
+@pytest.mark.parametrize("n", [2, 4, 64])
+@pytest.mark.parametrize("count", [1, 1000])
+def test_sample_matchings_are_sorted_pairs_of_a_permutation(n, count):
+    # draw for draw: one rng.permuted of the rows, cut into sorted pairs
+    pairs = sample_matchings(np.random.default_rng(n + count), n, count)
+    rng = np.random.default_rng(n + count)
+    perm = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    expected = np.sort(perm.reshape(count, n // 2, 2), axis=2)
+    assert pairs.shape == expected.shape and pairs.dtype == expected.dtype
+    np.testing.assert_array_equal(pairs, expected)
+
+
 def test_sample_layer_structure(rng):
     # a layer is one row of the spec: a Clifford per qubit and a matching
     spec = mirror_circuit_spec(int(rng.integers(2 ** 32)), 6, 1)

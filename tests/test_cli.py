@@ -546,14 +546,25 @@ def test_rerun_with_unknown_backend_exits_2(tmp_path):
     assert run_cli("rerun", str(path), "--out", str(tmp_path / "redo")) == 2
 
 
-def test_cli_import_leaves_scipy_out():
+def _imported_by_cli(modules):
+    """Which of ``modules`` a fresh ``import mirrorbench.cli`` loads."""
     src = os.path.dirname(os.path.dirname(mirrorbench.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, mirrorbench.cli; print('scipy' in sys.modules)"
+    probe = ("import sys, mirrorbench.cli; "
+             f"print([m for m in {list(modules)!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    assert _imported_by_cli(["scipy"]) == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only simulate_survival's jobs > 1 branch needs them
+    assert _imported_by_cli(["concurrent.futures", "multiprocessing"]) == "[]"
 
 
 @pytest.mark.parametrize("rows", [
