@@ -39,7 +39,9 @@ CI_PERCENTILES = (16.0, 84.0)
 DEFAULT_RESAMPLES = 1000
 FRAME_POTENTIAL_QUBIT_LIMIT = 8  # largest n the frame potential accepts
 
-_FIT_BLOCK = 1024  # rows fitted at once; bounds the (rows, grid) arrays
+_FIT_BLOCK = 1024  # rows fitted at once; bounds the (rows, lengths) arrays
+# rows ranked on the u grid at once: each (rows, grid) temporary is 131 KB
+_GRID_ROWS = 64
 # round-qubit cells of the circuits a scatter study compiles and holds at
 # once, so that its memory does not grow with the number of experiments: 10
 # experiments of the default design at n = 4 (batches of 100 circuits, which
@@ -142,13 +144,23 @@ def _lower(fit, candidate):
 
 def _fit_block(ey, powers, w, y) -> tuple:
     """Fit one block of rows by grid bracket, golden section and ends; see
-    ``_fit_rows``."""
+    ``_fit_rows``.  ``powers[j]`` holds ``u**ey[j]`` over the u grid."""
     # 1. profile cost on the grid; the constant sum(w y^2) is left out, so
-    #    this expanded form only ranks grid points
-    num = (w * y) @ powers.T
-    den = w @ (powers * powers).T
-    a = _best_amplitude(num, den)
-    best = np.argmin(a * (a * den - 2.0 * num), axis=1)
+    #    this expanded form only ranks grid points.  The sums over lengths
+    #    run one length at a time, elementwise, so each row's ranking is
+    #    the same whatever rows share its chunk.
+    squares = powers * powers
+    wy = w * y
+    best = np.empty(len(y), dtype=np.intp)
+    for i in range(0, len(y), _GRID_ROWS):
+        rows = slice(i, i + _GRID_ROWS)
+        num = wy[rows, :1] * powers[0]
+        den = w[rows, :1] * squares[0]
+        for j in range(1, len(ey)):
+            num += wy[rows, j:j + 1] * powers[j]
+            den += w[rows, j:j + 1] * squares[j]
+        a = _best_amplitude(num, den)
+        best[rows] = np.argmin(a * (a * den - 2.0 * num), axis=1)
     lo = _U_GRID[np.maximum(best - 1, 0)]
     hi = _U_GRID[np.minimum(best + 1, len(_U_GRID) - 1)]
     # 2. golden-section search in each row's bracket [lo, hi]
@@ -182,11 +194,18 @@ def _fit_rows(lengths: np.ndarray, p_hat: np.ndarray, se: np.ndarray,
     narrow the bracket, and the ends u = 0 and u = 1 are tried; each row
     keeps whichever of these has the lowest cost.  Returns the arrays
     ``(A, u, cost)``.
+
+    Every step works row by row in a fixed order, so a row's result does
+    not depend on the rows fitted beside it: the grid is ranked in chunks
+    of ``_GRID_ROWS`` rows, summing over lengths one at a time, and the
+    golden-section steps and ends are elementwise.  Memory is bounded by
+    the chunk, ``(_GRID_ROWS, grid)`` floats, and by ``(_FIT_BLOCK,
+    lengths)`` floats for the rest, whatever the number of rows.
     """
     ey = np.asarray(lengths, dtype=float) - 1.0
     y = np.atleast_2d(p_hat) - baseline
     w = 1.0 / np.atleast_2d(se) ** 2
-    powers = _U_GRID[:, None] ** ey
+    powers = _U_GRID ** ey[:, None]
     parts = [_fit_block(ey, powers, w[i:i + _FIT_BLOCK], y[i:i + _FIT_BLOCK])
              for i in range(0, len(y), _FIT_BLOCK)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))

@@ -384,7 +384,7 @@ def computational_state_vector(n_qubits: int, bits: int = 0) -> np.ndarray:
     vec = np.ones(1)
     for q in range(n_qubits):
         sign = -1.0 if (bits >> q) & 1 else 1.0
-        vec = np.kron(vec, np.array([1.0, 0.0, 0.0, sign]) / math.sqrt(2.0))
+        vec = np.multiply.outer(vec, np.array([1.0, 0.0, 0.0, sign]) / math.sqrt(2.0)).ravel()
     return vec
 
 

@@ -312,17 +312,24 @@ class CircuitCheckError(ValueError):
         self.index = index
 
 
-def _batches(sizes: Sequence[tuple]) -> list:
+def _image_words(size: tuple) -> int:
+    """Words of one image array of the Z pass per circuit of (n, L) ``size``."""
+    n, _ = size
+    return n * ((n + 63) // 64)
+
+
+def _batches(sizes: Sequence[tuple], words=_image_words, budget: int = _BATCH_WORDS) -> list:
     """The positions of circuits of the given (n, L) ``sizes``, grouped by
     size in order of first appearance, each group cut into batches of at
-    most ``_BATCH_WORDS`` image words."""
+    most ``budget`` words, ``words(size)`` per circuit, and at least one
+    circuit."""
     groups = {}
     for i, size in enumerate(sizes):
         groups.setdefault(size, []).append(i)
     out = []
-    for (n, _), members in groups.items():
-        size = max(1, _BATCH_WORDS // (n * ((n + 63) // 64)))
-        out.extend(members[k:k + size] for k in range(0, len(members), size))
+    for size, members in groups.items():
+        count = max(1, budget // max(words(size), 1))
+        out.extend(members[k:k + count] for k in range(0, len(members), count))
     return out
 
 

@@ -6,11 +6,14 @@ Two backends share a gate-located noise model:
   noiseless circuit maps each Z_q to +/-Z_q, so every fault site and Pauli
   code has one fixed final X-mask, the set of measured bits it flips: the
   Z_q whose image where the fault occurs it anticommutes with.
-  ``compile_fault_program`` reads those masks, for every site at once, from
-  the round-by-round Z images that the circuit's mirror check kept (no
-  second pass over the gates: that check is one pass per (n, L) group of
-  circuits), and takes the sites' grouping by channel, which depends only
-  on (n, L, noise), from a cache shared by the group.
+  The fault tables (``_fault_tables``) read those masks, for every site at
+  once, from the round-by-round Z images that the circuits' mirror check
+  kept (no second pass over the gates: that check is one pass per (n, L)
+  group of circuits), and take the sites' grouping by channel, which
+  depends only on (n, L, noise), from a cache shared by the group.
+  ``simulate_survival`` builds them once per batch of one (n, L), up to
+  ``_TABLE_WORDS`` table words; ``compile_fault_program`` is a batch of
+  one.  Each circuit still draws its faults from its own child stream.
   Faults are drawn sparsely: per block of shots and per group, a binomial
   count of faulty (shot, site) cells, placed uniformly, each with a code
   from the group's conditional table, so the work follows the faults drawn,
@@ -53,6 +56,7 @@ from .channels import (
 from .circuits import (
     CompiledCircuit,
     MirrorCircuitSpec,
+    _batches,
     _gate_layout,
     _is_int,
     build_mirror_circuits,
@@ -64,6 +68,11 @@ DATASET_FORMAT_VERSION = 1
 # shots per draw: memory follows the faults one block draws (a block of dense
 # faults can take one int64 per (shot, site) cell while they are placed)
 _SHOT_BLOCK = 8192
+
+# fault-table words (16 per site and circuit) that one batch of circuits
+# builds at once, 512 KB: a batch holds at least one circuit, so memory does
+# not grow with the number of circuits
+_TABLE_WORDS = 1 << 16
 
 # the most qubits each backend simulates: uint64 fault masks, and a dense
 # state of 4^n floats (512 KB at n = 8)
@@ -247,19 +256,18 @@ def _code_masks(generators: np.ndarray) -> np.ndarray:
     """
     masks = np.zeros(generators.shape[:-1] + (16,), dtype=np.uint64)
     for j in range(generators.shape[-1]):
-        masks[..., 1 << j:2 << j] = masks[..., :1 << j] ^ generators[..., j, None]
+        np.bitwise_xor(masks[..., :1 << j], generators[..., j, None],
+                       out=masks[..., 1 << j:2 << j])
     return masks
 
 
 @lru_cache(maxsize=64)
 def _fault_sites(n: int, length: int, noise: NoiseModel) -> tuple:
     """Where the fault sites of every circuit of one (n, L) under ``noise``
-    sit, in gate order: their rows among the Clifford masks and then the UZZ
-    masks of ``compile_fault_program``, and their classes (read-only, cached
-    per (n, L, noise), so one group of circuits builds them once)."""
+    sit, in gate order: the round, UZZ flag and slot of each site's gate
+    (``_gate_layout``), and the sites' classes (read-only, cached per (n, L,
+    noise), so one group of circuits builds them once)."""
     rounds, is_uzz, slot = _gate_layout(n, length)
-    # each gate's row among the Clifford masks, then the UZZ masks
-    row = np.where(is_uzz, 2 * length * n + rounds * (n // 2), rounds * n) + slot
     kind = is_uzz * (1 + (rounds >= length))  # Clifford, forward UZZ, mirrored UZZ
     keys = {}  # (params, arity) -> class number, in order of first site
     class_of_kind = []
@@ -272,32 +280,62 @@ def _fault_sites(n: int, length: int, noise: NoiseModel) -> tuple:
     classes = tuple(_site_class(kernel_pauli_probs(*key),
                                 np.flatnonzero(gate_class[noisy] == number))
                     for key, number in keys.items())
-    rows = row[noisy]
-    rows.flags.writeable = False
-    return rows, classes
+    sites = tuple(array[noisy] for array in (rounds, is_uzz, slot))
+    for array in sites:
+        array.flags.writeable = False
+    return sites, classes
+
+
+def _site_generators(circuits: Sequence[CompiledCircuit], sites: tuple) -> np.ndarray:
+    """The ``(C, sites, 4)`` generator masks (``_code_masks``) of C circuits
+    of one (n, L) at the fault sites ``sites`` (round, UZZ flag and slot
+    arrays): Z_q with a Z part and with an X part at each qubit of the gate,
+    read from the images after a Clifford round (its one qubit, the last two
+    masks left zero) or after a UZZ layer (its pair)."""
+    rounds, two, slot = sites
+    one = ~two
+    x = np.stack([c.x_images for c in circuits])  # (C, 2L, 2, n)
+    z = np.stack([c.z_images for c in circuits])
+    generators = np.zeros((len(circuits), len(rounds), 4), dtype=np.uint64)
+    generators[:, one, 0] = z[:, rounds[one], 0, slot[one]]
+    generators[:, one, 1] = x[:, rounds[one], 0, slot[one]]
+    r = rounds[two]
+    pairs = np.stack([c.uzz_layers[r, slot[two]] for c in circuits])  # (C, sites, 2)
+    k = np.arange(len(circuits))[:, None]
+    for side in (0, 1):
+        generators[:, two, 2 * side] = z[k, r, 1, pairs[..., side]]
+        generators[:, two, 2 * side + 1] = x[k, r, 1, pairs[..., side]]
+    return generators
+
+
+def _fault_tables(circuits: Sequence[CompiledCircuit], noise: NoiseModel) -> tuple:
+    """The fault masks of C circuits of one (n, L), as one ``(C, sites, 16)``
+    array (``FaultProgram.masks`` per circuit), and the sites' classes.
+
+    A fault flips outcome bit q iff it anticommutes with the image of Z_q
+    where it occurs (the circuit maps each Z_q to +/-Z_q), so the masks are
+    read from the Z images the circuits' check kept: the generators of the
+    noisy sites alone are gathered first (``_site_generators``), and only
+    then expanded to the 16 codes.
+    """
+    n, length = circuits[0].n_qubits, circuits[0].length
+    if n > _QUBIT_LIMITS["stabilizer"]:
+        raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
+    sites, classes = _fault_sites(n, length, noise)
+    masks = _code_masks(_site_generators(circuits, sites))
+    masks[:, ~sites[1], 4:] = 0  # a one-qubit fault has no code above 3
+    return masks, classes
 
 
 def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultProgram:
     """The fault sites of ``circuit`` in gate order, with their masks and classes.
 
-    A fault flips outcome bit q iff it anticommutes with the image of Z_q
-    where it occurs (the circuit maps each Z_q to +/-Z_q), so the masks are
-    read from the Z images the circuit's check kept, round by round.  The
-    sites and classes depend only on (n, L, noise) (``_fault_sites``); only
-    the masks are the circuit's own.
+    A batch of one of ``_fault_tables``: the sites and classes depend only
+    on (n, L, noise) (``_fault_sites``); only the masks are the circuit's
+    own.
     """
-    n, length = circuit.n_qubits, circuit.length
-    if n > _QUBIT_LIMITS["stabilizer"]:
-        raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
-    rows, classes = _fault_sites(n, length, noise)
-    x, z = circuit.x_images, circuit.z_images  # (2L, 2, n)
-    one_masks = _code_masks(np.stack([z[:, 0], x[:, 0]], axis=-1))
-    pairs = circuit.uzz_layers
-    xa, xb, za, zb = (images[np.arange(2 * length)[:, None], 1, pairs[..., side]]
-                      for images in (x, z) for side in (0, 1))
-    two_masks = _code_masks(np.stack([za, xa, zb, xb], axis=-1))
-    masks = np.concatenate([one_masks.reshape(-1, 16), two_masks.reshape(-1, 16)])
-    return FaultProgram(masks[rows], classes)
+    masks, classes = _fault_tables([circuit], noise)
+    return FaultProgram(masks[0], classes)
 
 
 def _draw_faults(program: FaultProgram, shots: int, rng: np.random.Generator):
@@ -340,22 +378,31 @@ def propagate_faults(program: FaultProgram, shots: np.ndarray, sites: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def run_stabilizer(circuit: CompiledCircuit, noise: NoiseModel, shots: int,
-                   rng: np.random.Generator) -> int:
-    """How many of ``shots`` Monte Carlo shots survive under stochastic Pauli
-    noise."""
+def _check_stabilizer_noise(noise: NoiseModel) -> None:
     if not noise.stabilizer_compatible():
         raise ValueError(
             "stabilizer backend requires stochastic Pauli channels; "
             "use run_dense for coherent or amplitude-damping noise"
         )
-    program = compile_fault_program(circuit, noise)
+
+
+def _survivors(program: FaultProgram, shots: int, rng: np.random.Generator) -> int:
+    """How many of ``shots`` shots of ``program`` draw no flip, in blocks of
+    ``_SHOT_BLOCK`` shots."""
     successes = 0
     for done in range(0, shots, _SHOT_BLOCK):
         block = min(_SHOT_BLOCK, shots - done)
         flips = propagate_faults(program, *_draw_faults(program, block, rng), block)
         successes += int(np.count_nonzero(flips == 0))
     return successes
+
+
+def run_stabilizer(circuit: CompiledCircuit, noise: NoiseModel, shots: int,
+                   rng: np.random.Generator) -> int:
+    """How many of ``shots`` Monte Carlo shots survive under stochastic Pauli
+    noise."""
+    _check_stabilizer_noise(noise)
+    return _survivors(compile_fault_program(circuit, noise), shots, rng)
 
 
 @lru_cache(maxsize=None)
@@ -444,17 +491,29 @@ def _as_compiled(items: Sequence) -> list:
     return out
 
 
-def _run_one(args):
-    circuit, noise, shots, child_seed, backend = args
-    rng = np.random.default_rng(np.random.SeedSequence(child_seed))
+def _table_batches(circuits: Sequence[CompiledCircuit], noise: NoiseModel) -> list:
+    """The positions of ``circuits`` in batches that share one
+    ``_fault_tables`` call: one (n, L) each, of at most ``_TABLE_WORDS``
+    table words, and at least one circuit."""
+    return _batches([(c.n_qubits, c.length) for c in circuits],
+                    lambda size: 16 * len(_fault_sites(*size, noise)[0][0]), _TABLE_WORDS)
+
+
+def _run_batch(args) -> list:
+    """The dataset entries of one batch of circuits, each circuit drawn from
+    its own child stream (``child_seeds``); a stabilizer batch shares one
+    ``_fault_tables`` call, so its circuits must share (n, L)."""
+    circuits, noise, shots, child_seeds, backend = args
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in child_seeds]
     if backend == "stabilizer":
-        successes = run_stabilizer(circuit, noise, shots, rng)
-    elif backend == "dense":
-        successes = int(rng.binomial(shots, run_dense(circuit, noise)))
+        masks, classes = _fault_tables(circuits, noise)
+        successes = [_survivors(FaultProgram(table, classes), shots, rng)
+                     for table, rng in zip(masks, rngs)]
     else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return DatasetEntry(circuit.length, circuit.circuit_id, shots, successes,
-                        circuit.seed)
+        successes = [int(rng.binomial(shots, run_dense(circuit, noise)))
+                     for circuit, rng in zip(circuits, rngs)]
+    return [DatasetEntry(circuit.length, circuit.circuit_id, shots, count, circuit.seed)
+            for circuit, count in zip(circuits, successes)]
 
 
 def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
@@ -464,12 +523,17 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
 
     ``rng`` may be a seed or a Generator; each circuit gets a child stream
     derived from ``(master_seed, position)``, so results are independent of
-    ``jobs`` and of circuit order within a job.  Specs among ``circuits`` are
-    compiled together, one batch per (n, L).  The dense backend computes
-    the exact probability and draws binomial counts from it.
+    ``jobs`` and of how circuits are batched.  Specs among ``circuits`` are
+    compiled together, one batch per (n, L).  The stabilizer backend builds
+    the fault tables of each (n, L) once per batch of at most
+    ``_TABLE_WORDS`` table words (``_fault_tables``); the dense backend
+    computes each circuit's exact probability and draws binomial counts
+    from it.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if backend not in _QUBIT_LIMITS:
+        raise ValueError(f"unknown backend {backend!r}")
     compiled = _as_compiled(circuits)
     if not compiled:
         raise ValueError("no circuits given")
@@ -480,19 +544,29 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
         master = int(rng.integers(0, 2 ** 63 - 1))
     else:
         master = int(rng)
-    tasks = [
-        (c, noise, shots, (master, pos), backend)
-        for pos, c in enumerate(compiled)
-    ]
+    if backend == "stabilizer":
+        _check_stabilizer_noise(noise)
+        batches = _table_batches(compiled, noise)
+    else:
+        batches = [[pos] for pos in range(len(compiled))]
+    if jobs > 1:  # at least one task per worker, where the circuits allow
+        size = -(-len(compiled) // jobs)
+        batches = [b[k:k + size] for b in batches for k in range(0, len(b), size)]
+    tasks = [([compiled[pos] for pos in batch], noise, shots,
+              [(master, pos) for pos in batch], backend) for batch in batches]
     if jobs > 1:
         # imported here: the pool is the one user of concurrent.futures and
         # multiprocessing, which every other call would pay to import
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_run_one, tasks, chunksize=1))
+            results = list(pool.map(_run_batch, tasks, chunksize=1))
     else:
-        entries = [_run_one(t) for t in tasks]
+        results = [_run_batch(task) for task in tasks]
+    entries = [None] * len(compiled)
+    for batch, batch_entries in zip(batches, results):
+        for pos, entry in zip(batch, batch_entries):
+            entries[pos] = entry
     return DecayDataset(n, tuple(entries))
 
 

@@ -1,6 +1,7 @@
 """Decay fitting, bootstrap intervals, frame potential, scatter studies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,33 @@ def test_fit_rows_find_the_global_minimum_within_bounds():
         assert cost[r] <= brute * (1.0 + 1e-9)
 
 
+def _fit_batch(seed):
+    """2-40 rows of one design: 2-6 lengths up to 64, n in {2, 4, 10}, A up
+    to its bound and u in [0, 1], each point binomial over 1000 shots."""
+    rng = np.random.default_rng(seed)
+    rows, count = int(rng.integers(2, 41)), int(rng.integers(2, 7))
+    baseline = 1.0 / 2 ** int(rng.choice([2, 4, 10]))
+    lengths = np.sort(rng.choice(np.arange(1, 65), size=count, replace=False)).astype(float)
+    amplitude, u = rng.uniform(0.0, 2.0, rows), rng.uniform(0.0, 1.0, rows)
+    p = np.clip(amplitude[:, None] * u[:, None] ** (lengths - 1.0) + baseline, 0.0, 1.0)
+    p_hat = rng.binomial(1000, p) / 1000
+    se = np.maximum(np.sqrt(p_hat * (1.0 - p_hat) / 1000), 1e-4)
+    return lengths, p_hat, se, baseline
+
+
+def test_a_row_fits_the_same_alone_as_in_its_batch():
+    # Where the profile cost is flat in u (long lengths at the baseline),
+    # grid points tie to rounding, and a sum over lengths whose order
+    # depends on the batch (a matrix product) ranks them either way; these
+    # 100 batches (2,309 rows) hold several such rows.
+    for seed in range(100):
+        lengths, p_hat, se, baseline = _fit_batch(seed)
+        batch = np.stack(_fit_rows(lengths, p_hat, se, baseline), axis=1)
+        for r in range(len(p_hat)):
+            alone = np.concatenate(_fit_rows(lengths, p_hat[r], se[r], baseline))
+            assert np.array_equal(alone, batch[r]), (seed, r)
+
+
 def test_resample_points_match_loop_reference():
     rng = np.random.default_rng(8)
     entries = tuple(
@@ -226,6 +254,26 @@ def test_bootstrap_zero_variance_data_gives_zero_width():
 def test_bootstrap_deterministic_given_seed():
     ds = _synthetic_dataset(2, 0.7, 0.9, (2, 4, 8), shots=400)
     assert bootstrap_ci(ds, resamples=80, rng=5) == bootstrap_ci(ds, resamples=80, rng=5)
+
+
+def test_bootstrap_memory_is_bounded_by_the_grid_chunk():
+    # 1000 resamples of the standard n = 10 design (4 lengths x 10 circuits):
+    # the traced numpy allocations peak below 2 MB, where ranking all rows
+    # on the u grid at once took about 10 MB
+    rng = np.random.default_rng(3)
+    entries = tuple(
+        DatasetEntry(length=length, circuit_id=k, shots=1000, seed=0,
+                     successes=int(rng.binomial(1000, 0.95 * 0.9 ** (length - 1) + 2 ** -10)))
+        for length in (4, 8, 12, 16) for k in range(10))
+    ds = DecayDataset(n_qubits=10, entries=entries)
+    bootstrap_ci(ds, resamples=10, rng=0)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        bootstrap_ci(ds, resamples=1000, rng=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_bootstrap_width_shrinks_with_shots():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,12 @@ from mirrorbench.simulator import (
     DatasetEntry,
     DecayDataset,
     NoiseModel,
+    _TABLE_WORDS,
+    _fault_sites,
+    _fault_tables,
     _read_entry,
     _site_class,
+    _table_batches,
     compile_fault_program,
     kernel_pauli_probs,
     propagate_faults,
@@ -223,6 +228,73 @@ def test_round_wise_masks_equal_the_per_gate_reference(n_qubits, noise):
             ref = _site_class(kernel_pauli_probs(params, arity), sites)
             assert cls.q == ref.q
             np.testing.assert_array_equal(cls.cum_codes, ref.cum_codes)
+
+
+def _mixed_length_circuits(n_qubits, count=12):
+    """``count`` circuits whose lengths 1, 3 and 6 take turns, so each
+    length's batches come from positions that are not adjacent."""
+    return build_mirror_circuits([
+        mirror_circuit_spec(100 * n_qubits + i, n_qubits, (1, 3, 6)[i % 3], circuit_id=i)
+        for i in range(count)])
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4, 10, 64])
+@pytest.mark.parametrize("noise", MASK_NOISES)
+def test_batched_fault_tables_equal_each_circuit_compiled_alone(n_qubits, noise):
+    circuits = _mixed_length_circuits(n_qubits)
+    batches = _table_batches(circuits, noise)
+    assert sorted(pos for batch in batches for pos in batch) == list(range(len(circuits)))
+    if n_qubits == 64 and None not in (noise.single_qubit, noise.two_qubit):
+        # 1,152 sites at L = 6: three circuits fill a batch, so the four of
+        # that length are cut in two
+        assert len(batches) == 4
+    for batch in batches:
+        group = [circuits[pos] for pos in batch]
+        assert len({c.length for c in group}) == 1
+        masks, _ = _fault_tables(group, noise)
+        assert len(batch) == 1 or masks.size <= _TABLE_WORDS
+        for circuit, table in zip(group, masks):
+            np.testing.assert_array_equal(table, compile_fault_program(circuit, noise).masks)
+        # a one-qubit site's codes 4-15 are zero, not copies of codes 0-3
+        (_, is_uzz, _), _ = _fault_sites(n_qubits, group[0].length, noise)
+        assert not masks[:, ~is_uzz, 4:].any()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_simulate_survival_counts_are_each_circuits_run_stabilizer(jobs):
+    # n = 64 with one-qubit noise, so some lengths take more than one batch
+    circuits = _mixed_length_circuits(64)
+    noise = NoiseModel(two_qubit=Depolarizing(0.002),
+                       single_qubit=StochasticPauli((0.001, 0.0005, 0.001)))
+    master, shots = 77, 300
+    ds = simulate_survival(circuits, noise, shots, rng=master, jobs=jobs)
+    expected = [run_stabilizer(circuit, noise, shots,
+                               np.random.default_rng(np.random.SeedSequence((master, pos))))
+                for pos, circuit in enumerate(circuits)]
+    assert [e.successes for e in ds.entries] == expected
+    assert [(e.length, e.circuit_id) for e in ds.entries] == \
+        [(c.length, c.circuit_id) for c in circuits]
+    assert 0 < sum(expected) < shots * len(circuits)
+
+
+def test_simulate_survival_memory_does_not_grow_with_the_circuit_count():
+    # n = 64, L = 16: 16,384 table words a circuit, so four fill a batch.
+    # The traced peak of 24 circuits is that of 8 within 64 KB, and below
+    # 1.5 MB.
+    circuits = build_mirror_circuits(
+        [mirror_circuit_spec(s, 64, 16, circuit_id=s) for s in range(24)])
+    noise = NoiseModel(two_qubit=Depolarizing(0.001))
+    simulate_survival(circuits[:1], noise, 100, rng=0)  # caches outside the trace
+    peaks = []
+    for count in (8, 24):
+        tracemalloc.start()
+        try:
+            simulate_survival(circuits[:count], noise, 1000, rng=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024
+    assert peaks[1] < 1.5 * 2 ** 20
 
 
 def _site_probs(program):
