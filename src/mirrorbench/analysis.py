@@ -23,16 +23,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .channels import Depolarizing, depolarizing_tensor_unitarity
-from .circuits import build_mirror_circuits, sample_experiment, sample_matchings
+from .circuits import _compile_stack, _draw_stack, _experiment_seeds, _uzz_layers
 from .operators import (
     _LETTER_MASK_ROWS,
     _clifford_round,
     _clifford_signs,
-    _partners,
     _uzz_round,
     _uzz_signs,
 )
-from .simulator import DecayDataset, NoiseModel, simulate_survival
+from .simulator import DecayDataset, NoiseModel, _fault_sites, _run_batch, _table_batches
 
 SE_FLOOR = 1e-4
 CI_PERCENTILES = (16.0, 84.0)
@@ -272,8 +271,31 @@ def bootstrap_ci(dataset: DecayDataset, resamples: int = DEFAULT_RESAMPLES,
         raise ValueError("need at least two distinct lengths")
     p_hat, se = _resample_points(counts, int(resamples), rng)
     _, us, _ = _fit_rows(lengths, p_hat, se, 1.0 / 2 ** dataset.n_qubits)
-    lo, hi = np.percentile(us, CI_PERCENTILES)
+    lo, hi = _percentiles(us, CI_PERCENTILES)
     return (float(lo), float(hi))
+
+
+def _percentiles(values: np.ndarray, percentiles) -> np.ndarray:
+    """``np.percentile(values, percentiles)`` of a 1-D array, bit for bit,
+    by numpy's default 'linear' rule from one sort.
+
+    ``np.percentile`` calls ``np.unique``, which imports all of ``numpy.ma``
+    on its first call.  The rule: the virtual index of quantile q is
+    ``(n - 1) q``, between neighbours a and b of the sorted values (both the
+    last at the top), and the value is ``a + (b - a) t`` for its fraction
+    t, taken as ``b - (b - a)(1 - t)`` where t >= 0.5.
+    """
+    ordered = np.sort(values)
+    last = len(ordered) - 1
+    index = last * np.true_divide(percentiles, 100)
+    below = np.floor(index)
+    t = index - below
+    a_at = below.astype(np.intp)
+    b_at = a_at + 1
+    top = index >= last
+    a_at[top] = b_at[top] = last
+    a, b = ordered[a_at], ordered[b_at]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +350,22 @@ class _SampledCliffords:
         self.signs = np.zeros(samples, dtype=np.uint16)
 
     def apply_layer(self, rng: np.random.Generator) -> None:
-        """Append one random layer: Cliffords, then UZZ on a random matching."""
+        """Append one random layer: Cliffords, then UZZ on a random matching.
+
+        The matching of sample s is a uniform permutation ``perm[s]`` of the
+        qubits whose consecutive entries pair up, so the qubit at position j
+        is paired with the one at position ``j ^ 1``; each qubit's partner
+        is read by the flat index of its position, ``perm[s, j] m + s``.
+        """
         n, m = self.x.shape
         cliffords = rng.integers(0, 24, size=(m, n))
-        pairs = sample_matchings(rng, n, m)
+        perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
         masks = np.take(_LETTER_MASK_ROWS_16, cliffords.T, axis=1)
         self.signs ^= np.bitwise_xor.reduce(_clifford_signs(self.x, self.z, masks), axis=0)
         self.x, self.z = _clifford_round(self.x, self.z, masks)
-        x_partner = np.take_along_axis(self.x, _partners(pairs).T, axis=0)
+        at = perm.T * m + np.arange(m)  # word of position j of sample s, at [j, s]
+        x_partner = np.empty_like(self.x)
+        x_partner.reshape(-1)[at] = self.x.reshape(-1)[at[np.arange(n) ^ 1]]
         self.signs ^= np.bitwise_xor.reduce(_uzz_signs(self.x, self.z, x_partner), axis=0)
         self.z = _uzz_round(self.x, self.z, x_partner)
 
@@ -363,35 +393,33 @@ class _SampledCliffords:
             row = rows[r].copy()
             rows ^= row * ((rows & (row & -row)) != 0)
             rows[r] = row
-        # File each pivot row under its column (``pivots`` is zero where the
-        # column is free).  The column is the row's count of trailing zeros;
-        # a zero row counts all of the word's bits and lands in a spare row
-        # past the 2n columns.
-        column = np.bitwise_count((rows & -rows) - 1)
-        pivots = np.zeros((8 * rows.itemsize + 1, m), dtype=rows.dtype)
-        pivots[column, np.arange(m)] = rows
-        pivots = pivots[:2 * n]
-        free = pivots == 0
-        # Free column f gives the kernel vector v_f: f and every pivot column
-        # whose pivot row holds f.
-        basis = _transpose_bits(pivots, 2 * n) | gens
+        # Each nonzero row pivots on its lowest set column, ``lead``, which
+        # no other row holds; the other columns are free.  Free column f
+        # gives the kernel vector v_f: f and the pivot column of every row
+        # that holds f.  Only the (free column, sample) pairs are kept.
+        lead = rows & -rows
+        free = ~np.bitwise_or.reduce(lead, axis=0)
+        column, sample = np.nonzero((free >> np.arange(2 * n, dtype=free.dtype)[:, None]) & 1)
+        column = column.astype(rows.dtype)
+        held = (rows[:, sample] >> column) & 1
+        vectors = (1 << column) | np.bitwise_or.reduce(lead[:, sample] * held, axis=0)
         # Image j is i^phase[j] X^x_img[j] Z^z_img[j]: an i per Y letter, -1
         # per minus sign.  The generators of any v multiply, in ascending
         # order, to X^vx Z^vz with phase 1, so U keeps the sign of that Pauli
         # iff the images of v multiply, in the same order, to phase 1.
-        transposed = _transpose_bits(images, 2 * n)
+        transposed = _transpose_bits(images, 2 * n)[:, sample]
         x_img = transposed & ((1 << n) - 1)
         z_img = transposed >> n
-        minus = ((self.signs & gens) != 0).view(np.uint8)
+        minus = ((self.signs[sample] & gens) != 0).view(np.uint8)
         phase = np.bitwise_count(x_img & z_img) + 2 * minus
-        total = np.zeros(basis.shape, dtype=np.uint8)  # phases add mod 4
-        z_held = np.zeros_like(basis)
+        total = np.zeros(len(sample), dtype=np.uint8)  # phases add mod 4
+        z_held = np.zeros_like(vectors)
         for j in range(2 * n):
-            held = ((basis >> j) & 1).astype(np.uint8)
-            total += held * (phase[j] + 2 * np.bitwise_count(z_held & x_img[j]))
-            z_held ^= held * z_img[j]
-        keeps = (total % 4 == 0) | ~free
-        return np.where(keeps.all(axis=0), 1 << free.sum(axis=0), 0)
+            bit = ((vectors >> j) & 1).astype(np.uint8)
+            total += bit * (phase[j] + 2 * np.bitwise_count(z_held & x_img[j]))
+            z_held ^= bit * z_img[j]
+        flipped = np.bincount(sample[total % 4 != 0], minlength=m)
+        return np.where(flipped == 0, 1 << np.bincount(sample, minlength=m), 0)
 
 
 def frame_potential_profile(n_qubits: int, lengths: Sequence[int], samples: int,
@@ -478,32 +506,73 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
     Each experiment draws ``p`` uniformly in ``[0, p_max]``, runs the standard
     design (lengths x circuits at ``shots`` shots), fits the decay, and pairs
     the fitted ``u`` with ``u_true = depolarizing_tensor_unitarity(p, n/2)``.
+    With its p, each experiment draws a circuit seed and a simulation seed,
+    and its point is the one that ``sample_experiment``,
+    ``simulate_survival``, ``survival_points`` and ``fit_decay`` give.
+
+    The work runs on stacks of one (n, L).  Experiments go in chunks of at
+    most ``_SCATTER_CELLS`` round-qubit cells, so memory does not grow with
+    their number.  Per chunk and length, one ``_draw_stack`` draws every
+    experiment's circuits of that length and one ``_compile_stack``
+    compiles them; the fault tables, which do not depend on p, are built
+    once per ``_TABLE_WORDS`` slice of the stack for all experiments
+    (``simulator._run_batch``).  Each circuit draws its survivors from
+    ``SeedSequence((simulation seed, circuit id))`` under its experiment's
+    fault classes.  A chunk's experiments are fitted together, one row each.
     """
     if n_qubits % 2:
         raise ValueError("n_qubits must be even")
+    if shots < 1 or circuits_per_length < 1:
+        raise ValueError("shots and circuits_per_length must be >= 1")
     rng = _as_rng(rng)
     draws = [(float(rng.uniform(0.0, p_max)), int(rng.integers(0, 2 ** 63 - 1)),
               int(rng.integers(0, 2 ** 63 - 1))) for _ in range(num_experiments)]
-    size = len(lengths) * circuits_per_length
+    fit_lengths = sorted({int(length) for length in lengths})
+    if len(fit_lengths) < 2:
+        raise ValueError("need at least two distinct lengths to fit")
     cells = circuits_per_length * sum(lengths) * n_qubits  # per experiment
     chunk = max(1, _SCATTER_CELLS // max(cells, 1))
     points = []
     for start in range(0, num_experiments, chunk):
         group = draws[start:start + chunk]
-        # the chunk's circuits of one length compile as one batch
-        compiled = build_mirror_circuits(
-            [spec for _, gen_seed, _ in group
-             for spec in sample_experiment(gen_seed, n_qubits, lengths, circuits_per_length)])
-        fit_lengths, p_hat, se = zip(*[
-            survival_points(simulate_survival(
-                compiled[k * size:(k + 1) * size], NoiseModel(two_qubit=Depolarizing(p)),
-                shots, rng=sim_seed))
-            for k, (p, _, sim_seed) in enumerate(group)])
-        if len(fit_lengths[0]) < 2:
-            raise ValueError("need at least two distinct lengths to fit")
-        # the chunk's experiments are fitted together, one row each
-        _, u_est, _ = _fit_rows(fit_lengths[0], np.array(p_hat), np.array(se),
+        noises = [NoiseModel(two_qubit=Depolarizing(p)) for p, _, _ in group]
+        seeds = [_experiment_seeds(gen_seed, lengths, circuits_per_length)
+                 for _, gen_seed, _ in group]
+        p_hat = np.empty((len(group), len(fit_lengths)))
+        se = np.empty_like(p_hat)
+        for j, length in enumerate(fit_lengths):
+            ids = [i for i, (cell_length, _) in enumerate(seeds[0]) if cell_length == length]
+            successes = _stack_successes(
+                n_qubits, length, [cells[i][1] for cells in seeds for i in ids], ids,
+                noises, [sim_seed for _, _, sim_seed in group], shots)
+            # each cell's mean alone, as survival_points takes it
+            p_hat[:, j] = [rates.mean() for rates in successes / shots]
+            se[:, j] = _pooled_se(p_hat[:, j], float(len(ids) * shots))
+        _, u_est, _ = _fit_rows(np.array(fit_lengths, dtype=float), p_hat, se,
                                 1.0 / 2 ** n_qubits)
         points += [ScatterPoint(p, depolarizing_tensor_unitarity(p, n_qubits // 2), float(u))
                    for (p, _, _), u in zip(group, u_est)]
     return points
+
+
+def _stack_successes(n_qubits: int, length: int, seeds: list, ids: list, noises: list,
+                     sim_seeds: list, shots: int) -> np.ndarray:
+    """The ``(experiments, len(ids))`` success counts of one stack of
+    circuits of one (n, L): experiment k's circuits ``ids``, drawn from
+    ``seeds`` (experiment-major), under ``noises[k]``, each with the child
+    stream ``(sim_seeds[k], circuit id)``.  All the noises must place the
+    same fault sites."""
+    sites, _ = _fault_sites(n_qubits, length, noises[0])
+    classes = [_fault_sites(n_qubits, length, noise)[1] for noise in noises]
+    stack = _draw_stack(seeds, n_qubits, length)
+    _, _, x_images, z_images = _compile_stack(stack)
+    layers = _uzz_layers(stack[1])
+    count = len(ids)
+    successes = np.empty(len(seeds), dtype=np.int64)
+    for batch in _table_batches([(n_qubits, length)] * len(seeds), noises[0]):
+        rows = slice(batch[0], batch[-1] + 1)
+        successes[rows] = _run_batch((
+            x_images[rows], z_images[rows], layers[rows], sites,
+            [classes[c // count] for c in batch], shots,
+            [(sim_seeds[c // count], ids[c % count]) for c in batch]))
+    return successes.reshape(len(noises), count)

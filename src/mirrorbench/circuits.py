@@ -22,15 +22,18 @@ frame entering a round is the previous randomizer pushed through one UZZ
 layer (or an X-wrapped one), and all rounds come from table lookups on whole
 arrays.  ``CompiledCircuit.gates`` lists the same circuit gate by gate.
 
-Every compiled or loaded circuit is checked by a round-by-round pass of the
-images of the Z_q (``operators._clifford_round`` and ``_uzz_round``): the
-circuit must map each Z_q to +/-Z_q, which makes its output on |0...0> a
-basis state, and the flipped bits must be the X part of the final Pauli.
-Circuits are merged and checked one (n, L) group at a time: one pass per
-group, over its 4L steps, carries every circuit of the group
-(``build_mirror_circuits``, ``check_circuits``).  The pass keeps each
-round's images when n <= 64, from which the simulator reads its fault
-masks.
+A stack of one (n, L) is the unit of sampling and compiling: ``_draw_stack``
+draws C specs as ``(C, L, n)``, ``(C, L, n/2, 2)`` and ``(C, 2L+1, n)``
+arrays, each row from its own seed, and checks the stack once, and
+``_compile_stack`` merges and checks a stack in one pass.  Every compiled or
+loaded circuit is checked by a round-by-round pass of the images of the Z_q
+(``operators._clifford_round`` and ``_uzz_round``): the circuit must map each
+Z_q to +/-Z_q, which makes its output on |0...0> a basis state, and the
+flipped bits must be the X part of the final Pauli.  One pass, over the 4L
+steps, carries every circuit of the stack.  The pass keeps each round's
+images when n <= 64, from which the simulator reads its fault masks.
+``mirror_circuit_spec``, ``sample_experiment``, ``compile_experiment``,
+``build_mirror_circuits`` and ``check_circuits`` wrap stacks in objects.
 """
 
 from __future__ import annotations
@@ -68,16 +71,28 @@ class CompilationError(RuntimeError):
     """Raised when a compiled circuit fails its internal consistency check."""
 
 
+def _check_entries(arr: np.ndarray, high: int, name: str) -> None:
+    if arr.size and (arr.min() < 0 or arr.max() >= high):
+        raise ValueError(f"{name} entries must lie in [0, {high})")
+
+
 def _int_array(values, shape: tuple, high: int, name: str) -> np.ndarray:
     """A read-only int64 copy of ``values``, of ``shape`` with entries in [0, high)."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu" or arr.shape != shape:
         raise ValueError(f"{name} must be integers of shape {shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= high):
-        raise ValueError(f"{name} entries must lie in [0, {high})")
+    _check_entries(arr, high, name)
     arr = arr.astype(np.int64)
     arr.flags.writeable = False
     return arr
+
+
+def _check_matchings(matchings: np.ndarray, n: int) -> None:
+    """Every ``(n/2, 2)`` matching of ``matchings`` (any leading axes) pairs
+    every qubit exactly once."""
+    covered = np.sort(matchings.reshape(matchings.shape[:-2] + (n,)), axis=-1)
+    if not (covered == np.arange(n)).all():
+        raise ValueError("each matching must pair every qubit exactly once")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +131,7 @@ class MirrorCircuitSpec:
                                   ("paulis", (2 * length + 1, n), 4)):
             object.__setattr__(self, name,
                                _int_array(getattr(self, name), shape, high, name))
-        covered = np.sort(self.matchings.reshape(length, n), axis=1)
-        if not (covered == np.arange(n)).all():
-            raise ValueError("each matching must pair every qubit exactly once")
+        _check_matchings(self.matchings, n)
 
     def __eq__(self, other):
         if not isinstance(other, MirrorCircuitSpec):
@@ -219,20 +232,65 @@ class CompiledCircuit:
 # ---------------------------------------------------------------------------
 
 
-def sample_matchings(rng: np.random.Generator, n_qubits: int, count: int) -> np.ndarray:
-    """``count`` uniform perfect matchings as a ``(count, n/2, 2)`` array.
+# the spec arrays, in the order of a stack
+_SPEC_ARRAYS = ("cliffords", "matchings", "paulis")
 
-    Each is a uniform permutation of the qubits (``rng.permuted``) cut into
-    consecutive pairs, each pair sorted.
+
+def _check_stack(stack: tuple) -> None:
+    """Check a stack of spec arrays as ``MirrorCircuitSpec`` checks one spec:
+    entries in range, and every matching pairs every qubit exactly once."""
+    n = stack[0].shape[-1]
+    for arr, high, name in zip(stack, (24, n, 4), _SPEC_ARRAYS):
+        _check_entries(arr, high, name)
+    _check_matchings(stack[1], n)
+
+
+def _draw_stack(seeds: Sequence[int], n_qubits: int, length: int) -> tuple:
+    """The read-only int64 ``(cliffords, matchings, paulis)`` of C specs of
+    one (n, L), ``(C, L, n)``, ``(C, L, n/2, 2)`` and ``(C, 2L+1, n)``, one
+    row per seed, each row drawn as ``mirror_circuit_spec`` documents.
+
+    Each row draws from its own ``default_rng(seed)``; its permutations are
+    cut into consecutive pairs, and the pairs of the whole stack are sorted
+    by one min/max.  The stack is checked once (``_check_stack``).
     """
     if n_qubits < 2 or n_qubits % 2:
         raise ValueError("n_qubits must be even and >= 2")
-    perm = rng.permuted(np.tile(np.arange(n_qubits), (count, 1)), axis=1)
-    first, second = perm[:, 0::2], perm[:, 1::2]
-    pairs = np.empty((count, n_qubits // 2, 2), dtype=perm.dtype)
-    np.minimum(first, second, out=pairs[..., 0])
-    np.maximum(first, second, out=pairs[..., 1])
-    return pairs
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    count = len(seeds)
+    cliffords = np.empty((count, length, n_qubits), dtype=np.int64)
+    perm = np.empty_like(cliffords)
+    paulis = np.empty((count, 2 * length + 1, n_qubits), dtype=np.int64)
+    tile = np.tile(np.arange(n_qubits, dtype=np.int64), (length, 1))
+    for c, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        cliffords[c] = rng.integers(24, size=(length, n_qubits))
+        rng.permuted(tile, axis=1, out=perm[c])
+        paulis[c] = rng.integers(4, size=(2 * length + 1, n_qubits))
+    first, second = perm[..., 0::2], perm[..., 1::2]
+    stack = (cliffords, np.stack([np.minimum(first, second), np.maximum(first, second)],
+                                 axis=-1), paulis)
+    _check_stack(stack)
+    for arr in stack:
+        arr.flags.writeable = False
+    return stack
+
+
+def _stack_specs(stack: tuple, seeds: Sequence[int], circuit_ids: Sequence[int]) -> list:
+    """The specs of the rows of a checked stack (``_draw_stack``), each
+    holding read-only views of its row; made without checking each row
+    again."""
+    _, length, n = stack[0].shape
+    specs = []
+    for c, (seed, circuit_id) in enumerate(zip(seeds, circuit_ids)):
+        spec = object.__new__(MirrorCircuitSpec)
+        for name, value in (("n_qubits", n), ("length", length), ("seed", seed),
+                            ("circuit_id", circuit_id),
+                            *zip(_SPEC_ARRAYS, (arr[c] for arr in stack))):
+            object.__setattr__(spec, name, value)
+        specs.append(spec)
+    return specs
 
 
 def mirror_circuit_spec(seed: int, n_qubits: int, length: int,
@@ -240,16 +298,13 @@ def mirror_circuit_spec(seed: int, n_qubits: int, length: int,
     """Draw a full circuit spec from a single seed.
 
     Three draws from ``default_rng(seed)``, in this order: the Cliffords,
-    ``integers(24)`` of shape ``(L, n)``; the matchings
-    (``sample_matchings``); the Paulis, ``integers(4)`` of shape
-    ``(2L+1, n)``.
+    ``integers(24)`` of shape ``(L, n)``; the matchings, ``rng.permuted`` of
+    the L rows of ``tile(arange(n))`` along each row, cut into consecutive
+    pairs, each pair sorted; the Paulis, ``integers(4)`` of shape
+    ``(2L+1, n)``.  A stack of one (``_draw_stack``).
     """
-    rng = np.random.default_rng(seed)
-    cliffords = rng.integers(24, size=(length, n_qubits))
-    matchings = sample_matchings(rng, n_qubits, length)
-    paulis = rng.integers(4, size=(2 * length + 1, n_qubits))
-    return MirrorCircuitSpec(n_qubits, length, cliffords, matchings, paulis,
-                             seed=seed, circuit_id=circuit_id)
+    [spec] = _stack_specs(_draw_stack([seed], n_qubits, length), [seed], [circuit_id])
+    return spec
 
 
 def _experiment_seeds(rng, lengths: Sequence[int], circuits_per_length: int) -> list:
@@ -261,31 +316,43 @@ def _experiment_seeds(rng, lengths: Sequence[int], circuits_per_length: int) -> 
             for length in lengths for _ in range(circuits_per_length)]
 
 
+def _experiment_batches(rng, n_qubits: int, lengths: Sequence[int],
+                        circuits_per_length: int):
+    """Yield the specs of an experiment one batch (``_batches``) at a time,
+    each batch drawn as one stack: each length's in circuit-id order,
+    lengths in order of first appearance.  Only the specs' seeds are drawn
+    up front."""
+    cells = _experiment_seeds(rng, lengths, circuits_per_length)
+    for batch in _batches([(n_qubits, length) for length, _ in cells]):
+        seeds = [cells[i][1] for i in batch]
+        yield _stack_specs(_draw_stack(seeds, n_qubits, cells[batch[0]][0]), seeds, batch)
+
+
 def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
                       circuits_per_length: int) -> list:
-    """Independent circuit specs for each (length, repeat) cell.
+    """Independent circuit specs for each (length, repeat) cell, in
+    circuit-id order.
 
     ``rng`` may be a Generator or an integer seed.  Each spec records its own
-    seed so it can be regenerated independently.
+    seed so it can be regenerated independently (``mirror_circuit_spec``).
     """
-    return [mirror_circuit_spec(seed, n_qubits, length, circuit_id)
-            for circuit_id, (length, seed)
-            in enumerate(_experiment_seeds(rng, lengths, circuits_per_length))]
+    specs = [spec for batch in _experiment_batches(rng, n_qubits, lengths,
+                                                   circuits_per_length)
+             for spec in batch]
+    return sorted(specs, key=lambda spec: spec.circuit_id)
 
 
 def compile_experiment(rng, n_qubits: int, lengths: Sequence[int],
                        circuits_per_length: int):
     """Yield the compiled circuits of ``sample_experiment`` with the same
-    arguments, sampling and compiling one batch (``_batches``) at a time.
+    arguments, drawing and compiling one stack (``_batches``) at a time.
 
-    Only the specs' seeds are drawn up front, so memory holds one batch's
-    specs and circuits, not the experiment's.  Circuits come in batch order:
-    each length's in circuit-id order, lengths in order of first appearance.
+    Memory holds one batch's specs and circuits, not the experiment's.
+    Circuits come in batch order: each length's in circuit-id order, lengths
+    in order of first appearance.
     """
-    cells = _experiment_seeds(rng, lengths, circuits_per_length)
-    for batch in _batches([(n_qubits, length) for length, _ in cells]):
-        yield from build_mirror_circuits(
-            [mirror_circuit_spec(cells[i][1], n_qubits, cells[i][0], i) for i in batch])
+    for specs in _experiment_batches(rng, n_qubits, lengths, circuits_per_length):
+        yield from build_mirror_circuits(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -425,37 +492,57 @@ def _z_pass(rounds: np.ndarray, layers: np.ndarray) -> tuple:
     return outcome, mirrors, x_images, z_images
 
 
-def _compiled_circuits(specs: Sequence[MirrorCircuitSpec], batch_rounds,
-                       stored=None) -> list:
-    """The checked circuits of ``specs``, in input order, one Z pass per
-    batch (``_batches``); ``batch_rounds(batch)`` gives the ``(C, 2L, n)``
-    rounds of the specs at the positions ``batch``.
+def _compile_stack(stack: tuple, rounds=None, stored=None) -> tuple:
+    """Merge and check the C circuits of one (n, L) stack of spec arrays
+    (``_draw_stack``'s order).
 
-    Each circuit must map each Z_q to +/-Z_q and flip exactly the X part of
-    its final Pauli; with ``stored`` (an outcome tuple per spec), it must
-    also give the stored outcome.  Raises CircuitCheckError for the first
-    failing circuit of the first batch that has one.  Each circuit's rounds
-    and images are read-only slices of its batch's arrays.
+    The rounds are the stack's ``_merged_rounds``, or the given stored
+    ``(C, 2L, n)`` ``rounds``, which are checked, not recompiled.  One
+    ``_z_pass`` checks them all: each circuit must map each Z_q to +/-Z_q
+    and flip exactly the X part of its final Pauli, and with ``stored``
+    (``(C, n)`` outcome bits) give the stored outcome.  Raises
+    CircuitCheckError for the first circuit that fails, with its position in
+    the stack.  Returns the read-only rounds, the ``(C, n)`` outcome bits and
+    the images of ``_z_pass``.
+    """
+    _, matchings, paulis = stack
+    if rounds is None:
+        rounds = _merged_rounds(*stack)
+    rounds.flags.writeable = False
+    outcome, mirrors, x_images, z_images = _z_pass(rounds, _uzz_layers(matchings))
+    final = paulis[:, -1]
+    checks = [(mirrors, "circuit does not map each Z_q to +/-Z_q"),
+              ((outcome == ((final == 1) | (final == 2))).all(axis=1),
+               "circuit does not invert to its final Pauli")]
+    if stored is not None:
+        checks.append(((outcome == stored).all(axis=1),
+                       "stored expected_outcome differs from the rounds' outcome"))
+    passed = np.logical_and.reduce([ok for ok, _ in checks])
+    if not passed.all():
+        c = int(np.argmin(passed))
+        raise CircuitCheckError(c, next(message for ok, message in checks if not ok[c]))
+    return rounds, outcome, x_images, z_images
+
+
+def _compiled_circuits(specs: Sequence[MirrorCircuitSpec], rounds=None, stored=None) -> list:
+    """The checked circuits of ``specs``, in input order, one
+    ``_compile_stack`` per batch (``_batches``), given each spec's stored
+    rounds and outcome if any.  Each circuit's rounds and images are
+    read-only slices of its stack's arrays.  Raises CircuitCheckError with
+    the position of the first failing spec of the first batch that has one.
     """
     out = [None] * len(specs)
     for batch in _batches([(spec.n_qubits, spec.length) for spec in specs]):
-        group = [specs[i] for i in batch]
-        rounds = batch_rounds(batch)
-        rounds.flags.writeable = False
-        outcome, mirrors, x_images, z_images = _z_pass(
-            rounds, _uzz_layers(np.stack([spec.matchings for spec in group])))
-        final = np.stack([spec.paulis[-1] for spec in group])
-        inverts = (outcome == ((final == 1) | (final == 2))).all(axis=1)
-        for c, i in enumerate(batch):
-            bits = tuple(outcome[c].tolist())
-            if not mirrors[c]:
-                raise CircuitCheckError(i, "circuit does not map each Z_q to +/-Z_q")
-            if not inverts[c]:
-                raise CircuitCheckError(i, "circuit does not invert to its final Pauli")
-            if stored is not None and stored[i] != bits:
-                raise CircuitCheckError(
-                    i, "stored expected_outcome differs from the rounds' outcome")
-            out[i] = CompiledCircuit(specs[i], rounds[c], bits,
+        stack = tuple(np.stack([getattr(specs[i], name) for i in batch])
+                      for name in _SPEC_ARRAYS)
+        try:
+            stack_rounds, outcome, x_images, z_images = _compile_stack(
+                stack, None if rounds is None else np.stack([rounds[i] for i in batch]),
+                None if stored is None else np.array([stored[i] for i in batch]))
+        except CircuitCheckError as exc:
+            raise CircuitCheckError(batch[exc.index], str(exc)) from None
+        for c, (i, bits) in enumerate(zip(batch, outcome.tolist())):
+            out[i] = CompiledCircuit(specs[i], stack_rounds[c], tuple(bits),
                                      None if x_images is None else x_images[c],
                                      None if z_images is None else z_images[c])
     return out
@@ -464,18 +551,14 @@ def _compiled_circuits(specs: Sequence[MirrorCircuitSpec], batch_rounds,
 def build_mirror_circuits(specs: Sequence[MirrorCircuitSpec]) -> list:
     """Compile specs into merged rounds and expected outcomes, in input order.
 
-    The specs of each (n, L) are merged and checked together, one pass over
-    the rounds per batch (``_batches``).  Raises CompilationError naming the
-    ``circuit_id`` of a spec whose compiled circuit fails its check.
+    The specs of each (n, L) are stacked and compiled together, one
+    ``_compile_stack`` per batch (``_batches``).  Raises CompilationError
+    naming the ``circuit_id`` of a spec whose compiled circuit fails its
+    check.
     """
     specs = list(specs)
-
-    def merged(batch):
-        return _merged_rounds(*(np.stack([getattr(specs[i], name) for i in batch])
-                                for name in ("cliffords", "matchings", "paulis")))
-
     try:
-        return _compiled_circuits(specs, merged)
+        return _compiled_circuits(specs)
     except CircuitCheckError as exc:
         raise CompilationError(f"compiled circuit {specs[exc.index].circuit_id} "
                                f"is wrong: {exc}") from None
@@ -483,15 +566,15 @@ def build_mirror_circuits(specs: Sequence[MirrorCircuitSpec]) -> list:
 
 def check_circuits(parsed: Sequence[tuple]) -> list:
     """The compiled circuits of ``(spec, rounds, stored outcome)`` triples
-    (``read_circuit``), in input order, checked one batch per (n, L) as in
-    ``_compiled_circuits``.  Stored rounds are checked, not recompiled, so
-    datasets stay reproducible even if the compiler changes.
+    (``read_circuit``), in input order, checked one stack per batch of one
+    (n, L) (``_compile_stack``).  Stored rounds are checked, not recompiled,
+    so datasets stay reproducible even if the compiler changes.
 
     Raises CircuitCheckError, whose ``index`` is the position of a failing
     triple.
     """
     return _compiled_circuits([spec for spec, _, _ in parsed],
-                              lambda batch: np.stack([parsed[i][1] for i in batch]),
+                              [rounds for _, rounds, _ in parsed],
                               [outcome for _, _, outcome in parsed])
 
 

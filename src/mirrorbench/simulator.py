@@ -9,11 +9,14 @@ Two backends share a gate-located noise model:
   The fault tables (``_fault_tables``) read those masks, for every site at
   once, from the round-by-round Z images that the circuits' mirror check
   kept (no second pass over the gates: that check is one pass per (n, L)
-  group of circuits), and take the sites' grouping by channel, which
-  depends only on (n, L, noise), from a cache shared by the group.
-  ``simulate_survival`` builds them once per batch of one (n, L), up to
-  ``_TABLE_WORDS`` table words; ``compile_fault_program`` is a batch of
-  one.  Each circuit still draws its faults from its own child stream.
+  stack of circuits).  The sites and their grouping by channel depend only
+  on (n, L, noise) and come from a cache (``_fault_sites``).  A batch
+  (``_run_batch``) is a stack of one (n, L), up to ``_TABLE_WORDS`` table
+  words, given as arrays: one table build serves all of its circuits, and
+  each circuit draws its faults from its own child stream under its own
+  site classes, so circuits under different noise strengths can share a
+  build (the scatter study does).  ``compile_fault_program`` is a stack of
+  one.
   Faults are drawn sparsely: per block of shots and per group, a binomial
   count of faulty (shot, site) cells, placed uniformly, each with a code
   from the group's conditional table, so the work follows the faults drawn,
@@ -59,6 +62,7 @@ from .circuits import (
     _batches,
     _gate_layout,
     _is_int,
+    _uzz_layers,
     build_mirror_circuits,
 )
 from .operators import CLIFFORD_UNITARIES, UZZ_MATRIX
@@ -266,7 +270,10 @@ def _fault_sites(n: int, length: int, noise: NoiseModel) -> tuple:
     """Where the fault sites of every circuit of one (n, L) under ``noise``
     sit, in gate order: the round, UZZ flag and slot of each site's gate
     (``_gate_layout``), and the sites' classes (read-only, cached per (n, L,
-    noise), so one group of circuits builds them once)."""
+    noise), so one group of circuits builds them once).  Raises ValueError
+    above the stabilizer backend's qubit limit."""
+    if n > _QUBIT_LIMITS["stabilizer"]:
+        raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
     rounds, is_uzz, slot = _gate_layout(n, length)
     kind = is_uzz * (1 + (rounds >= length))  # Clifford, forward UZZ, mirrored UZZ
     keys = {}  # (params, arity) -> class number, in order of first site
@@ -286,55 +293,57 @@ def _fault_sites(n: int, length: int, noise: NoiseModel) -> tuple:
     return sites, classes
 
 
-def _site_generators(circuits: Sequence[CompiledCircuit], sites: tuple) -> np.ndarray:
-    """The ``(C, sites, 4)`` generator masks (``_code_masks``) of C circuits
-    of one (n, L) at the fault sites ``sites`` (round, UZZ flag and slot
-    arrays): Z_q with a Z part and with an X part at each qubit of the gate,
-    read from the images after a Clifford round (its one qubit, the last two
-    masks left zero) or after a UZZ layer (its pair)."""
+def _site_generators(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndarray,
+                     sites: tuple) -> np.ndarray:
+    """The ``(C, sites, 4)`` generator masks (``_code_masks``) of a stack of
+    C circuits of one (n, L), given their ``(C, 2L, 2, n)`` Z images
+    (``CompiledCircuit``) and ``(C, 2L, n/2, 2)`` UZZ layers, at the fault
+    sites ``sites`` (round, UZZ flag and slot arrays): Z_q with a Z part and
+    with an X part at each qubit of the gate, read from the images after a
+    Clifford round (its one qubit, the last two masks left zero) or after a
+    UZZ layer (its pair)."""
     rounds, two, slot = sites
     one = ~two
-    x = np.stack([c.x_images for c in circuits])  # (C, 2L, 2, n)
-    z = np.stack([c.z_images for c in circuits])
-    generators = np.zeros((len(circuits), len(rounds), 4), dtype=np.uint64)
-    generators[:, one, 0] = z[:, rounds[one], 0, slot[one]]
-    generators[:, one, 1] = x[:, rounds[one], 0, slot[one]]
+    generators = np.zeros((len(x_images), len(rounds), 4), dtype=np.uint64)
+    generators[:, one, 0] = z_images[:, rounds[one], 0, slot[one]]
+    generators[:, one, 1] = x_images[:, rounds[one], 0, slot[one]]
     r = rounds[two]
-    pairs = np.stack([c.uzz_layers[r, slot[two]] for c in circuits])  # (C, sites, 2)
-    k = np.arange(len(circuits))[:, None]
+    pairs = layers[:, r, slot[two]]  # (C, sites, 2)
+    k = np.arange(len(x_images))[:, None]
     for side in (0, 1):
-        generators[:, two, 2 * side] = z[k, r, 1, pairs[..., side]]
-        generators[:, two, 2 * side + 1] = x[k, r, 1, pairs[..., side]]
+        generators[:, two, 2 * side] = z_images[k, r, 1, pairs[..., side]]
+        generators[:, two, 2 * side + 1] = x_images[k, r, 1, pairs[..., side]]
     return generators
 
 
-def _fault_tables(circuits: Sequence[CompiledCircuit], noise: NoiseModel) -> tuple:
-    """The fault masks of C circuits of one (n, L), as one ``(C, sites, 16)``
-    array (``FaultProgram.masks`` per circuit), and the sites' classes.
+def _fault_tables(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndarray,
+                  sites: tuple) -> np.ndarray:
+    """The fault masks of a stack of C circuits of one (n, L) at ``sites``
+    (``_fault_sites``), as one ``(C, sites, 16)`` array
+    (``FaultProgram.masks`` per circuit); the arguments are those of
+    ``_site_generators``.
 
     A fault flips outcome bit q iff it anticommutes with the image of Z_q
     where it occurs (the circuit maps each Z_q to +/-Z_q), so the masks are
     read from the Z images the circuits' check kept: the generators of the
-    noisy sites alone are gathered first (``_site_generators``), and only
-    then expanded to the 16 codes.
+    noisy sites alone are gathered first, and only then expanded to the 16
+    codes.
     """
-    n, length = circuits[0].n_qubits, circuits[0].length
-    if n > _QUBIT_LIMITS["stabilizer"]:
-        raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
-    sites, classes = _fault_sites(n, length, noise)
-    masks = _code_masks(_site_generators(circuits, sites))
+    masks = _code_masks(_site_generators(x_images, z_images, layers, sites))
     masks[:, ~sites[1], 4:] = 0  # a one-qubit fault has no code above 3
-    return masks, classes
+    return masks
 
 
 def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultProgram:
     """The fault sites of ``circuit`` in gate order, with their masks and classes.
 
-    A batch of one of ``_fault_tables``: the sites and classes depend only
+    A stack of one of ``_fault_tables``: the sites and classes depend only
     on (n, L, noise) (``_fault_sites``); only the masks are the circuit's
     own.
     """
-    masks, classes = _fault_tables([circuit], noise)
+    sites, classes = _fault_sites(circuit.n_qubits, circuit.length, noise)
+    masks = _fault_tables(circuit.x_images[None], circuit.z_images[None],
+                          circuit.uzz_layers[None], sites)
     return FaultProgram(masks[0], classes)
 
 
@@ -491,29 +500,46 @@ def _as_compiled(items: Sequence) -> list:
     return out
 
 
-def _table_batches(circuits: Sequence[CompiledCircuit], noise: NoiseModel) -> list:
-    """The positions of ``circuits`` in batches that share one
-    ``_fault_tables`` call: one (n, L) each, of at most ``_TABLE_WORDS``
-    table words, and at least one circuit."""
-    return _batches([(c.n_qubits, c.length) for c in circuits],
-                    lambda size: 16 * len(_fault_sites(*size, noise)[0][0]), _TABLE_WORDS)
+def _table_batches(sizes: Sequence[tuple], noise: NoiseModel) -> list:
+    """The positions of circuits of the given (n, L) ``sizes`` in batches
+    that share one ``_fault_tables`` call: one (n, L) each, of at most
+    ``_TABLE_WORDS`` table words, and at least one circuit."""
+    return _batches(sizes, lambda size: 16 * len(_fault_sites(*size, noise)[0][0]),
+                    _TABLE_WORDS)
 
 
-def _run_batch(args) -> list:
-    """The dataset entries of one batch of circuits, each circuit drawn from
-    its own child stream (``child_seeds``); a stabilizer batch shares one
-    ``_fault_tables`` call, so its circuits must share (n, L)."""
-    circuits, noise, shots, child_seeds, backend = args
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in child_seeds]
-    if backend == "stabilizer":
-        masks, classes = _fault_tables(circuits, noise)
-        successes = [_survivors(FaultProgram(table, classes), shots, rng)
-                     for table, rng in zip(masks, rngs)]
-    else:
-        successes = [int(rng.binomial(shots, run_dense(circuit, noise)))
-                     for circuit, rng in zip(circuits, rngs)]
-    return [DatasetEntry(circuit.length, circuit.circuit_id, shots, count, circuit.seed)
-            for circuit, count in zip(circuits, successes)]
+def _run_batch(task) -> list:
+    """The success counts of one stabilizer batch: a stack of circuits of
+    one (n, L) that shares one ``_fault_tables`` call.
+
+    ``task`` is ``(x_images, z_images, layers, sites, classes, shots,
+    child_seeds)``: the stack's arrays as ``_fault_tables`` takes them, the
+    sites (``_fault_sites``), and per circuit its site classes and the seed
+    of its own child stream.
+    """
+    x_images, z_images, layers, sites, classes, shots, child_seeds = task
+    masks = _fault_tables(x_images, z_images, layers, sites)
+    return [_survivors(FaultProgram(table, circuit_classes), shots,
+                       np.random.default_rng(np.random.SeedSequence(seed)))
+            for table, circuit_classes, seed in zip(masks, classes, child_seeds)]
+
+
+def _stabilizer_task(circuits: Sequence[CompiledCircuit], noise: NoiseModel, shots: int,
+                     child_seeds: list) -> tuple:
+    """The ``_run_batch`` task of circuits of one (n, L), stacked."""
+    sites, classes = _fault_sites(circuits[0].n_qubits, circuits[0].length, noise)
+    return (np.stack([c.x_images for c in circuits]), np.stack([c.z_images for c in circuits]),
+            _uzz_layers(np.stack([c.spec.matchings for c in circuits])), sites,
+            [classes] * len(circuits), shots, child_seeds)
+
+
+def _run_dense_batch(task) -> list:
+    """The success counts of ``(circuits, noise, shots, child_seeds)``: a
+    binomial draw from each circuit's exact probability (``run_dense``)."""
+    circuits, noise, shots, child_seeds = task
+    return [int(np.random.default_rng(np.random.SeedSequence(seed))
+                .binomial(shots, run_dense(circuit, noise)))
+            for circuit, seed in zip(circuits, child_seeds)]
 
 
 def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
@@ -524,11 +550,11 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
     ``rng`` may be a seed or a Generator; each circuit gets a child stream
     derived from ``(master_seed, position)``, so results are independent of
     ``jobs`` and of how circuits are batched.  Specs among ``circuits`` are
-    compiled together, one batch per (n, L).  The stabilizer backend builds
-    the fault tables of each (n, L) once per batch of at most
-    ``_TABLE_WORDS`` table words (``_fault_tables``); the dense backend
-    computes each circuit's exact probability and draws binomial counts
-    from it.
+    compiled together, one stack per (n, L).  The stabilizer backend stacks
+    the circuits of each (n, L) in batches of at most ``_TABLE_WORDS``
+    table words, and runs each batch with one fault-table build
+    (``_run_batch``); the dense backend computes each circuit's exact
+    probability and draws binomial counts from it.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -546,27 +572,32 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
         master = int(rng)
     if backend == "stabilizer":
         _check_stabilizer_noise(noise)
-        batches = _table_batches(compiled, noise)
+        batches = _table_batches([(c.n_qubits, c.length) for c in compiled], noise)
+        run, make_task = _run_batch, _stabilizer_task
     else:
         batches = [[pos] for pos in range(len(compiled))]
+        run, make_task = _run_dense_batch, lambda *task: task
     if jobs > 1:  # at least one task per worker, where the circuits allow
         size = -(-len(compiled) // jobs)
         batches = [b[k:k + size] for b in batches for k in range(0, len(b), size)]
-    tasks = [([compiled[pos] for pos in batch], noise, shots,
-              [(master, pos) for pos in batch], backend) for batch in batches]
+    # made one at a time: a stabilizer task holds copies of its batch's images
+    tasks = (make_task([compiled[pos] for pos in batch], noise, shots,
+                       [(master, pos) for pos in batch]) for batch in batches)
     if jobs > 1:
         # imported here: the pool is the one user of concurrent.futures and
         # multiprocessing, which every other call would pay to import
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_batch, tasks, chunksize=1))
+            results = list(pool.map(run, tasks, chunksize=1))
     else:
-        results = [_run_batch(task) for task in tasks]
+        results = [run(task) for task in tasks]
     entries = [None] * len(compiled)
-    for batch, batch_entries in zip(batches, results):
-        for pos, entry in zip(batch, batch_entries):
-            entries[pos] = entry
+    for batch, counts in zip(batches, results):
+        for pos, count in zip(batch, counts):
+            circuit = compiled[pos]
+            entries[pos] = DatasetEntry(circuit.length, circuit.circuit_id, shots, count,
+                                        circuit.seed)
     return DecayDataset(n, tuple(entries))
 
 

@@ -1,12 +1,16 @@
 """Decay fitting, bootstrap intervals, frame potential, scatter studies."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+import mirrorbench.analysis as analysis_module
 from mirrorbench.analysis import (
     FRAME_POTENTIAL_QUBIT_LIMIT,
     FitResult,
@@ -14,6 +18,7 @@ from mirrorbench.analysis import (
     _SampledCliffords,
     _fit_rows,
     _length_groups,
+    _percentiles,
     _resample_points,
     bootstrap_ci,
     fit_decay,
@@ -22,7 +27,7 @@ from mirrorbench.analysis import (
     survival_points,
 )
 from mirrorbench.channels import Depolarizing, depolarizing_tensor_unitarity
-from mirrorbench.circuits import sample_experiment
+from mirrorbench.circuits import build_mirror_circuits, sample_experiment
 from mirrorbench.operators import CLIFFORD_UNITARIES
 from mirrorbench.simulator import DatasetEntry, DecayDataset, NoiseModel, simulate_survival
 
@@ -276,6 +281,31 @@ def test_bootstrap_memory_is_bounded_by_the_grid_chunk():
     assert peak < 2 * 2 ** 20
 
 
+def test_percentiles_are_numpys_linear_rule_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for size in list(range(1, 41)) + rng.integers(41, 3000, size=1000).tolist():
+        values = rng.random(size) if size % 3 else rng.integers(0, 5, size) / 4.0
+        q = rng.uniform(0.0, 100.0, size=3) if size % 2 else np.array([16.0, 84.0, 100.0])
+        expected = np.percentile(values, q)
+        assert _percentiles(values, q).tobytes() == expected.tobytes()
+
+
+def test_bootstrap_does_not_import_numpy_ma():
+    script = (
+        "import sys\n"
+        "from mirrorbench.analysis import bootstrap_ci\n"
+        "from mirrorbench.simulator import DatasetEntry, DecayDataset\n"
+        "entries = [DatasetEntry(L, i, 100, 90 - 5 * L + i, 0)\n"
+        "           for L in (1, 2, 4) for i in range(3)]\n"
+        "bootstrap_ci(DecayDataset(2, entries), resamples=50, rng=1)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(analysis_module.__file__))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_bootstrap_width_shrinks_with_shots():
     # median CI width over seeds shrinks when every circuit gets 16x the shots
     p = 0.02
@@ -458,24 +488,71 @@ def test_scatter_experiment_points_and_determinism():
 def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch):
     # memory must not grow with the number of experiments: with a budget of
     # two experiments' cells, seven experiments compile in chunks of at most
-    # two, and give the points of one chunk holding all seven
-    import mirrorbench.analysis as analysis_module
-
-    build = analysis_module.build_mirror_circuits
+    # two, and give the points of one chunk holding all seven.  A chunk
+    # compiles one stack per length, so its size is the sum of two stacks.
+    compile_stack = analysis_module._compile_stack
     sizes = []
 
-    def recording(specs):
-        sizes.append(len(specs))
-        return build(specs)
+    def recording(stack, *args):
+        sizes.append(len(stack[0]))
+        return compile_stack(stack, *args)
 
-    monkeypatch.setattr(analysis_module, "build_mirror_circuits", recording)
+    def per_chunk():
+        assert len(sizes) % 2 == 0 and sizes[::2] == sizes[1::2]
+        return [a + b for a, b in zip(sizes[::2], sizes[1::2])]
+
+    monkeypatch.setattr(analysis_module, "_compile_stack", recording)
     kwargs = dict(rng=5, lengths=(2, 4), circuits_per_length=3, shots=50)
     whole = scatter_experiment(2, 7, 0.05, **kwargs)
-    assert sizes == [42]
+    assert per_chunk() == [42]
     sizes.clear()
     monkeypatch.setattr(analysis_module, "_SCATTER_CELLS", 2 * 3 * (2 + 4) * 2)
     assert scatter_experiment(2, 7, 0.05, **kwargs) == whole
-    assert sizes == [12, 12, 12, 6]
+    assert per_chunk() == [12, 12, 12, 6]
+
+
+def _scatter_reference(n_qubits, num_experiments, p_max, seed, lengths,
+                       circuits_per_length, shots, cells):
+    """Scatter points one experiment at a time through the public pipeline,
+    sample_experiment -> build_mirror_circuits -> simulate_survival ->
+    survival_points, fitted per chunk of experiments with _fit_rows."""
+    rng = np.random.default_rng(seed)
+    draws = [(float(rng.uniform(0.0, p_max)), int(rng.integers(0, 2 ** 63 - 1)),
+              int(rng.integers(0, 2 ** 63 - 1))) for _ in range(num_experiments)]
+    chunk = max(1, cells // (circuits_per_length * sum(lengths) * n_qubits))
+    points = []
+    for start in range(0, num_experiments, chunk):
+        group = draws[start:start + chunk]
+        rows = [survival_points(simulate_survival(
+                    build_mirror_circuits(sample_experiment(gen_seed, n_qubits, lengths,
+                                                            circuits_per_length)),
+                    NoiseModel(two_qubit=Depolarizing(p)), shots, rng=sim_seed))
+                for p, gen_seed, sim_seed in group]
+        _, u_est, _ = _fit_rows(rows[0][0], np.array([row[1] for row in rows]),
+                                np.array([row[2] for row in rows]), 1.0 / 2 ** n_qubits)
+        points += [ScatterPoint(p, depolarizing_tensor_unitarity(p, n_qubits // 2), float(u))
+                   for (p, _, _), u in zip(group, u_est)]
+    return points
+
+
+@pytest.mark.parametrize("n_qubits,lengths,circuits", [
+    (2, (1, 3, 1), 3), (4, (2, 5), 3), (10, (1, 2, 4), 10), (64, (1, 3), 3)])
+def test_scatter_experiment_is_the_per_experiment_pipeline(monkeypatch, n_qubits, lengths,
+                                                           circuits):
+    # bit for bit, over consecutive seeds, with chunks of two experiments;
+    # at n = 10 each mean is over 10 circuits, enough for the order of the
+    # sum to show, and at n = 64 a small table budget cuts each stack into
+    # slices
+    import mirrorbench.simulator as simulator_module
+
+    cells = 2 * circuits * sum(lengths) * n_qubits
+    monkeypatch.setattr(analysis_module, "_SCATTER_CELLS", cells)
+    if n_qubits == 64:
+        monkeypatch.setattr(simulator_module, "_TABLE_WORDS", 16 * 2 * 3 * 32)
+    for seed in range(20):
+        assert scatter_experiment(n_qubits, 5, 0.05, rng=seed, lengths=lengths,
+                                  circuits_per_length=circuits, shots=40) == \
+            _scatter_reference(n_qubits, 5, 0.05, seed, lengths, circuits, 40, cells)
 
 
 def test_estimator_calibration_at_fixed_noise():

@@ -14,6 +14,8 @@ from mirrorbench.circuits import (
     CompiledCircuit,
     MirrorCircuitSpec,
     _batches,
+    _check_stack,
+    _draw_stack,
     _parsed_circuit,
     _uzz_layers,
     _z_pass,
@@ -24,7 +26,6 @@ from mirrorbench.circuits import (
     mirror_circuit_spec,
     read_circuit,
     sample_experiment,
-    sample_matchings,
     save_circuit,
     to_qasm,
 )
@@ -95,28 +96,89 @@ def compiled_unitary(circuit: CompiledCircuit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _reference_draw(seed, n, length):
+    """The spec arrays of ``mirror_circuit_spec``'s documented draw, one rng
+    call at a time."""
+    rng = np.random.default_rng(seed)
+    cliffords = rng.integers(24, size=(length, n))
+    perm = rng.permuted(np.tile(np.arange(n), (length, 1)), axis=1)
+    matchings = np.sort(perm.reshape(length, n // 2, 2), axis=2)
+    paulis = rng.integers(4, size=(2 * length + 1, n))
+    return cliffords, matchings, paulis
+
+
 def test_sample_matching_covers_all_qubits(rng):
     for n in (2, 4, 6, 8):
-        matching = sample_matchings(rng, n, 1)[0].tolist()
+        _, matchings, _ = _draw_stack([int(rng.integers(2 ** 32))], n, 1)
+        matching = matchings[0, 0].tolist()
         flat = [q for pair in matching for q in pair]
         assert sorted(flat) == list(range(n))
         assert len(matching) == n // 2
 
 
 def test_sample_matching_two_qubits_is_fixed(rng):
-    assert sample_matchings(rng, 2, 1).tolist() == [[[0, 1]]]
+    _, matchings, _ = _draw_stack(rng.integers(2 ** 32, size=4).tolist(), 2, 3)
+    assert matchings.tolist() == [[[[0, 1]]] * 3] * 4
 
 
 @pytest.mark.parametrize("n", [2, 4, 64])
 @pytest.mark.parametrize("count", [1, 1000])
 def test_sample_matchings_are_sorted_pairs_of_a_permutation(n, count):
-    # draw for draw: one rng.permuted of the rows, cut into sorted pairs
-    pairs = sample_matchings(np.random.default_rng(n + count), n, count)
-    rng = np.random.default_rng(n + count)
-    perm = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-    expected = np.sort(perm.reshape(count, n // 2, 2), axis=2)
-    assert pairs.shape == expected.shape and pairs.dtype == expected.dtype
-    np.testing.assert_array_equal(pairs, expected)
+    # draw for draw: after the Cliffords, one rng.permuted of the L rows,
+    # cut into sorted pairs
+    seeds = [n + count, n + count + 1]
+    _, matchings, _ = _draw_stack(seeds, n, count)
+    for row, seed in zip(matchings, seeds):
+        expected = _reference_draw(seed, n, count)[1]
+        assert row.shape == expected.shape and row.dtype == expected.dtype
+        np.testing.assert_array_equal(row, expected)
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 64])
+@pytest.mark.parametrize("length", [1, 3, 16])
+def test_draw_stack_rows_are_each_seeds_spec(n, length):
+    seeds = [1000 * n + length + k for k in range(5)]
+    stack = _draw_stack(seeds, n, length)
+    assert [arr.shape for arr in stack] == [
+        (5, length, n), (5, length, n // 2, 2), (5, 2 * length + 1, n)]
+    assert all(arr.dtype == np.int64 and not arr.flags.writeable for arr in stack)
+    for c, seed in enumerate(seeds):
+        spec = mirror_circuit_spec(seed, n, length, circuit_id=c)
+        assert spec == MirrorCircuitSpec(n, length, *_reference_draw(seed, n, length),
+                                         seed=seed, circuit_id=c)
+        for arr, name in zip(stack, ("cliffords", "matchings", "paulis")):
+            np.testing.assert_array_equal(arr[c], getattr(spec, name))
+            assert not getattr(spec, name).flags.writeable
+
+
+def test_stack_check_rejects_what_a_spec_rejects():
+    stack = [arr.copy() for arr in _draw_stack([3, 4, 5], 4, 3)]
+    _check_stack(stack)
+    for k, at, value, message in (
+            (0, (1, 2, 0), 24, "cliffords entries"),
+            (0, (2, 0, 3), -1, "cliffords entries"),
+            (1, (0, 1, 0, 1), 4, "matchings entries"),
+            (2, (2, 6, 1), 4, "paulis entries")):
+        edited = [arr.copy() for arr in stack]
+        edited[k][at] = value
+        with pytest.raises(ValueError, match=message):
+            _check_stack(edited)
+        with pytest.raises(ValueError, match=message):
+            MirrorCircuitSpec(4, 3, *(arr[at[0]] for arr in edited), seed=0)
+    edited = [arr.copy() for arr in stack]
+    edited[1][2, 1, 0] = edited[1][2, 0, 1]  # one qubit in two pairs, one in none
+    with pytest.raises(ValueError, match="every qubit exactly once"):
+        _check_stack(edited)
+    with pytest.raises(ValueError, match="every qubit exactly once"):
+        MirrorCircuitSpec(4, 3, *(arr[2] for arr in edited), seed=0)
+
+
+def test_draw_stack_rejects_bad_sizes():
+    for n, length, message in ((3, 2, "even"), (0, 2, "even"), (4, 0, "length")):
+        with pytest.raises(ValueError, match=message):
+            _draw_stack([1], n, length)
+        with pytest.raises(ValueError, match=message):
+            mirror_circuit_spec(1, n, length)
 
 
 def test_sample_layer_structure(rng):

@@ -242,7 +242,7 @@ def _mixed_length_circuits(n_qubits, count=12):
 @pytest.mark.parametrize("noise", MASK_NOISES)
 def test_batched_fault_tables_equal_each_circuit_compiled_alone(n_qubits, noise):
     circuits = _mixed_length_circuits(n_qubits)
-    batches = _table_batches(circuits, noise)
+    batches = _table_batches([(c.n_qubits, c.length) for c in circuits], noise)
     assert sorted(pos for batch in batches for pos in batch) == list(range(len(circuits)))
     if n_qubits == 64 and None not in (noise.single_qubit, noise.two_qubit):
         # 1,152 sites at L = 6: three circuits fill a batch, so the four of
@@ -251,7 +251,10 @@ def test_batched_fault_tables_equal_each_circuit_compiled_alone(n_qubits, noise)
     for batch in batches:
         group = [circuits[pos] for pos in batch]
         assert len({c.length for c in group}) == 1
-        masks, _ = _fault_tables(group, noise)
+        sites, _ = _fault_sites(n_qubits, group[0].length, noise)
+        masks = _fault_tables(np.stack([c.x_images for c in group]),
+                              np.stack([c.z_images for c in group]),
+                              np.stack([c.uzz_layers for c in group]), sites)
         assert len(batch) == 1 or masks.size <= _TABLE_WORDS
         for circuit, table in zip(group, masks):
             np.testing.assert_array_equal(table, compile_fault_program(circuit, noise).masks)
