@@ -1,8 +1,9 @@
 """Mirror-circuit benchmarking toolkit.
 
 Generate mirrored random circuits, simulate them under configurable noise,
-and recover the unitarity of the per-layer error channel from the exponential
-decay of the survival probability.
+and fit the exponential decay of their survival probability.  The fitted
+rate ``u`` is the decay rate of these circuits' mean survival: close to the
+unitarity for depolarizing noise, not for coherent noise (``analysis``).
 
 The package root re-exports the names of the README's library example;
 everything else is imported from its module (``mirrorbench.operators``,

@@ -20,7 +20,7 @@ round, with a UZZ layer after each forward round and before each mirrored
 round.  Since the Pauli frame resets to the randomizer after every round, the
 frame entering a round is the previous randomizer pushed through one UZZ
 layer (or an X-wrapped one), and all rounds come from table lookups on whole
-arrays.  ``CompiledCircuit.gates`` lists the same circuit gate by gate.
+arrays.
 
 A stack of one (n, L) is the unit of sampling and compiling: ``_draw_stack``
 draws C specs as ``(C, L, n)``, ``(C, L, n/2, 2)`` and ``(C, 2L+1, n)``
@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -51,8 +51,6 @@ from .operators import (
     _CLIFF_INVERSE,
     _CLIFF_WORDS,
     _PAULI_CLIFF_INDEX,
-    CliffordGate,
-    NativeGate,
     _clifford_masks,
     _clifford_round,
     _clifford_signs,
@@ -171,6 +169,13 @@ def _gate_layout(n: int, length: int) -> tuple:
     return rounds, is_uzz, slot
 
 
+def _mirror_start(n: int, length: int) -> int:
+    """The forward half's gate count, ``L (n + n/2)``: in execution order
+    the mirrored half starts here, and so does ``@inverse=`` noise.  Circuit
+    files store it, and the loader checks it."""
+    return length * (n + n // 2)
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledCircuit:
     """Executable rounds, the noiseless measurement outcome and the Z images.
@@ -213,18 +218,8 @@ class CompiledCircuit:
 
     @property
     def mirror_start(self) -> int:
-        """Index in ``gates`` of the first mirrored-half gate."""
-        return self.length * (self.n_qubits + self.n_qubits // 2)
-
-    @cached_property
-    def gates(self) -> tuple:
-        """CliffordGate and NativeGate entries in execution order."""
-        rounds, layers = self.rounds.tolist(), self.uzz_layers.tolist()
-        return tuple(
-            NativeGate(tuple(layers[r][slot])) if is_uzz
-            else CliffordGate(slot, rounds[r][slot])
-            for r, is_uzz, slot in zip(*(a.tolist() for a in
-                                         _gate_layout(self.n_qubits, self.length))))
+        """The forward half's gate count (``_mirror_start``)."""
+        return _mirror_start(self.n_qubits, self.length)
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +273,11 @@ def _draw_stack(seeds: Sequence[int], n_qubits: int, length: int) -> tuple:
 
 
 def _stack_specs(stack: tuple, seeds: Sequence[int], circuit_ids: Sequence[int]) -> list:
-    """The specs of the rows of a checked stack (``_draw_stack``), each
-    holding read-only views of its row; made without checking each row
-    again."""
+    """The specs of the rows of a stack (``_draw_stack``), one per seed."""
     _, length, n = stack[0].shape
-    specs = []
-    for c, (seed, circuit_id) in enumerate(zip(seeds, circuit_ids)):
-        spec = object.__new__(MirrorCircuitSpec)
-        for name, value in (("n_qubits", n), ("length", length), ("seed", seed),
-                            ("circuit_id", circuit_id),
-                            *zip(_SPEC_ARRAYS, (arr[c] for arr in stack))):
-            object.__setattr__(spec, name, value)
-        specs.append(spec)
-    return specs
+    return [MirrorCircuitSpec(n, length, *(arr[c] for arr in stack),
+                              seed=seed, circuit_id=circuit_id)
+            for c, (seed, circuit_id) in enumerate(zip(seeds, circuit_ids))]
 
 
 def mirror_circuit_spec(seed: int, n_qubits: int, length: int,
@@ -728,7 +715,7 @@ def _parsed_circuit(data) -> tuple:
         rounds = _int_list(data, "rounds", (2 * length, n), 24)
         stored = tuple(_int_list(data, "expected_outcome", (n,), 2).tolist())
     mirror_start = _int_field(data, "mirror_start")
-    forward = length * (n + n // 2)
+    forward = _mirror_start(n, length)
     if mirror_start != forward:
         raise ValueError(f"stored mirror_start {mirror_start!r} differs from the "
                          f"{forward} gates of the forward half")

@@ -28,8 +28,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _I2 = np.eye(2, dtype=complex)
@@ -120,35 +118,6 @@ _LETTER_MASKS = tuple(
 )
 # ``_LETTER_MASKS`` as uint64, one row per mask and one column per Clifford
 _LETTER_MASK_ROWS = np.array(_LETTER_MASKS, dtype=np.int64).view(np.uint64).T.copy()
-
-
-# ---------------------------------------------------------------------------
-# Gates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CliffordGate:
-    """A single-qubit Clifford applied at one qubit."""
-
-    qubit: int
-    clifford: int  # index into the Clifford table
-
-    @property
-    def qubits(self) -> tuple:
-        return (self.qubit,)
-
-
-@dataclass(frozen=True)
-class NativeGate:
-    """The native two-qubit entangler UZZ on an ordered qubit pair."""
-
-    qubits: tuple
-
-    def __post_init__(self):
-        a, b = self.qubits
-        if a == b:
-            raise ValueError("UZZ needs two distinct qubits")
 
 
 # ---------------------------------------------------------------------------

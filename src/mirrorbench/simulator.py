@@ -558,6 +558,8 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if backend not in _QUBIT_LIMITS:
         raise ValueError(f"unknown backend {backend!r}")
     compiled = _as_compiled(circuits)

@@ -1,10 +1,12 @@
-"""Reference Pauli algebra and the per-gate Z-observable pass, for the tests.
+"""Reference Pauli algebra and the per-gate view of circuits, for the tests.
 
 The package carries Pauli images round by round on numpy words
-(``operators._clifford_round`` and friends).  This module keeps the exact,
-phase-tracking ``PauliOperator`` algebra, the gate-by-gate ``ZObservables``
-pass on Python ints, and the version-1 circuit writer, so the tests can
-check the round-wise code against them.
+(``operators._clifford_round`` and friends), and a circuit is its round
+arrays.  This module keeps the exact, phase-tracking ``PauliOperator``
+algebra, a circuit's gate list (``gate_list``, which states the execution
+order on its own rather than reading the library's site layout), the
+gate-by-gate ``ZObservables`` pass on Python ints, and the version-1 circuit
+writer, so the tests can check the round-wise code against them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from mirrorbench.operators import (
     _CLIFF_WORDS,
     _LETTER_IMAGES,
     _LETTER_MASKS,
-    CliffordGate,
 )
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -194,6 +195,62 @@ def z_image(c: int) -> PauliOperator:
 
 
 # ---------------------------------------------------------------------------
+# Gate lists
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CliffordGate:
+    """A single-qubit Clifford (its table index) applied at one qubit."""
+
+    qubit: int
+    clifford: int
+
+    @property
+    def qubits(self) -> tuple:
+        return (self.qubit,)
+
+
+@dataclass(frozen=True)
+class NativeGate:
+    """The native two-qubit entangler UZZ on an ordered qubit pair."""
+
+    qubits: tuple
+
+    def __post_init__(self):
+        a, b = self.qubits
+        if a == b:
+            raise ValueError("UZZ needs two distinct qubits")
+
+
+def round_gates(rounds, matchings) -> list:
+    """The gates of each of the 2L rounds of ``(2L, n)`` merged Cliffords
+    and ``(L, n/2, 2)`` matchings, in execution order.
+
+    Forward round r runs its Cliffords and then UZZ on matching r; mirrored
+    round ``2L - 1 - k`` runs UZZ on matching k and then its Cliffords.  The
+    rounds need not form a mirror circuit.
+    """
+    matchings = np.asarray(matchings).tolist()
+    length = len(matchings)
+    out = []
+    for r, cliffords in enumerate(np.asarray(rounds).tolist()):
+        ones = [CliffordGate(q, c) for q, c in enumerate(cliffords)]
+        if r < length:
+            out.append(ones + [NativeGate(tuple(pair)) for pair in matchings[r]])
+        else:
+            out.append([NativeGate(tuple(pair)) for pair in matchings[2 * length - 1 - r]]
+                       + ones)
+    return out
+
+
+def gate_list(circuit) -> list:
+    """A compiled circuit's gates in execution order (``round_gates``)."""
+    return [gate for gates in round_gates(circuit.rounds, circuit.spec.matchings)
+            for gate in gates]
+
+
+# ---------------------------------------------------------------------------
 # Conjugation rules
 # ---------------------------------------------------------------------------
 
@@ -341,7 +398,7 @@ def circuit_to_v1_json(circuit) -> dict:
     """The version-1 dict of a compiled circuit: its spec and its gate list."""
     spec = circuit.spec
     gates = []
-    for gate in circuit.gates:
+    for gate in gate_list(circuit):
         if isinstance(gate, CliffordGate):
             gates.append({"gate": "c1", "q": gate.qubit, "index": gate.clifford})
         else:

@@ -11,12 +11,12 @@ from mirrorbench.operators import (
     _LETTER_IMAGES,
     _PAULI_CLIFF_INDEX,
     CLIFFORD_UNITARIES,
-    CliffordGate,
-    NativeGate,
     UZZ_MATRIX,
 )
 
 from pauli_reference import (
+    CliffordGate,
+    NativeGate,
     PauliOperator,
     ZObservables,
     conjugate_by_clifford,

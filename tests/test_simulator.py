@@ -17,7 +17,7 @@ from mirrorbench.channels import (
     stochastic_pauli_tensor,
 )
 from mirrorbench.circuits import build_mirror_circuits, mirror_circuit_spec
-from mirrorbench.operators import _CLIFF_WORDS, CLIFFORD_UNITARIES, CliffordGate
+from mirrorbench.operators import _CLIFF_WORDS, CLIFFORD_UNITARIES
 from mirrorbench.simulator import (
     DatasetEntry,
     DecayDataset,
@@ -41,7 +41,7 @@ from mirrorbench.simulator import (
 )
 
 from conftest import H2, I2, PAULIS_1Q, S2, UZZ_REF, X2, Y2, Z2, kron_all
-from pauli_reference import ZObservables
+from pauli_reference import CliffordGate, ZObservables, gate_list
 
 
 PAULI_1Q = StochasticPauli((0.03, 0.01, 0.02))
@@ -132,7 +132,7 @@ def _oracle_flips(circuit, noise, uniforms):
     z = np.zeros(len(uniforms), dtype=np.uint64)
     faults = []
     column = 0
-    for pos, gate in enumerate(circuit.gates):
+    for pos, gate in enumerate(gate_list(circuit)):
         if isinstance(gate, CliffordGate):
             q = np.uint64(gate.qubit)
             new = code_map[gate.clifford][((x >> q) & one) | (((z >> q) & one) << one)]
@@ -185,7 +185,7 @@ def _reference_fault_program(circuit, noise):
     observables = ZObservables(circuit.n_qubits)
     masks = []
     class_sites = {}
-    for pos, gate in enumerate(circuit.gates):
+    for pos, gate in enumerate(gate_list(circuit)):
         observables.apply(gate)
         if isinstance(gate, CliffordGate):
             params = noise.single_qubit
@@ -421,7 +421,7 @@ def _density_matrix_survival(circuit, noise):
     n = circuit.n_qubits
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho[0, 0] = 1.0
-    for pos, gate in enumerate(circuit.gates):
+    for pos, gate in enumerate(gate_list(circuit)):
         if isinstance(gate, CliffordGate):
             u = I2
             for letter in _CLIFF_WORDS[gate.clifford]:  # time order
@@ -466,12 +466,6 @@ def test_dense_matches_density_matrix_oracle(n_qubits, noise):
         expected = _density_matrix_survival(circuit, noise)
         assert expected < 0.99
         assert abs(run_dense(circuit, noise) - expected) < 1e-12
-
-
-def test_dense_reads_rounds_not_the_gate_list():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(5, 6, 3)])
-    run_dense(circuit, NON_PAULI_NOISES[1])
-    assert "gates" not in vars(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +548,14 @@ def test_simulate_survival_rejects_zero_shots(backend):
     noise = NoiseModel(two_qubit=Depolarizing(0.1))
     with pytest.raises(ValueError, match="shots must be >= 1"):
         simulate_survival([mirror_circuit_spec(0, 2, 1)], noise, 0, rng=1, backend=backend)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_simulate_survival_rejects_fewer_than_one_job(jobs):
+    # no worker count below one may fall back to a serial run without a word
+    noise = NoiseModel(two_qubit=Depolarizing(0.1))
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        simulate_survival([mirror_circuit_spec(0, 2, 1)], noise, 100, rng=1, jobs=jobs)
 
 
 def test_simulate_survival_accepts_compiled_circuits():
