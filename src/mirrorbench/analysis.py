@@ -510,13 +510,12 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
     and its point is the one that ``sample_experiment``,
     ``simulate_survival``, ``survival_points`` and ``fit_decay`` give.
 
-    The work runs on stacks of one (n, L).  Experiments go in chunks of at
-    most ``_SCATTER_CELLS`` round-qubit cells, so memory does not grow with
-    their number.  Per chunk and length, one ``_draw_stack`` draws every
-    experiment's circuits of that length and one ``_compile_stack``
-    compiles them; the fault tables, which do not depend on p, are built
-    once per ``_TABLE_WORDS`` slice of the stack for all experiments
-    (``simulator._run_batch``).  Each circuit draws its survivors from
+    Experiments go in chunks of at most ``_SCATTER_CELLS`` round-qubit
+    cells, so memory does not grow with their number.  Per chunk and
+    length, one stack (``_draw_stack``, ``_compile_stack``) holds every
+    experiment's circuits, and each ``_TABLE_WORDS`` slice of it is run as
+    one batch (``simulator._run_batch``): one fault-table build, which does
+    not depend on p, and one shot loop, in which each circuit draws from
     ``SeedSequence((simulation seed, circuit id))`` under its experiment's
     fault classes.  A chunk's experiments are fitted together, one row each.
     """

@@ -11,35 +11,27 @@ to a known computational basis state.
 
 A spec is three integer arrays: ``cliffords (L, n)`` (indices into the
 24-element table), ``matchings (L, n/2, 2)`` and ``paulis (2L+1, n)`` (codes
-0-3 for I, X, Y, Z; 2L randomizers, then the final Pauli).
+0-3 for I, X, Y, Z; 2L randomizers, then the final Pauli).  Compilation
+merges every inserted Pauli (including the X wrappers from the native-gate
+inverse of UZZ) into neighboring single-qubit Cliffords by table lookups on
+whole arrays, giving ``rounds (2L, n)``, with a UZZ layer after each forward
+round and before each mirrored round.
 
-Compilation merges every inserted Pauli (including the X wrappers from the
-native-gate inverse of UZZ) into neighboring single-qubit Cliffords, so the
-executed circuit is ``rounds (2L, n)``, one merged Clifford per qubit per
-round, with a UZZ layer after each forward round and before each mirrored
-round.  Since the Pauli frame resets to the randomizer after every round, the
-frame entering a round is the previous randomizer pushed through one UZZ
-layer (or an X-wrapped one), and all rounds come from table lookups on whole
-arrays.
-
-A stack of one (n, L) is the unit of sampling and compiling: ``_draw_stack``
-draws C specs as ``(C, L, n)``, ``(C, L, n/2, 2)`` and ``(C, 2L+1, n)``
-arrays, each row from its own seed, and checks the stack once, and
-``_compile_stack`` merges and checks a stack in one pass.  Every compiled or
-loaded circuit is checked by a round-by-round pass of the images of the Z_q
-(``operators._clifford_round`` and ``_uzz_round``): the circuit must map each
-Z_q to +/-Z_q, which makes its output on |0...0> a basis state, and the
-flipped bits must be the X part of the final Pauli.  One pass, over the 4L
-steps, carries every circuit of the stack.  The pass keeps each round's
-images when n <= 64, from which the simulator reads its fault masks.
-``mirror_circuit_spec``, ``sample_experiment``, ``compile_experiment``,
-``build_mirror_circuits`` and ``check_circuits`` wrap stacks in objects.
+A stack of one (n, L) is the unit of sampling, compiling and file I/O:
+``_draw_stack`` draws C specs as ``(C, ...)`` arrays, each row from its own
+seed; ``_compile_stack`` merges and checks them in one pass of the images
+of the Z_q (each circuit must map each Z_q to +/-Z_q, so that its output on
+|0...0> is a basis state, and flip the X part of its final Pauli), keeping
+the images when n <= 64 for the fault masks; ``_stack_json`` writes a
+stack's files, and ``_file_fields`` and ``_field_stack`` read them back.
+The public functions wrap stacks in objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -95,19 +87,13 @@ def _check_matchings(matchings: np.ndarray, n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MirrorCircuitSpec:
-    """Abstract description of one mirror circuit.
-
-    Args:
-        n_qubits: even qubit count >= 2.
-        length: L, the number of forward layers (the circuit runs 2L rounds).
-        cliffords: ``(L, n)`` Clifford indices, layer by layer.
-        matchings: ``(L, n/2, 2)`` qubit pairs, one perfect matching per layer.
-        paulis: ``(2L+1, n)`` Pauli codes (0-3 for I, X, Y, Z): one randomizer
-            per layer boundary of both halves (forward boundaries first, then
-            mirror boundaries in execution order), then the final Pauli
-            inserted before measurement.
-        seed: the seed this spec was drawn from (recorded for provenance).
-        circuit_id: dataset row identifier.
+    """Abstract description of one mirror circuit on an even ``n_qubits``
+    >= 2 with L = ``length`` forward layers (2L rounds): ``(L, n)`` Clifford
+    indices, ``(L, n/2, 2)`` qubit pairs (a perfect matching per layer) and
+    ``(2L+1, n)`` Pauli codes (0-3 for I, X, Y, Z: a randomizer per layer
+    boundary of both halves, forward first, then mirrored in execution
+    order, then the final Pauli), with the ``seed`` it was drawn from and
+    its dataset row's ``circuit_id``.
     """
 
     n_qubits: int
@@ -124,9 +110,7 @@ class MirrorCircuitSpec:
             raise ValueError("n_qubits must be even and >= 2")
         if length < 1:
             raise ValueError("length must be >= 1")
-        for name, shape, high in (("cliffords", (length, n), 24),
-                                  ("matchings", (length, n // 2, 2), n),
-                                  ("paulis", (2 * length + 1, n), 4)):
+        for name, (shape, high) in zip(_SPEC_ARRAYS, _file_shapes(n, length)):
             object.__setattr__(self, name,
                                _int_array(getattr(self, name), shape, high, name))
         _check_matchings(self.matchings, n)
@@ -151,13 +135,10 @@ def _uzz_layers(matchings: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _gate_layout(n: int, length: int) -> tuple:
-    """Where each gate of the execution order sits in the round arrays.
-
-    Forward round r runs its n Cliffords and then its n/2 UZZ gates;
-    mirrored rounds run the UZZ layer first.  Returns, per gate, its round,
-    whether it is a UZZ, and its slot: the qubit of a Clifford, the pair of
-    a UZZ (read-only arrays, cached per size).
-    """
+    """Per gate of the execution order (forward round r runs its n
+    Cliffords, then its n/2 UZZ gates; mirrored rounds the UZZ layer first):
+    its round, whether it is a UZZ, and its slot, the qubit of a Clifford or
+    the pair of a UZZ (read-only arrays, cached per size)."""
     half = n // 2
     rounds = np.repeat(np.arange(2 * length), n + half)
     pos = np.tile(np.arange(n + half), 2 * length)
@@ -180,14 +161,14 @@ def _mirror_start(n: int, length: int) -> int:
 class CompiledCircuit:
     """Executable rounds, the noiseless measurement outcome and the Z images.
 
-    ``rounds[r, q]`` is the merged Clifford at qubit q in round r.  Forward
-    round r (r < L) is followed by UZZ on ``uzz_layers[r]``; mirrored round r
-    is preceded by it.  ``expected_outcome`` is the noiseless outcome bit per
+    ``rounds[r, q]`` is the merged Clifford at qubit q in round r; forward
+    round r (r < L) is followed by UZZ on ``uzz_layers[r]``, mirrored round
+    r preceded by it.  ``expected_outcome`` is the noiseless outcome bit per
     qubit.  ``x_images`` and ``z_images`` are ``(2L, 2, n)`` uint64 when
     n <= 64, the only circuits with fault masks, and None above: bit q at
-    ``[r, 0, p]`` is the X (in ``z_images`` the Z) part, at physical qubit
-    p, of the image of Z_q after round r's Cliffords, and at ``[r, 1, p]``
-    after its UZZ layer.
+    ``[r, 0, p]`` is the X (in ``z_images`` the Z) part, at qubit p, of the
+    image of Z_q after round r's Cliffords, and at ``[r, 1, p]`` after its
+    UZZ layer.
     """
 
     spec: MirrorCircuitSpec
@@ -234,8 +215,8 @@ _SPEC_ARRAYS = ("cliffords", "matchings", "paulis")
 def _check_stack(stack: tuple) -> None:
     """Check a stack of spec arrays as ``MirrorCircuitSpec`` checks one spec:
     entries in range, and every matching pairs every qubit exactly once."""
-    n = stack[0].shape[-1]
-    for arr, high, name in zip(stack, (24, n, 4), _SPEC_ARRAYS):
+    _, length, n = stack[0].shape
+    for arr, (_, high), name in zip(stack, _file_shapes(n, length), _SPEC_ARRAYS):
         _check_entries(arr, high, name)
     _check_matchings(stack[1], n)
 
@@ -243,11 +224,9 @@ def _check_stack(stack: tuple) -> None:
 def _draw_stack(seeds: Sequence[int], n_qubits: int, length: int) -> tuple:
     """The read-only int64 ``(cliffords, matchings, paulis)`` of C specs of
     one (n, L), ``(C, L, n)``, ``(C, L, n/2, 2)`` and ``(C, 2L+1, n)``, one
-    row per seed, each row drawn as ``mirror_circuit_spec`` documents.
-
-    Each row draws from its own ``default_rng(seed)``; its permutations are
-    cut into consecutive pairs, and the pairs of the whole stack are sorted
-    by one min/max.  The stack is checked once (``_check_stack``).
+    row per seed, each drawn from its own ``default_rng(seed)`` as
+    ``mirror_circuit_spec`` documents; the pairs of the whole stack are
+    sorted by one min/max, and the stack is checked once (``_check_stack``).
     """
     if n_qubits < 2 or n_qubits % 2:
         raise ValueError("n_qubits must be even and >= 2")
@@ -282,37 +261,34 @@ def _stack_specs(stack: tuple, seeds: Sequence[int], circuit_ids: Sequence[int])
 
 def mirror_circuit_spec(seed: int, n_qubits: int, length: int,
                         circuit_id: int = 0) -> MirrorCircuitSpec:
-    """Draw a full circuit spec from a single seed.
-
-    Three draws from ``default_rng(seed)``, in this order: the Cliffords,
+    """Draw a full circuit spec from a single seed, a stack of one
+    (``_draw_stack``): from ``default_rng(seed)``, the Cliffords,
     ``integers(24)`` of shape ``(L, n)``; the matchings, ``rng.permuted`` of
     the L rows of ``tile(arange(n))`` along each row, cut into consecutive
-    pairs, each pair sorted; the Paulis, ``integers(4)`` of shape
-    ``(2L+1, n)``.  A stack of one (``_draw_stack``).
-    """
+    sorted pairs; the Paulis, ``integers(4)`` of shape ``(2L+1, n)``."""
     [spec] = _stack_specs(_draw_stack([seed], n_qubits, length), [seed], [circuit_id])
     return spec
 
 
 def _experiment_seeds(rng, lengths: Sequence[int], circuits_per_length: int) -> list:
     """The (length, seed) of each spec of an experiment, in circuit-id order:
-    one ``integers(0, 2^63 - 1)`` draw from ``rng`` per spec."""
+    one ``integers(0, 2^63 - 1, size=...)`` draw from ``rng``, which gives
+    the values and the generator state of one scalar draw per spec."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    return [(int(length), int(rng.integers(0, 2 ** 63 - 1)))
-            for length in lengths for _ in range(circuits_per_length)]
+    cells = [int(length) for length in lengths for _ in range(circuits_per_length)]
+    return list(zip(cells, rng.integers(0, 2 ** 63 - 1, size=len(cells)).tolist()))
 
 
-def _experiment_batches(rng, n_qubits: int, lengths: Sequence[int],
-                        circuits_per_length: int):
-    """Yield the specs of an experiment one batch (``_batches``) at a time,
-    each batch drawn as one stack: each length's in circuit-id order,
-    lengths in order of first appearance.  Only the specs' seeds are drawn
-    up front."""
+def _experiment_stacks(rng, n_qubits: int, lengths: Sequence[int],
+                       circuits_per_length: int):
+    """Yield an experiment's ``(circuit ids, seeds, stack)`` one batch
+    (``_batches``) at a time, each drawn as one stack (``_draw_stack``); only
+    the seeds are drawn up front."""
     cells = _experiment_seeds(rng, lengths, circuits_per_length)
     for batch in _batches([(n_qubits, length) for length, _ in cells]):
         seeds = [cells[i][1] for i in batch]
-        yield _stack_specs(_draw_stack(seeds, n_qubits, cells[batch[0]][0]), seeds, batch)
+        yield batch, seeds, _draw_stack(seeds, n_qubits, cells[batch[0]][0])
 
 
 def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
@@ -323,23 +299,10 @@ def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
     ``rng`` may be a Generator or an integer seed.  Each spec records its own
     seed so it can be regenerated independently (``mirror_circuit_spec``).
     """
-    specs = [spec for batch in _experiment_batches(rng, n_qubits, lengths,
-                                                   circuits_per_length)
-             for spec in batch]
+    specs = [spec for ids, seeds, stack in _experiment_stacks(rng, n_qubits, lengths,
+                                                              circuits_per_length)
+             for spec in _stack_specs(stack, seeds, ids)]
     return sorted(specs, key=lambda spec: spec.circuit_id)
-
-
-def compile_experiment(rng, n_qubits: int, lengths: Sequence[int],
-                       circuits_per_length: int):
-    """Yield the compiled circuits of ``sample_experiment`` with the same
-    arguments, drawing and compiling one stack (``_batches``) at a time.
-
-    Memory holds one batch's specs and circuits, not the experiment's.
-    Circuits come in batch order: each length's in circuit-id order, lengths
-    in order of first appearance.
-    """
-    for specs in _experiment_batches(rng, n_qubits, lengths, circuits_per_length):
-        yield from build_mirror_circuits(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +352,8 @@ def _batches(sizes: Sequence[tuple], words=_image_words, budget: int = _BATCH_WO
 
 def _merged_rounds(cliffords: np.ndarray, matchings: np.ndarray,
                    paulis: np.ndarray) -> np.ndarray:
-    """The ``(C, 2L, n)`` merged Cliffords of C specs of one (n, L), given
-    their stacked arrays: each round's Pauli after its Clifford, after the
-    frame that the previous randomizer leaves.
+    """The ``(C, 2L, n)`` merged Cliffords of C specs of one (n, L): each
+    round's Pauli after its Clifford, after the previous randomizer's frame.
 
     Round r's frame is randomizer r-1 pushed through the UZZ layers between
     the two rounds: the forward layer r-1 when r <= L, and the X-wrapped
@@ -427,17 +389,14 @@ def _merged_rounds(cliffords: np.ndarray, matchings: np.ndarray,
 def _z_pass(rounds: np.ndarray, layers: np.ndarray) -> tuple:
     """Carry the images of every Z_q through C circuits of one (n, L) at once.
 
-    ``rounds`` is ``(C, 2L, n)`` and ``layers`` ``(C, 2L, n/2, 2)``
-    (``_uzz_layers``).  The images of all C circuits are stacked as
-    ``(C n, words)`` and share one sequential pass over the 4L steps; each
-    step's sign flips are XORed up as it runs, so no step's images are held
-    for later.  Returns ``(outcome, mirrors, x_images, z_images)``:
-    ``mirrors[c]`` says whether circuit c maps each Z_q to +/-Z_q, and
-    where it does, bit q of ``outcome[c]`` is 1 where it is -Z_q, since the
-    circuit's output on |0...0> is then the basis state with those bits.
-    The images are the ``(C, 2L, 2, n)`` ones described in
-    ``CompiledCircuit`` when n <= 64, and None above, where nothing reads
-    them.
+    ``rounds`` is ``(C, 2L, n)`` and ``layers`` ``(C, 2L, n/2, 2)``.  The
+    images of all C circuits are stacked as ``(C n, words)`` and share one
+    pass over the 4L steps, XORing up each step's sign flips as it runs.
+    Returns ``(outcome, mirrors, x_images, z_images)``: ``mirrors[c]`` says
+    whether circuit c maps each Z_q to +/-Z_q, and then bit q of
+    ``outcome[c]`` is 1 where it is -Z_q (its output on |0...0> is that
+    basis state); the images are those of ``CompiledCircuit`` when n <= 64,
+    and None above, where nothing reads them.
     """
     count, steps, n = rounds.shape
     half = steps // 2
@@ -481,16 +440,13 @@ def _z_pass(rounds: np.ndarray, layers: np.ndarray) -> tuple:
 
 def _compile_stack(stack: tuple, rounds=None, stored=None) -> tuple:
     """Merge and check the C circuits of one (n, L) stack of spec arrays
-    (``_draw_stack``'s order).
-
-    The rounds are the stack's ``_merged_rounds``, or the given stored
-    ``(C, 2L, n)`` ``rounds``, which are checked, not recompiled.  One
-    ``_z_pass`` checks them all: each circuit must map each Z_q to +/-Z_q
-    and flip exactly the X part of its final Pauli, and with ``stored``
-    (``(C, n)`` outcome bits) give the stored outcome.  Raises
-    CircuitCheckError for the first circuit that fails, with its position in
-    the stack.  Returns the read-only rounds, the ``(C, n)`` outcome bits and
-    the images of ``_z_pass``.
+    (``_draw_stack``'s order): the rounds are the stack's ``_merged_rounds``,
+    or the given stored ``(C, 2L, n)`` ``rounds``, checked, not recompiled.
+    One ``_z_pass`` checks them all: each circuit must map each Z_q to
+    +/-Z_q, flip exactly the X part of its final Pauli and, given ``stored``
+    ``(C, n)`` outcome bits, give those.  Raises CircuitCheckError for the
+    first failing circuit, with its position in the stack.  Returns the
+    read-only rounds, the ``(C, n)`` outcome bits and the images.
     """
     _, matchings, paulis = stack
     if rounds is None:
@@ -514,10 +470,9 @@ def _compile_stack(stack: tuple, rounds=None, stored=None) -> tuple:
 def _compiled_circuits(specs: Sequence[MirrorCircuitSpec], rounds=None, stored=None) -> list:
     """The checked circuits of ``specs``, in input order, one
     ``_compile_stack`` per batch (``_batches``), given each spec's stored
-    rounds and outcome if any.  Each circuit's rounds and images are
-    read-only slices of its stack's arrays.  Raises CircuitCheckError with
-    the position of the first failing spec of the first batch that has one.
-    """
+    rounds and outcome if any, their arrays slices of the stack's.  Raises
+    CircuitCheckError with the position of the first failing spec of the
+    first batch that has one."""
     out = [None] * len(specs)
     for batch in _batches([(spec.n_qubits, spec.length) for spec in specs]):
         stack = tuple(np.stack([getattr(specs[i], name) for i in batch])
@@ -536,13 +491,10 @@ def _compiled_circuits(specs: Sequence[MirrorCircuitSpec], rounds=None, stored=N
 
 
 def build_mirror_circuits(specs: Sequence[MirrorCircuitSpec]) -> list:
-    """Compile specs into merged rounds and expected outcomes, in input order.
-
-    The specs of each (n, L) are stacked and compiled together, one
-    ``_compile_stack`` per batch (``_batches``).  Raises CompilationError
-    naming the ``circuit_id`` of a spec whose compiled circuit fails its
-    check.
-    """
+    """Compile specs into merged rounds and expected outcomes, in input
+    order, one ``_compile_stack`` per batch of one (n, L) (``_batches``).
+    Raises CompilationError naming the ``circuit_id`` of a spec whose
+    compiled circuit fails its check."""
     specs = list(specs)
     try:
         return _compiled_circuits(specs)
@@ -555,10 +507,8 @@ def check_circuits(parsed: Sequence[tuple]) -> list:
     """The compiled circuits of ``(spec, rounds, stored outcome)`` triples
     (``read_circuit``), in input order, checked one stack per batch of one
     (n, L) (``_compile_stack``).  Stored rounds are checked, not recompiled,
-    so datasets stay reproducible even if the compiler changes.
-
-    Raises CircuitCheckError, whose ``index`` is the position of a failing
-    triple.
+    so datasets stay reproducible even if the compiler changes.  Raises
+    CircuitCheckError, whose ``index`` is the position of a failing triple.
     """
     return _compiled_circuits([spec for spec, _, _ in parsed],
                               [rounds for _, rounds, _ in parsed],
@@ -570,25 +520,36 @@ def check_circuits(parsed: Sequence[tuple]) -> list:
 # ---------------------------------------------------------------------------
 
 
-def circuit_to_json(circuit: CompiledCircuit) -> dict:
-    """JSON-ready dict for one compiled circuit (schema version 2).
+# the integer fields of a version-2 circuit file, in the order of a stack:
+# the spec arrays, the rounds and the stored outcome
+_FILE_ARRAYS = _SPEC_ARRAYS + ("rounds", "expected_outcome")
 
-    The spec arrays and the rounds are stored flat, in C order.
-    """
-    spec = circuit.spec
-    return {
-        "version": CIRCUIT_FORMAT_VERSION,
-        "n": circuit.n_qubits,
-        "L": circuit.length,
-        "seed": circuit.seed,
-        "circuit_id": circuit.circuit_id,
-        "cliffords": spec.cliffords.ravel().tolist(),
-        "matchings": spec.matchings.ravel().tolist(),
-        "paulis": spec.paulis.ravel().tolist(),
-        "rounds": circuit.rounds.ravel().tolist(),
-        "mirror_start": circuit.mirror_start,
-        "expected_outcome": list(circuit.expected_outcome),
-    }
+
+def _file_shapes(n: int, length: int) -> tuple:
+    """The ``(shape, bound)`` of each of a circuit's ``_FILE_ARRAYS``."""
+    return (((length, n), 24), ((length, n // 2, 2), n), ((2 * length + 1, n), 4),
+            ((2 * length, n), 24), ((n,), 2))
+
+
+def _stack_json(stack: tuple, rounds: np.ndarray, outcome: np.ndarray,
+                seeds: Sequence[int], circuit_ids: Sequence[int]) -> list:
+    """The JSON-ready dicts (schema version 2) of the rows of a stack, given
+    its spec arrays, the ``rounds`` and ``outcome`` of ``_compile_stack``
+    and each row's seed and circuit id; arrays are stored flat, in C order."""
+    _, length, n = stack[0].shape
+    rows = [arr.reshape(len(arr), -1).tolist() for arr in (*stack, rounds, outcome)]
+    return [dict(zip(_FILE_ARRAYS, arrays), version=CIRCUIT_FORMAT_VERSION, n=n, L=length,
+                 seed=seed, circuit_id=circuit_id, mirror_start=_mirror_start(n, length))
+            for seed, circuit_id, *arrays in zip(seeds, circuit_ids, *rows)]
+
+
+def circuit_to_json(circuit: CompiledCircuit) -> dict:
+    """JSON-ready dict for one compiled circuit: a stack of one
+    (``_stack_json``)."""
+    [data] = _stack_json(tuple(getattr(circuit.spec, name)[None] for name in _SPEC_ARRAYS),
+                         circuit.rounds[None], np.array([circuit.expected_outcome]),
+                         [circuit.seed], [circuit.circuit_id])
+    return data
 
 
 def _is_int(value) -> bool:
@@ -610,11 +571,14 @@ def _list_field(data: dict, key: str, size: int) -> list:
     return value
 
 
-def _int_list(data: dict, key: str, shape: tuple, high: int) -> np.ndarray:
-    """A flat list of integers in [0, high), reshaped to ``shape``."""
-    values = _list_field(data, key, math.prod(shape))
+def _int_column(key: str, column: Sequence[list], shape: tuple, high: int) -> np.ndarray:
+    """The read-only int64 ``(C,) + shape`` stack of field ``key`` of C
+    circuit files, given as flat lists of JSON values: one type scan and one
+    conversion for all of them, with entries in [0, high)."""
+    values = list(chain.from_iterable(column))
     if set(map(type, values)) != {int}:  # bool, an int subclass, is out too
         raise ValueError(f"field {key!r} must hold only integers")
+    shape = (len(column),) + shape
     return _int_array(np.array(values).reshape(shape), shape, high, key)
 
 
@@ -632,12 +596,12 @@ def _pauli_codes(label, n: int) -> list:
     return ["IXYZ".index(ch) for ch in body]
 
 
-def _pairs_v1(layer: dict, n: int) -> np.ndarray:
-    """A version-1 matching: a list of ``[a, b]`` pairs."""
+def _pairs_v1(layer: dict, n: int) -> list:
+    """A version-1 matching, a list of ``[a, b]`` pairs, flattened."""
     pairs = _list_field(layer, "matching", n // 2)
     if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
         raise ValueError(f"field 'matching' must hold pairs, got {pairs!r}")
-    return _int_list({"matching": sum(pairs, [])}, "matching", (n // 2, 2), n)
+    return sum(pairs, [])
 
 
 def _spec_v1(data: dict, n: int, length: int) -> MirrorCircuitSpec:
@@ -650,8 +614,9 @@ def _spec_v1(data: dict, n: int, length: int) -> MirrorCircuitSpec:
         raise ValueError(f"field 'circuit_id' must be an integer, got {circuit_id!r}")
     return MirrorCircuitSpec(
         n, length,
-        np.stack([_int_list(layer, "cliffords", (n,), 24) for layer in layers]),
-        np.stack([_pairs_v1(layer, n) for layer in layers]),
+        _int_column("cliffords", [_list_field(layer, "cliffords", n) for layer in layers],
+                    (n,), 24),
+        _int_column("matching", [_pairs_v1(layer, n) for layer in layers], (n // 2, 2), n),
         np.array([_pauli_codes(label, n) for label in labels]),
         seed=_int_field(data, "seed"), circuit_id=circuit_id)
 
@@ -683,14 +648,14 @@ def _rounds_v1(data: dict, spec: MirrorCircuitSpec) -> np.ndarray:
     return rounds
 
 
-def _parsed_circuit(data) -> tuple:
-    """``(spec, rounds, stored outcome)`` of a circuit file's JSON (schema 1
-    or 2), each field checked on its own: any field of the wrong JSON type
-    or out of range raises ValueError, as does a stored ``mirror_start``
-    (where ``@inverse=`` noise begins) other than the forward half's gate
-    count.  A version-1 file stores a gate list; it must follow the round
-    layout (``_rounds_v1``).  The rounds are not checked here.
-    """
+def _file_fields(data) -> tuple:
+    """``(n, L, circuit_id, seed, lists)`` of a circuit file's JSON (schema
+    1 or 2): its scalar fields, checked, and the flat lists of its
+    ``_FILE_ARRAYS``, of the right lengths, entries unchecked
+    (``_field_stack``).  A field of the wrong JSON type raises ValueError,
+    as does a ``mirror_start`` (where ``@inverse=`` noise begins) other than
+    the forward half's gate count.  A version-1 file's gate list must follow
+    the round layout (``_rounds_v1``); it is parsed whole here."""
     if not isinstance(data, dict):
         raise ValueError("a circuit file must hold a JSON object")
     version = data.get("version")
@@ -705,28 +670,52 @@ def _parsed_circuit(data) -> tuple:
         stored = data.get("expected_outcome")
         if not (isinstance(stored, str) and len(stored) == n and set(stored) <= {"0", "1"}):
             raise ValueError(f"field 'expected_outcome' must be {n} bits, got {stored!r}")
-        stored = tuple(map(int, stored))
+        lists = [arr.ravel().tolist() for arr in (spec.cliffords, spec.matchings, spec.paulis,
+                                                  rounds)] + [list(map(int, stored))]
+        seed, circuit_id = spec.seed, spec.circuit_id
     else:
-        spec = MirrorCircuitSpec(
-            n, length, _int_list(data, "cliffords", (length, n), 24),
-            _int_list(data, "matchings", (length, n // 2, 2), n),
-            _int_list(data, "paulis", (2 * length + 1, n), 4),
-            seed=_int_field(data, "seed"), circuit_id=_int_field(data, "circuit_id"))
-        rounds = _int_list(data, "rounds", (2 * length, n), 24)
-        stored = tuple(_int_list(data, "expected_outcome", (n,), 2).tolist())
+        lists = [_list_field(data, key, math.prod(shape))
+                 for key, (shape, _) in zip(_FILE_ARRAYS, _file_shapes(n, length))]
+        seed, circuit_id = _int_field(data, "seed"), _int_field(data, "circuit_id")
     mirror_start = _int_field(data, "mirror_start")
     forward = _mirror_start(n, length)
     if mirror_start != forward:
         raise ValueError(f"stored mirror_start {mirror_start!r} differs from the "
                          f"{forward} gates of the forward half")
-    return spec, rounds, stored
+    return n, length, circuit_id, seed, lists
+
+
+def _field_stack(files: Sequence[list], n: int, length: int) -> tuple:
+    """The ``(stack, rounds, stored)`` arrays of circuit files of one (n, L)
+    as ``_compile_stack`` takes them, from each file's flat lists
+    (``_file_fields``): one ``_int_column`` per field for all the files, and
+    every matching checked.  Raises ValueError for the first failing field."""
+    arrays = [_int_column(key, column, shape, high) for key, column, (shape, high)
+              in zip(_FILE_ARRAYS, zip(*files), _file_shapes(n, length))]
+    _check_matchings(arrays[1], n)
+    return tuple(arrays[:3]), arrays[3], arrays[4]
+
+
+def _parsed_circuit(data) -> tuple:
+    """``(spec, rounds, stored outcome)`` of a circuit file's JSON, a stack
+    of one of ``_file_fields`` and ``_field_stack`` (the rounds are not
+    checked here)."""
+    n, length, circuit_id, seed, lists = _file_fields(data)
+    stack, rounds, stored = _field_stack([lists], n, length)
+    spec = MirrorCircuitSpec(n, length, *(arr[0] for arr in stack), seed=seed,
+                             circuit_id=circuit_id)
+    return spec, rounds[0], tuple(stored[0].tolist())
+
+
+def _write_json(data: dict, path) -> None:
+    # json.dumps, unlike json.dump, encodes in C when there is no indent
+    text = json.dumps(data, separators=(",", ":"), sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def save_circuit(circuit: CompiledCircuit, path) -> None:
-    # json.dumps, unlike json.dump, encodes in C when there is no indent
-    text = json.dumps(circuit_to_json(circuit), separators=(",", ":"), sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    _write_json(circuit_to_json(circuit), path)
 
 
 def read_circuit(path) -> tuple:

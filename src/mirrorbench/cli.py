@@ -52,17 +52,21 @@ from .channels import (
 )
 from .circuits import (
     CircuitCheckError,
+    _batches,
+    _compile_stack,
+    _experiment_stacks,
+    _field_stack,
+    _file_fields,
     _is_int,
-    check_circuits,
-    compile_experiment,
-    read_circuit,
-    save_circuit,
+    _stack_json,
+    _uzz_layers,
+    _write_json,
 )
 from .plotting import Series, write_chart
 from .simulator import (
     _QUBIT_LIMITS,
     NoiseModel,
-    simulate_survival,
+    _run_stacks,
     write_dataset_csv,
     write_dataset_json,
     read_dataset_csv,
@@ -200,10 +204,6 @@ def write_manifest(out_dir: str, command: str, params: dict) -> None:
         fh.write("\n")
 
 
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -222,20 +222,25 @@ def cmd_generate(n: int, lengths: list, circuits: int, seed: int, out: str) -> N
     if any(x < 1 for x in lengths):
         raise ConfigError("--lengths must be positive")
     circ_dir = os.path.join(out, "circuits")
-    _ensure_dir(circ_dir)
-    for circuit in compile_experiment(seed, n, lengths, circuits):
-        name = f"circuit_L{circuit.length:03d}_{circuit.circuit_id:03d}.json"
-        save_circuit(circuit, os.path.join(circ_dir, name))
+    os.makedirs(circ_dir, exist_ok=True)
+    # drawn, compiled and written one stack at a time, straight from its arrays
+    for ids, seeds, stack in _experiment_stacks(seed, n, lengths, circuits):
+        rounds, outcome, _, _ = _compile_stack(stack)
+        for data in _stack_json(stack, rounds, outcome, seeds, ids):
+            name = f"circuit_L{data['L']:03d}_{data['circuit_id']:03d}.json"
+            _write_json(data, os.path.join(circ_dir, name))
     print(f"wrote {len(lengths) * circuits} circuits to {circ_dir}")
 
 
-def _circuits_from_dir(circuits_dir: str, backend: str):
-    """Load circuit JSON files from a directory (or its circuits/ child).
-
-    Each file is parsed on its own, stopping at the first file wider than
-    ``backend`` simulates, so a directory of wide circuits is not held in
-    memory only to be refused; then the circuits are checked together, one
-    batch per (n, L), and a failing check names its file.
+def _circuits_from_dir(circuits_dir: str, backend: str) -> tuple:
+    """The checked stacks of the circuit files of a directory (or its
+    circuits/ child), as ``_run_stacks`` takes them, with the files'
+    ``(L, circuit_id, seed)`` and n.  Each file's scalar fields are read on
+    their own (``_file_fields``), stopping at the first file wider than
+    ``backend`` simulates; then each batch of one (n, L) is field-checked
+    as one stack (``_field_stack``) and checked by one ``_compile_stack``.
+    A bad field names the first file, in name order, that fails as a stack
+    of one, and a failing check its file.
     """
     root = circuits_dir
     if not os.path.isdir(root):
@@ -248,22 +253,41 @@ def _circuits_from_dir(circuits_dir: str, backend: str):
     if not names:
         raise ConfigError(f"no circuit .json files in {root}")
     limit = _QUBIT_LIMITS[backend]
-    parsed = []
+    files, error = [], None
     for name in names:
         try:
-            spec, rounds, stored = read_circuit(os.path.join(root, name))
+            with open(os.path.join(root, name)) as fh:
+                files.append(_file_fields(json.load(fh)))
         except ValueError as exc:  # json.JSONDecodeError included
-            raise ConfigError(f"bad circuit file {name}: {exc}") from None
-        if spec.n_qubits > limit:
-            raise ConfigError(f"{backend} backend limited to {limit} qubits, "
-                              f"got {spec.n_qubits}-qubit circuits")
-        parsed.append((spec, rounds, stored))
-    if len({spec.n_qubits for spec, _, _ in parsed}) > 1:
-        raise ConfigError("circuit files mix different qubit counts")
+            error = f"bad circuit file {name}: {exc}"
+            break
+        if files[-1][0] > limit:
+            error = (f"{backend} backend limited to {limit} qubits, "
+                     f"got {files.pop()[0]}-qubit circuits")
+            break
+    batches = _batches([fields[:2] for fields in files])
     try:
-        return check_circuits(parsed)
-    except CircuitCheckError as exc:
-        raise ConfigError(f"bad circuit file {names[exc.index]}: {exc}") from None
+        stacks = [_field_stack([files[i][4] for i in batch], *files[batch[0]][:2])
+                  for batch in batches]
+    except ValueError:
+        for name, (n, length, _, _, lists) in zip(names, files):
+            try:
+                _field_stack([lists], n, length)
+            except ValueError as exc:
+                raise ConfigError(f"bad circuit file {name}: {exc}") from None
+        raise
+    if error is not None:
+        raise ConfigError(error)
+    if len({fields[0] for fields in files}) > 1:
+        raise ConfigError("circuit files mix different qubit counts")
+    checked = []
+    for batch, (stack, rounds, stored) in zip(batches, stacks):
+        try:
+            checked.append((batch, _uzz_layers(stack[1]),
+                            *_compile_stack(stack, rounds, stored)))
+        except CircuitCheckError as exc:
+            raise ConfigError(f"bad circuit file {names[batch[exc.index]]}: {exc}") from None
+    return checked, [fields[1:4] for fields in files], files[0][0]
 
 
 def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,
@@ -273,15 +297,14 @@ def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,
         raise ConfigError(
             "stabilizer backend requires stochastic Pauli channels; "
             "use --backend dense for amplitude-damping noise")
-    loaded = _circuits_from_dir(circuits, backend)
-    _ensure_dir(out)
-    dataset = simulate_survival(loaded, model, shots, rng=seed, jobs=jobs,
-                                backend=backend)
+    stacks, rows, n = _circuits_from_dir(circuits, backend)
+    os.makedirs(out, exist_ok=True)
+    dataset = _run_stacks(stacks, n, rows, model, shots, seed, jobs, backend)
     write_dataset_csv(dataset, os.path.join(out, "dataset.csv"))
     write_dataset_json(dataset, os.path.join(out, "dataset.json"))
     lengths, p_hat, _ = survival_points(dataset)
     pairs = " ".join(f"L={int(length)}:{p:.4f}" for length, p in zip(lengths, p_hat))
-    print(f"simulated {len(loaded)} circuits x {shots} shots "
+    print(f"simulated {len(rows)} circuits x {shots} shots "
           f"({format_noise_model(model)})")
     print(f"survival {pairs}")
     print(f"wrote dataset to {out}")
@@ -319,7 +342,7 @@ def cmd_fit(data: str, resamples: int, seed: int, out: str) -> None:
     if len(dataset.lengths()) < 2:
         raise ConfigError(f"dataset {data} needs at least two distinct lengths to fit")
     fit = fit_decay(dataset, resamples=resamples or None, rng=seed)
-    _ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "fit.json"), "w", encoding="utf-8") as fh:
         json.dump(fit_result_to_dict(fit), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -356,7 +379,7 @@ def cmd_frame_potential(n: int, lengths: list, samples: int, seed: int,
     if any(x < 0 for x in lengths):
         raise ConfigError("--lengths must be non-negative")
     estimates = frame_potential_profile(n, lengths, samples, rng=seed)
-    _ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     _write_csv(
         os.path.join(out, "frame_potential.csv"),
         ("n", "L", "samples", "phi2", "std_error"),
@@ -394,7 +417,7 @@ def cmd_scatter(n: int, experiments: int, pmax: float, seed: int, lengths: list,
     points = scatter_experiment(
         n, experiments, pmax, rng=seed, lengths=lengths,
         circuits_per_length=circuits, shots=shots)
-    _ensure_dir(out)
+    os.makedirs(out, exist_ok=True)
     _write_csv(
         os.path.join(out, "scatter.csv"),
         ("p", "u_true", "u_est"),
@@ -492,12 +515,11 @@ def _has_kind(value, kind) -> bool:
 def run_command(command: str, params: dict) -> int:
     """Check ``params``, run ``command`` with them and write its manifest.
 
-    A param missing from ``params``, of the wrong type, not one of its
-    choices or below its minimum raises ConfigError before anything is
-    written.  An empty ``out`` resolves as ``resolve_output_dir`` says, for
-    flags and manifests alike.  The manifest records ``params`` as given,
-    with ``out`` resolved, so one that lacks an added param reruns with its
-    default and still lacks it.
+    A param missing, of the wrong type, not one of its choices or below its
+    minimum raises ConfigError before anything is written.  An empty ``out``
+    resolves as ``resolve_output_dir`` says.  The manifest records
+    ``params`` as given, with ``out`` resolved, so one that lacks an added
+    param reruns with its default and still lacks it.
     """
     func, _, table = COMMANDS[command]
     table = (*table, _OUT)

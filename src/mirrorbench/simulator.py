@@ -1,39 +1,28 @@
 """Noisy execution of compiled mirror circuits.
 
-Two backends share a gate-located noise model:
+Two backends share a gate-located noise model, and both run stacks of
+circuits of one (n, L) as arrays (``_run_stacks``, shared by ``run`` and
+``simulate_survival``):
 
-- ``run_stabilizer``: Monte Carlo sampling of stochastic Pauli faults.  The
+- stabilizer: Monte Carlo sampling of stochastic Pauli faults.  The
   noiseless circuit maps each Z_q to +/-Z_q, so every fault site and Pauli
-  code has one fixed final X-mask, the set of measured bits it flips: the
-  Z_q whose image where the fault occurs it anticommutes with.
-  The fault tables (``_fault_tables``) read those masks, for every site at
-  once, from the round-by-round Z images that the circuits' mirror check
-  kept (no second pass over the gates: that check is one pass per (n, L)
-  stack of circuits).  The sites and their grouping by channel depend only
-  on (n, L, noise) and come from a cache (``_fault_sites``).  A batch
-  (``_run_batch``) is a stack of one (n, L), up to ``_TABLE_WORDS`` table
-  words, given as arrays: one table build serves all of its circuits, and
-  each circuit draws its faults from its own child stream under its own
-  site classes, so circuits under different noise strengths can share a
-  build (the scatter study does).  ``compile_fault_program`` is a stack of
-  one.
-  Faults are drawn sparsely: per block of shots and per group, a binomial
-  count of faulty (shot, site) cells, placed uniformly, each with a code
-  from the group's conditional table, so the work follows the faults drawn,
-  not shots x sites.  ``propagate_faults`` XORs their masks per shot.  A shot
-  succeeds iff its mask is 0, since the noiseless output is a computational
-  basis state.
-- ``run_dense``: exact survival probability by propagating the PTM coordinates
-  of the state round by round (up to 8 qubits): a Clifford round as n local
-  4x4 PTMs, a UZZ layer as one axis permutation and n/2 local 16x16 PTMs,
-  each gate merged with the channel after it.
+  code flips a fixed set of measured bits, read for every site of a batch
+  of up to ``_TABLE_WORDS`` words from the Z images the mirror check kept
+  (``_fault_tables``).  Each circuit draws its own sparse faults from its
+  own child stream under its own site classes (so circuits under different
+  noise strengths, as in the scatter study, share a table build); one
+  decode, mask gather and per-shot XOR then serves consecutive circuits
+  (``_stack_survivors``).  ``run_stabilizer`` is a stack of one.
+- dense: exact survival probability by propagating the PTM coordinates of
+  the state round by round (up to 8 qubits), each gate merged with the
+  channel after it (``_dense_survival``; ``run_dense`` for one circuit).
 
 Noise placement (``_channel``, shared by both backends): the two-qubit
 channel acts after every UZZ gate, the single-qubit channel (optional) after
 every single-qubit Clifford, and ``inverse_half_override`` replaces the
 two-qubit channel on mirrored-half UZZ gates.  Both backends apply it to
 whole rounds: the dense backend merges each round's channels into its local
-PTMs, the fault program places its sites with ``_fault_sites``.
+PTMs, the fault tables place their sites with ``_fault_sites``.
 """
 
 from __future__ import annotations
@@ -69,7 +58,8 @@ from .operators import CLIFFORD_UNITARIES, UZZ_MATRIX
 
 DATASET_FORMAT_VERSION = 1
 
-# shots per draw: memory follows the faults one block draws (a block of dense
+# shots per draw, and the most shots and expected faults that one decode of a
+# stack holds: memory follows the faults one block draws (a block of dense
 # faults can take one int64 per (shot, site) cell while they are placed)
 _SHOT_BLOCK = 8192
 
@@ -105,14 +95,10 @@ def is_pauli_stochastic(params: ChannelParams) -> bool:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gate-located noise: channels attached to gate classes.
-
-    Args:
-        two_qubit: channel applied after every UZZ gate (on its pair).
-        single_qubit: optional channel applied after every single-qubit gate.
-        inverse_half_override: optional replacement for ``two_qubit`` on
-            UZZ gates in the mirrored half.
-    """
+    """Gate-located noise: ``two_qubit`` after every UZZ gate (on its
+    pair), the optional ``single_qubit`` after every single-qubit gate, and
+    the optional ``inverse_half_override`` in place of ``two_qubit`` on the
+    UZZ gates of the mirrored half."""
 
     two_qubit: Optional[ChannelParams] = None
     single_qubit: Optional[ChannelParams] = None
@@ -209,12 +195,9 @@ def kernel_pauli_probs(params: ChannelParams, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SiteClass:
-    """The fault sites of one program that share one channel.
-
-    ``q`` is the probability of a non-identity fault at each site, clamped to
-    [0, 1], and ``cum_codes[i]`` the probability that a fault has a code of at
-    most ``i + 1``, given that it is not the identity.
-    """
+    """The fault sites of one (n, L) that share one channel: ``q`` is the
+    probability of a non-identity fault at each, clamped to [0, 1], and
+    ``cum_codes[i]`` that of a code of at most ``i + 1``, given a fault."""
 
     sites: np.ndarray
     q: float
@@ -223,7 +206,7 @@ class SiteClass:
 
 def _site_class(probs: np.ndarray, sites: np.ndarray) -> SiteClass:
     """The class of ``sites`` under fault probabilities ``probs``, with
-    read-only arrays, since programs of one (n, L, noise) share it."""
+    read-only arrays, since the circuits of one (n, L, noise) share it."""
     faults = np.maximum(probs[1:], 0.0)
     total = faults.sum()
     cum = np.cumsum(faults / total) if total > 0 else np.ones(len(faults))
@@ -233,31 +216,11 @@ def _site_class(probs: np.ndarray, sites: np.ndarray) -> SiteClass:
     return SiteClass(sites, min(float(total), 1.0), cum)
 
 
-@dataclass(frozen=True)
-class FaultProgram:
-    """The fault sites of one circuit under one noise model.
-
-    ``masks[j, k]`` is the final X-mask of Pauli code k at fault site j (codes
-    as in ``kernel_pauli_probs``, zero-padded to 16).  ``classes`` partitions
-    the sites by channel, one ``SiteClass`` per distinct channel and arity.
-    """
-
-    masks: np.ndarray
-    classes: tuple
-
-    @property
-    def n_faults(self) -> int:
-        return len(self.masks)
-
-
 def _code_masks(generators: np.ndarray) -> np.ndarray:
-    """The flip masks of every Pauli code at a site, zero-padded to 16 codes.
-
-    Code k flips the XOR of the generators (last axis) at its set bits.  At
-    a site on qubits (a, b) they are the outcome bits that X_a, Z_a, X_b and
-    Z_b flip: the Z_q whose images have a Z part at a, an X part at a, and
-    so on.
-    """
+    """The flip masks of every Pauli code at a site, zero-padded to 16
+    codes: code k flips the XOR of the generators (last axis) at its set
+    bits, at a site on qubits (a, b) the bits that X_a, Z_a, X_b and Z_b
+    flip."""
     masks = np.zeros(generators.shape[:-1] + (16,), dtype=np.uint64)
     for j in range(generators.shape[-1]):
         np.bitwise_xor(masks[..., :1 << j], generators[..., j, None],
@@ -295,13 +258,12 @@ def _fault_sites(n: int, length: int, noise: NoiseModel) -> tuple:
 
 def _site_generators(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndarray,
                      sites: tuple) -> np.ndarray:
-    """The ``(C, sites, 4)`` generator masks (``_code_masks``) of a stack of
-    C circuits of one (n, L), given their ``(C, 2L, 2, n)`` Z images
-    (``CompiledCircuit``) and ``(C, 2L, n/2, 2)`` UZZ layers, at the fault
-    sites ``sites`` (round, UZZ flag and slot arrays): Z_q with a Z part and
-    with an X part at each qubit of the gate, read from the images after a
-    Clifford round (its one qubit, the last two masks left zero) or after a
-    UZZ layer (its pair)."""
+    """The ``(C, sites, 4)`` generator masks (``_code_masks``) of C circuits
+    of one (n, L), given their ``(C, 2L, 2, n)`` Z images
+    (``CompiledCircuit``) and ``(C, 2L, n/2, 2)`` UZZ layers, at ``sites``
+    (round, UZZ flag and slot arrays): the Z_q with a Z part and with an X
+    part at each qubit of the gate, after a Clifford round (its qubit; the
+    last two masks stay zero) or a UZZ layer (its pair)."""
     rounds, two, slot = sites
     one = ~two
     generators = np.zeros((len(x_images), len(rounds), 4), dtype=np.uint64)
@@ -318,68 +280,16 @@ def _site_generators(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndar
 
 def _fault_tables(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndarray,
                   sites: tuple) -> np.ndarray:
-    """The fault masks of a stack of C circuits of one (n, L) at ``sites``
-    (``_fault_sites``), as one ``(C, sites, 16)`` array
-    (``FaultProgram.masks`` per circuit); the arguments are those of
-    ``_site_generators``.
-
-    A fault flips outcome bit q iff it anticommutes with the image of Z_q
-    where it occurs (the circuit maps each Z_q to +/-Z_q), so the masks are
-    read from the Z images the circuits' check kept: the generators of the
-    noisy sites alone are gathered first, and only then expanded to the 16
-    codes.
-    """
+    """The ``(C, sites, 16)`` fault table of C circuits of one (n, L):
+    ``masks[c, j, k]`` is the final X-mask of Pauli code k (as in
+    ``kernel_pauli_probs``) at site j of circuit c; the arguments are those
+    of ``_site_generators``.  A fault flips outcome bit q iff it
+    anticommutes with the image of Z_q where it occurs, so the generators of
+    the noisy sites are read from the kept Z images, then expanded to the
+    16 codes."""
     masks = _code_masks(_site_generators(x_images, z_images, layers, sites))
     masks[:, ~sites[1], 4:] = 0  # a one-qubit fault has no code above 3
     return masks
-
-
-def compile_fault_program(circuit: CompiledCircuit, noise: NoiseModel) -> FaultProgram:
-    """The fault sites of ``circuit`` in gate order, with their masks and classes.
-
-    A stack of one of ``_fault_tables``: the sites and classes depend only
-    on (n, L, noise) (``_fault_sites``); only the masks are the circuit's
-    own.
-    """
-    sites, classes = _fault_sites(circuit.n_qubits, circuit.length, noise)
-    masks = _fault_tables(circuit.x_images[None], circuit.z_images[None],
-                          circuit.uzz_layers[None], sites)
-    return FaultProgram(masks[0], classes)
-
-
-def _draw_faults(program: FaultProgram, shots: int, rng: np.random.Generator):
-    """The non-identity faults of ``shots`` shots as (shot, site, code) arrays.
-
-    Per class, the number of faulty (shot, site) cells is binomial; given that
-    number, the faulty cells of an i.i.d. grid are a uniform subset of it, and
-    each draws its code from the class's conditional table.
-    """
-    empty = np.zeros(0, dtype=np.intp)
-    drawn = [(empty, empty, empty)]
-    for cls in program.classes:
-        if cls.q == 0.0:
-            continue
-        cells = shots * len(cls.sites)
-        count = int(rng.binomial(cells, cls.q))
-        if count == 0:
-            continue
-        cell = rng.choice(cells, count, replace=False, shuffle=False)
-        shot, pos = np.divmod(cell, len(cls.sites))
-        codes = 1 + np.searchsorted(cls.cum_codes, rng.random(count), side="right")
-        drawn.append((shot, cls.sites[pos], codes))
-    return tuple(np.concatenate(parts) for parts in zip(*drawn))
-
-
-def propagate_faults(program: FaultProgram, shots: np.ndarray, sites: np.ndarray,
-                     codes: np.ndarray, n_shots: int) -> np.ndarray:
-    """Final X-mask of each of ``n_shots`` shots, given their faults.
-
-    Fault i has Pauli code ``codes[i]`` at site ``sites[i]`` of shot
-    ``shots[i]``; each shot's mask is the XOR of its faults' masks.
-    """
-    flips = np.zeros(n_shots, dtype=np.uint64)
-    np.bitwise_xor.at(flips, shots, program.masks[sites, codes])
-    return flips
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +305,85 @@ def _check_stabilizer_noise(noise: NoiseModel) -> None:
         )
 
 
-def _survivors(program: FaultProgram, shots: int, rng: np.random.Generator) -> int:
-    """How many of ``shots`` shots of ``program`` draw no flip, in blocks of
-    ``_SHOT_BLOCK`` shots."""
-    successes = 0
+def _stack_survivors(masks: np.ndarray, classes: Sequence, shots: int,
+                     rngs: Sequence) -> np.ndarray:
+    """How many of ``shots`` shots of each circuit of a stack with fault
+    table ``masks`` draw no flip; circuit c draws from ``rngs[c]`` under its
+    site classes ``classes[c]``.  Per block of ``_SHOT_BLOCK`` shots each
+    circuit draws, class by class: the binomial number of faulty (shot,
+    site) cells (given that number, the faulty cells of an i.i.d. grid are a
+    uniform subset of it), their places (``choice``) and a uniform each for
+    its code (``random``); a class with q = 0 draws nothing.  The rest runs
+    once per block for a run of consecutive circuits of at most
+    ``_SHOT_BLOCK`` shots and expected faults (``_block_flips``)."""
+    count = len(masks)
+    expected = [sum(len(cls.sites) * cls.q for cls in circuit_classes)
+                for circuit_classes in classes]  # faults per shot
+    successes = np.zeros(count, dtype=np.int64)
     for done in range(0, shots, _SHOT_BLOCK):
         block = min(_SHOT_BLOCK, shots - done)
-        flips = propagate_faults(program, *_draw_faults(program, block, rng), block)
-        successes += int(np.count_nonzero(flips == 0))
+        start, pending, drawn = 0, 0, {}
+        for c, (rng, circuit_classes) in enumerate(zip(rngs, classes)):
+            for cls in circuit_classes:
+                cells = block * len(cls.sites)
+                faults = int(rng.binomial(cells, cls.q)) if cls.q > 0.0 else 0
+                if faults:
+                    _, counts, places, uniforms = drawn.setdefault(id(cls), (cls, [], [], []))
+                    counts.append((c - start, faults))
+                    places.append(rng.choice(cells, faults, replace=False, shuffle=False))
+                    uniforms.append(rng.random(faults))
+                    pending += faults
+            # decoded before the next circuit would take the run past
+            # _SHOT_BLOCK shots or expected faults, and at the end
+            if (c + 1 == count or (c + 2 - start) * block > _SHOT_BLOCK
+                    or pending + block * expected[c + 1] > _SHOT_BLOCK):
+                flips = _block_flips(masks[start:c + 1], block, drawn.values())
+                successes[start:c + 1] += np.count_nonzero(flips == 0, axis=1)
+                start, pending, drawn = c + 1, 0, {}
     return successes
+
+
+def _block_flips(masks: np.ndarray, block: int, drawn) -> np.ndarray:
+    """The ``(C, block)`` final X-masks of one block of shots of C circuits
+    with fault table ``masks``, given per class ``(class, [(circuit,
+    faults)], places, uniforms)``: places in the class's ``(block, sites)``
+    grid, uniforms for codes.  Each class's faults, of every circuit, are
+    decoded at once into flat indices of the table and of the flip array;
+    the lists are emptied as they are read and the indices built in place,
+    so that a fault takes about five words at most."""
+    count, n_sites = masks.shape[:2]
+    table = masks.reshape(-1)[1:]  # a code is 1 + its uniform's rank
+    flips = np.zeros(count * block, dtype=np.uint64)
+    for cls, counts, places, uniforms in drawn:
+        ranks = np.searchsorted(cls.cum_codes, _emptied(uniforms), side="right")
+        shot, index = np.divmod(_emptied(places), len(cls.sites))
+        index = cls.sites[index]
+        if count > 1:  # each fault's circuit's offset in the table and flips
+            circuits, sizes = zip(*counts)
+            index += np.repeat(np.multiply(circuits, n_sites), sizes)
+            shot += np.repeat(np.multiply(circuits, block), sizes)
+        index *= 16
+        index += ranks
+        np.bitwise_xor.at(flips, shot, table[index])
+    return flips.reshape(count, block)
+
+
+def _emptied(arrays: list) -> np.ndarray:
+    """The concatenation of ``arrays``, which is emptied."""
+    out = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    arrays.clear()
+    return out
 
 
 def run_stabilizer(circuit: CompiledCircuit, noise: NoiseModel, shots: int,
                    rng: np.random.Generator) -> int:
     """How many of ``shots`` Monte Carlo shots survive under stochastic Pauli
-    noise."""
+    noise: a stack of one (``_stack_survivors``)."""
     _check_stabilizer_noise(noise)
-    return _survivors(compile_fault_program(circuit, noise), shots, rng)
+    sites, classes = _fault_sites(circuit.n_qubits, circuit.length, noise)
+    masks = _fault_tables(circuit.x_images[None], circuit.z_images[None],
+                          circuit.uzz_layers[None], sites)
+    return int(_stack_survivors(masks, [classes], shots, [rng])[0])
 
 
 @lru_cache(maxsize=None)
@@ -430,14 +402,10 @@ def _local_ptm(clifford: Optional[int], params: Optional[ChannelParams],
 
 def _uzz_layer(state: np.ndarray, axes: list, inverse: list, ptm: np.ndarray) -> np.ndarray:
     """``state`` after a UZZ layer merged with its channel (``ptm``, the
-    transposed 16x16 PTM).
-
-    ``axes`` lists the layer's pairs one after another, each as (a, b), and
-    ``inverse`` is its inverse permutation.  The state is transposed so that
-    each pair's axes are adjacent, then each product contracts the first
-    pair's 16-wide axis and appends it, so after n/2 of them the axes are in
-    ``axes`` order again and are transposed back.
-    """
+    transposed 16x16 PTM), given the layer's pairs one after another as
+    ``axes`` and its ``inverse`` permutation: transposed so that each pair's
+    axes are adjacent, each product contracts the first pair's 16-wide axis
+    and appends it, and after n/2 of them the state is transposed back."""
     n = len(axes)
     state = state.reshape((4,) * n).transpose(axes)
     for _ in range(n // 2):
@@ -446,20 +414,27 @@ def _uzz_layer(state: np.ndarray, axes: list, inverse: list, ptm: np.ndarray) ->
 
 
 def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
-    """Exact survival probability via PTM propagation (n <= 8).
+    """Exact survival probability via PTM propagation (n <= 8): the array
+    core ``_dense_survival`` on the circuit's rounds, layers and outcome."""
+    return _dense_survival(circuit.rounds, circuit.uzz_layers, circuit.expected_outcome, noise)
 
-    The state's 4^n PTM coordinates are kept with qubit 0's digit first,
-    and the circuit is applied round by round, each gate merged with the
-    channel after it.  A Clifford round is n products of the
-    ``(4^(n-1), 4)`` view with a local 4x4 PTM: each contracts the first
-    axis and appends it, so after n of them the axes are back in order.  A
-    UZZ layer is one transpose that makes each pair adjacent, n/2 products
-    on 16-wide axes and the transpose back (``_uzz_layer``).
+
+def _dense_survival(rounds: np.ndarray, layers: np.ndarray, outcome: Sequence[int],
+                    noise: NoiseModel) -> float:
+    """The exact survival probability of the circuit with ``(2L, n)``
+    ``rounds``, ``(2L, n/2, 2)`` UZZ ``layers`` and ``outcome`` bits.
+
+    The state's 4^n PTM coordinates, qubit 0's digit first, go round by
+    round, each gate merged with the channel after it.  A Clifford round is
+    n products of the ``(4^(n-1), 4)`` view with a local 4x4 PTM, each
+    contracting the first axis and appending it; a UZZ layer is one
+    transpose that makes each pair adjacent, n/2 products on 16-wide axes
+    and the transpose back (``_uzz_layer``).
     """
-    n, length = circuit.n_qubits, circuit.length
+    steps, n = rounds.shape
     if n > _QUBIT_LIMITS["dense"]:
         raise ValueError(f"dense backend limited to {_QUBIT_LIMITS['dense']} qubits")
-    layers = circuit.uzz_layers.reshape(2 * length, n)
+    layers = layers.reshape(steps, n)
     inverses = np.argsort(layers, axis=1).tolist()
     layers = layers.tolist()
     # transposed, since each product multiplies the state's view from the right
@@ -467,17 +442,15 @@ def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
     uzz_ptms = [_local_ptm(None, _channel(noise, 2, mirrored), 2).reshape(16, 16).T
                 for mirrored in (False, True)]
     state = computational_state_vector(n, 0)
-    for r, cliffords in enumerate(circuit.rounds.tolist()):
-        mirrored = r >= length
+    for r, cliffords in enumerate(rounds.tolist()):
+        mirrored = r >= steps // 2
         if mirrored:  # the UZZ layer comes first in the mirrored half
             state = _uzz_layer(state, layers[r], inverses[r], uzz_ptms[1])
         for clifford in cliffords:
             state = np.dot(state.reshape(4, -1).T, clifford_ptms[clifford])
         if not mirrored:
             state = _uzz_layer(state, layers[r], inverses[r], uzz_ptms[0])
-    bits = 0
-    for q, bit in enumerate(circuit.expected_outcome):
-        bits |= bit << q
+    bits = sum(int(bit) << q for q, bit in enumerate(outcome))
     prob = float(computational_state_vector(n, bits) @ state.reshape(-1))
     return min(max(prob, 0.0), 1.0)
 
@@ -488,8 +461,8 @@ def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
 
 
 def _as_compiled(items: Sequence) -> list:
-    """``items`` with every spec compiled, all specs in one
-    ``build_mirror_circuits`` call (one batch per (n, L))."""
+    """``items`` with every spec compiled, all in one
+    ``build_mirror_circuits`` call."""
     out = list(items)
     for item in out:
         if not isinstance(item, (CompiledCircuit, MirrorCircuitSpec)):
@@ -509,53 +482,85 @@ def _table_batches(sizes: Sequence[tuple], noise: NoiseModel) -> list:
 
 
 def _run_batch(task) -> list:
-    """The success counts of one stabilizer batch: a stack of circuits of
-    one (n, L) that shares one ``_fault_tables`` call.
-
-    ``task`` is ``(x_images, z_images, layers, sites, classes, shots,
-    child_seeds)``: the stack's arrays as ``_fault_tables`` takes them, the
-    sites (``_fault_sites``), and per circuit its site classes and the seed
-    of its own child stream.
-    """
+    """The success counts of ``(x_images, z_images, layers, sites, classes,
+    shots, child_seeds)``, a stack of one (n, L) with one ``_fault_tables``
+    build at ``sites``, and per circuit its site classes and the seed of its
+    own child stream (``_stack_survivors``)."""
     x_images, z_images, layers, sites, classes, shots, child_seeds = task
-    masks = _fault_tables(x_images, z_images, layers, sites)
-    return [_survivors(FaultProgram(table, circuit_classes), shots,
-                       np.random.default_rng(np.random.SeedSequence(seed)))
-            for table, circuit_classes, seed in zip(masks, classes, child_seeds)]
-
-
-def _stabilizer_task(circuits: Sequence[CompiledCircuit], noise: NoiseModel, shots: int,
-                     child_seeds: list) -> tuple:
-    """The ``_run_batch`` task of circuits of one (n, L), stacked."""
-    sites, classes = _fault_sites(circuits[0].n_qubits, circuits[0].length, noise)
-    return (np.stack([c.x_images for c in circuits]), np.stack([c.z_images for c in circuits]),
-            _uzz_layers(np.stack([c.spec.matchings for c in circuits])), sites,
-            [classes] * len(circuits), shots, child_seeds)
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in child_seeds]
+    return _stack_survivors(_fault_tables(x_images, z_images, layers, sites), classes,
+                            shots, rngs).tolist()
 
 
 def _run_dense_batch(task) -> list:
-    """The success counts of ``(circuits, noise, shots, child_seeds)``: a
-    binomial draw from each circuit's exact probability (``run_dense``)."""
-    circuits, noise, shots, child_seeds = task
+    """The success counts of ``(rounds, layers, outcome, noise, shots,
+    child_seeds)``, a stack of one (n, L): a binomial draw from each
+    circuit's exact probability (``_dense_survival``)."""
+    rounds, layers, outcome, noise, shots, child_seeds = task
     return [int(np.random.default_rng(np.random.SeedSequence(seed))
-                .binomial(shots, run_dense(circuit, noise)))
-            for circuit, seed in zip(circuits, child_seeds)]
+                .binomial(shots, _dense_survival(*circuit, noise)))
+            for *circuit, seed in zip(rounds, layers, outcome, child_seeds)]
+
+
+def _counted(task) -> tuple:
+    """``(positions, counts)`` of a ``(positions, run, args)`` task."""
+    positions, run, args = task
+    return positions, run(args)
+
+
+def _run_stacks(stacks, n: int, rows: Sequence[tuple], noise: NoiseModel, shots: int,
+                master: int, jobs: int, backend: str) -> DecayDataset:
+    """The dataset of circuits on n qubits, with ``(L, circuit_id, seed)``
+    ``rows`` by position, given as stacks of one (n, L): ``(positions,
+    layers, rounds, outcome, x_images, z_images)``, the positions naming the
+    child streams ``(master, position)``, then the UZZ layers and what
+    ``circuits._compile_stack`` returns.  Each stack is cut into tasks, one
+    at a time: stabilizer batches of ``_table_batches`` (``_run_batch``) or
+    dense ones (``_run_dense_batch``), of at most ceil(circuits / jobs)."""
+    size = -(-len(rows) // jobs)
+
+    def tasks():
+        for positions, layers, rounds, outcome, x_images, z_images in stacks:
+            length, step = layers.shape[1] // 2, size
+            if backend == "stabilizer":
+                sites, classes = _fault_sites(n, length, noise)
+                step = min(size, len(_table_batches([(n, length)] * len(positions), noise)[0]))
+            for k in range(0, len(positions), step):
+                at, seeds = slice(k, k + step), [(master, pos) for pos in positions[k:k + step]]
+                if backend == "stabilizer":
+                    yield positions[at], _run_batch, (x_images[at], z_images[at], layers[at],
+                                                      sites, [classes] * len(seeds), shots, seeds)
+                else:
+                    yield positions[at], _run_dense_batch, (rounds[at], layers[at], outcome[at],
+                                                            noise, shots, seeds)
+
+    if jobs > 1:
+        # imported here: the pool is the one user of concurrent.futures and
+        # multiprocessing, which every other call would pay to import
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_counted, tasks(), chunksize=1))
+    else:
+        results = map(_counted, tasks())
+    counts = [0] * len(rows)
+    for positions, result in results:
+        for pos, successes in zip(positions, result):
+            counts[pos] = successes
+    return DecayDataset(n, tuple(DatasetEntry(length, circuit_id, shots, successes, seed)
+                                 for (length, circuit_id, seed), successes in zip(rows, counts)))
 
 
 def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
                       rng: Union[int, np.random.Generator], jobs: int = 1,
                       backend: str = "stabilizer") -> DecayDataset:
-    """Simulate survival counts for a batch of circuits.
-
-    ``rng`` may be a seed or a Generator; each circuit gets a child stream
-    derived from ``(master_seed, position)``, so results are independent of
-    ``jobs`` and of how circuits are batched.  Specs among ``circuits`` are
-    compiled together, one stack per (n, L).  The stabilizer backend stacks
-    the circuits of each (n, L) in batches of at most ``_TABLE_WORDS``
-    table words, and runs each batch with one fault-table build
-    (``_run_batch``); the dense backend computes each circuit's exact
-    probability and draws binomial counts from it.
-    """
+    """Simulate survival counts for a batch of circuits (specs among them
+    compiled together).  ``rng`` may be a seed or a Generator; each circuit
+    gets a child stream derived from ``(master_seed, position)``, so results
+    are independent of ``jobs`` and of batching.  The circuits of each
+    (n, L) are stacked one batch at a time (``_table_batches`` for the
+    stabilizer backend) and run by ``_run_stacks``, as ``run`` runs the
+    stacks it loads."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if jobs < 1:
@@ -572,35 +577,17 @@ def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
         master = int(rng.integers(0, 2 ** 63 - 1))
     else:
         master = int(rng)
+    sizes = [(c.n_qubits, c.length) for c in compiled]
     if backend == "stabilizer":
         _check_stabilizer_noise(noise)
-        batches = _table_batches([(c.n_qubits, c.length) for c in compiled], noise)
-        run, make_task = _run_batch, _stabilizer_task
-    else:
-        batches = [[pos] for pos in range(len(compiled))]
-        run, make_task = _run_dense_batch, lambda *task: task
-    if jobs > 1:  # at least one task per worker, where the circuits allow
-        size = -(-len(compiled) // jobs)
-        batches = [b[k:k + size] for b in batches for k in range(0, len(b), size)]
-    # made one at a time: a stabilizer task holds copies of its batch's images
-    tasks = (make_task([compiled[pos] for pos in batch], noise, shots,
-                       [(master, pos) for pos in batch]) for batch in batches)
-    if jobs > 1:
-        # imported here: the pool is the one user of concurrent.futures and
-        # multiprocessing, which every other call would pay to import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, tasks, chunksize=1))
-    else:
-        results = [run(task) for task in tasks]
-    entries = [None] * len(compiled)
-    for batch, counts in zip(batches, results):
-        for pos, count in zip(batch, counts):
-            circuit = compiled[pos]
-            entries[pos] = DatasetEntry(circuit.length, circuit.circuit_id, shots, count,
-                                        circuit.seed)
-    return DecayDataset(n, tuple(entries))
+    batches = _table_batches(sizes, noise) if backend == "stabilizer" else _batches(sizes)
+    used = ("x_images", "z_images") if backend == "stabilizer" else ("rounds", "expected_outcome")
+    stacks = ((batch, _uzz_layers(np.stack([compiled[pos].spec.matchings for pos in batch])),
+               *(np.stack([getattr(compiled[pos], name) for pos in batch]) if name in used
+                 else None for name in ("rounds", "expected_outcome", "x_images", "z_images")))
+              for batch in batches)
+    return _run_stacks(stacks, n, [(c.length, c.circuit_id, c.seed) for c in compiled],
+                       noise, shots, master, jobs, backend)
 
 
 # ---------------------------------------------------------------------------

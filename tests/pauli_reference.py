@@ -12,7 +12,6 @@ writer, so the tests can check the round-wise code against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -369,19 +368,6 @@ class ZObservables:
         if any(self.x) or self.z != [1 << p for p in range(n)]:
             raise ValueError("circuit is not a mirror (a Z image is not +/- Z)")
         return tuple((self.signs >> q) & 1 for q in range(n))
-
-
-def mirror_outcome(gates: Iterable, n_qubits: int) -> tuple:
-    """Noiseless outcome bits of a gate list that maps each Z_q to +/-Z_q.
-
-    Bit q is 1 iff U maps Z_q to -Z_q, since ``U |0...0>`` is then the
-    basis state with bit q flipped.  Raises ValueError for any other gate
-    list.  U need not be a Pauli: a diagonal Clifford fixes every Z_q.
-    """
-    observables = ZObservables(n_qubits)
-    for gate in gates:
-        observables.apply(gate)
-    return observables.outcome()
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,17 @@ from mirrorbench.circuits import (
     MirrorCircuitSpec,
     _batches,
     _check_stack,
+    _compile_stack,
     _draw_stack,
+    _experiment_seeds,
+    _experiment_stacks,
     _parsed_circuit,
+    _stack_json,
     _uzz_layers,
     _z_pass,
     build_mirror_circuits,
     check_circuits,
     circuit_to_json,
-    compile_experiment,
     mirror_circuit_spec,
     read_circuit,
     sample_experiment,
@@ -209,6 +212,32 @@ def test_sample_experiment_shape_and_ids():
     assert [s.circuit_id for s in specs] == [0, 1, 2, 3, 4, 5]
     again = sample_experiment(7, 4, (2, 4), 3)
     assert specs == again
+
+
+def _scalar_seeds(rng, lengths, count):
+    """An experiment's (length, seed) cells drawn one scalar at a time."""
+    return [(length, int(rng.integers(0, 2 ** 63 - 1)))
+            for length in lengths for _ in range(count)]
+
+
+@pytest.mark.parametrize("given", ["int", "generator"])
+def test_experiment_seeds_are_one_scalar_draw_per_spec(given):
+    # seeds 0-49 x 400 specs: one vectorised draw gives the values of 400
+    # scalar draws and leaves a given generator where they leave it, which
+    # matters because sample_experiment advances the caller's generator
+    lengths = (4, 8, 12, 16)
+    for seed in range(50):
+        reference = np.random.default_rng(seed)
+        expected = _scalar_seeds(reference, lengths, 100)
+        if given == "int":
+            assert _experiment_seeds(seed, lengths, 100) == expected
+            continue
+        rng = np.random.default_rng(seed)
+        assert _experiment_seeds(rng, lengths, 100) == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+        specs = sample_experiment(rng, 2, (1, 2), 3)
+        assert [(s.length, s.seed) for s in specs] == _scalar_seeds(reference, (1, 2), 3)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_spec_validation():
@@ -632,17 +661,21 @@ def test_build_mirror_circuits_batches_by_size():
         [circuit_to_json(build_mirror_circuits([spec])[0]) for spec in specs]
 
 
-def test_compile_experiment_is_the_sampled_experiment_batch_by_batch():
+def test_experiment_stacks_are_the_sampled_experiment_batch_by_batch():
     # a repeated length joins its first appearance's group; at n = 256 the
-    # group is cut into batches of 16 and 2
+    # group is cut into batches of 16 and 2.  Each stack, compiled and
+    # turned into files as generate writes them, gives the sampled specs'
+    # circuits
     for n, lengths, count, order in (
             (4, (3, 2, 3), 4, [0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7]),
             (256, (1,), 18, list(range(18)))):
         whole = build_mirror_circuits(sample_experiment(9, n, lengths, count))
-        streamed = list(compile_experiment(9, n, lengths, count))
-        assert [c.circuit_id for c in streamed] == order
-        assert [circuit_to_json(c) for c in streamed] == \
-            [circuit_to_json(whole[i]) for i in order]
+        written = []
+        for ids, seeds, stack in _experiment_stacks(9, n, lengths, count):
+            rounds, outcome, _, _ = _compile_stack(stack)
+            written += _stack_json(stack, rounds, outcome, seeds, ids)
+        assert [data["circuit_id"] for data in written] == order
+        assert written == [circuit_to_json(whole[i]) for i in order]
 
 
 def test_a_failing_spec_names_its_circuit_id(monkeypatch):

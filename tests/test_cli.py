@@ -260,6 +260,44 @@ def test_run_names_the_edited_file_of_a_batch(tmp_path, capsys, edit, lengths, e
     assert not any(path.name in err for i, path in enumerate(paths) if i != edited)
 
 
+def _bool_clifford(data):
+    data["cliffords"][0] = bool(data["cliffords"][0])
+
+
+FIELD_ERROR = "field 'cliffords' must hold only integers"
+CHECK_ERROR = "circuit does not map each Z_q to +/-Z_q"
+
+
+@pytest.mark.parametrize("first,second,renamed,named,message", [
+    (_bool_clifford, _bool_clifford, True, 0, FIELD_ERROR),
+    (_extra_h_in_round_0, _extra_h_in_round_0, False, 0, CHECK_ERROR),
+    (_bool_clifford, _extra_h_in_round_0, True, 0, FIELD_ERROR),
+    # a field error anywhere comes before any mirror check
+    (_extra_h_in_round_0, _bool_clifford, True, 1, FIELD_ERROR),
+    # the mirror checks run stack by stack, in the order of each stack's
+    # first file
+    (_extra_h_in_round_0, _extra_h_in_round_0, True, 1, CHECK_ERROR),
+], ids=["fields", "checks", "field-then-check", "check-then-field", "checks-by-stack"])
+def test_run_names_the_earlier_edited_file_of_two_stacks(tmp_path, capsys, first, second,
+                                                         renamed, named, message):
+    # two files edited, one of the L = 2 and one of the L = 3 stack; when
+    # the first L = 3 file is renamed to sort first, the L = 3 stack is
+    # loaded first although its edited file is named after the other
+    gen = _generate(tmp_path, n="4", lengths="2,3", circuits="3")
+    circuits = gen / "circuits"
+    if renamed:
+        (circuits / "circuit_L003_003.json").rename(circuits / "a_circuit.json")
+    edited = ["circuit_L002_001.json", "circuit_L003_004.json"]
+    for name, edit in zip(edited, (first, second)):
+        data = json.loads((circuits / name).read_text())
+        edit(data)
+        (circuits / name).write_text(json.dumps(data))
+    capsys.readouterr()
+    code, _ = _run(tmp_path, gen, noise="none")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: bad circuit file {edited[named]}: {message}\n"
+
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 V1_N4 = os.path.join(DATA, "v1_n4")
 

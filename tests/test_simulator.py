@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,15 +23,17 @@ from mirrorbench.simulator import (
     DatasetEntry,
     DecayDataset,
     NoiseModel,
+    _SHOT_BLOCK,
     _TABLE_WORDS,
+    _block_flips,
     _fault_sites,
     _fault_tables,
     _read_entry,
+    _run_batch,
     _site_class,
+    _stack_survivors,
     _table_batches,
-    compile_fault_program,
     kernel_pauli_probs,
-    propagate_faults,
     read_dataset_csv,
     read_dataset_json,
     run_dense,
@@ -162,17 +165,52 @@ def _oracle_flips(circuit, noise, uniforms):
     return x, tuple(np.concatenate(parts) for parts in zip(*faults))
 
 
+class FaultProgram(NamedTuple):
+    masks: np.ndarray
+    classes: tuple
+
+
+def _fault_program(circuit, noise):
+    """The ``(sites, 16)`` fault table and the site classes of one circuit:
+    a stack of one of ``_fault_tables``."""
+    sites, classes = _fault_sites(circuit.n_qubits, circuit.length, noise)
+    masks = _fault_tables(circuit.x_images[None], circuit.z_images[None],
+                          circuit.uzz_layers[None], sites)
+    return FaultProgram(masks[0], classes)
+
+
+def _stacked(circuits, noise):
+    """The fault table of circuits of one (n, L), built as one stack."""
+    sites, _ = _fault_sites(circuits[0].n_qubits, circuits[0].length, noise)
+    return _fault_tables(*(np.stack([getattr(c, name) for c in circuits])
+                           for name in ("x_images", "z_images", "uzz_layers")), sites)
+
+
 @pytest.mark.parametrize("n_qubits,length", [(2, 3), (4, 4), (10, 6), (64, 4)])
 def test_propagate_faults_matches_frame_oracle(n_qubits, length):
-    spec = mirror_circuit_spec(3 + n_qubits, n_qubits, length)
-    [circuit] = build_mirror_circuits([spec])
+    # the oracle's faults of two circuits of one stack, given to the block
+    # decode as draws: each fault's place in its class's (shot, site) grid,
+    # and a uniform that the class's conditional table turns into its code
+    circuits = build_mirror_circuits([mirror_circuit_spec(3 + n_qubits + c, n_qubits, length)
+                                      for c in range(2)])
     noise = NoiseModel(two_qubit=PAULI_2Q, single_qubit=PAULI_1Q,
                        inverse_half_override=Depolarizing(0.2))
-    program = compile_fault_program(circuit, noise)
-    uniforms = np.random.default_rng(7).random((2048, program.n_faults))
-    expected, (shots, sites, codes) = _oracle_flips(circuit, noise, uniforms)
-    flips = propagate_faults(program, shots, sites, codes, len(uniforms))
-    np.testing.assert_array_equal(flips, expected)
+    sites, classes = _fault_sites(n_qubits, length, noise)
+    drawn = {id(cls): (cls, [], [], []) for cls in classes}
+    expected = []
+    for c, circuit in enumerate(circuits):
+        uniforms = np.random.default_rng((7, c)).random((2048, len(sites[0])))
+        flips, (shots, fault_sites, codes) = _oracle_flips(circuit, noise, uniforms)
+        expected.append(flips)
+        for cls in classes:
+            mine = np.isin(fault_sites, cls.sites)
+            _, counts, places, draws = drawn[id(cls)]
+            counts.append((c, int(mine.sum())))
+            places.append(shots[mine] * len(cls.sites)
+                          + np.searchsorted(cls.sites, fault_sites[mine]))
+            draws.append(np.concatenate([[0.0], cls.cum_codes])[codes[mine] - 1])
+    flips = _block_flips(_stacked(circuits, noise), 2048, drawn.values())
+    np.testing.assert_array_equal(flips, np.stack(expected))
     assert np.count_nonzero(flips) > 0
 
 
@@ -219,7 +257,7 @@ MASK_NOISES = (
 def test_round_wise_masks_equal_the_per_gate_reference(n_qubits, noise):
     for seed, length in ((n_qubits, 1), (n_qubits + 1, 3), (n_qubits + 2, 6)):
         [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, length)])
-        program = compile_fault_program(circuit, noise)
+        program = _fault_program(circuit, noise)
         masks, class_sites = _reference_fault_program(circuit, noise)
         np.testing.assert_array_equal(program.masks, masks)
         assert len(program.classes) == len(class_sites)
@@ -257,7 +295,7 @@ def test_batched_fault_tables_equal_each_circuit_compiled_alone(n_qubits, noise)
                               np.stack([c.uzz_layers for c in group]), sites)
         assert len(batch) == 1 or masks.size <= _TABLE_WORDS
         for circuit, table in zip(group, masks):
-            np.testing.assert_array_equal(table, compile_fault_program(circuit, noise).masks)
+            np.testing.assert_array_equal(table, _fault_program(circuit, noise).masks)
         # a one-qubit site's codes 4-15 are zero, not copies of codes 0-3
         (_, is_uzz, _), _ = _fault_sites(n_qubits, group[0].length, noise)
         assert not masks[:, ~is_uzz, 4:].any()
@@ -300,6 +338,97 @@ def test_simulate_survival_memory_does_not_grow_with_the_circuit_count():
     assert peaks[1] < 1.5 * 2 ** 20
 
 
+def _reference_survivors(masks, classes, shots, rng):
+    """The per-circuit shot loop that the stack loop replaced: per block of
+    ``_SHOT_BLOCK`` shots and per class, the binomial number of faulty
+    cells, their places and their codes' uniforms, then the masks XORed
+    into their shots."""
+    successes = 0
+    for done in range(0, shots, _SHOT_BLOCK):
+        block = min(_SHOT_BLOCK, shots - done)
+        flips = np.zeros(block, dtype=np.uint64)
+        for cls in classes:
+            if cls.q == 0.0:
+                continue
+            cells = block * len(cls.sites)
+            count = int(rng.binomial(cells, cls.q))
+            if count == 0:
+                continue
+            shot, pos = np.divmod(rng.choice(cells, count, replace=False, shuffle=False),
+                                  len(cls.sites))
+            codes = 1 + np.searchsorted(cls.cum_codes, rng.random(count), side="right")
+            np.bitwise_xor.at(flips, shot, masks[cls.sites[pos], codes])
+        successes += int(np.count_nonzero(flips == 0))
+    return successes
+
+
+def _circuit_noises(count):
+    """One noise per circuit, all placing the same sites but each with its
+    own classes, as the scatter study passes them; in every fourth both
+    classes have q = 0."""
+    return [NoiseModel(two_qubit=Depolarizing(0.004 * (i % 4)),
+                       single_qubit=StochasticPauli((0.001 * (i % 4), 0.0005 * (i % 4),
+                                                     0.002 * (i % 4))))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("shots", [1, 100, 8193])
+@pytest.mark.parametrize("n_qubits", [2, 4, 10, 64])
+def test_stack_loop_counts_equal_the_per_circuit_loop(n_qubits, shots):
+    # twelve circuits, lengths 1, 3 and 6 interleaved, each with its own
+    # noise and child stream (consecutive positions); 8193 shots take two
+    # blocks
+    circuits = _mixed_length_circuits(n_qubits)
+    noises = _circuit_noises(len(circuits))
+    sizes = [(c.n_qubits, c.length) for c in circuits]
+    counts = []
+    for batch in _table_batches(sizes, noises[1]):
+        streams = [np.random.SeedSequence((21, i)) for i in batch]
+        rngs = [np.random.default_rng(seq) for seq in streams]
+        untouched = [rng.bit_generator.state for rng in rngs]
+        masks = _stacked([circuits[i] for i in batch], noises[1])
+        classes = [_fault_sites(*sizes[i], noises[i])[1] for i in batch]
+        stacked = _stack_survivors(masks, classes, shots, rngs)
+        sites, _ = _fault_sites(*sizes[batch[0]], noises[1])
+        assert _run_batch((*(np.stack([getattr(circuits[i], name) for i in batch])
+                             for name in ("x_images", "z_images", "uzz_layers")),
+                           sites, classes, shots, [(21, i) for i in batch])) == stacked.tolist()
+        for c, i in enumerate(batch):
+            reference = np.random.default_rng(streams[c])
+            assert stacked[c] == _reference_survivors(masks[c], classes[c], shots, reference)
+            assert rngs[c].bit_generator.state == reference.bit_generator.state
+            if i % 4 == 0:  # q = 0 in every class: no draw, every shot survives
+                assert rngs[c].bit_generator.state == untouched[c]
+                assert stacked[c] == shots
+            counts.append(int(stacked[c]))
+    if shots > 1:
+        assert 0 < sum(counts) < shots * len(circuits)
+
+
+def test_stack_loop_memory_holds_each_fault_a_few_times():
+    # n = 64, L = 16, four circuits to a batch, 10k shots (two blocks) at
+    # about 7,900 faults per circuit and block: the traced peak of the
+    # stack stays below 8 words per fault of one circuit's block, and near
+    # that of one circuit alone, as it would not if the loop held the faults
+    # of the whole stack
+    noise = NoiseModel(two_qubit=Depolarizing(0.001))
+    circuits = build_mirror_circuits([mirror_circuit_spec(s, 64, 16) for s in range(4)])
+    masks = _stacked(circuits, noise)
+    _, classes = _fault_sites(64, 16, noise)
+    faults = _SHOT_BLOCK * len(classes[0].sites) * classes[0].q
+    peaks = []
+    for count in (1, 4):
+        tracemalloc.start()
+        try:
+            _stack_survivors(masks[:count], [classes] * count, 10000,
+                             [np.random.default_rng(s) for s in range(count)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 8 * 8 * faults
+    assert peaks[1] < peaks[0] + 128 * 1024
+
+
 def _site_probs(program):
     """probs[j, k]: the probability of Pauli code k at site j, from the classes."""
     probs = np.zeros(program.masks.shape)
@@ -334,7 +463,7 @@ ORACLE_NOISES = (
 def test_exact_survival_oracle_matches_dense(n_qubits, noise):
     for seed in range(3):
         [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, 2 + seed)])
-        exact = _exact_survival(compile_fault_program(circuit, noise), n_qubits)
+        exact = _exact_survival(_fault_program(circuit, noise), n_qubits)
         assert abs(exact - run_dense(circuit, noise)) < 1e-9
 
 
@@ -348,7 +477,7 @@ def test_sparse_sampler_matches_exact_survival(n_qubits, length, shots):
     excursions = 0
     for seed in range(20):
         [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, length)])
-        exact = _exact_survival(compile_fault_program(circuit, noise), n_qubits)
+        exact = _exact_survival(_fault_program(circuit, noise), n_qubits)
         rate = run_stabilizer(circuit, noise, shots, rng) / shots
         excursions += abs(rate - exact) > 5 * _binomial_sigma(exact, shots)
     assert excursions <= 1
@@ -359,7 +488,7 @@ def test_identity_probability_below_zero_is_clamped():
     noise = NoiseModel(single_qubit=StochasticPauli((0.5, 0.25, 0.2500000005)),
                        two_qubit=Depolarizing(0.05))
     [circuit] = build_mirror_circuits([mirror_circuit_spec(3, 2, 3)])
-    program = compile_fault_program(circuit, noise)
+    program = _fault_program(circuit, noise)
     assert max(cls.q for cls in program.classes) == 1.0
     shots = 20000
     exact = run_dense(circuit, noise)
@@ -370,7 +499,7 @@ def test_identity_probability_below_zero_is_clamped():
 def test_noiseless_class_draws_nothing():
     [circuit] = build_mirror_circuits([mirror_circuit_spec(6, 4, 3)])
     noise = NoiseModel(two_qubit=Depolarizing(0.0))  # as `@inverse=none` on both halves
-    program = compile_fault_program(circuit, noise)
+    program = _fault_program(circuit, noise)
     assert [cls.q for cls in program.classes] == [0.0]
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
