@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .channels import Depolarizing, depolarizing_tensor_unitarity
-from .circuits import _compile_stack, _draw_stack, _experiment_seeds, _uzz_layers
+from .circuits import _circuit_stack, _draw_stack, _experiment_seeds
 from .operators import (
     _LETTER_MASK_ROWS,
     _clifford_round,
@@ -512,8 +512,9 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
 
     Experiments go in chunks of at most ``_SCATTER_CELLS`` round-qubit
     cells, so memory does not grow with their number.  Per chunk and
-    length, one stack (``_draw_stack``, ``_compile_stack``) holds every
-    experiment's circuits, and each ``_TABLE_WORDS`` slice of it is run as
+    length, one ``CircuitStack`` (``_draw_stack``, ``_circuit_stack``, as
+    ``sample_experiment`` builds its stacks) holds every experiment's
+    circuits, and each ``_TABLE_WORDS`` slice of it is run as
     one batch (``simulator._run_batch``): one fault-table build, which does
     not depend on p, and one shot loop, in which each circuit draws from
     ``SeedSequence((simulation seed, circuit id))`` under its experiment's
@@ -563,15 +564,14 @@ def _stack_successes(n_qubits: int, length: int, seeds: list, ids: list, noises:
     same fault sites."""
     sites, _ = _fault_sites(n_qubits, length, noises[0])
     classes = [_fault_sites(n_qubits, length, noise)[1] for noise in noises]
-    stack = _draw_stack(seeds, n_qubits, length)
-    _, _, x_images, z_images = _compile_stack(stack)
-    layers = _uzz_layers(stack[1])
+    stack = _circuit_stack(_draw_stack(seeds, n_qubits, length), seeds, ids * len(noises))
+    layers = stack.uzz_layers
     count = len(ids)
     successes = np.empty(len(seeds), dtype=np.int64)
     for batch in _table_batches([(n_qubits, length)] * len(seeds), noises[0]):
         rows = slice(batch[0], batch[-1] + 1)
         successes[rows] = _run_batch((
-            x_images[rows], z_images[rows], layers[rows], sites,
+            stack.x_images[rows], stack.z_images[rows], layers[rows], sites,
             [classes[c // count] for c in batch], shots,
             [(sim_seeds[c // count], ids[c % count]) for c in batch]))
     return successes.reshape(len(noises), count)

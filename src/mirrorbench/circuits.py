@@ -24,17 +24,19 @@ of the Z_q (each circuit must map each Z_q to +/-Z_q, so that its output on
 |0...0> is a basis state, and flip the X part of its final Pauli), keeping
 the images when n <= 64 for the fault masks; ``_stack_json`` writes a
 stack's files, and ``_file_fields`` and ``_field_stack`` read them back.
-The public functions wrap stacks in objects.
+A checked stack is the package's one circuit type, ``CircuitStack``, which
+``_circuit_stack`` builds from a drawn or loaded stack; a single circuit is
+a stack of one.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
-from dataclasses import dataclass, field
+from itertools import chain, groupby
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,64 +68,12 @@ def _check_entries(arr: np.ndarray, high: int, name: str) -> None:
         raise ValueError(f"{name} entries must lie in [0, {high})")
 
 
-def _int_array(values, shape: tuple, high: int, name: str) -> np.ndarray:
-    """A read-only int64 copy of ``values``, of ``shape`` with entries in [0, high)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu" or arr.shape != shape:
-        raise ValueError(f"{name} must be integers of shape {shape}")
-    _check_entries(arr, high, name)
-    arr = arr.astype(np.int64)
-    arr.flags.writeable = False
-    return arr
-
-
 def _check_matchings(matchings: np.ndarray, n: int) -> None:
     """Every ``(n/2, 2)`` matching of ``matchings`` (any leading axes) pairs
     every qubit exactly once."""
     covered = np.sort(matchings.reshape(matchings.shape[:-2] + (n,)), axis=-1)
     if not (covered == np.arange(n)).all():
         raise ValueError("each matching must pair every qubit exactly once")
-
-
-@dataclass(frozen=True, eq=False)
-class MirrorCircuitSpec:
-    """Abstract description of one mirror circuit on an even ``n_qubits``
-    >= 2 with L = ``length`` forward layers (2L rounds): ``(L, n)`` Clifford
-    indices, ``(L, n/2, 2)`` qubit pairs (a perfect matching per layer) and
-    ``(2L+1, n)`` Pauli codes (0-3 for I, X, Y, Z: a randomizer per layer
-    boundary of both halves, forward first, then mirrored in execution
-    order, then the final Pauli), with the ``seed`` it was drawn from and
-    its dataset row's ``circuit_id``.
-    """
-
-    n_qubits: int
-    length: int
-    cliffords: np.ndarray
-    matchings: np.ndarray
-    paulis: np.ndarray
-    seed: int
-    circuit_id: int = 0
-
-    def __post_init__(self):
-        n, length = self.n_qubits, self.length
-        if n < 2 or n % 2:
-            raise ValueError("n_qubits must be even and >= 2")
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        for name, (shape, high) in zip(_SPEC_ARRAYS, _file_shapes(n, length)):
-            object.__setattr__(self, name,
-                               _int_array(getattr(self, name), shape, high, name))
-        _check_matchings(self.matchings, n)
-
-    def __eq__(self, other):
-        if not isinstance(other, MirrorCircuitSpec):
-            return NotImplemented
-        return ((self.n_qubits, self.length, self.seed, self.circuit_id)
-                == (other.n_qubits, other.length, other.seed, other.circuit_id)
-                and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in ("cliffords", "matchings", "paulis")))
-
-    __hash__ = object.__hash__
 
 
 def _uzz_layers(matchings: np.ndarray) -> np.ndarray:
@@ -158,49 +108,59 @@ def _mirror_start(n: int, length: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class CompiledCircuit:
-    """Executable rounds, the noiseless measurement outcome and the Z images.
+class CircuitStack:
+    """C >= 1 checked mirror circuits of one even n >= 2 and one L >= 1, as
+    read-only arrays with a leading circuit axis, and each circuit's
+    ``seed`` and ``circuit_id`` (its dataset row's).
 
-    ``rounds[r, q]`` is the merged Clifford at qubit q in round r; forward
-    round r (r < L) is followed by UZZ on ``uzz_layers[r]``, mirrored round
-    r preceded by it.  ``expected_outcome`` is the noiseless outcome bit per
-    qubit.  ``x_images`` and ``z_images`` are ``(2L, 2, n)`` uint64 when
-    n <= 64, the only circuits with fault masks, and None above: bit q at
-    ``[r, 0, p]`` is the X (in ``z_images`` the Z) part, at qubit p, of the
-    image of Z_q after round r's Cliffords, and at ``[r, 1, p]`` after its
-    UZZ layer.
+    The spec: ``cliffords (C, L, n)`` (indices into the 24-element table),
+    ``matchings (C, L, n/2, 2)`` (a perfect matching per layer) and
+    ``paulis (C, 2L+1, n)`` (codes 0-3 for I, X, Y, Z: a randomizer per
+    layer boundary of both halves, forward first, then mirrored in execution
+    order, then the final Pauli).  The compiled circuit: ``rounds[c, r, q]``
+    is the merged Clifford at qubit q in round r; forward round r (r < L) is
+    followed by UZZ on ``uzz_layers[c, r]``, mirrored round r preceded by
+    it; ``outcome (C, n)`` holds the noiseless outcome bits.  ``x_images``
+    and ``z_images`` are ``(C, 2L, 2, n)`` uint64 when n <= 64, the only
+    circuits with fault masks, and None above: bit q at ``[c, r, 0, p]`` is
+    the X (in ``z_images`` the Z) part, at qubit p, of the image of Z_q after
+    round r's Cliffords, and at ``[c, r, 1, p]`` after its UZZ layer.
+    Built only by ``_circuit_stack``, which checks the circuits: calling
+    ``CircuitStack(...)`` directly checks nothing, so get records from
+    ``mirror_circuit_spec``, ``sample_experiment`` or ``read_circuit``.
     """
 
-    spec: MirrorCircuitSpec
+    seeds: tuple
+    circuit_ids: tuple
+    cliffords: np.ndarray
+    matchings: np.ndarray
+    paulis: np.ndarray
     rounds: np.ndarray
-    expected_outcome: tuple
-    x_images: np.ndarray = field(repr=False)
-    z_images: np.ndarray = field(repr=False)
+    outcome: np.ndarray
+    x_images: Optional[np.ndarray]
+    z_images: Optional[np.ndarray]
 
     @property
     def n_qubits(self) -> int:
-        return self.spec.n_qubits
+        return self.cliffords.shape[2]
 
     @property
     def length(self) -> int:
-        return self.spec.length
-
-    @property
-    def seed(self) -> int:
-        return self.spec.seed
-
-    @property
-    def circuit_id(self) -> int:
-        return self.spec.circuit_id
+        return self.cliffords.shape[1]
 
     @property
     def uzz_layers(self) -> np.ndarray:
-        return _uzz_layers(self.spec.matchings)
+        return _uzz_layers(self.matchings)
 
-    @property
-    def mirror_start(self) -> int:
-        """The forward half's gate count (``_mirror_start``)."""
-        return _mirror_start(self.n_qubits, self.length)
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+
+def _single(circuit: CircuitStack) -> CircuitStack:
+    """``circuit``, which must be a stack of one circuit."""
+    if len(circuit) != 1:
+        raise ValueError(f"expected a stack of one circuit, got {len(circuit)} circuits")
+    return circuit
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +173,8 @@ _SPEC_ARRAYS = ("cliffords", "matchings", "paulis")
 
 
 def _check_stack(stack: tuple) -> None:
-    """Check a stack of spec arrays as ``MirrorCircuitSpec`` checks one spec:
-    entries in range, and every matching pairs every qubit exactly once."""
+    """Check a stack of spec arrays (``CircuitStack``'s): entries in range,
+    and every matching pairs every qubit exactly once."""
     _, length, n = stack[0].shape
     for arr, (_, high), name in zip(stack, _file_shapes(n, length), _SPEC_ARRAYS):
         _check_entries(arr, high, name)
@@ -251,23 +211,14 @@ def _draw_stack(seeds: Sequence[int], n_qubits: int, length: int) -> tuple:
     return stack
 
 
-def _stack_specs(stack: tuple, seeds: Sequence[int], circuit_ids: Sequence[int]) -> list:
-    """The specs of the rows of a stack (``_draw_stack``), one per seed."""
-    _, length, n = stack[0].shape
-    return [MirrorCircuitSpec(n, length, *(arr[c] for arr in stack),
-                              seed=seed, circuit_id=circuit_id)
-            for c, (seed, circuit_id) in enumerate(zip(seeds, circuit_ids))]
-
-
 def mirror_circuit_spec(seed: int, n_qubits: int, length: int,
-                        circuit_id: int = 0) -> MirrorCircuitSpec:
-    """Draw a full circuit spec from a single seed, a stack of one
+                        circuit_id: int = 0) -> CircuitStack:
+    """Draw and compile one circuit from a single seed, a stack of one
     (``_draw_stack``): from ``default_rng(seed)``, the Cliffords,
     ``integers(24)`` of shape ``(L, n)``; the matchings, ``rng.permuted`` of
     the L rows of ``tile(arange(n))`` along each row, cut into consecutive
     sorted pairs; the Paulis, ``integers(4)`` of shape ``(2L+1, n)``."""
-    [spec] = _stack_specs(_draw_stack([seed], n_qubits, length), [seed], [circuit_id])
-    return spec
+    return _circuit_stack(_draw_stack([seed], n_qubits, length), [seed], [circuit_id])
 
 
 def _experiment_seeds(rng, lengths: Sequence[int], circuits_per_length: int) -> list:
@@ -282,27 +233,31 @@ def _experiment_seeds(rng, lengths: Sequence[int], circuits_per_length: int) -> 
 
 def _experiment_stacks(rng, n_qubits: int, lengths: Sequence[int],
                        circuits_per_length: int):
-    """Yield an experiment's ``(circuit ids, seeds, stack)`` one batch
-    (``_batches``) at a time, each drawn as one stack (``_draw_stack``); only
-    the seeds are drawn up front."""
-    cells = _experiment_seeds(rng, lengths, circuits_per_length)
-    for batch in _batches([(n_qubits, length) for length, _ in cells]):
-        seeds = [cells[i][1] for i in batch]
-        yield batch, seeds, _draw_stack(seeds, n_qubits, cells[batch[0]][0])
+    """Yield an experiment's circuits in circuit-id order, one compiled
+    stack (``_draw_stack``, ``_circuit_stack``) at a time: each run of equal
+    L is cut into ``_batches``, so that each circuit's place among the
+    stacks is its circuit id.  Only the seeds are drawn up front."""
+    start = 0
+    for length, run in groupby(_experiment_seeds(rng, lengths, circuits_per_length),
+                               key=lambda cell: cell[0]):
+        seeds = [seed for _, seed in run]
+        for batch in _batches([(n_qubits, length)] * len(seeds)):
+            chosen = [seeds[i] for i in batch]
+            yield _circuit_stack(_draw_stack(chosen, n_qubits, length), chosen,
+                                 [start + i for i in batch])
+        start += len(seeds)
 
 
 def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
                       circuits_per_length: int) -> list:
-    """Independent circuit specs for each (length, repeat) cell, in
-    circuit-id order.
+    """Independent circuits for each (length, repeat) cell, as the stacks
+    of ``_experiment_stacks``, in circuit-id order.
 
-    ``rng`` may be a Generator or an integer seed.  Each spec records its own
-    seed so it can be regenerated independently (``mirror_circuit_spec``).
+    ``rng`` may be a Generator or an integer seed.  Each circuit records its
+    own seed so it can be regenerated independently
+    (``mirror_circuit_spec``).
     """
-    specs = [spec for ids, seeds, stack in _experiment_stacks(rng, n_qubits, lengths,
-                                                              circuits_per_length)
-             for spec in _stack_specs(stack, seeds, ids)]
-    return sorted(specs, key=lambda spec: spec.circuit_id)
+    return list(_experiment_stacks(rng, n_qubits, lengths, circuits_per_length))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +350,7 @@ def _z_pass(rounds: np.ndarray, layers: np.ndarray) -> tuple:
     Returns ``(outcome, mirrors, x_images, z_images)``: ``mirrors[c]`` says
     whether circuit c maps each Z_q to +/-Z_q, and then bit q of
     ``outcome[c]`` is 1 where it is -Z_q (its output on |0...0> is that
-    basis state); the images are those of ``CompiledCircuit`` when n <= 64,
+    basis state); the images are those of ``CircuitStack`` when n <= 64,
     and None above, where nothing reads them.
     """
     count, steps, n = rounds.shape
@@ -446,13 +401,16 @@ def _compile_stack(stack: tuple, rounds=None, stored=None) -> tuple:
     +/-Z_q, flip exactly the X part of its final Pauli and, given ``stored``
     ``(C, n)`` outcome bits, give those.  Raises CircuitCheckError for the
     first failing circuit, with its position in the stack.  Returns the
-    read-only rounds, the ``(C, n)`` outcome bits and the images.
+    read-only rounds, the ``(C, n)`` outcome bits and the images
+    (``CircuitStack``'s).
     """
     _, matchings, paulis = stack
     if rounds is None:
         rounds = _merged_rounds(*stack)
-    rounds.flags.writeable = False
     outcome, mirrors, x_images, z_images = _z_pass(rounds, _uzz_layers(matchings))
+    for arr in (rounds, outcome, x_images, z_images):
+        if arr is not None:
+            arr.flags.writeable = False
     final = paulis[:, -1]
     checks = [(mirrors, "circuit does not map each Z_q to +/-Z_q"),
               ((outcome == ((final == 1) | (final == 2))).all(axis=1),
@@ -467,52 +425,24 @@ def _compile_stack(stack: tuple, rounds=None, stored=None) -> tuple:
     return rounds, outcome, x_images, z_images
 
 
-def _compiled_circuits(specs: Sequence[MirrorCircuitSpec], rounds=None, stored=None) -> list:
-    """The checked circuits of ``specs``, in input order, one
-    ``_compile_stack`` per batch (``_batches``), given each spec's stored
-    rounds and outcome if any, their arrays slices of the stack's.  Raises
-    CircuitCheckError with the position of the first failing spec of the
-    first batch that has one."""
-    out = [None] * len(specs)
-    for batch in _batches([(spec.n_qubits, spec.length) for spec in specs]):
-        stack = tuple(np.stack([getattr(specs[i], name) for i in batch])
-                      for name in _SPEC_ARRAYS)
-        try:
-            stack_rounds, outcome, x_images, z_images = _compile_stack(
-                stack, None if rounds is None else np.stack([rounds[i] for i in batch]),
-                None if stored is None else np.array([stored[i] for i in batch]))
-        except CircuitCheckError as exc:
-            raise CircuitCheckError(batch[exc.index], str(exc)) from None
-        for c, (i, bits) in enumerate(zip(batch, outcome.tolist())):
-            out[i] = CompiledCircuit(specs[i], stack_rounds[c], tuple(bits),
-                                     None if x_images is None else x_images[c],
-                                     None if z_images is None else z_images[c])
-    return out
-
-
-def build_mirror_circuits(specs: Sequence[MirrorCircuitSpec]) -> list:
-    """Compile specs into merged rounds and expected outcomes, in input
-    order, one ``_compile_stack`` per batch of one (n, L) (``_batches``).
-    Raises CompilationError naming the ``circuit_id`` of a spec whose
-    compiled circuit fails its check."""
-    specs = list(specs)
+def _circuit_stack(stack: tuple, seeds: Sequence[int], circuit_ids: Sequence[int],
+                   rounds=None, stored=None) -> CircuitStack:
+    """The record of a checked stack of spec arrays (``_draw_stack`` or
+    ``_field_stack``, not checked again) with each row's seed and circuit
+    id, wrapping what ``_compile_stack`` returns: the stack compiled, or its
+    stored ``rounds`` and ``stored`` outcome checked, not recompiled, so
+    datasets stay reproducible even if the compiler changes.  A compiled
+    circuit that fails its check raises CompilationError naming its
+    ``circuit_id``; failing stored rounds raise CircuitCheckError, whose
+    ``index`` is the failing row."""
     try:
-        return _compiled_circuits(specs)
+        compiled = _compile_stack(stack, rounds, stored)
     except CircuitCheckError as exc:
-        raise CompilationError(f"compiled circuit {specs[exc.index].circuit_id} "
+        if rounds is not None:
+            raise
+        raise CompilationError(f"compiled circuit {circuit_ids[exc.index]} "
                                f"is wrong: {exc}") from None
-
-
-def check_circuits(parsed: Sequence[tuple]) -> list:
-    """The compiled circuits of ``(spec, rounds, stored outcome)`` triples
-    (``read_circuit``), in input order, checked one stack per batch of one
-    (n, L) (``_compile_stack``).  Stored rounds are checked, not recompiled,
-    so datasets stay reproducible even if the compiler changes.  Raises
-    CircuitCheckError, whose ``index`` is the position of a failing triple.
-    """
-    return _compiled_circuits([spec for spec, _, _ in parsed],
-                              [rounds for _, rounds, _ in parsed],
-                              [outcome for _, _, outcome in parsed])
+    return CircuitStack(tuple(seeds), tuple(circuit_ids), *stack, *compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +461,20 @@ def _file_shapes(n: int, length: int) -> tuple:
             ((2 * length, n), 24), ((n,), 2))
 
 
-def _stack_json(stack: tuple, rounds: np.ndarray, outcome: np.ndarray,
-                seeds: Sequence[int], circuit_ids: Sequence[int]) -> list:
-    """The JSON-ready dicts (schema version 2) of the rows of a stack, given
-    its spec arrays, the ``rounds`` and ``outcome`` of ``_compile_stack``
-    and each row's seed and circuit id; arrays are stored flat, in C order."""
-    _, length, n = stack[0].shape
-    rows = [arr.reshape(len(arr), -1).tolist() for arr in (*stack, rounds, outcome)]
+def _stack_json(stack: CircuitStack) -> list:
+    """The JSON-ready dicts (schema version 2) of the circuits of a stack,
+    its arrays stored flat, in C order."""
+    n, length = stack.n_qubits, stack.length
+    rows = [arr.reshape(len(stack), -1).tolist() for arr in (
+        stack.cliffords, stack.matchings, stack.paulis, stack.rounds, stack.outcome)]
     return [dict(zip(_FILE_ARRAYS, arrays), version=CIRCUIT_FORMAT_VERSION, n=n, L=length,
                  seed=seed, circuit_id=circuit_id, mirror_start=_mirror_start(n, length))
-            for seed, circuit_id, *arrays in zip(seeds, circuit_ids, *rows)]
+            for seed, circuit_id, *arrays in zip(stack.seeds, stack.circuit_ids, *rows)]
 
 
-def circuit_to_json(circuit: CompiledCircuit) -> dict:
-    """JSON-ready dict for one compiled circuit: a stack of one
-    (``_stack_json``)."""
-    [data] = _stack_json(tuple(getattr(circuit.spec, name)[None] for name in _SPEC_ARRAYS),
-                         circuit.rounds[None], np.array([circuit.expected_outcome]),
-                         [circuit.seed], [circuit.circuit_id])
+def circuit_to_json(circuit: CircuitStack) -> dict:
+    """JSON-ready dict for a stack of one circuit (``_stack_json``)."""
+    [data] = _stack_json(_single(circuit))
     return data
 
 
@@ -579,7 +505,13 @@ def _int_column(key: str, column: Sequence[list], shape: tuple, high: int) -> np
     if set(map(type, values)) != {int}:  # bool, an int subclass, is out too
         raise ValueError(f"field {key!r} must hold only integers")
     shape = (len(column),) + shape
-    return _int_array(np.array(values).reshape(shape), shape, high, key)
+    arr = np.array(values).reshape(shape)
+    if arr.dtype.kind not in "iu":  # a value beyond 64 bits
+        raise ValueError(f"{key} must be integers of shape {shape}")
+    _check_entries(arr, high, key)
+    arr = arr.astype(np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 def _pauli_codes(label, n: int) -> list:
@@ -604,7 +536,9 @@ def _pairs_v1(layer: dict, n: int) -> list:
     return sum(pairs, [])
 
 
-def _spec_v1(data: dict, n: int, length: int) -> MirrorCircuitSpec:
+def _spec_v1(data: dict, n: int, length: int) -> tuple:
+    """The spec arrays, checked, the seed and the circuit id of a version-1
+    file."""
     layers = _list_field(data, "layers", length)
     if not all(isinstance(layer, dict) for layer in layers):
         raise ValueError("field 'layers' must hold objects")
@@ -612,20 +546,22 @@ def _spec_v1(data: dict, n: int, length: int) -> MirrorCircuitSpec:
     circuit_id = data.get("circuit_id", 0)
     if not _is_int(circuit_id):
         raise ValueError(f"field 'circuit_id' must be an integer, got {circuit_id!r}")
-    return MirrorCircuitSpec(
-        n, length,
-        _int_column("cliffords", [_list_field(layer, "cliffords", n) for layer in layers],
-                    (n,), 24),
-        _int_column("matching", [_pairs_v1(layer, n) for layer in layers], (n // 2, 2), n),
-        np.array([_pauli_codes(label, n) for label in labels]),
-        seed=_int_field(data, "seed"), circuit_id=circuit_id)
+    stack = (_int_column("cliffords", [_list_field(layer, "cliffords", n) for layer in layers],
+                         (n,), 24),
+             _int_column("matching", [_pairs_v1(layer, n) for layer in layers], (n // 2, 2), n),
+             np.array([_pauli_codes(label, n) for label in labels]))
+    seed = _int_field(data, "seed")
+    _check_matchings(stack[1], n)
+    return stack, seed, circuit_id
 
 
-def _rounds_v1(data: dict, spec: MirrorCircuitSpec) -> np.ndarray:
+def _rounds_v1(data: dict, matchings: np.ndarray) -> np.ndarray:
     """The rounds of a version-1 gate list, which must follow the round
-    layout of the spec (``_gate_layout``), UZZ pairs as in the matchings."""
-    n, length = spec.n_qubits, spec.length
-    layers = _uzz_layers(spec.matchings).tolist()
+    layout (``_gate_layout``), UZZ pairs as in the ``(L, n/2, 2)``
+    matchings."""
+    length, half, _ = matchings.shape
+    n = 2 * half
+    layers = _uzz_layers(matchings).tolist()
     layout = [a.tolist() for a in _gate_layout(n, length)]
     records = _list_field(data, "gates", len(layout[0]))
     rounds = np.zeros((2 * length, n), dtype=np.int64)
@@ -665,14 +601,12 @@ def _file_fields(data) -> tuple:
     if n < 2 or n % 2 or length < 1:
         raise ValueError(f"need an even n >= 2 and L >= 1, got n={n} L={length}")
     if version == 1:
-        spec = _spec_v1(data, n, length)
-        rounds = _rounds_v1(data, spec)
+        stack, seed, circuit_id = _spec_v1(data, n, length)
+        rounds = _rounds_v1(data, stack[1])
         stored = data.get("expected_outcome")
         if not (isinstance(stored, str) and len(stored) == n and set(stored) <= {"0", "1"}):
             raise ValueError(f"field 'expected_outcome' must be {n} bits, got {stored!r}")
-        lists = [arr.ravel().tolist() for arr in (spec.cliffords, spec.matchings, spec.paulis,
-                                                  rounds)] + [list(map(int, stored))]
-        seed, circuit_id = spec.seed, spec.circuit_id
+        lists = [arr.ravel().tolist() for arr in (*stack, rounds)] + [list(map(int, stored))]
     else:
         lists = [_list_field(data, key, math.prod(shape))
                  for key, (shape, _) in zip(_FILE_ARRAYS, _file_shapes(n, length))]
@@ -696,17 +630,6 @@ def _field_stack(files: Sequence[list], n: int, length: int) -> tuple:
     return tuple(arrays[:3]), arrays[3], arrays[4]
 
 
-def _parsed_circuit(data) -> tuple:
-    """``(spec, rounds, stored outcome)`` of a circuit file's JSON, a stack
-    of one of ``_file_fields`` and ``_field_stack`` (the rounds are not
-    checked here)."""
-    n, length, circuit_id, seed, lists = _file_fields(data)
-    stack, rounds, stored = _field_stack([lists], n, length)
-    spec = MirrorCircuitSpec(n, length, *(arr[0] for arr in stack), seed=seed,
-                             circuit_id=circuit_id)
-    return spec, rounds[0], tuple(stored[0].tolist())
-
-
 def _write_json(data: dict, path) -> None:
     # json.dumps, unlike json.dump, encodes in C when there is no indent
     text = json.dumps(data, separators=(",", ":"), sort_keys=True)
@@ -714,15 +637,19 @@ def _write_json(data: dict, path) -> None:
         fh.write(text + "\n")
 
 
-def save_circuit(circuit: CompiledCircuit, path) -> None:
+def save_circuit(circuit: CircuitStack, path) -> None:
+    """Write a stack of one circuit to a version-2 circuit file."""
     _write_json(circuit_to_json(circuit), path)
 
 
-def read_circuit(path) -> tuple:
-    """The ``(spec, rounds, stored outcome)`` of a circuit file, not yet
-    checked: pass a list of them to ``check_circuits``."""
+def read_circuit(path) -> CircuitStack:
+    """The checked stack of one circuit of a circuit file (schema 1 or 2):
+    its fields (``_file_fields``, ``_field_stack``) and its stored rounds
+    and outcome, checked (``_circuit_stack``)."""
     with open(path) as fh:
-        return _parsed_circuit(json.load(fh))
+        n, length, circuit_id, seed, lists = _file_fields(json.load(fh))
+    stack, rounds, stored = _field_stack([lists], n, length)
+    return _circuit_stack(stack, [seed], [circuit_id], rounds, stored)
 
 
 # ---------------------------------------------------------------------------
@@ -730,22 +657,22 @@ def read_circuit(path) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def to_qasm(circuit: CompiledCircuit) -> str:
-    """OpenQASM 2.0 text for one compiled circuit (one-way export).
+def to_qasm(circuit: CircuitStack) -> str:
+    """OpenQASM 2.0 text for a stack of one circuit (one-way export).
 
     Cliffords are emitted as their h/s generator words (id for the identity);
     each UZZ becomes the standard decomposition cx a,b; rz(pi/2) b; cx a,b,
     which equals exp(-1j pi/4 ZZ) exactly, including global phase.
     """
-    n, length = circuit.n_qubits, circuit.length
+    n, length = _single(circuit).n_qubits, circuit.length
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{n}];",
         f"creg c[{n}];",
     ]
-    layers = circuit.uzz_layers.tolist()
-    for r, cliffords in enumerate(circuit.rounds.tolist()):
+    layers = circuit.uzz_layers[0].tolist()
+    for r, cliffords in enumerate(circuit.rounds[0].tolist()):
         ones = [f"{letter} q[{q}];" for q, c in enumerate(cliffords)
                 for letter in _CLIFF_WORDS[c] or ("id",)]
         uzz = [line for a, b in layers[r] for line in

@@ -53,13 +53,12 @@ from .channels import (
 from .circuits import (
     CircuitCheckError,
     _batches,
-    _compile_stack,
+    _circuit_stack,
     _experiment_stacks,
     _field_stack,
     _file_fields,
     _is_int,
     _stack_json,
-    _uzz_layers,
     _write_json,
 )
 from .plotting import Series, write_chart
@@ -224,21 +223,21 @@ def cmd_generate(n: int, lengths: list, circuits: int, seed: int, out: str) -> N
     circ_dir = os.path.join(out, "circuits")
     os.makedirs(circ_dir, exist_ok=True)
     # drawn, compiled and written one stack at a time, straight from its arrays
-    for ids, seeds, stack in _experiment_stacks(seed, n, lengths, circuits):
-        rounds, outcome, _, _ = _compile_stack(stack)
-        for data in _stack_json(stack, rounds, outcome, seeds, ids):
+    for stack in _experiment_stacks(seed, n, lengths, circuits):
+        for data in _stack_json(stack):
             name = f"circuit_L{data['L']:03d}_{data['circuit_id']:03d}.json"
             _write_json(data, os.path.join(circ_dir, name))
     print(f"wrote {len(lengths) * circuits} circuits to {circ_dir}")
 
 
-def _circuits_from_dir(circuits_dir: str, backend: str) -> tuple:
+def _circuits_from_dir(circuits_dir: str, backend: str) -> list:
     """The checked stacks of the circuit files of a directory (or its
-    circuits/ child), as ``_run_stacks`` takes them, with the files'
-    ``(L, circuit_id, seed)`` and n.  Each file's scalar fields are read on
-    their own (``_file_fields``), stopping at the first file wider than
-    ``backend`` simulates; then each batch of one (n, L) is field-checked
-    as one stack (``_field_stack``) and checked by one ``_compile_stack``.
+    circuits/ child), as ``_run_stacks`` takes them, each with the
+    positions of its files in name order.  Each file's scalar fields are
+    read on their own (``_file_fields``), stopping at the first file wider
+    than ``backend`` simulates; then each batch of one (n, L) is
+    field-checked as one stack (``_field_stack``) and checked as one record
+    (``_circuit_stack``).
     A bad field names the first file, in name order, that fails as a stack
     of one, and a failing check its file.
     """
@@ -283,11 +282,11 @@ def _circuits_from_dir(circuits_dir: str, backend: str) -> tuple:
     checked = []
     for batch, (stack, rounds, stored) in zip(batches, stacks):
         try:
-            checked.append((batch, _uzz_layers(stack[1]),
-                            *_compile_stack(stack, rounds, stored)))
+            checked.append((batch, _circuit_stack(stack, [files[i][3] for i in batch],
+                                                  [files[i][2] for i in batch], rounds, stored)))
         except CircuitCheckError as exc:
             raise ConfigError(f"bad circuit file {names[batch[exc.index]]}: {exc}") from None
-    return checked, [fields[1:4] for fields in files], files[0][0]
+    return checked
 
 
 def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,
@@ -297,14 +296,14 @@ def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,
         raise ConfigError(
             "stabilizer backend requires stochastic Pauli channels; "
             "use --backend dense for amplitude-damping noise")
-    stacks, rows, n = _circuits_from_dir(circuits, backend)
+    stacks = _circuits_from_dir(circuits, backend)
     os.makedirs(out, exist_ok=True)
-    dataset = _run_stacks(stacks, n, rows, model, shots, seed, jobs, backend)
+    dataset = _run_stacks(stacks, model, shots, seed, jobs, backend)
     write_dataset_csv(dataset, os.path.join(out, "dataset.csv"))
     write_dataset_json(dataset, os.path.join(out, "dataset.json"))
     lengths, p_hat, _ = survival_points(dataset)
     pairs = " ".join(f"L={int(length)}:{p:.4f}" for length, p in zip(lengths, p_hat))
-    print(f"simulated {len(rows)} circuits x {shots} shots "
+    print(f"simulated {len(dataset.entries)} circuits x {shots} shots "
           f"({format_noise_model(model)})")
     print(f"survival {pairs}")
     print(f"wrote dataset to {out}")

@@ -1,8 +1,8 @@
 """Noisy execution of compiled mirror circuits.
 
-Two backends share a gate-located noise model, and both run stacks of
-circuits of one (n, L) as arrays (``_run_stacks``, shared by ``run`` and
-``simulate_survival``):
+Two backends share a gate-located noise model, and both run the stacks of
+circuits of one (n, L) that ``circuits.CircuitStack`` holds, as arrays
+(``_run_stacks``, shared by ``run`` and ``simulate_survival``):
 
 - stabilizer: Monte Carlo sampling of stochastic Pauli faults.  The
   noiseless circuit maps each Z_q to +/-Z_q, so every fault site and Pauli
@@ -12,10 +12,12 @@ circuits of one (n, L) as arrays (``_run_stacks``, shared by ``run`` and
   own child stream under its own site classes (so circuits under different
   noise strengths, as in the scatter study, share a table build); one
   decode, mask gather and per-shot XOR then serves consecutive circuits
-  (``_stack_survivors``).  ``run_stabilizer`` is a stack of one.
+  (``_stack_survivors``).  ``run_stabilizer`` runs a stack of one
+  circuit through the same loop.
 - dense: exact survival probability by propagating the PTM coordinates of
   the state round by round (up to 8 qubits), each gate merged with the
-  channel after it (``_dense_survival``; ``run_dense`` for one circuit).
+  channel after it (``_dense_survival``; ``run_dense`` for a stack of one
+  circuit).
 
 Noise placement (``_channel``, shared by both backends): the two-qubit
 channel acts after every UZZ gate, the single-qubit channel (optional) after
@@ -45,15 +47,7 @@ from .channels import (
     superop_of,
     superop_of_unitary,
 )
-from .circuits import (
-    CompiledCircuit,
-    MirrorCircuitSpec,
-    _batches,
-    _gate_layout,
-    _is_int,
-    _uzz_layers,
-    build_mirror_circuits,
-)
+from .circuits import CircuitStack, _batches, _gate_layout, _is_int, _single
 from .operators import CLIFFORD_UNITARIES, UZZ_MATRIX
 
 DATASET_FORMAT_VERSION = 1
@@ -260,7 +254,7 @@ def _site_generators(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndar
                      sites: tuple) -> np.ndarray:
     """The ``(C, sites, 4)`` generator masks (``_code_masks``) of C circuits
     of one (n, L), given their ``(C, 2L, 2, n)`` Z images
-    (``CompiledCircuit``) and ``(C, 2L, n/2, 2)`` UZZ layers, at ``sites``
+    (``CircuitStack``) and ``(C, 2L, n/2, 2)`` UZZ layers, at ``sites``
     (round, UZZ flag and slot arrays): the Z_q with a Z part and with an X
     part at each qubit of the gate, after a Clifford round (its qubit; the
     last two masks stay zero) or a UZZ layer (its pair)."""
@@ -375,14 +369,13 @@ def _emptied(arrays: list) -> np.ndarray:
     return out
 
 
-def run_stabilizer(circuit: CompiledCircuit, noise: NoiseModel, shots: int,
+def run_stabilizer(circuit: CircuitStack, noise: NoiseModel, shots: int,
                    rng: np.random.Generator) -> int:
-    """How many of ``shots`` Monte Carlo shots survive under stochastic Pauli
-    noise: a stack of one (``_stack_survivors``)."""
+    """How many of ``shots`` Monte Carlo shots of a stack of one circuit
+    survive under stochastic Pauli noise (``_stack_survivors``)."""
     _check_stabilizer_noise(noise)
-    sites, classes = _fault_sites(circuit.n_qubits, circuit.length, noise)
-    masks = _fault_tables(circuit.x_images[None], circuit.z_images[None],
-                          circuit.uzz_layers[None], sites)
+    sites, classes = _fault_sites(_single(circuit).n_qubits, circuit.length, noise)
+    masks = _fault_tables(circuit.x_images, circuit.z_images, circuit.uzz_layers, sites)
     return int(_stack_survivors(masks, [classes], shots, [rng])[0])
 
 
@@ -413,10 +406,12 @@ def _uzz_layer(state: np.ndarray, axes: list, inverse: list, ptm: np.ndarray) ->
     return state.reshape((4,) * n).transpose(inverse)
 
 
-def run_dense(circuit: CompiledCircuit, noise: NoiseModel) -> float:
-    """Exact survival probability via PTM propagation (n <= 8): the array
-    core ``_dense_survival`` on the circuit's rounds, layers and outcome."""
-    return _dense_survival(circuit.rounds, circuit.uzz_layers, circuit.expected_outcome, noise)
+def run_dense(circuit: CircuitStack, noise: NoiseModel) -> float:
+    """Exact survival probability of a stack of one circuit via PTM
+    propagation (n <= 8): the array core ``_dense_survival`` on its rounds,
+    layers and outcome."""
+    _single(circuit)
+    return _dense_survival(circuit.rounds[0], circuit.uzz_layers[0], circuit.outcome[0], noise)
 
 
 def _dense_survival(rounds: np.ndarray, layers: np.ndarray, outcome: Sequence[int],
@@ -460,19 +455,6 @@ def _dense_survival(rounds: np.ndarray, layers: np.ndarray, outcome: Sequence[in
 # ---------------------------------------------------------------------------
 
 
-def _as_compiled(items: Sequence) -> list:
-    """``items`` with every spec compiled, all in one
-    ``build_mirror_circuits`` call."""
-    out = list(items)
-    for item in out:
-        if not isinstance(item, (CompiledCircuit, MirrorCircuitSpec)):
-            raise TypeError(f"expected a circuit spec or compiled circuit, got {item!r}")
-    at = [i for i, item in enumerate(out) if isinstance(item, MirrorCircuitSpec)]
-    for i, circuit in zip(at, build_mirror_circuits([out[i] for i in at])):
-        out[i] = circuit
-    return out
-
-
 def _table_batches(sizes: Sequence[tuple], noise: NoiseModel) -> list:
     """The positions of circuits of the given (n, L) ``sizes`` in batches
     that share one ``_fault_tables`` call: one (n, L) each, of at most
@@ -508,31 +490,34 @@ def _counted(task) -> tuple:
     return positions, run(args)
 
 
-def _run_stacks(stacks, n: int, rows: Sequence[tuple], noise: NoiseModel, shots: int,
-                master: int, jobs: int, backend: str) -> DecayDataset:
-    """The dataset of circuits on n qubits, with ``(L, circuit_id, seed)``
-    ``rows`` by position, given as stacks of one (n, L): ``(positions,
-    layers, rounds, outcome, x_images, z_images)``, the positions naming the
-    child streams ``(master, position)``, then the UZZ layers and what
-    ``circuits._compile_stack`` returns.  Each stack is cut into tasks, one
-    at a time: stabilizer batches of ``_table_batches`` (``_run_batch``) or
-    dense ones (``_run_dense_batch``), of at most ceil(circuits / jobs)."""
-    size = -(-len(rows) // jobs)
+def _run_stacks(stacks: Sequence[tuple], noise: NoiseModel, shots: int, master: int,
+                jobs: int, backend: str) -> DecayDataset:
+    """The dataset of the circuits of ``(positions, stack)`` pairs, stacks
+    of one n (``CircuitStack``): circuit c of a stack is the dataset's row
+    ``positions[c]``, and it draws from the child stream ``(master,
+    positions[c])``.  Each stack is cut into tasks, one at a time:
+    stabilizer batches of ``_table_batches`` (``_run_batch``) or dense ones
+    (``_run_dense_batch``), of at most ceil(circuits / jobs)."""
+    rows = {pos: (stack.length, circuit_id, seed) for positions, stack in stacks
+            for pos, circuit_id, seed in zip(positions, stack.circuit_ids, stack.seeds)}
+    n, size = stacks[0][1].n_qubits, -(-len(rows) // jobs)
 
     def tasks():
-        for positions, layers, rounds, outcome, x_images, z_images in stacks:
-            length, step = layers.shape[1] // 2, size
+        for positions, stack in stacks:
+            length, layers, step = stack.length, stack.uzz_layers, size
             if backend == "stabilizer":
                 sites, classes = _fault_sites(n, length, noise)
                 step = min(size, len(_table_batches([(n, length)] * len(positions), noise)[0]))
             for k in range(0, len(positions), step):
                 at, seeds = slice(k, k + step), [(master, pos) for pos in positions[k:k + step]]
                 if backend == "stabilizer":
-                    yield positions[at], _run_batch, (x_images[at], z_images[at], layers[at],
-                                                      sites, [classes] * len(seeds), shots, seeds)
+                    yield positions[at], _run_batch, (stack.x_images[at], stack.z_images[at],
+                                                      layers[at], sites, [classes] * len(seeds),
+                                                      shots, seeds)
                 else:
-                    yield positions[at], _run_dense_batch, (rounds[at], layers[at], outcome[at],
-                                                            noise, shots, seeds)
+                    yield positions[at], _run_dense_batch, (stack.rounds[at], layers[at],
+                                                            stack.outcome[at], noise, shots,
+                                                            seeds)
 
     if jobs > 1:
         # imported here: the pool is the one user of concurrent.futures and
@@ -543,50 +528,46 @@ def _run_stacks(stacks, n: int, rows: Sequence[tuple], noise: NoiseModel, shots:
             results = list(pool.map(_counted, tasks(), chunksize=1))
     else:
         results = map(_counted, tasks())
-    counts = [0] * len(rows)
+    counts = {}
     for positions, result in results:
-        for pos, successes in zip(positions, result):
-            counts[pos] = successes
-    return DecayDataset(n, tuple(DatasetEntry(length, circuit_id, shots, successes, seed)
-                                 for (length, circuit_id, seed), successes in zip(rows, counts)))
+        counts.update(zip(positions, result))
+    return DecayDataset(n, tuple(DatasetEntry(length, circuit_id, shots, counts[pos], seed)
+                                 for pos, (length, circuit_id, seed) in sorted(rows.items())))
 
 
-def simulate_survival(circuits: Sequence, noise: NoiseModel, shots: int,
-                      rng: Union[int, np.random.Generator], jobs: int = 1,
-                      backend: str = "stabilizer") -> DecayDataset:
-    """Simulate survival counts for a batch of circuits (specs among them
-    compiled together).  ``rng`` may be a seed or a Generator; each circuit
-    gets a child stream derived from ``(master_seed, position)``, so results
-    are independent of ``jobs`` and of batching.  The circuits of each
-    (n, L) are stacked one batch at a time (``_table_batches`` for the
-    stabilizer backend) and run by ``_run_stacks``, as ``run`` runs the
-    stacks it loads."""
+def simulate_survival(circuits: Union[CircuitStack, Sequence[CircuitStack]],
+                      noise: NoiseModel, shots: int, rng: Union[int, np.random.Generator],
+                      jobs: int = 1, backend: str = "stabilizer") -> DecayDataset:
+    """Simulate survival counts for a ``CircuitStack`` or a list of them,
+    all of one n.  ``rng`` may be a seed or a Generator; each circuit gets a
+    child stream derived from ``(master_seed, position)``, its position
+    being its place in the concatenation of the stacks, so results are
+    independent of ``jobs`` and of how the circuits are stacked.  The
+    stacks are run as given by ``_run_stacks``, as ``run`` runs the stacks
+    it loads."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if backend not in _QUBIT_LIMITS:
         raise ValueError(f"unknown backend {backend!r}")
-    compiled = _as_compiled(circuits)
-    if not compiled:
+    stacks = [circuits] if isinstance(circuits, CircuitStack) else list(circuits)
+    for stack in stacks:
+        if not isinstance(stack, CircuitStack):
+            raise TypeError(f"expected a CircuitStack, got {stack!r}")
+    if not stacks:
         raise ValueError("no circuits given")
-    n = compiled[0].n_qubits
-    if any(c.n_qubits != n for c in compiled):
+    n = stacks[0].n_qubits
+    if any(stack.n_qubits != n for stack in stacks):
         raise ValueError("circuits must share a qubit count")
     if isinstance(rng, np.random.Generator):
         master = int(rng.integers(0, 2 ** 63 - 1))
     else:
         master = int(rng)
-    sizes = [(c.n_qubits, c.length) for c in compiled]
     if backend == "stabilizer":
         _check_stabilizer_noise(noise)
-    batches = _table_batches(sizes, noise) if backend == "stabilizer" else _batches(sizes)
-    used = ("x_images", "z_images") if backend == "stabilizer" else ("rounds", "expected_outcome")
-    stacks = ((batch, _uzz_layers(np.stack([compiled[pos].spec.matchings for pos in batch])),
-               *(np.stack([getattr(compiled[pos], name) for pos in batch]) if name in used
-                 else None for name in ("rounds", "expected_outcome", "x_images", "z_images")))
-              for batch in batches)
-    return _run_stacks(stacks, n, [(c.length, c.circuit_id, c.seed) for c in compiled],
+    ends = np.cumsum([len(stack) for stack in stacks]).tolist()
+    return _run_stacks([(range(end - len(stack), end), stack) for stack, end in zip(stacks, ends)],
                        noise, shots, master, jobs, backend)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mirrorbench.circuits import _mirror_start
 from mirrorbench.operators import (
     _CLIFF_COMPOSE,
     _CLIFF_WORDS,
@@ -244,8 +245,9 @@ def round_gates(rounds, matchings) -> list:
 
 
 def gate_list(circuit) -> list:
-    """A compiled circuit's gates in execution order (``round_gates``)."""
-    return [gate for gates in round_gates(circuit.rounds, circuit.spec.matchings)
+    """The gates of a stack of one circuit in execution order
+    (``round_gates``)."""
+    return [gate for gates in round_gates(circuit.rounds[0], circuit.matchings[0])
             for gate in gates]
 
 
@@ -381,8 +383,8 @@ def _pauli_label(codes) -> str:
 
 
 def circuit_to_v1_json(circuit) -> dict:
-    """The version-1 dict of a compiled circuit: its spec and its gate list."""
-    spec = circuit.spec
+    """The version-1 dict of a stack of one circuit: its spec and its gate
+    list."""
     gates = []
     for gate in gate_list(circuit):
         if isinstance(gate, CliffordGate):
@@ -393,14 +395,14 @@ def circuit_to_v1_json(circuit) -> dict:
         "version": 1,
         "n": circuit.n_qubits,
         "L": circuit.length,
-        "seed": circuit.seed,
-        "circuit_id": circuit.circuit_id,
+        "seed": circuit.seeds[0],
+        "circuit_id": circuit.circuit_ids[0],
         "layers": [{"cliffords": cliffords, "matching": matching}
-                   for cliffords, matching in zip(spec.cliffords.tolist(),
-                                                  spec.matchings.tolist())],
-        "randomizing_paulis": [_pauli_label(p) for p in spec.paulis[:-1].tolist()],
-        "final_pauli": _pauli_label(spec.paulis[-1].tolist()),
-        "mirror_start": circuit.mirror_start,
+                   for cliffords, matching in zip(circuit.cliffords[0].tolist(),
+                                                  circuit.matchings[0].tolist())],
+        "randomizing_paulis": [_pauli_label(p) for p in circuit.paulis[0, :-1].tolist()],
+        "final_pauli": _pauli_label(circuit.paulis[0, -1].tolist()),
+        "mirror_start": _mirror_start(circuit.n_qubits, circuit.length),
         "gates": gates,
-        "expected_outcome": "".join(str(b) for b in circuit.expected_outcome),
+        "expected_outcome": "".join(str(b) for b in circuit.outcome[0].tolist()),
     }

@@ -35,7 +35,6 @@ from mirrorbench.channels import (
     unitarity,
 )
 from mirrorbench.circuits import (
-    build_mirror_circuits,
     mirror_circuit_spec,
     sample_experiment,
 )
@@ -161,9 +160,7 @@ def test_criterion_6_backend_equivalence():
     excursions = 0
     worst = 0.0
     for i in range(20):
-        [circuit] = build_mirror_circuits([
-            mirror_circuit_spec(seed=600 + i, n_qubits=2, length=2 + 2 * (i % 4))
-        ])
+        circuit = mirror_circuit_spec(seed=600 + i, n_qubits=2, length=2 + 2 * (i % 4))
         p_exact = run_dense(circuit, noise)
         successes = run_stabilizer(circuit, noise, shots, np.random.default_rng((6, i)))
         sigma = max(np.sqrt(p_exact * (1.0 - p_exact) * shots), 1.0)
@@ -177,9 +174,8 @@ def test_criterion_6_backend_equivalence():
 
 
 def test_criterion_7_degenerate_limits():
-    circuits = build_mirror_circuits([mirror_circuit_spec(seed=700 + i, n_qubits=2,
-                                                          length=ell)
-                                      for i, ell in enumerate((2, 6, 10))])
+    circuits = [mirror_circuit_spec(seed=700 + i, n_qubits=2, length=ell)
+                for i, ell in enumerate((2, 6, 10))]
     clean = simulate_survival(circuits, NoiseModel(), shots=2000, rng=70)
     clean_ok = all(e.successes == e.shots for e in clean.entries)
     full = NoiseModel(two_qubit=Depolarizing(1.0))

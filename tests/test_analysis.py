@@ -27,7 +27,7 @@ from mirrorbench.analysis import (
     survival_points,
 )
 from mirrorbench.channels import Depolarizing, depolarizing_tensor_unitarity
-from mirrorbench.circuits import build_mirror_circuits, sample_experiment
+from mirrorbench.circuits import sample_experiment
 from mirrorbench.operators import CLIFFORD_UNITARIES
 from mirrorbench.simulator import DatasetEntry, DecayDataset, NoiseModel, simulate_survival
 
@@ -490,7 +490,9 @@ def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch)
     # two experiments' cells, seven experiments compile in chunks of at most
     # two, and give the points of one chunk holding all seven.  A chunk
     # compiles one stack per length, so its size is the sum of two stacks.
-    compile_stack = analysis_module._compile_stack
+    import mirrorbench.circuits as circuits_module
+
+    compile_stack = circuits_module._compile_stack
     sizes = []
 
     def recording(stack, *args):
@@ -501,7 +503,7 @@ def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch)
         assert len(sizes) % 2 == 0 and sizes[::2] == sizes[1::2]
         return [a + b for a, b in zip(sizes[::2], sizes[1::2])]
 
-    monkeypatch.setattr(analysis_module, "_compile_stack", recording)
+    monkeypatch.setattr(circuits_module, "_compile_stack", recording)
     kwargs = dict(rng=5, lengths=(2, 4), circuits_per_length=3, shots=50)
     whole = scatter_experiment(2, 7, 0.05, **kwargs)
     assert per_chunk() == [42]
@@ -514,7 +516,7 @@ def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch)
 def _scatter_reference(n_qubits, num_experiments, p_max, seed, lengths,
                        circuits_per_length, shots, cells):
     """Scatter points one experiment at a time through the public pipeline,
-    sample_experiment -> build_mirror_circuits -> simulate_survival ->
+    sample_experiment -> simulate_survival ->
     survival_points, fitted per chunk of experiments with _fit_rows."""
     rng = np.random.default_rng(seed)
     draws = [(float(rng.uniform(0.0, p_max)), int(rng.integers(0, 2 ** 63 - 1)),
@@ -524,8 +526,7 @@ def _scatter_reference(n_qubits, num_experiments, p_max, seed, lengths,
     for start in range(0, num_experiments, chunk):
         group = draws[start:start + chunk]
         rows = [survival_points(simulate_survival(
-                    build_mirror_circuits(sample_experiment(gen_seed, n_qubits, lengths,
-                                                            circuits_per_length)),
+                    sample_experiment(gen_seed, n_qubits, lengths, circuits_per_length),
                     NoiseModel(two_qubit=Depolarizing(p)), shots, rng=sim_seed))
                 for p, gen_seed, sim_seed in group]
         _, u_est, _ = _fit_rows(rows[0][0], np.array([row[1] for row in rows]),

@@ -10,21 +10,21 @@ from hypothesis import given, settings, strategies as st
 
 from mirrorbench.circuits import (
     CircuitCheckError,
+    CircuitStack,
     CompilationError,
-    CompiledCircuit,
-    MirrorCircuitSpec,
     _batches,
     _check_stack,
+    _circuit_stack,
     _compile_stack,
     _draw_stack,
     _experiment_seeds,
     _experiment_stacks,
-    _parsed_circuit,
+    _field_stack,
+    _file_fields,
+    _mirror_start,
     _stack_json,
     _uzz_layers,
     _z_pass,
-    build_mirror_circuits,
-    check_circuits,
     circuit_to_json,
     mirror_circuit_spec,
     read_circuit,
@@ -83,7 +83,7 @@ def unitary_of(cliffords, matchings, n_qubits: int) -> np.ndarray:
     return total
 
 
-def compiled_unitary(circuit: CompiledCircuit) -> np.ndarray:
+def compiled_unitary(circuit: CircuitStack) -> np.ndarray:
     """Dense unitary of the executed gate list."""
     d = 2 ** circuit.n_qubits
     total = np.eye(d, dtype=complex)
@@ -95,6 +95,19 @@ def compiled_unitary(circuit: CompiledCircuit) -> np.ndarray:
         else:
             total = _uzz_layer_diag([gate.qubits], circuit.n_qubits)[:, None] * total
     return total
+
+
+def _rows(stacks) -> list:
+    """The file dicts of every circuit of ``stacks``, in order."""
+    return [data for stack in stacks for data in _stack_json(stack)]
+
+
+def _loaded(data) -> CircuitStack:
+    """The checked stack of one that ``read_circuit`` gives for a file
+    holding the JSON ``data``."""
+    n, length, circuit_id, seed, lists = _file_fields(data)
+    stack, rounds, stored = _field_stack([lists], n, length)
+    return _circuit_stack(stack, [seed], [circuit_id], rounds, stored)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +163,11 @@ def test_draw_stack_rows_are_each_seeds_spec(n, length):
     assert all(arr.dtype == np.int64 and not arr.flags.writeable for arr in stack)
     for c, seed in enumerate(seeds):
         spec = mirror_circuit_spec(seed, n, length, circuit_id=c)
-        assert spec == MirrorCircuitSpec(n, length, *_reference_draw(seed, n, length),
-                                         seed=seed, circuit_id=c)
-        for arr, name in zip(stack, ("cliffords", "matchings", "paulis")):
-            np.testing.assert_array_equal(arr[c], getattr(spec, name))
+        assert (spec.seeds, spec.circuit_ids) == ((seed,), (c,))
+        for arr, expected, name in zip(stack, _reference_draw(seed, n, length),
+                                       ("cliffords", "matchings", "paulis")):
+            np.testing.assert_array_equal(getattr(spec, name), expected[None])
+            np.testing.assert_array_equal(arr[c], getattr(spec, name)[0])
             assert not getattr(spec, name).flags.writeable
 
 
@@ -170,13 +184,13 @@ def test_stack_check_rejects_what_a_spec_rejects():
         with pytest.raises(ValueError, match=message):
             _check_stack(edited)
         with pytest.raises(ValueError, match=message):
-            MirrorCircuitSpec(4, 3, *(arr[at[0]] for arr in edited), seed=0)
+            _check_stack([arr[at[0]][None] for arr in edited])
     edited = [arr.copy() for arr in stack]
     edited[1][2, 1, 0] = edited[1][2, 0, 1]  # one qubit in two pairs, one in none
     with pytest.raises(ValueError, match="every qubit exactly once"):
         _check_stack(edited)
     with pytest.raises(ValueError, match="every qubit exactly once"):
-        MirrorCircuitSpec(4, 3, *(arr[2] for arr in edited), seed=0)
+        _check_stack([arr[2][None] for arr in edited])
 
 
 def test_draw_stack_rejects_bad_sizes():
@@ -190,27 +204,27 @@ def test_draw_stack_rejects_bad_sizes():
 def test_sample_layer_structure(rng):
     # a layer is one row of the spec: a Clifford per qubit and a matching
     spec = mirror_circuit_spec(int(rng.integers(2 ** 32)), 6, 1)
-    assert spec.cliffords.shape == (1, 6)
-    assert all(0 <= c < 24 for c in spec.cliffords[0])
-    assert spec.matchings.shape == (1, 3, 2)
+    assert spec.cliffords[0].shape == (1, 6)
+    assert all(0 <= c < 24 for c in spec.cliffords[0, 0])
+    assert spec.matchings[0].shape == (1, 3, 2)
 
 
 def test_mirror_circuit_spec_deterministic():
     a = mirror_circuit_spec(123, 4, 5)
     b = mirror_circuit_spec(123, 4, 5)
-    assert a == b
-    assert len(a.cliffords) == 5
-    assert len(a.paulis[:-1]) == 10  # randomizers; the last row is the final Pauli
+    assert _rows([a]) == _rows([b])
+    assert len(a.cliffords[0]) == 5
+    assert len(a.paulis[0, :-1]) == 10  # randomizers; the last row is the final Pauli
     c = mirror_circuit_spec(124, 4, 5)
-    assert c != a
+    assert _rows([c]) != _rows([a])
 
 
 def test_sample_experiment_shape_and_ids():
-    specs = sample_experiment(7, 4, (2, 4), 3)
+    specs = _rows(sample_experiment(7, 4, (2, 4), 3))
     assert len(specs) == 6
-    assert [s.length for s in specs] == [2, 2, 2, 4, 4, 4]
-    assert [s.circuit_id for s in specs] == [0, 1, 2, 3, 4, 5]
-    again = sample_experiment(7, 4, (2, 4), 3)
+    assert [s["L"] for s in specs] == [2, 2, 2, 4, 4, 4]
+    assert [s["circuit_id"] for s in specs] == [0, 1, 2, 3, 4, 5]
+    again = _rows(sample_experiment(7, 4, (2, 4), 3))
     assert specs == again
 
 
@@ -235,8 +249,9 @@ def test_experiment_seeds_are_one_scalar_draw_per_spec(given):
         rng = np.random.default_rng(seed)
         assert _experiment_seeds(rng, lengths, 100) == expected
         assert rng.bit_generator.state == reference.bit_generator.state
-        specs = sample_experiment(rng, 2, (1, 2), 3)
-        assert [(s.length, s.seed) for s in specs] == _scalar_seeds(reference, (1, 2), 3)
+        stacks = sample_experiment(rng, 2, (1, 2), 3)
+        assert [(s.length, seed) for s in stacks for seed in s.seeds] == \
+            _scalar_seeds(reference, (1, 2), 3)
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -254,18 +269,18 @@ def test_spec_validation():
 
 def test_compiled_gate_counts():
     for seed, n, length in ((0, 2, 1), (1, 4, 3), (2, 6, 4)):
-        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n, length)])
+        circuit = mirror_circuit_spec(seed, n, length)
         gates = gate_list(circuit)
         sq = [g for g in gates if isinstance(g, CliffordGate)]
         uzz = [g for g in gates if isinstance(g, NativeGate)]
         assert len(sq) == 2 * length * n
         assert len(uzz) == 2 * length * (n // 2)
-        assert circuit.mirror_start == length * (n + n // 2)
-        assert len(circuit.expected_outcome) == n
+        assert _mirror_start(circuit.n_qubits, circuit.length) == length * (n + n // 2)
+        assert circuit.outcome.shape == (1, n)
 
 
 def test_one_clifford_per_qubit_per_round():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(5, 4, 3)])
+    circuit = mirror_circuit_spec(5, 4, 3)
     rounds = []
     current = {}
     for g in gate_list(circuit):
@@ -280,7 +295,7 @@ def test_one_clifford_per_qubit_per_round():
     assert len(rounds) == 6
 
 
-def _success_probability(circuit: CompiledCircuit) -> float:
+def _success_probability(circuit: CircuitStack) -> float:
     """Probability of the expected outcome on the noiseless compiled circuit."""
     n = circuit.n_qubits
     u = compiled_unitary(circuit)
@@ -288,26 +303,26 @@ def _success_probability(circuit: CompiledCircuit) -> float:
     state[0] = 1.0
     state = u @ state
     index = 0
-    for q, bit in enumerate(circuit.expected_outcome):
-        index |= int(bit) << (n - 1 - q)
+    for q, bit in enumerate(circuit.outcome[0].tolist()):
+        index |= bit << (n - 1 - q)
     return float(abs(state[index]) ** 2)
 
 
 def test_noiseless_compiled_circuit_is_deterministic():
     specs = [mirror_circuit_spec(seed, 2, 1 + seed % 4) for seed in range(6)]
-    for circuit in build_mirror_circuits(specs):
+    for circuit in specs:
         assert abs(_success_probability(circuit) - 1.0) < 1e-9
 
 
 def test_noiseless_compiled_circuit_four_qubits():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(42, 4, 3)])
+    circuit = mirror_circuit_spec(42, 4, 3)
     assert abs(_success_probability(circuit) - 1.0) < 1e-9
 
 
 def test_compiled_unitary_equals_pauli_times_mirror_identity():
     # the executed circuit acts as a Pauli operator: all basis states map to
     # definite basis states with unit probability
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(9, 2, 2)])
+    circuit = mirror_circuit_spec(9, 2, 2)
     u = compiled_unitary(circuit)
     amp = np.abs(u) ** 2
     assert np.allclose(np.max(amp, axis=0), 1.0, atol=1e-9)
@@ -319,8 +334,8 @@ def test_compiled_unitary_equals_pauli_times_mirror_identity():
 def test_compiled_circuit_equals_its_final_pauli(seed, n, length):
     # the whole executed gate list, Paulis folded in, is the final Pauli
     spec = mirror_circuit_spec(seed, n, length)
-    u = compiled_unitary(build_mirror_circuits([spec])[0])
-    ref = pauli_matrix_from_label("".join("IXYZ"[c] for c in spec.paulis[-1]))
+    u = compiled_unitary(spec)
+    ref = pauli_matrix_from_label("".join("IXYZ"[c] for c in spec.paulis[0, -1]))
     phase = np.vdot(ref, u) / 2 ** n
     assert abs(abs(phase) - 1) < 1e-9
     np.testing.assert_allclose(u, phase * ref, atol=1e-9)
@@ -328,7 +343,7 @@ def test_compiled_circuit_equals_its_final_pauli(seed, n, length):
 
 def test_forward_half_unitary_shape():
     spec = mirror_circuit_spec(3, 2, 2)
-    u = unitary_of(spec.cliffords, spec.matchings, 2)
+    u = unitary_of(spec.cliffords[0], spec.matchings[0], 2)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
 
 
@@ -338,23 +353,21 @@ def test_forward_half_unitary_shape():
 
 
 def test_json_round_trip():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(11, 4, 2)])
+    circuit = mirror_circuit_spec(11, 4, 2)
     data = circuit_to_json(circuit)
-    [loaded] = check_circuits([_parsed_circuit(json.loads(json.dumps(data)))])
+    loaded = _loaded(json.loads(json.dumps(data)))
     assert loaded.n_qubits == circuit.n_qubits
     assert loaded.length == circuit.length
     np.testing.assert_array_equal(loaded.rounds, circuit.rounds)
-    assert loaded.expected_outcome == circuit.expected_outcome
-    assert loaded.mirror_start == circuit.mirror_start
-    assert loaded.spec == circuit.spec
+    np.testing.assert_array_equal(loaded.outcome, circuit.outcome)
+    assert circuit_to_json(loaded) == data  # the spec, ids and mirror_start too
 
 
 def test_json_rejects_wrong_version():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(1, 2, 1)])
-    data = circuit_to_json(circuit)
+    data = circuit_to_json(mirror_circuit_spec(1, 2, 1))
     data["version"] = 99
     with pytest.raises(ValueError):
-        check_circuits([_parsed_circuit(data)])
+        _loaded(data)
 
 
 # Each edit takes a version-1 or a version-2 circuit dict.
@@ -403,44 +416,74 @@ _EDITS = [_edit_clifford_index, _edit_expected_outcome, _edit_final_pauli,
 
 @pytest.mark.parametrize("edit", _EDITS)
 def test_json_rejects_edited_circuit(edit):
-    data = circuit_to_json(build_mirror_circuits([mirror_circuit_spec(11, 4, 2)])[0])
-    check_circuits([_parsed_circuit(json.loads(json.dumps(data)))])
+    data = circuit_to_json(mirror_circuit_spec(11, 4, 2))
+    _loaded(json.loads(json.dumps(data)))
     edit(data)
     with pytest.raises(ValueError):
-        check_circuits([_parsed_circuit(data)])
+        _loaded(data)
 
 
 @pytest.mark.parametrize("edit", _EDITS)
 def test_json_rejects_edited_version_1_circuit(edit):
-    data = circuit_to_v1_json(build_mirror_circuits([mirror_circuit_spec(11, 4, 2)])[0])
-    check_circuits([_parsed_circuit(json.loads(json.dumps(data)))])
+    data = circuit_to_v1_json(mirror_circuit_spec(11, 4, 2))
+    _loaded(json.loads(json.dumps(data)))
     edit(data)
     with pytest.raises(ValueError):
-        check_circuits([_parsed_circuit(data)])
+        _loaded(data)
 
 
 def test_save_and_load_circuit(tmp_path):
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(17, 2, 2)])
+    circuit = mirror_circuit_spec(17, 2, 2)
     path = tmp_path / "circ.json"
     save_circuit(circuit, path)
-    [loaded] = check_circuits([read_circuit(path)])
+    loaded = read_circuit(path)
     np.testing.assert_array_equal(loaded.rounds, circuit.rounds)
     # file is stable on disk
     save_circuit(circuit, tmp_path / "again.json")
     assert (tmp_path / "circ.json").read_text() == (tmp_path / "again.json").read_text()
 
 
+def test_circuit_stack_arrays_are_read_only(tmp_path):
+    # drawn as a stack, loaded from a file, and above 64 qubits (no images)
+    save_circuit(mirror_circuit_spec(3, 4, 2), tmp_path / "circ.json")
+    for stack in (sample_experiment(3, 4, (2,), 3)[0], read_circuit(tmp_path / "circ.json"),
+                  mirror_circuit_spec(3, 66, 1)):
+        for name in ("cliffords", "matchings", "paulis", "rounds", "outcome",
+                     "x_images", "z_images"):
+            arr = getattr(stack, name)
+            if arr is None:
+                assert stack.n_qubits > 64
+                continue
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+
+
+def test_single_circuit_calls_refuse_a_stack_of_several(tmp_path):
+    from mirrorbench.simulator import NoiseModel, run_dense, run_stabilizer
+
+    [stack] = sample_experiment(3, 2, (2,), 2)
+    for call in (lambda: run_stabilizer(stack, NoiseModel(), 10, np.random.default_rng(0)),
+                 lambda: run_dense(stack, NoiseModel()),
+                 lambda: save_circuit(stack, tmp_path / "circ.json"),
+                 lambda: to_qasm(stack),
+                 lambda: circuit_to_json(stack)):
+        with pytest.raises(ValueError, match="a stack of one circuit, got 2 circuits"):
+            call()
+    assert not (tmp_path / "circ.json").exists()
+
+
 def test_indented_version_1_file_still_loads(tmp_path):
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(17, 4, 3)])
+    circuit = mirror_circuit_spec(17, 4, 3)
     path = tmp_path / "indented.json"
     with open(path, "w") as fh:  # the layout files were written in before
         json.dump(circuit_to_v1_json(circuit), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    [loaded] = check_circuits([read_circuit(path)])
+    loaded = read_circuit(path)
     assert circuit_to_json(loaded) == circuit_to_json(circuit)
     save_circuit(circuit, tmp_path / "compact.json")
     assert "\n" not in (tmp_path / "compact.json").read_text().rstrip("\n")
-    [compact] = check_circuits([read_circuit(tmp_path / "compact.json")])
+    compact = read_circuit(tmp_path / "compact.json")
     assert circuit_to_json(compact) == circuit_to_json(circuit)
 
 
@@ -499,7 +542,7 @@ def _unitary_from_qasm(text: str, n: int) -> np.ndarray:
 
 
 def test_qasm_reproduces_compiled_unitary_exactly():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(23, 2, 2)])
+    circuit = mirror_circuit_spec(23, 2, 2)
     text = to_qasm(circuit)
     assert text.startswith("OPENQASM 2.0;")
     assert "measure q -> c;" in text
@@ -508,7 +551,7 @@ def test_qasm_reproduces_compiled_unitary_exactly():
 
 
 def test_qasm_four_qubits():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(29, 4, 1)])
+    circuit = mirror_circuit_spec(29, 4, 1)
     rebuilt = _unitary_from_qasm(to_qasm(circuit), 4)
     np.testing.assert_allclose(rebuilt, compiled_unitary(circuit), atol=1e-10)
 
@@ -555,9 +598,9 @@ def _check_z_pass_against_reference(rounds, matchings, n, length):
         assert mirrors[c] == (expected is not None)
         if expected is None:
             spec = mirror_circuit_spec(0, n, length)
-            spec = MirrorCircuitSpec(n, length, spec.cliffords, matchings[c], spec.paulis, 0)
             with pytest.raises(ValueError, match=r"each Z_q to \+/-Z_q"):
-                check_circuits([(spec, rounds[c], (0,) * n)])
+                _compile_stack((spec.cliffords, matchings[c][None], spec.paulis),
+                               rounds[c][None], np.zeros((1, n), dtype=np.int64))
             continue
         assert tuple(outcome[c].tolist()) == expected
         if x_images is not None:
@@ -573,10 +616,10 @@ def _check_z_pass_against_reference(rounds, matchings, n, length):
            st.tuples(st.integers(0, 10 ** 6), st.integers(0, 23)), max_size=2))
 def test_z_pass_matches_the_per_gate_reference(seed, n, length, edits):
     spec = mirror_circuit_spec(seed, n, length)
-    rounds = build_mirror_circuits([spec])[0].rounds.copy()
+    rounds = spec.rounds[0].copy()
     for position, index in edits:  # mostly no longer a mirror
         rounds.flat[position % rounds.size] = index
-    [mirror] = _check_z_pass_against_reference(rounds[None], spec.matchings[None], n, length)
+    [mirror] = _check_z_pass_against_reference(rounds[None], spec.matchings, n, length)
     assert mirror or edits
 
 
@@ -587,95 +630,99 @@ def test_edited_rounds_fail_only_their_own_circuit_of_a_batch(seed, n, length, c
     # one batch of circuits, some with edited rounds: the batch's verdict on
     # each circuit is its own per-gate pass, so exactly the edited circuits
     # that are no longer mirrors, or no longer give their stored outcome, fail
-    specs = sample_experiment(seed, n, (length,), count)
-    circuits = build_mirror_circuits(specs)
-    rounds = np.stack([circuit.rounds for circuit in circuits])
+    [circuits] = sample_experiment(seed, n, (length,), count)
+    rounds = circuits.rounds.copy()
     edited = data.draw(st.sets(st.integers(0, count - 1), max_size=count))
     for c in sorted(edited):
         position = data.draw(st.integers(0, rounds[c].size - 1))
         rounds[c].flat[position] = data.draw(st.integers(0, 23))
-    matchings = np.stack([spec.matchings for spec in specs])
+    matchings = circuits.matchings
     mirrors = _check_z_pass_against_reference(rounds, matchings, n, length)
     outcome = _z_pass(rounds, _uzz_layers(matchings))[0]
     failing = [c for c in range(count) if not mirrors[c]
-               or tuple(outcome[c].tolist()) != circuits[c].expected_outcome]
+               or not np.array_equal(outcome[c], circuits.outcome[c])]
     assert set(failing) <= edited
-    parsed = [(spec, rounds[c], circuits[c].expected_outcome) for c, spec in enumerate(specs)]
+    parsed = ((circuits.cliffords, matchings, circuits.paulis), circuits.seeds,
+              circuits.circuit_ids, rounds, circuits.outcome)
     if not failing:
-        assert len(check_circuits(parsed)) == count
+        assert len(_circuit_stack(*parsed)) == count
         return
     with pytest.raises(CircuitCheckError) as info:
-        check_circuits(parsed)
+        _circuit_stack(*parsed)
     assert info.value.index == failing[0]
 
 
 def test_compiled_images_are_the_z_pass():
     for n in (64, 66):  # up to 64 qubits the images are kept, as one word
-        [circuit] = build_mirror_circuits([mirror_circuit_spec(3, n, 2)])
+        circuit = mirror_circuit_spec(3, n, 2)
         if n == 64:
-            assert circuit.x_images.shape == circuit.z_images.shape == (4, 2, 64)
+            assert circuit.x_images.shape == circuit.z_images.shape == (1, 4, 2, 64)
         else:
             assert circuit.x_images is None and circuit.z_images is None
         assert _check_z_pass_against_reference(
-            circuit.rounds[None], circuit.spec.matchings[None], n, 2) == [True]
+            circuit.rounds, circuit.matchings, n, 2) == [True]
 
 
 def test_build_mirror_circuits_equals_each_circuit_built_alone():
-    # mixed n and interleaved lengths: batches by (n, L), results in input order
+    # checks _circuit_stack's batch compile: mixed n and interleaved
+    # lengths, stacked by (n, L): each row of a stack is its circuit
+    # compiled alone
     shapes = [(4, 8), (4, 4), (6, 8), (4, 8), (2, 2), (66, 2), (4, 4), (6, 8), (4, 8)]
-    specs = [mirror_circuit_spec(100 + i, n, length, circuit_id=i)
-             for i, (n, length) in enumerate(shapes)]
-    batched = build_mirror_circuits(specs)
-    assert [circuit.circuit_id for circuit in batched] == list(range(len(specs)))
-    for spec, circuit in zip(specs, batched):
-        [alone] = build_mirror_circuits([spec])
-        assert circuit.spec is spec
-        np.testing.assert_array_equal(circuit.rounds, alone.rounds)
-        assert not circuit.rounds.flags.writeable
-        assert circuit.expected_outcome == alone.expected_outcome
-        for images, alone_images in ((circuit.x_images, alone.x_images),
-                                     (circuit.z_images, alone.z_images)):
-            if spec.n_qubits > 64:
-                assert images is None and alone_images is None
-            else:
-                np.testing.assert_array_equal(images, alone_images)
-        expected, snapshots = _reference_pass(circuit.rounds, spec.matchings,
-                                              spec.n_qubits, spec.length)
-        assert circuit.expected_outcome == expected
-        if circuit.x_images is not None:
-            for r, part, x, z in snapshots:
-                assert circuit.x_images[r, part].tolist() == x
-                assert circuit.z_images[r, part].tolist() == z
+    for n, length in dict.fromkeys(shapes):
+        ids = [i for i, shape in enumerate(shapes) if shape == (n, length)]
+        seeds = [100 + i for i in ids]
+        batched = _circuit_stack(_draw_stack(seeds, n, length), seeds, ids)
+        assert batched.circuit_ids == tuple(ids)
+        assert not batched.rounds.flags.writeable
+        for c, (i, seed) in enumerate(zip(ids, seeds)):
+            alone = mirror_circuit_spec(seed, n, length, circuit_id=i)
+            for name in ("cliffords", "matchings", "paulis", "rounds", "outcome"):
+                np.testing.assert_array_equal(getattr(batched, name)[c],
+                                              getattr(alone, name)[0])
+            for images, alone_images in ((batched.x_images, alone.x_images),
+                                         (batched.z_images, alone.z_images)):
+                if n > 64:
+                    assert images is None and alone_images is None
+                else:
+                    np.testing.assert_array_equal(images[c], alone_images[0])
+            expected, snapshots = _reference_pass(batched.rounds[c], batched.matchings[c],
+                                                  n, length)
+            assert tuple(batched.outcome[c].tolist()) == expected
+            if batched.x_images is not None:
+                for r, part, x, z in snapshots:
+                    assert batched.x_images[c, r, part].tolist() == x
+                    assert batched.z_images[c, r, part].tolist() == z
 
 
 def test_build_mirror_circuits_batches_by_size():
-    # a batch holds at most _BATCH_WORDS image words; every batch gives the
-    # same circuits
+    # checks _batches' compile cut: a batch holds at most _BATCH_WORDS
+    # image words; every batch gives the same circuits
     specs = sample_experiment(8, 4, (3, 2), 5)
-    batches = _batches([(spec.n_qubits, spec.length) for spec in specs])
+    batches = _batches([(spec.n_qubits, spec.length) for spec in specs for _ in spec.seeds])
     assert batches == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
     assert _batches([(256, 1)] * 20) == [list(range(16)), list(range(16, 20))]
     assert _batches([(2048, 1)] * 2) == [[0], [1]]
-    whole = build_mirror_circuits(specs)
-    assert [circuit_to_json(c) for c in whole] == \
-        [circuit_to_json(build_mirror_circuits([spec])[0]) for spec in specs]
+    assert _rows(specs) == [circuit_to_json(mirror_circuit_spec(
+        data["seed"], 4, data["L"], circuit_id=data["circuit_id"])) for data in _rows(specs)]
 
 
 def test_experiment_stacks_are_the_sampled_experiment_batch_by_batch():
-    # a repeated length joins its first appearance's group; at n = 256 the
-    # group is cut into batches of 16 and 2.  Each stack, compiled and
-    # turned into files as generate writes them, gives the sampled specs'
-    # circuits
+    # each length's circuits are a stack of their own, in circuit-id order,
+    # also where a length repeats; at n = 256 a stack holds at most 16
+    # circuits, so 18 are cut into 16 and 2.  Each stack, turned into files
+    # as generate writes them, gives the sampled circuits compiled alone
     for n, lengths, count, order in (
-            (4, (3, 2, 3), 4, [0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7]),
+            (4, (3, 2, 3), 4, list(range(12))),
             (256, (1,), 18, list(range(18)))):
-        whole = build_mirror_circuits(sample_experiment(9, n, lengths, count))
+        cells = _experiment_seeds(9, lengths, count)
+        whole = [mirror_circuit_spec(seed, n, length, circuit_id=i)
+                 for i, (length, seed) in enumerate(cells)]
         written = []
-        for ids, seeds, stack in _experiment_stacks(9, n, lengths, count):
-            rounds, outcome, _, _ = _compile_stack(stack)
-            written += _stack_json(stack, rounds, outcome, seeds, ids)
+        for stack in _experiment_stacks(9, n, lengths, count):
+            written += _stack_json(stack)
         assert [data["circuit_id"] for data in written] == order
         assert written == [circuit_to_json(whole[i]) for i in order]
+        assert written == _rows(sample_experiment(9, n, lengths, count))
 
 
 def test_a_failing_spec_names_its_circuit_id(monkeypatch):
@@ -690,9 +737,8 @@ def test_a_failing_spec_names_its_circuit_id(monkeypatch):
         return rounds
 
     monkeypatch.setattr(circuits_module, "_merged_rounds", break_second_of_length_3)
-    specs = sample_experiment(5, 4, (2, 3), 4)  # circuit ids 0-7; 5 breaks
     with pytest.raises(CompilationError, match=r"compiled circuit 5 is wrong"):
-        build_mirror_circuits(specs)
+        sample_experiment(5, 4, (2, 3), 4)  # circuit ids 0-7; 5 breaks
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +762,7 @@ def _outcome_probability(circuit) -> float:
         else:
             a, b = gate.qubits
             state = state * np.exp(-1j * np.pi / 4 * np.where(bits[a] == bits[b], 1, -1))
-    return float(abs(state[tuple(circuit.expected_outcome)]) ** 2)
+    return float(abs(state[tuple(circuit.outcome[0].tolist())]) ** 2)
 
 
 def _integer_slots(data):
@@ -731,8 +777,7 @@ def _integer_slots(data):
 def test_single_integer_edit_is_rejected_or_still_correct(seed, n, length, data):
     # any one integer of a version-2 file changed: the load either fails, or
     # gives a circuit that sends |0...0> to its stored outcome for certain
-    [compiled] = build_mirror_circuits([mirror_circuit_spec(seed, n, length)])
-    original = circuit_to_json(compiled)
+    original = circuit_to_json(mirror_circuit_spec(seed, n, length))
     key, i = data.draw(st.sampled_from(_integer_slots(original)))
     value = data.draw(st.one_of(st.integers(-2, 30), st.integers()))
     edited = json.loads(json.dumps(original))
@@ -741,7 +786,7 @@ def test_single_integer_edit_is_rejected_or_still_correct(seed, n, length, data)
     else:
         edited[key][i] = value
     try:
-        [circuit] = check_circuits([_parsed_circuit(edited)])
+        circuit = _loaded(edited)
     except ValueError:
         return
     assert abs(_outcome_probability(circuit) - 1.0) < 1e-9
@@ -750,12 +795,12 @@ def test_single_integer_edit_is_rejected_or_still_correct(seed, n, length, data)
 def test_diagonal_cliffords_pass_the_check_at_gate_0():
     # the check proves U maps each Z_q to +/-Z_q, not that U is a Pauli: a
     # diagonal Clifford ahead of gate 0 fixes Z_0, so 4 of the 24 indices load
-    data = circuit_to_json(build_mirror_circuits([mirror_circuit_spec(11, 4, 2)])[0])
+    data = circuit_to_json(mirror_circuit_spec(11, 4, 2))
     loaded = []
     for index in range(24):
         data["rounds"][0] = index
         try:
-            loaded.extend(check_circuits([_parsed_circuit(data)]))
+            loaded.append(_loaded(data))
         except ValueError:
             continue
     assert len(loaded) == 4
@@ -777,8 +822,8 @@ def test_matchings_are_uniform():
     bound = chi2.ppf(1.0 - 1e-4, 14)
     for seed in range(5):
         specs = sample_experiment(seed, 6, (10,), 300)
-        counts = Counter(tuple(sorted(map(tuple, matching)))
-                         for spec in specs for matching in spec.matchings.tolist())
+        counts = Counter(tuple(sorted(map(tuple, matching))) for spec in specs
+                         for circuit in spec.matchings.tolist() for matching in circuit)
         assert len(counts) == 15
         expected = 3000 / 15
         stat = sum((c - expected) ** 2 / expected for c in counts.values())

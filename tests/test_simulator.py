@@ -17,7 +17,13 @@ from mirrorbench.channels import (
     UnitaryError,
     stochastic_pauli_tensor,
 )
-from mirrorbench.circuits import build_mirror_circuits, mirror_circuit_spec
+from mirrorbench.circuits import (
+    _circuit_stack,
+    _draw_stack,
+    _mirror_start,
+    mirror_circuit_spec,
+    sample_experiment,
+)
 from mirrorbench.operators import _CLIFF_WORDS, CLIFFORD_UNITARIES
 from mirrorbench.simulator import (
     DatasetEntry,
@@ -147,7 +153,8 @@ def _oracle_flips(circuit, noise, uniforms):
             differ = ((x >> a) ^ (x >> b)) & one
             z ^= (differ << a) | (differ << b)
             params = noise.two_qubit
-            if pos >= circuit.mirror_start and noise.inverse_half_override is not None:
+            if (pos >= _mirror_start(circuit.n_qubits, circuit.length)
+                    and noise.inverse_half_override is not None):
                 params = noise.inverse_half_override
         if params is None:
             continue
@@ -174,15 +181,15 @@ def _fault_program(circuit, noise):
     """The ``(sites, 16)`` fault table and the site classes of one circuit:
     a stack of one of ``_fault_tables``."""
     sites, classes = _fault_sites(circuit.n_qubits, circuit.length, noise)
-    masks = _fault_tables(circuit.x_images[None], circuit.z_images[None],
-                          circuit.uzz_layers[None], sites)
+    masks = _fault_tables(circuit.x_images, circuit.z_images, circuit.uzz_layers, sites)
     return FaultProgram(masks[0], classes)
 
 
 def _stacked(circuits, noise):
-    """The fault table of circuits of one (n, L), built as one stack."""
+    """The fault table of stacks of one circuit of one (n, L), built as one
+    stack."""
     sites, _ = _fault_sites(circuits[0].n_qubits, circuits[0].length, noise)
-    return _fault_tables(*(np.stack([getattr(c, name) for c in circuits])
+    return _fault_tables(*(np.concatenate([getattr(c, name) for c in circuits])
                            for name in ("x_images", "z_images", "uzz_layers")), sites)
 
 
@@ -191,8 +198,7 @@ def test_propagate_faults_matches_frame_oracle(n_qubits, length):
     # the oracle's faults of two circuits of one stack, given to the block
     # decode as draws: each fault's place in its class's (shot, site) grid,
     # and a uniform that the class's conditional table turns into its code
-    circuits = build_mirror_circuits([mirror_circuit_spec(3 + n_qubits + c, n_qubits, length)
-                                      for c in range(2)])
+    circuits = [mirror_circuit_spec(3 + n_qubits + c, n_qubits, length) for c in range(2)]
     noise = NoiseModel(two_qubit=PAULI_2Q, single_qubit=PAULI_1Q,
                        inverse_half_override=Depolarizing(0.2))
     sites, classes = _fault_sites(n_qubits, length, noise)
@@ -227,7 +233,8 @@ def _reference_fault_program(circuit, noise):
         observables.apply(gate)
         if isinstance(gate, CliffordGate):
             params = noise.single_qubit
-        elif pos >= circuit.mirror_start and noise.inverse_half_override is not None:
+        elif (pos >= _mirror_start(circuit.n_qubits, circuit.length)
+              and noise.inverse_half_override is not None):
             params = noise.inverse_half_override
         else:
             params = noise.two_qubit
@@ -236,7 +243,7 @@ def _reference_fault_program(circuit, noise):
         class_sites.setdefault((params, len(gate.qubits)), []).append(len(masks))
         row = observables.fault_masks(gate.qubits)
         masks.append(row + [0] * (16 - len(row)))
-    assert observables.outcome() == circuit.expected_outcome
+    assert observables.outcome() == tuple(circuit.outcome[0].tolist())
     return np.array(masks, dtype=np.uint64).reshape(-1, 16), class_sites
 
 
@@ -256,7 +263,7 @@ MASK_NOISES = (
 @pytest.mark.parametrize("noise", MASK_NOISES)
 def test_round_wise_masks_equal_the_per_gate_reference(n_qubits, noise):
     for seed, length in ((n_qubits, 1), (n_qubits + 1, 3), (n_qubits + 2, 6)):
-        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, length)])
+        circuit = mirror_circuit_spec(seed, n_qubits, length)
         program = _fault_program(circuit, noise)
         masks, class_sites = _reference_fault_program(circuit, noise)
         np.testing.assert_array_equal(program.masks, masks)
@@ -269,11 +276,23 @@ def test_round_wise_masks_equal_the_per_gate_reference(n_qubits, noise):
 
 
 def _mixed_length_circuits(n_qubits, count=12):
-    """``count`` circuits whose lengths 1, 3 and 6 take turns, so each
-    length's batches come from positions that are not adjacent."""
-    return build_mirror_circuits([
-        mirror_circuit_spec(100 * n_qubits + i, n_qubits, (1, 3, 6)[i % 3], circuit_id=i)
-        for i in range(count)])
+    """``count`` stacks of one circuit whose lengths 1, 3 and 6 take turns,
+    so each length's table batches gather positions that are not adjacent."""
+    return [mirror_circuit_spec(100 * n_qubits + i, n_qubits, (1, 3, 6)[i % 3], circuit_id=i)
+            for i in range(count)]
+
+
+def _length_stacks(circuits):
+    """The stacks of one ``circuits`` drawn again as one stack per length,
+    in order of length, and the circuits in the order of those stacks."""
+    ordered = sorted(circuits, key=lambda c: c.length)
+    stacks = []
+    for length, group in itertools.groupby(ordered, key=lambda c: c.length):
+        group = list(group)
+        seeds = [c.seeds[0] for c in group]
+        stacks.append(_circuit_stack(_draw_stack(seeds, group[0].n_qubits, length), seeds,
+                                     [c.circuit_ids[0] for c in group]))
+    return stacks, ordered
 
 
 @pytest.mark.parametrize("n_qubits", [2, 4, 10, 64])
@@ -290,9 +309,9 @@ def test_batched_fault_tables_equal_each_circuit_compiled_alone(n_qubits, noise)
         group = [circuits[pos] for pos in batch]
         assert len({c.length for c in group}) == 1
         sites, _ = _fault_sites(n_qubits, group[0].length, noise)
-        masks = _fault_tables(np.stack([c.x_images for c in group]),
-                              np.stack([c.z_images for c in group]),
-                              np.stack([c.uzz_layers for c in group]), sites)
+        masks = _fault_tables(np.concatenate([c.x_images for c in group]),
+                              np.concatenate([c.z_images for c in group]),
+                              np.concatenate([c.uzz_layers for c in group]), sites)
         assert len(batch) == 1 or masks.size <= _TABLE_WORDS
         for circuit, table in zip(group, masks):
             np.testing.assert_array_equal(table, _fault_program(circuit, noise).masks)
@@ -303,27 +322,64 @@ def test_batched_fault_tables_equal_each_circuit_compiled_alone(n_qubits, noise)
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_simulate_survival_counts_are_each_circuits_run_stabilizer(jobs):
-    # n = 64 with one-qubit noise, so some lengths take more than one batch
-    circuits = _mixed_length_circuits(64)
+    # n = 64 with one-qubit noise: twelve circuits as three stacks, one per
+    # length, so the stack of L = 6 spans two table batches and so two tasks
+    # under either jobs; circuit c of the stacks draws from (master, c)
+    stacks, circuits = _length_stacks(_mixed_length_circuits(64))
+    assert [len(stack) for stack in stacks] == [4, 4, 4]
     noise = NoiseModel(two_qubit=Depolarizing(0.002),
                        single_qubit=StochasticPauli((0.001, 0.0005, 0.001)))
+    assert len(_table_batches([(64, 6)] * 4, noise)) == 2
     master, shots = 77, 300
-    ds = simulate_survival(circuits, noise, shots, rng=master, jobs=jobs)
+    ds = simulate_survival(stacks, noise, shots, rng=master, jobs=jobs)
     expected = [run_stabilizer(circuit, noise, shots,
                                np.random.default_rng(np.random.SeedSequence((master, pos))))
                 for pos, circuit in enumerate(circuits)]
     assert [e.successes for e in ds.entries] == expected
     assert [(e.length, e.circuit_id) for e in ds.entries] == \
-        [(c.length, c.circuit_id) for c in circuits]
+        [(c.length, c.circuit_ids[0]) for c in circuits]
     assert 0 < sum(expected) < shots * len(circuits)
+
+
+@pytest.mark.parametrize("n_qubits,lengths,count,sizes", [
+    (4, (4, 8, 4), 2, [2, 2, 2]),  # a repeated length is a stack of its own
+    (64, (6, 1, 6), 4, [4, 4, 4]),  # a stack of L = 6 spans two table batches
+    (64, (1,), 257, [256, 1]),  # 256 circuits fill a stack's image words
+    (256, (1,), 18, [16, 2]),  # above both backends' limits: the stacks alone
+])
+def test_sampled_stacks_run_as_their_circuits_alone(n_qubits, lengths, count, sizes):
+    # sample_experiment's stacks are in circuit-id order, so each circuit's
+    # position among them, which names its child stream, is its circuit id:
+    # the dataset is that of each circuit drawn, compiled and run alone
+    stacks = sample_experiment(5, n_qubits, lengths, count)
+    assert [len(stack) for stack in stacks] == sizes
+    rows = [(stack.length, circuit_id, seed) for stack in stacks
+            for circuit_id, seed in zip(stack.circuit_ids, stack.seeds)]
+    assert [circuit_id for _, circuit_id, _ in rows] == list(range(len(rows)))
+    alone = [mirror_circuit_spec(seed, n_qubits, length, circuit_id=circuit_id)
+             for length, circuit_id, seed in rows]
+    stacked = [(stack, c) for stack in stacks for c in range(len(stack))]
+    for (stack, c), circuit in zip(stacked, alone):
+        for name in ("cliffords", "matchings", "paulis", "rounds", "outcome"):
+            np.testing.assert_array_equal(getattr(stack, name)[c], getattr(circuit, name)[0])
+    noise = NoiseModel(two_qubit=Depolarizing(0.002),
+                       single_qubit=StochasticPauli((0.001, 0.0005, 0.001)))
+    backends = [backend for backend, limit in (("stabilizer", 64), ("dense", 8))
+                if n_qubits <= limit]
+    for backend in backends:
+        ds = simulate_survival(stacks, noise, 300, rng=31, backend=backend)
+        assert ds == simulate_survival(alone, noise, 300, rng=31, backend=backend)
+        # two workers cut the stacks into tasks of at most half the circuits
+        assert ds == simulate_survival(stacks, noise, 300, rng=31, jobs=2, backend=backend)
+        assert [(e.length, e.circuit_id, e.seed) for e in ds.entries] == rows
+        assert 0 < sum(e.successes for e in ds.entries) < 300 * len(rows)
 
 
 def test_simulate_survival_memory_does_not_grow_with_the_circuit_count():
     # n = 64, L = 16: 16,384 table words a circuit, so four fill a batch.
     # The traced peak of 24 circuits is that of 8 within 64 KB, and below
     # 1.5 MB.
-    circuits = build_mirror_circuits(
-        [mirror_circuit_spec(s, 64, 16, circuit_id=s) for s in range(24)])
+    circuits = [mirror_circuit_spec(s, 64, 16, circuit_id=s) for s in range(24)]
     noise = NoiseModel(two_qubit=Depolarizing(0.001))
     simulate_survival(circuits[:1], noise, 100, rng=0)  # caches outside the trace
     peaks = []
@@ -390,7 +446,7 @@ def test_stack_loop_counts_equal_the_per_circuit_loop(n_qubits, shots):
         classes = [_fault_sites(*sizes[i], noises[i])[1] for i in batch]
         stacked = _stack_survivors(masks, classes, shots, rngs)
         sites, _ = _fault_sites(*sizes[batch[0]], noises[1])
-        assert _run_batch((*(np.stack([getattr(circuits[i], name) for i in batch])
+        assert _run_batch((*(np.concatenate([getattr(circuits[i], name) for i in batch])
                              for name in ("x_images", "z_images", "uzz_layers")),
                            sites, classes, shots, [(21, i) for i in batch])) == stacked.tolist()
         for c, i in enumerate(batch):
@@ -412,7 +468,7 @@ def test_stack_loop_memory_holds_each_fault_a_few_times():
     # that of one circuit alone, as it would not if the loop held the faults
     # of the whole stack
     noise = NoiseModel(two_qubit=Depolarizing(0.001))
-    circuits = build_mirror_circuits([mirror_circuit_spec(s, 64, 16) for s in range(4)])
+    circuits = [mirror_circuit_spec(s, 64, 16) for s in range(4)]
     masks = _stacked(circuits, noise)
     _, classes = _fault_sites(64, 16, noise)
     faults = _SHOT_BLOCK * len(classes[0].sites) * classes[0].q
@@ -462,7 +518,7 @@ ORACLE_NOISES = (
 @pytest.mark.parametrize("noise", ORACLE_NOISES)
 def test_exact_survival_oracle_matches_dense(n_qubits, noise):
     for seed in range(3):
-        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, 2 + seed)])
+        circuit = mirror_circuit_spec(seed, n_qubits, 2 + seed)
         exact = _exact_survival(_fault_program(circuit, noise), n_qubits)
         assert abs(exact - run_dense(circuit, noise)) < 1e-9
 
@@ -476,7 +532,7 @@ def test_sparse_sampler_matches_exact_survival(n_qubits, length, shots):
     rng = np.random.default_rng(60 + n_qubits)
     excursions = 0
     for seed in range(20):
-        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, length)])
+        circuit = mirror_circuit_spec(seed, n_qubits, length)
         exact = _exact_survival(_fault_program(circuit, noise), n_qubits)
         rate = run_stabilizer(circuit, noise, shots, rng) / shots
         excursions += abs(rate - exact) > 5 * _binomial_sigma(exact, shots)
@@ -487,7 +543,7 @@ def test_identity_probability_below_zero_is_clamped():
     # the three probabilities sum to 1 + 5e-10, within StochasticPauli's tolerance
     noise = NoiseModel(single_qubit=StochasticPauli((0.5, 0.25, 0.2500000005)),
                        two_qubit=Depolarizing(0.05))
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(3, 2, 3)])
+    circuit = mirror_circuit_spec(3, 2, 3)
     program = _fault_program(circuit, noise)
     assert max(cls.q for cls in program.classes) == 1.0
     shots = 20000
@@ -497,7 +553,7 @@ def test_identity_probability_below_zero_is_clamped():
 
 
 def test_noiseless_class_draws_nothing():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(6, 4, 3)])
+    circuit = mirror_circuit_spec(6, 4, 3)
     noise = NoiseModel(two_qubit=Depolarizing(0.0))  # as `@inverse=none` on both halves
     program = _fault_program(circuit, noise)
     assert [cls.q for cls in program.classes] == [0.0]
@@ -560,12 +616,13 @@ def _density_matrix_survival(circuit, noise):
         else:
             u = _uzz_on(*gate.qubits, n)
             params = noise.two_qubit
-            if pos >= circuit.mirror_start and noise.inverse_half_override is not None:
+            if (pos >= _mirror_start(circuit.n_qubits, circuit.length)
+                    and noise.inverse_half_override is not None):
                 params = noise.inverse_half_override
         rho = u @ rho @ u.conj().T
         if params is not None:
             rho = sum(k @ rho @ k.conj().T for k in _kraus_ops(params, gate.qubits, n))
-    index = sum(bit << (n - 1 - q) for q, bit in enumerate(circuit.expected_outcome))
+    index = sum(bit << (n - 1 - q) for q, bit in enumerate(circuit.outcome[0].tolist()))
     return float(rho[index, index].real)
 
 
@@ -591,7 +648,7 @@ ORACLE_CASES = [(n, i) for n in (2, 4, 6) for i in range(len(NON_PAULI_NOISES))]
                          ids=[f"noise{i}-{n}" for n, i in ORACLE_CASES])
 def test_dense_matches_density_matrix_oracle(n_qubits, noise):
     for seed in range(3 if n_qubits < 8 else 1):
-        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, n_qubits, 2 + seed)])
+        circuit = mirror_circuit_spec(seed, n_qubits, 2 + seed)
         expected = _density_matrix_survival(circuit, noise)
         assert expected < 0.99
         assert abs(run_dense(circuit, noise) - expected) < 1e-12
@@ -607,15 +664,14 @@ def test_stabilizer_matches_dense_probability():
     noise = NoiseModel(two_qubit=PAULI_2Q, single_qubit=PAULI_1Q)
     rng = np.random.default_rng(11)
     for seed in (0, 1, 2):
-        [circuit] = build_mirror_circuits([mirror_circuit_spec(seed, 2, 3)])
+        circuit = mirror_circuit_spec(seed, 2, 3)
         exact = run_dense(circuit, noise)
         rate = run_stabilizer(circuit, noise, shots, rng) / shots
         assert abs(rate - exact) < 5 * _binomial_sigma(exact, shots)
 
 
 def test_inverse_half_override_changes_rates():
-    spec = mirror_circuit_spec(5, 2, 4)
-    [circuit] = build_mirror_circuits([spec])
+    circuit = mirror_circuit_spec(5, 2, 4)
     noisy = NoiseModel(two_qubit=Depolarizing(0.3))
     clean_half = NoiseModel(two_qubit=Depolarizing(0.3),
                             inverse_half_override=Depolarizing(0.0))
@@ -625,7 +681,7 @@ def test_inverse_half_override_changes_rates():
 
 
 def test_zero_noise_always_succeeds():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(8, 4, 3)])
+    circuit = mirror_circuit_spec(8, 4, 3)
     successes = run_stabilizer(circuit, NoiseModel(), 2000, np.random.default_rng(0))
     assert type(successes) is int and successes == 2000
     assert abs(run_dense(circuit, NoiseModel()) - 1.0) < 1e-12
@@ -633,7 +689,7 @@ def test_zero_noise_always_succeeds():
 
 def test_fully_depolarizing_hits_baseline():
     noise = NoiseModel(two_qubit=Depolarizing(1.0))
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(21, 2, 4)])
+    circuit = mirror_circuit_spec(21, 2, 4)
     assert abs(run_dense(circuit, noise) - 0.25) < 1e-12
     shots = 20000
     rate = run_stabilizer(circuit, noise, shots, np.random.default_rng(1)) / shots
@@ -641,14 +697,14 @@ def test_fully_depolarizing_hits_baseline():
 
 
 def test_stabilizer_rejects_non_pauli_noise():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(2, 2, 1)])
+    circuit = mirror_circuit_spec(2, 2, 1)
     noise = NoiseModel(two_qubit=AmplitudeDamping(0.2))
     with pytest.raises(ValueError, match="stochastic Pauli"):
         run_stabilizer(circuit, noise, 10, np.random.default_rng(0))
 
 
 def test_run_dense_rejects_large_systems():
-    [circuit] = build_mirror_circuits([mirror_circuit_spec(2, 10, 1)])
+    circuit = mirror_circuit_spec(2, 10, 1)
     with pytest.raises(ValueError):
         run_dense(circuit, NoiseModel())
 
@@ -659,8 +715,11 @@ def test_run_dense_rejects_large_systems():
 
 
 def test_simulate_survival_deterministic_and_jobs_invariant():
-    specs = [mirror_circuit_spec(s, 2, ell, circuit_id=i)
-             for i, (s, ell) in enumerate(((0, 1), (1, 1), (2, 2), (3, 2)))]
+    # seeds 0-3 at lengths 1, 1, 2, 2 as two stacks of two, which two
+    # workers run as a task each
+    specs, _ = _length_stacks([mirror_circuit_spec(s, 2, ell, circuit_id=i)
+                               for i, (s, ell) in enumerate(((0, 1), (1, 1), (2, 2), (3, 2)))])
+    assert [len(stack) for stack in specs] == [2, 2]
     noise = NoiseModel(two_qubit=Depolarizing(0.1))
     a = simulate_survival(specs, noise, 500, rng=42)
     b = simulate_survival(specs, noise, 500, rng=42)
@@ -688,20 +747,35 @@ def test_simulate_survival_rejects_fewer_than_one_job(jobs):
 
 
 def test_simulate_survival_accepts_compiled_circuits():
+    # checks simulate_survival's input types: a stack, or a list of
+    # stacks; position 0 is the first circuit either way
     specs = [mirror_circuit_spec(0, 2, 1), mirror_circuit_spec(1, 2, 2)]
-    compiled = build_mirror_circuits(specs)
     noise = NoiseModel(two_qubit=Depolarizing(0.05))
-    assert simulate_survival(specs, noise, 300, rng=9) == \
-        simulate_survival(compiled, noise, 300, rng=9)
+    assert simulate_survival(specs[0], noise, 300, rng=9) == \
+        simulate_survival(specs[:1], noise, 300, rng=9)
+    assert simulate_survival(specs, noise, 300, rng=9).entries[0] == \
+        simulate_survival(specs[0], noise, 300, rng=9).entries[0]
 
 
 def test_simulate_survival_dense_backend_draws_binomial():
     specs = [mirror_circuit_spec(4, 2, 2)]
     noise = NoiseModel(two_qubit=Depolarizing(0.2))
     ds = simulate_survival(specs, noise, 100000, rng=5, backend="dense")
-    exact = run_dense(build_mirror_circuits(specs)[0], noise)
+    exact = run_dense(specs[0], noise)
     rate = ds.entries[0].successes / ds.entries[0].shots
     assert abs(rate - exact) < 5 * _binomial_sigma(exact, 100000)
+
+
+def test_simulate_survival_rejects_bad_input():
+    noise = NoiseModel(two_qubit=Depolarizing(0.1))
+    circuit = mirror_circuit_spec(0, 2, 1)
+    for circuits in ([circuit, circuit.rounds], [{"n": 2}], [None]):
+        with pytest.raises(TypeError, match="expected a CircuitStack"):
+            simulate_survival(circuits, noise, 10, rng=1)
+    with pytest.raises(ValueError, match="no circuits given"):
+        simulate_survival([], noise, 10, rng=1)
+    with pytest.raises(ValueError, match="share a qubit count"):
+        simulate_survival([circuit, mirror_circuit_spec(0, 4, 1)], noise, 10, rng=1)
 
 
 def test_dataset_round_trips(tmp_path):
