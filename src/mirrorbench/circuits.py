@@ -127,7 +127,8 @@ class CircuitStack:
     round r's Cliffords, and at ``[c, r, 1, p]`` after its UZZ layer.
     Built only by ``_circuit_stack``, which checks the circuits: calling
     ``CircuitStack(...)`` directly checks nothing, so get records from
-    ``mirror_circuit_spec``, ``sample_experiment`` or ``read_circuit``.
+    ``mirror_circuit_stack``, ``mirror_circuit_spec``, ``sample_experiment``
+    or ``read_circuit``.
     """
 
     seeds: tuple
@@ -185,7 +186,7 @@ def _draw_stack(seeds: Sequence[int], n_qubits: int, length: int) -> tuple:
     """The read-only int64 ``(cliffords, matchings, paulis)`` of C specs of
     one (n, L), ``(C, L, n)``, ``(C, L, n/2, 2)`` and ``(C, 2L+1, n)``, one
     row per seed, each drawn from its own ``default_rng(seed)`` as
-    ``mirror_circuit_spec`` documents; the pairs of the whole stack are
+    ``mirror_circuit_stack`` documents; the pairs of the whole stack are
     sorted by one min/max, and the stack is checked once (``_check_stack``).
     """
     if n_qubits < 2 or n_qubits % 2:
@@ -211,14 +212,28 @@ def _draw_stack(seeds: Sequence[int], n_qubits: int, length: int) -> tuple:
     return stack
 
 
+def mirror_circuit_stack(seeds: Sequence[int], n_qubits: int, length: int,
+                         circuit_ids: Optional[Sequence[int]] = None) -> CircuitStack:
+    """Draw and compile one circuit of (n, L) from each of one or more
+    seeds, as one stack in seed order, with ids ``circuit_ids`` (default 0,
+    1, ...).  Circuit c is drawn from its own ``default_rng(seeds[c])``:
+    the Cliffords, ``integers(24)`` of shape ``(L, n)``; the matchings,
+    ``rng.permuted`` of the L rows of ``tile(arange(n))`` along each row,
+    cut into consecutive sorted pairs; the Paulis, ``integers(4)`` of shape
+    ``(2L+1, n)``.  The stack is compiled in one pass (``_circuit_stack``),
+    so its memory grows with the number of seeds."""
+    seeds = list(seeds)
+    circuit_ids = list(range(len(seeds)) if circuit_ids is None else circuit_ids)
+    if not seeds or len(circuit_ids) != len(seeds):
+        raise ValueError("need one or more seeds and one circuit id per seed")
+    return _circuit_stack(_draw_stack(seeds, n_qubits, length), seeds, circuit_ids)
+
+
 def mirror_circuit_spec(seed: int, n_qubits: int, length: int,
                         circuit_id: int = 0) -> CircuitStack:
-    """Draw and compile one circuit from a single seed, a stack of one
-    (``_draw_stack``): from ``default_rng(seed)``, the Cliffords,
-    ``integers(24)`` of shape ``(L, n)``; the matchings, ``rng.permuted`` of
-    the L rows of ``tile(arange(n))`` along each row, cut into consecutive
-    sorted pairs; the Paulis, ``integers(4)`` of shape ``(2L+1, n)``."""
-    return _circuit_stack(_draw_stack([seed], n_qubits, length), [seed], [circuit_id])
+    """Draw and compile one circuit from a single seed: a stack of one of
+    ``mirror_circuit_stack``."""
+    return mirror_circuit_stack([seed], n_qubits, length, [circuit_id])
 
 
 def _experiment_seeds(rng, lengths: Sequence[int], circuits_per_length: int) -> list:
@@ -255,7 +270,7 @@ def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
 
     ``rng`` may be a Generator or an integer seed.  Each circuit records its
     own seed so it can be regenerated independently
-    (``mirror_circuit_spec``).
+    (``mirror_circuit_spec``, or ``mirror_circuit_stack`` for many).
     """
     return list(_experiment_stacks(rng, n_qubits, lengths, circuits_per_length))
 

@@ -29,6 +29,7 @@ import csv
 import json
 import os
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -565,32 +566,41 @@ def cmd_rerun(manifest_path: str, out_override=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser of every command, or only of ``command`` (a key
+    of ``COMMANDS``), which parses, helps and fails on that command's
+    arguments as the full parser does, but builds one subparser."""
     parser = argparse.ArgumentParser(
         prog="mirrorbench",
         description="Mirror-circuit benchmarking: generate, simulate, and fit.",
     )
     parser.add_argument("--version", action="version",
                         version=f"mirrorbench {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, command_help, table) in COMMANDS.items():
-        p = sub.add_parser(command, help=command_help)
-        for name, kind, default, help_text in table:
+    # one command's parser still names every command in its usage line
+    every = None if command is None else "{%s}" % ",".join([*COMMANDS, "rerun"])
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (_, command_help, table) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=command_help)
+        for param, kind, default, help_text in table:
             choices = kind if isinstance(kind, tuple) else None
-            p.add_argument("--" + name.replace("_", "-"),
+            p.add_argument("--" + param.replace("_", "-"),
                            type=None if choices else kind, choices=choices,
                            default=default, required=default is None, help=help_text)
         p.add_argument("--out", default="", help=_OUT[3])
 
-    p = sub.add_parser("rerun", help="replay a previous run from its manifest")
-    p.add_argument("manifest", help="path to a manifest.json")
-    p.add_argument("--out", default=None, help="override the output directory")
+    if command is None:
+        p = sub.add_parser("rerun", help="replay a previous run from its manifest")
+        p.add_argument("manifest", help="path to a manifest.json")
+        p.add_argument("--out", default=None, help="override the output directory")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

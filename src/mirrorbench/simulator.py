@@ -15,9 +15,10 @@ circuits of one (n, L) that ``circuits.CircuitStack`` holds, as arrays
   (``_stack_survivors``).  ``run_stabilizer`` runs a stack of one
   circuit through the same loop.
 - dense: exact survival probability by propagating the PTM coordinates of
-  the state round by round (up to 8 qubits), each gate merged with the
-  channel after it (``_dense_survival``; ``run_dense`` for a stack of one
-  circuit).
+  the states of a stack round by round (up to 8 qubits), each gate merged
+  with the channel after it, as batched matrix products between two state
+  buffers of at most ``_DENSE_WORDS`` words each, reused for the whole
+  batch (``_dense_survivals``; ``run_dense`` runs a stack of one circuit).
 
 Noise placement (``_channel``, shared by both backends): the two-qubit
 channel acts after every UZZ gate, the single-qubit channel (optional) after
@@ -61,6 +62,10 @@ _SHOT_BLOCK = 8192
 # builds at once, 512 KB: a batch holds at least one circuit, so memory does
 # not grow with the number of circuits
 _TABLE_WORDS = 1 << 16
+
+# words of one of the two dense state buffers of a batch of circuits, 512 KB:
+# 256 circuits at n = 4, 16 at n = 6 and one at n = 8
+_DENSE_WORDS = 1 << 16
 
 # the most qubits each backend simulates: uint64 fault masks, and a dense
 # state of 4^n floats (512 KB at n = 8)
@@ -393,61 +398,79 @@ def _local_ptm(clifford: Optional[int], params: Optional[ChannelParams],
     return out
 
 
-def _uzz_layer(state: np.ndarray, axes: list, inverse: list, ptm: np.ndarray) -> np.ndarray:
-    """``state`` after a UZZ layer merged with its channel (``ptm``, the
-    transposed 16x16 PTM), given the layer's pairs one after another as
-    ``axes`` and its ``inverse`` permutation: transposed so that each pair's
-    axes are adjacent, each product contracts the first pair's 16-wide axis
-    and appends it, and after n/2 of them the state is transposed back."""
-    n = len(axes)
-    state = state.reshape((4,) * n).transpose(axes)
-    for _ in range(n // 2):
-        state = np.dot(state.reshape(16, -1).T, ptm)
-    return state.reshape((4,) * n).transpose(inverse)
-
-
 def run_dense(circuit: CircuitStack, noise: NoiseModel) -> float:
     """Exact survival probability of a stack of one circuit via PTM
-    propagation (n <= 8): the array core ``_dense_survival`` on its rounds,
-    layers and outcome."""
+    propagation (n <= 8): the stack kernel ``_dense_survivals`` on its
+    rounds, layers and outcome."""
     _single(circuit)
-    return _dense_survival(circuit.rounds[0], circuit.uzz_layers[0], circuit.outcome[0], noise)
+    return float(_dense_survivals(circuit.rounds, circuit.uzz_layers, circuit.outcome,
+                                  noise)[0])
 
 
-def _dense_survival(rounds: np.ndarray, layers: np.ndarray, outcome: Sequence[int],
-                    noise: NoiseModel) -> float:
-    """The exact survival probability of the circuit with ``(2L, n)``
-    ``rounds``, ``(2L, n/2, 2)`` UZZ ``layers`` and ``outcome`` bits.
+def _dense_survivals(rounds: np.ndarray, layers: np.ndarray, outcome: np.ndarray,
+                     noise: NoiseModel) -> np.ndarray:
+    """The exact survival probabilities of C circuits of one (n, L) with
+    ``(C, 2L, n)`` ``rounds``, ``(C, 2L, n/2, 2)`` UZZ ``layers`` and
+    ``(C, n)`` ``outcome`` bits, each clamped to [0, 1].
 
-    The state's 4^n PTM coordinates, qubit 0's digit first, go round by
-    round, each gate merged with the channel after it.  A Clifford round is
-    n products of the ``(4^(n-1), 4)`` view with a local 4x4 PTM, each
-    contracting the first axis and appending it; a UZZ layer is one
-    transpose that makes each pair adjacent, n/2 products on 16-wide axes
-    and the transpose back (``_uzz_layer``).
+    Row c of a ``(C, 4, ..., 4)`` state holds circuit c's 4^n PTM
+    coordinates, qubit 0's digit first; they go round by round, each gate
+    merged with the channel after it, between two buffers that swap after
+    every product.  A Clifford round is n batched products, each of every
+    row's ``(4^(n-1), 4)`` view with its circuit's local 4x4 PTM,
+    contracting the first axis and appending it; a UZZ layer is
+    ``_uzz_layer``.  Each circuit's products are the matrix products, on
+    the same views, of that circuit run alone, so its probability does not
+    depend on the circuits beside it.
     """
-    steps, n = rounds.shape
+    count, steps, n = rounds.shape
     if n > _QUBIT_LIMITS["dense"]:
         raise ValueError(f"dense backend limited to {_QUBIT_LIMITS['dense']} qubits")
-    layers = layers.reshape(steps, n)
-    inverses = np.argsort(layers, axis=1).tolist()
-    layers = layers.tolist()
-    # transposed, since each product multiplies the state's view from the right
-    clifford_ptms = [_local_ptm(c, _channel(noise, 1, False), 1).T for c in range(24)]
+    layers = layers.reshape(count, steps, n)
+    # each product multiplies the state's view from the right by a transposed PTM
+    clifford_ptms = np.array([_local_ptm(c, _channel(noise, 1, False), 1) for c in range(24)])
     uzz_ptms = [_local_ptm(None, _channel(noise, 2, mirrored), 2).reshape(16, 16).T
                 for mirrored in (False, True)]
-    state = computational_state_vector(n, 0)
-    for r, cliffords in enumerate(rounds.tolist()):
+    state = np.empty((count,) + (4,) * n)
+    state.reshape(count, -1)[:] = computational_state_vector(n, 0)
+    spare, ptms = np.empty_like(state), np.empty((count, 4, 4))
+    for r in range(steps):
         mirrored = r >= steps // 2
+        uzz = (layers[:, r].tolist(), np.argsort(layers[:, r], axis=1).tolist(),
+               uzz_ptms[mirrored])
         if mirrored:  # the UZZ layer comes first in the mirrored half
-            state = _uzz_layer(state, layers[r], inverses[r], uzz_ptms[1])
-        for clifford in cliffords:
-            state = np.dot(state.reshape(4, -1).T, clifford_ptms[clifford])
+            state, spare = _uzz_layer(state, spare, *uzz)
+        for q in range(n):
+            clifford_ptms.take(rounds[:, r, q], axis=0, out=ptms)
+            np.matmul(state.reshape(count, 4, -1).transpose(0, 2, 1), ptms.transpose(0, 2, 1),
+                      out=spare.reshape(count, -1, 4))
+            state, spare = spare, state
         if not mirrored:
-            state = _uzz_layer(state, layers[r], inverses[r], uzz_ptms[0])
-    bits = sum(int(bit) << q for q, bit in enumerate(outcome))
-    prob = float(computational_state_vector(n, bits) @ state.reshape(-1))
-    return min(max(prob, 0.0), 1.0)
+            state, spare = _uzz_layer(state, spare, *uzz)
+    del spare  # freed for the readout vectors, each as large as a state
+    probs = [computational_state_vector(n, sum(bit << q for q, bit in enumerate(bits))) @ row
+             for bits, row in zip(outcome.tolist(), state.reshape(count, -1))]
+    return np.clip(probs, 0.0, 1.0)
+
+
+def _uzz_layer(state: np.ndarray, spare: np.ndarray, axes: list, inverses: list,
+               ptm: np.ndarray) -> tuple:
+    """The ``(state, spare)`` buffers after a UZZ layer merged with its
+    channel (``ptm``, the transposed 16x16 PTM), given each circuit's pairs
+    one after another as ``axes`` and their ``inverses``: each row is
+    transposed into the other buffer so that its pairs' axes are adjacent,
+    then each batched product contracts the first pair's 16-wide axis and
+    appends it, and after n/2 of them each row is transposed back."""
+    count = len(state)
+    for c, order in enumerate(axes):
+        spare[c] = state[c].transpose(order)
+    for _ in range(len(axes[0]) // 2):
+        np.matmul(spare.reshape(count, 16, -1).transpose(0, 2, 1), ptm,
+                  out=state.reshape(count, -1, 16))
+        state, spare = spare, state
+    for c, order in enumerate(inverses):
+        state[c] = spare[c].transpose(order)
+    return state, spare
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +500,11 @@ def _run_batch(task) -> list:
 def _run_dense_batch(task) -> list:
     """The success counts of ``(rounds, layers, outcome, noise, shots,
     child_seeds)``, a stack of one (n, L): a binomial draw from each
-    circuit's exact probability (``_dense_survival``)."""
+    circuit's exact probability (``_dense_survivals``)."""
     rounds, layers, outcome, noise, shots, child_seeds = task
-    return [int(np.random.default_rng(np.random.SeedSequence(seed))
-                .binomial(shots, _dense_survival(*circuit, noise)))
-            for *circuit, seed in zip(rounds, layers, outcome, child_seeds)]
+    return [int(np.random.default_rng(np.random.SeedSequence(seed)).binomial(shots, prob))
+            for prob, seed in zip(_dense_survivals(rounds, layers, outcome, noise).tolist(),
+                                  child_seeds)]
 
 
 def _counted(task) -> tuple:
@@ -497,17 +520,20 @@ def _run_stacks(stacks: Sequence[tuple], noise: NoiseModel, shots: int, master: 
     ``positions[c]``, and it draws from the child stream ``(master,
     positions[c])``.  Each stack is cut into tasks, one at a time:
     stabilizer batches of ``_table_batches`` (``_run_batch``) or dense ones
-    (``_run_dense_batch``), of at most ceil(circuits / jobs)."""
+    of at most ``_DENSE_WORDS`` state words (``_run_dense_batch``), of at
+    most ceil(circuits / jobs)."""
     rows = {pos: (stack.length, circuit_id, seed) for positions, stack in stacks
             for pos, circuit_id, seed in zip(positions, stack.circuit_ids, stack.seeds)}
     n, size = stacks[0][1].n_qubits, -(-len(rows) // jobs)
 
     def tasks():
         for positions, stack in stacks:
-            length, layers, step = stack.length, stack.uzz_layers, size
+            length, layers = stack.length, stack.uzz_layers
             if backend == "stabilizer":
                 sites, classes = _fault_sites(n, length, noise)
                 step = min(size, len(_table_batches([(n, length)] * len(positions), noise)[0]))
+            else:
+                step = min(size, max(1, _DENSE_WORDS >> 2 * n))
             for k in range(0, len(positions), step):
                 at, seeds = slice(k, k + step), [(master, pos) for pos in positions[k:k + step]]
                 if backend == "stabilizer":

@@ -27,6 +27,7 @@ from mirrorbench.circuits import (
     _z_pass,
     circuit_to_json,
     mirror_circuit_spec,
+    mirror_circuit_stack,
     read_circuit,
     sample_experiment,
     save_circuit,
@@ -116,7 +117,7 @@ def _loaded(data) -> CircuitStack:
 
 
 def _reference_draw(seed, n, length):
-    """The spec arrays of ``mirror_circuit_spec``'s documented draw, one rng
+    """The spec arrays of ``mirror_circuit_stack``'s documented draw, one rng
     call at a time."""
     rng = np.random.default_rng(seed)
     cliffords = rng.integers(24, size=(length, n))
@@ -169,6 +170,24 @@ def test_draw_stack_rows_are_each_seeds_spec(n, length):
             np.testing.assert_array_equal(getattr(spec, name), expected[None])
             np.testing.assert_array_equal(arr[c], getattr(spec, name)[0])
             assert not getattr(spec, name).flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 4, 64])
+def test_mirror_circuit_stack_rows_are_each_seeds_circuit(n):
+    seeds = [7 * n + k for k in range(4)]
+    for ids, expected_ids in ((None, (0, 1, 2, 3)), ([5, 9, 2, 4], (5, 9, 2, 4))):
+        stack = mirror_circuit_stack(seeds, n, 3, circuit_ids=ids)
+        assert (stack.seeds, stack.circuit_ids) == (tuple(seeds), expected_ids)
+        for c, (seed, circuit_id) in enumerate(zip(seeds, expected_ids)):
+            alone = mirror_circuit_spec(seed, n, 3, circuit_id=circuit_id)
+            for name in ("cliffords", "matchings", "paulis", "rounds", "outcome",
+                         "x_images", "z_images"):
+                np.testing.assert_array_equal(getattr(stack, name)[c],
+                                              getattr(alone, name)[0])
+    with pytest.raises(ValueError, match="one or more seeds"):
+        mirror_circuit_stack([], n, 3)
+    with pytest.raises(ValueError, match="one circuit id per seed"):
+        mirror_circuit_stack(seeds, n, 3, circuit_ids=[0, 1])
 
 
 def test_stack_check_rejects_what_a_spec_rejects():

@@ -774,3 +774,23 @@ def test_version_flag():
 
 def test_usage_error_exits_2():
     assert run_cli("generate", "--n", "2") == 2  # missing required --seed
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_commands_parser_helps_and_fails_as_the_full_parser(command, capsys, monkeypatch):
+    # main builds only the subparser of the command it is given, whose help,
+    # errors and exit codes must read as the full parser's, usage line too
+    def parsed(parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        return exc.value.code, capsys.readouterr()
+
+    for argv in ([command, "--help"], [command, "--no-such-option", "1"],
+                 [command, "--version"], [command]):
+        assert parsed(build_parser(command), argv) == parsed(build_parser(), argv)
+    built = []
+    monkeypatch.setattr("mirrorbench.cli.build_parser",
+                        lambda name=None: built.append(name) or build_parser(name))
+    for argv in ([command, "--help"], ["--help"], ["rerun", "--help"], ["bogus"], []):
+        main(argv)
+    assert built == [command, None, None, None, None]

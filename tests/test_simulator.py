@@ -15,6 +15,7 @@ from mirrorbench.channels import (
     Depolarizing,
     StochasticPauli,
     UnitaryError,
+    computational_state_vector,
     stochastic_pauli_tensor,
 )
 from mirrorbench.circuits import (
@@ -22,18 +23,24 @@ from mirrorbench.circuits import (
     _draw_stack,
     _mirror_start,
     mirror_circuit_spec,
+    mirror_circuit_stack,
     sample_experiment,
 )
+from mirrorbench import simulator
 from mirrorbench.operators import _CLIFF_WORDS, CLIFFORD_UNITARIES
 from mirrorbench.simulator import (
     DatasetEntry,
     DecayDataset,
     NoiseModel,
+    _DENSE_WORDS,
     _SHOT_BLOCK,
     _TABLE_WORDS,
     _block_flips,
+    _channel,
+    _dense_survivals,
     _fault_sites,
     _fault_tables,
+    _local_ptm,
     _read_entry,
     _run_batch,
     _site_class,
@@ -652,6 +659,145 @@ def test_dense_matches_density_matrix_oracle(n_qubits, noise):
         expected = _density_matrix_survival(circuit, noise)
         assert expected < 0.99
         assert abs(run_dense(circuit, noise) - expected) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The dense stack kernel against the per-circuit loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_uzz_layer(state, axes, inverse, ptm):
+    """``state`` after a UZZ layer merged with its channel (``ptm``, the
+    transposed 16x16 PTM), given the layer's pairs one after another as
+    ``axes`` and its ``inverse`` permutation."""
+    n = len(axes)
+    state = state.reshape((4,) * n).transpose(axes)
+    for _ in range(n // 2):
+        state = np.dot(state.reshape(16, -1).T, ptm)
+    return state.reshape((4,) * n).transpose(inverse)
+
+
+def _reference_dense_survival(rounds, layers, outcome, noise):
+    """The per-circuit PTM loop that the stack kernel replaced, on one
+    circuit's ``(2L, n)`` rounds, ``(2L, n/2, 2)`` layers and outcome bits:
+    a fresh state from every product."""
+    steps, n = rounds.shape
+    layers = layers.reshape(steps, n)
+    inverses = np.argsort(layers, axis=1).tolist()
+    layers = layers.tolist()
+    clifford_ptms = [_local_ptm(c, _channel(noise, 1, False), 1).T for c in range(24)]
+    uzz_ptms = [_local_ptm(None, _channel(noise, 2, mirrored), 2).reshape(16, 16).T
+                for mirrored in (False, True)]
+    state = computational_state_vector(n, 0)
+    for r, cliffords in enumerate(rounds.tolist()):
+        mirrored = r >= steps // 2
+        if mirrored:
+            state = _reference_uzz_layer(state, layers[r], inverses[r], uzz_ptms[1])
+        for clifford in cliffords:
+            state = np.dot(state.reshape(4, -1).T, clifford_ptms[clifford])
+        if not mirrored:
+            state = _reference_uzz_layer(state, layers[r], inverses[r], uzz_ptms[0])
+    bits = sum(int(bit) << q for q, bit in enumerate(outcome))
+    prob = float(computational_state_vector(n, bits) @ state.reshape(-1))
+    return min(max(prob, 0.0), 1.0)
+
+
+def _reference_probabilities(stack, noise):
+    return [_reference_dense_survival(stack.rounds[c], stack.uzz_layers[c],
+                                      stack.outcome[c], noise) for c in range(len(stack))]
+
+
+_WEAK_1Q = StochasticPauli((0.01, 0.002, 0.005))
+KERNEL_NOISES = (
+    NoiseModel(two_qubit=AmplitudeDamping(0.05)),
+    NoiseModel(two_qubit=Depolarizing(0.03), inverse_half_override=AmplitudeDamping(0.04)),
+    NoiseModel(two_qubit=stochastic_pauli_tensor(_WEAK_1Q, _WEAK_1Q), single_qubit=_WEAK_1Q,
+               inverse_half_override=Depolarizing(0.0)),  # pauli@inverse=none
+    NoiseModel(two_qubit=UnitaryError("XI", 0.4)),
+    NoiseModel(),
+)
+
+
+@pytest.mark.parametrize("noise", KERNEL_NOISES,
+                         ids=["amp_damp", "inverse_amp_damp", "pauli_inverse_none",
+                              "unitary_XI", "noiseless"])
+@pytest.mark.parametrize("length", [1, 3, 6])
+@pytest.mark.parametrize("n_qubits", [2, 4, 6, 8])
+def test_dense_stack_is_the_per_circuit_loop_exactly(n_qubits, length, noise):
+    # each circuit's products are the same BLAS products on the same views
+    # as in the loop, so the probabilities are equal, not merely close
+    count = 2 if n_qubits == 8 else 5
+    stack = mirror_circuit_stack(range(10 * n_qubits, 10 * n_qubits + count), n_qubits, length)
+    probs = _dense_survivals(stack.rounds, stack.uzz_layers, stack.outcome, noise)
+    assert probs.shape == (count,)
+    assert probs.tolist() == _reference_probabilities(stack, noise)
+    assert run_dense(mirror_circuit_spec(10 * n_qubits, n_qubits, length), noise) == probs[0]
+
+
+@pytest.mark.parametrize("n_qubits,count,batches", [
+    (6, 17, [16, 1]),  # a stack spans two buffer batches
+    (8, 2, [1, 1]),  # one n = 8 state fills a buffer
+])
+def test_dense_batches_hold_a_buffer_and_draw_the_per_circuit_counts(
+        n_qubits, count, batches, monkeypatch):
+    stack = mirror_circuit_stack(range(count), n_qubits, 3)
+    seen = []
+
+    def recorded(rounds, *rest):
+        seen.append(len(rounds))
+        return _dense_survivals(rounds, *rest)
+
+    monkeypatch.setattr(simulator, "_dense_survivals", recorded)
+    noise = KERNEL_NOISES[1]
+    master, shots = 19, 1000
+    ds = simulate_survival(stack, noise, shots, rng=master, backend="dense")
+    assert seen == batches
+    assert all(size << 2 * n_qubits <= _DENSE_WORDS for size in seen)
+    expected = [int(np.random.default_rng(np.random.SeedSequence((master, pos)))
+                    .binomial(shots, prob))
+                for pos, prob in enumerate(_reference_probabilities(stack, noise))]
+    assert [e.successes for e in ds.entries] == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("backend", ["stabilizer", "dense"])
+def test_one_stack_runs_as_its_seeds_alone(backend, jobs):
+    # mirror_circuit_stack's circuits are those of mirror_circuit_spec, and
+    # a stack gives the dataset of its circuits passed as records of one
+    seeds = [41, 7, 1003, 12, 5]
+    stack = mirror_circuit_stack(seeds, 4, 5, circuit_ids=[3, 4, 5, 6, 7])
+    alone = [mirror_circuit_spec(seed, 4, 5, circuit_id=3 + c) for c, seed in enumerate(seeds)]
+    noise = NoiseModel(two_qubit=Depolarizing(0.02), single_qubit=_WEAK_1Q)
+    ds = simulate_survival(stack, noise, 500, rng=23, jobs=jobs, backend=backend)
+    assert ds == simulate_survival(alone, noise, 500, rng=23, jobs=jobs, backend=backend)
+    assert [(e.circuit_id, e.seed) for e in ds.entries] == list(zip(range(3, 8), seeds))
+    assert 0 < sum(e.successes for e in ds.entries) < 500 * len(seeds)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_memory_is_two_state_buffers():
+    noise = KERNEL_NOISES[1]
+    # n = 8: two 512 KB buffers, at most the loop's fresh state per product
+    circuit = mirror_circuit_spec(3, 8, 2)
+    run_dense(circuit, noise)  # caches outside the trace
+    args = (circuit.rounds, circuit.uzz_layers, circuit.outcome)
+    kernel = _traced_peak(lambda: _dense_survivals(*args, noise))
+    loop = _traced_peak(lambda: _reference_dense_survival(*(a[0] for a in args), noise))
+    assert kernel <= loop
+    # 1,000 n = 4 circuits run in batches of 256 within the same two buffers
+    # (as one batch they would take 4 MB), and the rows, layers and dataset
+    # take the rest
+    stack = mirror_circuit_stack(range(1000), 4, 2)
+    peak = _traced_peak(lambda: simulate_survival(stack, noise, 100, rng=1, backend="dense"))
+    assert peak <= 2 * _DENSE_WORDS * 8 + 512 * 1024
 
 
 # ---------------------------------------------------------------------------
