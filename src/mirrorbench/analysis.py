@@ -24,14 +24,15 @@ import numpy as np
 
 from .channels import Depolarizing, depolarizing_tensor_unitarity
 from .circuits import _circuit_stack, _draw_stack, _experiment_seeds
-from .operators import (
-    _LETTER_MASK_ROWS,
-    _clifford_round,
-    _clifford_signs,
-    _uzz_round,
-    _uzz_signs,
+from .operators import _LETTER_MASK_ROWS
+from .simulator import (
+    DecayDataset,
+    NoiseModel,
+    _fault_sites,
+    _fault_tables,
+    _stack_survivors,
+    _table_batches,
 )
-from .simulator import DecayDataset, NoiseModel, _fault_sites, _run_batch, _table_batches
 
 SE_FLOOR = 1e-4
 CI_PERCENTILES = (16.0, 84.0)
@@ -314,22 +315,12 @@ class FramePotentialEstimate:
     std_error: float
 
 
-def _transpose_bits(masks: np.ndarray, width: int) -> np.ndarray:
-    """Swap the row axis of ``(rows, m)`` bitmasks with their bit axis.
-
-    Bit r of ``out[f, s]`` is bit f of ``masks[r, s]``; ``out`` has ``width``
-    rows and the word type of ``masks``.
-    """
-    shifts = np.arange(width, dtype=masks.dtype)[:, None]
-    out = np.zeros((width, masks.shape[1]), dtype=masks.dtype)
-    for r, row in enumerate(masks):
-        out |= ((row >> shifts) & 1) << r
-    return out
-
-
-# ``_LETTER_MASK_ROWS`` in the frame potential's 16-bit words; every mask is
-# all ones or zero, so it truncates exactly
-_LETTER_MASK_ROWS_16 = _LETTER_MASK_ROWS.astype(np.uint16)
+# Each Clifford's seven ``_LETTER_MASK_ROWS`` as the bits 0-6 of one word: bit
+# k is set where mask k is all ones
+_MASK_CODES = ((_LETTER_MASK_ROWS & np.uint64(1)) << np.arange(7, dtype=np.uint64)[:, None]
+               ).sum(axis=0).astype(np.uint16)
+_SIGN_BITS = np.arange(4, 7, dtype=np.uint16)[:, None, None]  # x_minus, z_minus, y_minus
+_ROUND_BITS = np.arange(3, dtype=np.uint16)[:, None, None]  # x_to_x, z_to_x, x_to_z
 
 
 class _SampledCliffords:
@@ -340,34 +331,85 @@ class _SampledCliffords:
     at physical qubit p, of ``U_s g_j U_s^dagger`` in Hermitian letters, and
     bit j of ``signs[s]`` marks a minus sign.  The words are ``uint16``:
     n <= ``FRAME_POTENTIAL_QUBIT_LIMIT`` = 8, so the 2n generator bits fit.
-    Every sample starts at the identity.
+    Every sample starts at the identity; ``x`` and ``z`` are the halves of
+    the ``(2n, m)`` array ``images``.
+
+    Layers and traces run in two work buffers allocated once, written with
+    ``out=``, so no step maps fresh pages: ``(4, n, m)`` words (a layer's
+    masks and partners, a trace's elimination rows) and ``(n, m)`` indices
+    (a layer's Cliffords, then its matching; a trace's free-column flags).
+    Gathers use ``np.take(..., mode="clip")``, which writes straight into
+    ``out`` (``"raise"`` copies through a hidden buffer) and never clips:
+    every index is in range by construction, a Clifford from
+    ``rng.integers(0, 24)`` and a matching word from a permutation of the
+    qubits' first words ``q m`` (q < n) plus a sample (< m).
     """
 
     def __init__(self, n_qubits: int, samples: int):
-        self.generators = np.uint16(1) << np.arange(2 * n_qubits, dtype=np.uint16)
-        self.x = np.repeat(self.generators[:n_qubits, None], samples, axis=1)
-        self.z = np.repeat(self.generators[n_qubits:, None], samples, axis=1)
-        self.signs = np.zeros(samples, dtype=np.uint16)
+        n, m = n_qubits, samples
+        self.generators = np.uint16(1) << np.arange(2 * n, dtype=np.uint16)
+        self.images = np.repeat(self.generators[:, None], m, axis=1)
+        self.x, self.z = self.images[:n], self.images[n:]
+        self.signs = np.zeros(m, dtype=np.uint16)
+        self._words = np.empty((4, n, m), dtype=np.uint16)
+        self._index = np.empty((n, m), dtype=np.intp)
+        self._first_words = np.arange(n)[:, None] * m
+        self._samples = np.arange(m)
 
     def apply_layer(self, rng: np.random.Generator) -> None:
         """Append one random layer: Cliffords, then UZZ on a random matching.
 
         The matching of sample s is a uniform permutation ``perm[s]`` of the
         qubits whose consecutive entries pair up, so the qubit at position j
-        is paired with the one at position ``j ^ 1``; each qubit's partner
-        is read by the flat index of its position, ``perm[s, j] m + s``.
+        is paired with the one at position ``j ^ 1``.  The images follow
+        ``operators``' round rules, evaluated in the work buffers with each
+        all-ones-or-zero mask as a factor of 1 or 0.
         """
         n, m = self.x.shape
-        cliffords = rng.integers(0, 24, size=(m, n))
-        perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-        masks = np.take(_LETTER_MASK_ROWS_16, cliffords.T, axis=1)
-        self.signs ^= np.bitwise_xor.reduce(_clifford_signs(self.x, self.z, masks), axis=0)
-        self.x, self.z = _clifford_round(self.x, self.z, masks)
-        at = perm.T * m + np.arange(m)  # word of position j of sample s, at [j, s]
-        x_partner = np.empty_like(self.x)
-        x_partner.reshape(-1)[at] = self.x.reshape(-1)[at[np.arange(n) ^ 1]]
-        self.signs ^= np.bitwise_xor.reduce(_uzz_signs(self.x, self.z, x_partner), axis=0)
-        self.z = _uzz_round(self.x, self.z, x_partner)
+        x, z, words, index = self.x, self.z, self._words, self._index
+        images = self.images.reshape(2, n, m)
+        # the Clifford of qubit q in sample s at index[q, s]; int32 draws
+        # the same values from the same stream as the default int64
+        np.copyto(index, rng.integers(0, 24, size=(m, n), dtype=np.int32).T)
+        code = words[3]
+        np.take(_MASK_CODES, index, out=code, mode="clip")
+        # _clifford_signs: (x & x_minus) ^ (z & z_minus) ^ (x & z & y_minus)
+        minus = words[:3]
+        np.right_shift(code, _SIGN_BITS, out=minus)
+        minus &= 1
+        minus[:2] *= images
+        minus[2] *= x
+        minus[2] &= z
+        self.signs ^= np.bitwise_xor.reduce(minus, axis=(0, 1))
+        # _clifford_round: x' = (x & x_to_x) ^ (z & z_to_x), and z' from
+        # x_to_z and z_to_z; the code's own row becomes z_to_z
+        np.right_shift(code, _ROUND_BITS, out=words[:3])
+        code >>= 3
+        words &= 1
+        factors = words.reshape(2, 2, n, m)
+        np.multiply(factors, images, out=factors)
+        np.bitwise_xor(words[0], words[1], out=x)
+        np.bitwise_xor(words[2], words[3], out=z)
+        # The matching, drawn in the index buffer as permutations of the
+        # qubits' first words (the values do not change the draw), plus the
+        # sample: index[j, s] is the word of position j of sample s
+        index[...] = self._first_words
+        at = index.T
+        rng.permuted(at, axis=1, out=at)
+        index += self._samples
+        # Each qubit's partner X: gather X by position, swap the rows of
+        # each pair of positions and scatter them back by word.
+        x_partner, by_position, swapped = words[:3]
+        np.take(x.reshape(-1), index, out=by_position, mode="clip")
+        np.copyto(swapped.reshape(n // 2, 2, m), by_position.reshape(n // 2, 2, m)[:, ::-1])
+        x_partner.reshape(-1)[index] = swapped
+        # _uzz_signs: t & x & z, and _uzz_round: z ^ t, for t = x ^ x_partner
+        t, flips = words[1], words[2]
+        np.bitwise_xor(x, x_partner, out=t)
+        np.bitwise_and(t, x, out=flips)
+        flips &= z
+        self.signs ^= np.bitwise_xor.reduce(flips, axis=0)
+        z ^= t
 
     def trace_squared(self) -> np.ndarray:
         """``|Tr U|^2`` of every sample: an exact power of two, or 0.
@@ -380,46 +422,73 @@ class _SampledCliffords:
         (Dehaene & De Moor, PRA 68, 042318).
         """
         n, m = self.x.shape
-        gens = self.generators[:, None]
-        images = np.concatenate([self.x, self.z])
+        rows, lead = self._words.reshape(2, 2 * n, m)
         # Row X_p (Z_p) of S + I: the generators whose image has an X (Z)
         # part at qubit p, XOR the generator X_p (Z_p) itself.
-        rows = images ^ gens
+        np.bitwise_xor(self.images, self.generators[:, None], out=rows)
         # Reduced row echelon form by a scan over the rows: each row in turn,
         # already cleared of the earlier rows' pivot columns, pivots on its
         # lowest set column and clears that column from every other row.
         # The form is unique, so the order of the scan does not matter.
+        # A row holding the pivot's bit ``low`` is cleared by ``-low & row``:
+        # row has no bit below low, and -low has every bit from low up.
         for r in range(2 * n):
             row = rows[r].copy()
-            rows ^= row * ((rows & (row & -row)) != 0)
+            np.bitwise_and(rows, row & -row, out=lead)
+            np.negative(lead, out=lead)
+            lead &= row
+            rows ^= lead
             rows[r] = row
         # Each nonzero row pivots on its lowest set column, ``lead``, which
         # no other row holds; the other columns are free.  Free column f
         # gives the kernel vector v_f: f and the pivot column of every row
-        # that holds f.  Only the (free column, sample) pairs are kept.
-        lead = rows & -rows
+        # that holds f.  Only the (free column, sample) pairs are kept, found
+        # by one scan of the flat (column, sample) flags, in the index
+        # buffer's bytes.
+        np.negative(rows, out=lead)
+        lead &= rows
         free = ~np.bitwise_or.reduce(lead, axis=0)
-        column, sample = np.nonzero((free >> np.arange(2 * n, dtype=free.dtype)[:, None]) & 1)
-        column = column.astype(rows.dtype)
-        held = (rows[:, sample] >> column) & 1
-        vectors = (1 << column) | np.bitwise_or.reduce(lead[:, sample] * held, axis=0)
-        # Image j is i^phase[j] X^x_img[j] Z^z_img[j]: an i per Y letter, -1
-        # per minus sign.  The generators of any v multiply, in ascending
-        # order, to X^vx Z^vz with phase 1, so U keeps the sign of that Pauli
-        # iff the images of v multiply, in the same order, to phase 1.
-        transposed = _transpose_bits(images, 2 * n)[:, sample]
-        x_img = transposed & ((1 << n) - 1)
-        z_img = transposed >> n
-        minus = ((self.signs[sample] & gens) != 0).view(np.uint8)
-        phase = np.bitwise_count(x_img & z_img) + 2 * minus
-        total = np.zeros(len(sample), dtype=np.uint8)  # phases add mod 4
-        z_held = np.zeros_like(vectors)
-        for j in range(2 * n):
-            bit = ((vectors >> j) & 1).astype(np.uint8)
-            total += bit * (phase[j] + 2 * np.bitwise_count(z_held & x_img[j]))
-            z_held ^= bit * z_img[j]
-        flipped = np.bincount(sample[total % 4 != 0], minlength=m)
-        return np.where(flipped == 0, 1 << np.bincount(sample, minlength=m), 0)
+        free &= (1 << 2 * n) - 1
+        index_bytes = self._index.reshape(-1).view(np.uint8)
+        free_bits = index_bytes[:4 * n * m].view(np.uint16).reshape(2 * n, m)
+        flags = index_bytes[4 * n * m:6 * n * m].view(np.bool_).reshape(2 * n, m)
+        np.bitwise_and(free, self.generators[:, None], out=free_bits)
+        np.not_equal(free_bits, 0, out=flags)
+        sample = np.flatnonzero(flags)
+        column = sample // m
+        sample -= column * m
+        column = column.astype(np.uint16)
+        held = np.take(rows, sample, axis=1)
+        held >>= column
+        held &= 1
+        held *= np.take(lead, sample, axis=1)
+        vectors = np.bitwise_or.reduce(held, axis=0)
+        vectors |= np.uint16(1) << column
+        # Image j is i^phase[j] X^x_j Z^z_j: an i per Y letter, -1 per minus
+        # sign.  The generators of any v multiply, in ascending order, to
+        # X^vx Z^vz with phase 1, so U keeps the sign of that Pauli iff the
+        # images of v multiply, in the same order, to phase 1 (mod 4): their
+        # Y letters, plus 2 for each minus sign and for each Z of an earlier
+        # image that an X passes.  At qubit q, with a and b the generators
+        # of v whose images hold an X and a Z there, those passes are the
+        # pairs j' < j with j' in b and j in a: the bits of a above an odd
+        # number of bits of b.
+        x = np.take(self.x, sample, axis=1)
+        x &= vectors
+        z = np.take(self.z, sample, axis=1)
+        total = np.bitwise_count(x & z).sum(axis=0, dtype=np.uint8)
+        z &= vectors
+        z <<= 1
+        shift = 1
+        while shift < 2 * n:  # prefix XOR over the 2n generator bits
+            z ^= z << shift
+            shift *= 2
+        x &= z
+        total += 2 * (np.bitwise_count(self.signs[sample] & vectors)
+                      + np.bitwise_count(x).sum(axis=0, dtype=np.uint8))
+        traces = np.left_shift(1, np.bitwise_count(free), dtype=np.int64)
+        traces[sample[total & 3 != 0]] = 0
+        return traces
 
 
 def frame_potential_profile(n_qubits: int, lengths: Sequence[int], samples: int,
@@ -514,11 +583,12 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
     cells, so memory does not grow with their number.  Per chunk and
     length, one ``CircuitStack`` (``_draw_stack``, ``_circuit_stack``, as
     ``sample_experiment`` builds its stacks) holds every experiment's
-    circuits, and each ``_TABLE_WORDS`` slice of it is run as
-    one batch (``simulator._run_batch``): one fault-table build, which does
-    not depend on p, and one shot loop, in which each circuit draws from
-    ``SeedSequence((simulation seed, circuit id))`` under its experiment's
-    fault classes.  A chunk's experiments are fitted together, one row each.
+    circuits, and each ``_TABLE_WORDS`` slice of it is run as one batch,
+    as ``simulator._run_batch`` runs one: one fault-table build, which does
+    not depend on p, into a table allocated once per stack, and one shot
+    loop, in which each circuit draws from ``SeedSequence((simulation seed,
+    circuit id))`` under its experiment's fault classes.  A chunk's
+    experiments are fitted together, one row each.
     """
     if n_qubits % 2:
         raise ValueError("n_qubits must be even")
@@ -568,10 +638,15 @@ def _stack_successes(n_qubits: int, length: int, seeds: list, ids: list, noises:
     layers = stack.uzz_layers
     count = len(ids)
     successes = np.empty(len(seeds), dtype=np.int64)
-    for batch in _table_batches([(n_qubits, length)] * len(seeds), noises[0]):
+    batches = _table_batches([(n_qubits, length)] * len(seeds), noises[0])
+    # one table for the stack, the first (largest) batch's, sliced per batch
+    table = np.empty((len(batches[0]), len(sites[0]), 16), dtype=np.uint64)
+    for batch in batches:
         rows = slice(batch[0], batch[-1] + 1)
-        successes[rows] = _run_batch((
-            stack.x_images[rows], stack.z_images[rows], layers[rows], sites,
-            [classes[c // count] for c in batch], shots,
-            [(sim_seeds[c // count], ids[c % count]) for c in batch]))
+        masks = _fault_tables(stack.x_images[rows], stack.z_images[rows], layers[rows], sites,
+                              out=table[:len(batch)])
+        seeds_of = [(sim_seeds[c // count], ids[c % count]) for c in batch]
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds_of]
+        successes[rows] = _stack_survivors(masks, [classes[c // count] for c in batch], shots,
+                                           rngs)
     return successes.reshape(len(noises), count)

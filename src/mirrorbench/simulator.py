@@ -215,12 +215,14 @@ def _site_class(probs: np.ndarray, sites: np.ndarray) -> SiteClass:
     return SiteClass(sites, min(float(total), 1.0), cum)
 
 
-def _code_masks(generators: np.ndarray) -> np.ndarray:
+def _code_masks(generators: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The flip masks of every Pauli code at a site, zero-padded to 16
     codes: code k flips the XOR of the generators (last axis) at its set
     bits, at a site on qubits (a, b) the bits that X_a, Z_a, X_b and Z_b
-    flip."""
-    masks = np.zeros(generators.shape[:-1] + (16,), dtype=np.uint64)
+    flip.  Written into ``out``, a uint64 array of the result's shape, when
+    given; with four generators every code is written."""
+    masks = np.zeros(generators.shape[:-1] + (16,), dtype=np.uint64) if out is None else out
+    masks[..., 0] = 0
     for j in range(generators.shape[-1]):
         np.bitwise_xor(masks[..., :1 << j], generators[..., j, None],
                        out=masks[..., 1 << j:2 << j])
@@ -278,15 +280,15 @@ def _site_generators(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndar
 
 
 def _fault_tables(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndarray,
-                  sites: tuple) -> np.ndarray:
+                  sites: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The ``(C, sites, 16)`` fault table of C circuits of one (n, L):
     ``masks[c, j, k]`` is the final X-mask of Pauli code k (as in
     ``kernel_pauli_probs``) at site j of circuit c; the arguments are those
-    of ``_site_generators``.  A fault flips outcome bit q iff it
-    anticommutes with the image of Z_q where it occurs, so the generators of
-    the noisy sites are read from the kept Z images, then expanded to the
-    16 codes."""
-    masks = _code_masks(_site_generators(x_images, z_images, layers, sites))
+    of ``_site_generators``, and ``out``, when given, the table to write.  A
+    fault flips outcome bit q iff it anticommutes with the image of Z_q
+    where it occurs, so the generators of the noisy sites are read from the
+    kept Z images, then expanded to the 16 codes."""
+    masks = _code_masks(_site_generators(x_images, z_images, layers, sites), out)
     masks[:, ~sites[1], 4:] = 0  # a one-qubit fault has no code above 3
     return masks
 

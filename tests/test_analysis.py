@@ -28,7 +28,14 @@ from mirrorbench.analysis import (
 )
 from mirrorbench.channels import Depolarizing, depolarizing_tensor_unitarity
 from mirrorbench.circuits import sample_experiment
-from mirrorbench.operators import CLIFFORD_UNITARIES
+from mirrorbench.operators import (
+    _LETTER_MASK_ROWS,
+    CLIFFORD_UNITARIES,
+    _clifford_round,
+    _clifford_signs,
+    _uzz_round,
+    _uzz_signs,
+)
 from mirrorbench.simulator import DatasetEntry, DecayDataset, NoiseModel, simulate_survival
 
 
@@ -463,6 +470,165 @@ def test_frame_potential_deterministic_for_seed():
     assert a == b
 
 
+def _transpose_bits(masks: np.ndarray, width: int) -> np.ndarray:
+    """Swap the row axis of ``(rows, m)`` bitmasks with their bit axis.
+
+    Bit r of ``out[f, s]`` is bit f of ``masks[r, s]``; ``out`` has ``width``
+    rows and the word type of ``masks``.
+    """
+    shifts = np.arange(width, dtype=masks.dtype)[:, None]
+    out = np.zeros((width, masks.shape[1]), dtype=masks.dtype)
+    for r, row in enumerate(masks):
+        out |= ((row >> shifts) & 1) << r
+    return out
+
+
+# ``_LETTER_MASK_ROWS`` in the frame potential's 16-bit words; every mask is
+# all ones or zero, so it truncates exactly
+_LETTER_MASK_ROWS_16 = _LETTER_MASK_ROWS.astype(np.uint16)
+
+
+class _ReferenceSampledCliffords:
+    """The reference for ``analysis._SampledCliffords``: the same draws and
+    images, one fresh array per step, through ``operators``' round rules.
+
+    ``operators``' bit-packed layout over the 2n generators X_0..X_{n-1},
+    Z_0..Z_{n-1}: bit j of ``x[p, s]`` and ``z[p, s]`` is the X and Z part,
+    at physical qubit p, of ``U_s g_j U_s^dagger`` in Hermitian letters, and
+    bit j of ``signs[s]`` marks a minus sign.  The words are ``uint16``:
+    n <= ``FRAME_POTENTIAL_QUBIT_LIMIT`` = 8, so the 2n generator bits fit.
+    Every sample starts at the identity.
+    """
+
+    def __init__(self, n_qubits: int, samples: int):
+        self.generators = np.uint16(1) << np.arange(2 * n_qubits, dtype=np.uint16)
+        self.x = np.repeat(self.generators[:n_qubits, None], samples, axis=1)
+        self.z = np.repeat(self.generators[n_qubits:, None], samples, axis=1)
+        self.signs = np.zeros(samples, dtype=np.uint16)
+
+    def apply_layer(self, rng: np.random.Generator) -> None:
+        """Append one random layer: Cliffords, then UZZ on a random matching.
+
+        The matching of sample s is a uniform permutation ``perm[s]`` of the
+        qubits whose consecutive entries pair up, so the qubit at position j
+        is paired with the one at position ``j ^ 1``; each qubit's partner
+        is read by the flat index of its position, ``perm[s, j] m + s``.
+        """
+        n, m = self.x.shape
+        cliffords = rng.integers(0, 24, size=(m, n))
+        perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        masks = np.take(_LETTER_MASK_ROWS_16, cliffords.T, axis=1)
+        self.signs ^= np.bitwise_xor.reduce(_clifford_signs(self.x, self.z, masks), axis=0)
+        self.x, self.z = _clifford_round(self.x, self.z, masks)
+        at = perm.T * m + np.arange(m)  # word of position j of sample s, at [j, s]
+        x_partner = np.empty_like(self.x)
+        x_partner.reshape(-1)[at] = self.x.reshape(-1)[at[np.arange(n) ^ 1]]
+        self.signs ^= np.bitwise_xor.reduce(_uzz_signs(self.x, self.z, x_partner), axis=0)
+        self.z = _uzz_round(self.x, self.z, x_partner)
+
+    def trace_squared(self) -> np.ndarray:
+        """``|Tr U|^2`` of every sample: an exact power of two, or 0.
+
+        ``|Tr U|^2 = 2^-n sum_P Tr(U P U^dagger P)``, and a Pauli P adds to
+        the sum only if U fixes it, ``U P U^dagger = +/-P``.  The fixed
+        Paulis are the kernel of S + I, S being U's symplectic matrix, and
+        their signs are a character on it: the sum is ``2^dim ker(S+I)`` if
+        U keeps the sign of every kernel basis element, and 0 otherwise
+        (Dehaene & De Moor, PRA 68, 042318).
+        """
+        n, m = self.x.shape
+        gens = self.generators[:, None]
+        images = np.concatenate([self.x, self.z])
+        # Row X_p (Z_p) of S + I: the generators whose image has an X (Z)
+        # part at qubit p, XOR the generator X_p (Z_p) itself.
+        rows = images ^ gens
+        # Reduced row echelon form by a scan over the rows: each row in turn,
+        # already cleared of the earlier rows' pivot columns, pivots on its
+        # lowest set column and clears that column from every other row.
+        # The form is unique, so the order of the scan does not matter.
+        for r in range(2 * n):
+            row = rows[r].copy()
+            rows ^= row * ((rows & (row & -row)) != 0)
+            rows[r] = row
+        # Each nonzero row pivots on its lowest set column, ``lead``, which
+        # no other row holds; the other columns are free.  Free column f
+        # gives the kernel vector v_f: f and the pivot column of every row
+        # that holds f.  Only the (free column, sample) pairs are kept.
+        lead = rows & -rows
+        free = ~np.bitwise_or.reduce(lead, axis=0)
+        column, sample = np.nonzero((free >> np.arange(2 * n, dtype=free.dtype)[:, None]) & 1)
+        column = column.astype(rows.dtype)
+        held = (rows[:, sample] >> column) & 1
+        vectors = (1 << column) | np.bitwise_or.reduce(lead[:, sample] * held, axis=0)
+        # Image j is i^phase[j] X^x_img[j] Z^z_img[j]: an i per Y letter, -1
+        # per minus sign.  The generators of any v multiply, in ascending
+        # order, to X^vx Z^vz with phase 1, so U keeps the sign of that Pauli
+        # iff the images of v multiply, in the same order, to phase 1.
+        transposed = _transpose_bits(images, 2 * n)[:, sample]
+        x_img = transposed & ((1 << n) - 1)
+        z_img = transposed >> n
+        minus = ((self.signs[sample] & gens) != 0).view(np.uint8)
+        phase = np.bitwise_count(x_img & z_img) + 2 * minus
+        total = np.zeros(len(sample), dtype=np.uint8)  # phases add mod 4
+        z_held = np.zeros_like(vectors)
+        for j in range(2 * n):
+            bit = ((vectors >> j) & 1).astype(np.uint8)
+            total += bit * (phase[j] + 2 * np.bitwise_count(z_held & x_img[j]))
+            z_held ^= bit * z_img[j]
+        flipped = np.bincount(sample[total % 4 != 0], minlength=m)
+        return np.where(flipped == 0, 1 << np.bincount(sample, minlength=m), 0)
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+@pytest.mark.parametrize("n_qubits,samples", [
+    (2, 1), (2, 17), (4, 1), (4, 17), (4, 10000), (6, 1), (6, 17), (6, 1024),
+    (8, 1), (8, 17), (8, 64)])
+def test_sampled_cliffords_equal_reference_every_layer(n_qubits, samples, seed):
+    # the work-buffer kernel draws the same values from the same stream and
+    # holds the same images, signs and traces, bit for bit, at every depth
+    fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = _SampledCliffords(n_qubits, samples)
+    ref = _ReferenceSampledCliffords(n_qubits, samples)
+    for _ in range(16):
+        fast.apply_layer(fast_rng)
+        ref.apply_layer(ref_rng)
+        for name in ("x", "z", "signs"):
+            assert getattr(fast, name).dtype == np.uint16
+            np.testing.assert_array_equal(getattr(fast, name), getattr(ref, name))
+        np.testing.assert_array_equal(fast.trace_squared(), ref.trace_squared())
+    assert fast_rng.integers(2 ** 63) == ref_rng.integers(2 ** 63)
+
+
+@pytest.mark.parametrize("n_qubits,samples", [(2, 300), (4, 517), (6, 1100), (8, 100)])
+def test_frame_potential_profile_equals_reference_kernel(monkeypatch, n_qubits, samples):
+    # a last block shorter than the others (1024 at n = 6, 64 at n = 8) too
+    lengths = (0, 1, 2, 5, 9)
+    profile = frame_potential_profile(n_qubits, lengths, samples, rng=8)
+    monkeypatch.setattr(analysis_module, "_SampledCliffords", _ReferenceSampledCliffords)
+    assert profile == frame_potential_profile(n_qubits, lengths, samples, rng=8)
+
+
+# tracemalloc peaks of ``frame_potential_profile(n, range(0, 17, 2), samples,
+# rng=5)`` after a 64-sample call, in bytes, of the kernel that allocated
+# fresh arrays at every step; the work-buffer kernel stays within them
+_FRAME_POTENTIAL_PEAKS = {2: (10000, 1174600), 4: (10000, 2260728), 6: (4000, 418376),
+                          8: (500, 58584)}
+
+
+@pytest.mark.parametrize("n_qubits", sorted(_FRAME_POTENTIAL_PEAKS))
+def test_frame_potential_memory_within_fresh_array_kernel(n_qubits):
+    samples, bound = _FRAME_POTENTIAL_PEAKS[n_qubits]
+    frame_potential_profile(n_qubits, range(0, 17, 2), 64, rng=5)
+    tracemalloc.start()
+    try:
+        frame_potential_profile(n_qubits, range(0, 17, 2), samples, rng=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+
 # ---------------------------------------------------------------------------
 # Scatter studies and estimator calibration
 # ---------------------------------------------------------------------------
@@ -511,6 +677,20 @@ def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch)
     monkeypatch.setattr(analysis_module, "_SCATTER_CELLS", 2 * 3 * (2 + 4) * 2)
     assert scatter_experiment(2, 7, 0.05, **kwargs) == whole
     assert per_chunk() == [12, 12, 12, 6]
+
+
+def test_scatter_experiment_memory_within_per_batch_tables():
+    # one fault table per stack, sliced per batch: the tracemalloc peak of
+    # this study stays within the 1,792,219 bytes it took when every batch
+    # allocated its own table
+    scatter_experiment(4, 1, 0.02, rng=1, shots=10)
+    tracemalloc.start()
+    try:
+        scatter_experiment(4, 10, 0.02, rng=123, shots=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1792219
 
 
 def _scatter_reference(n_qubits, num_experiments, p_max, seed, lengths,

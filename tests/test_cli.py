@@ -716,6 +716,18 @@ def test_frame_potential_command(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("n_qubits,samples", [(4, 10000), (6, 2000)])
+def test_frame_potential_csv_matches_golden_file(tmp_path, n_qubits, samples):
+    # the stored rows of these arguments, byte for byte; CI compares the
+    # same files without the test extras
+    out = tmp_path / "fp"
+    assert run_cli("frame-potential", "--n", str(n_qubits), "--lengths",
+                   "0,2,4,6,8,10,12,14,16", "--samples", str(samples), "--seed", "11",
+                   "--out", str(out)) == 0
+    golden = os.path.join(DATA, f"frame_potential_n{n_qubits}.csv")
+    assert read_bytes(out / "frame_potential.csv") == read_bytes(golden)
+
+
 def test_scatter_command(tmp_path):
     out = tmp_path / "sc"
     code = run_cli("scatter", "--n", "2", "--experiments", "2", "--pmax", "0.05",

@@ -325,6 +325,13 @@ def test_batched_fault_tables_equal_each_circuit_compiled_alone(n_qubits, noise)
         # a one-qubit site's codes 4-15 are zero, not copies of codes 0-3
         (_, is_uzz, _), _ = _fault_sites(n_qubits, group[0].length, noise)
         assert not masks[:, ~is_uzz, 4:].any()
+        # the same table written over a used buffer, code 0 included
+        used = np.full(masks.shape, np.uint64(0xDEADBEEF), dtype=np.uint64)
+        written = _fault_tables(np.concatenate([c.x_images for c in group]),
+                                np.concatenate([c.z_images for c in group]),
+                                np.concatenate([c.uzz_layers for c in group]), sites, out=used)
+        assert written is used
+        np.testing.assert_array_equal(written, masks)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
