@@ -50,6 +50,9 @@ _SCATTER_CELLS = 1 << 14
 _U_GRID = np.linspace(0.0, 1.0, 257)
 _GOLDEN_STEPS = 40  # shrink a grid bracket of width 2/256 below 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# numpy sums a contiguous row of this many terms or more pairwise, not left
+# to right
+_PAIRWISE_TERMS = 8
 
 
 def _as_rng(rng: Union[None, int, np.random.Generator]) -> np.random.Generator:
@@ -118,22 +121,25 @@ def _best_amplitude(num, den):
     return np.clip(np.divide(num, den, out=np.zeros_like(num), where=den > 0), 0.0, 2.0)
 
 
-def _cost(a, g, w, y):
-    """Weighted squared residuals per row, summed directly (no cancellation)."""
-    r = y - a[:, None] * g
-    return (w * r * r).sum(axis=1)
-
-
-def _profile(u, ey, w, y):
+def _profile(u, ey, w, wy, y, axis, g, t):
     """``(A, u, cost)`` per row with A at its best for the row's ``u``.
 
-    ``ey`` holds the exponents ``L - 1``.  For fixed u the model is linear
-    in A, so the best A is the clipped weighted projection of y onto
-    ``g = u**(L-1)``.
+    ``ey`` holds the exponents ``L - 1``, and ``w``, ``wy = w * y`` and
+    ``y`` the weights and data: rows-major ``(rows, lengths)`` arrays with
+    ``axis = 1``, or lengths-major ``(lengths, rows)`` ones, with ``ey`` a
+    column, and ``axis = 0``; ``g`` and ``t`` are work arrays of their
+    shape.  For fixed u the model is linear in A, so the best A is the
+    clipped weighted projection of y onto ``g = u**(L-1)``; the cost is the
+    weighted squared residuals, summed directly (no cancellation).
     """
-    g = u[:, None] ** ey
-    a = _best_amplitude((w * y * g).sum(axis=1), (w * g * g).sum(axis=1))
-    return a, u, _cost(a, g, w, y)
+    np.power(u[:, None] if axis else u, ey, out=g)
+    num = np.multiply(wy, g, out=t).sum(axis=axis)
+    np.multiply(w, g, out=t)
+    a = _best_amplitude(num, np.multiply(t, g, out=t).sum(axis=axis))
+    np.multiply(a[:, None] if axis else a, g, out=t)
+    r = np.subtract(y, t, out=t)
+    np.multiply(w, r, out=g)
+    return a, u, np.multiply(g, r, out=g).sum(axis=axis)
 
 
 def _lower(fit, candidate):
@@ -163,23 +169,33 @@ def _fit_block(ey, powers, w, y) -> tuple:
         best[rows] = np.argmin(a * (a * den - 2.0 * num), axis=1)
     lo = _U_GRID[np.maximum(best - 1, 0)]
     hi = _U_GRID[np.minimum(best + 1, len(_U_GRID) - 1)]
-    # 2. golden-section search in each row's bracket [lo, hi]
+    # 2. golden-section search in each row's bracket [lo, hi].  numpy
+    #    reduces a short inner axis one row at a time but an outer axis in
+    #    one pass, so below 8 lengths the profile runs lengths-major; there
+    #    both layouts sum each row left to right.  From 8 lengths on numpy
+    #    sums a row pairwise, and only the rows-major layout keeps that order.
+    if len(ey) < _PAIRWISE_TERMS:
+        layout = (ey[:, None], w.T.copy(), wy.T.copy(), y.T.copy(), 0)
+    else:
+        layout = (ey, w, wy, y, 1)
+    layout += (np.empty_like(layout[1]), np.empty_like(layout[1]))  # work arrays
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
-    fc = _profile(c, ey, w, y)[2]
-    fd = _profile(d, ey, w, y)[2]
+    fc = _profile(c, *layout)[2]
+    fd = _profile(d, *layout)[2]
     for _ in range(_GOLDEN_STEPS):
         left = fc < fd  # the minimum lies in [lo, d]
         hi = np.where(left, d, hi)
         lo = np.where(left, lo, c)
-        probe = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        fprobe = _profile(probe, ey, w, y)[2]
+        step = _INV_PHI * (hi - lo)
+        probe = np.where(left, hi - step, lo + step)
+        fprobe = _profile(probe, *layout)[2]
         c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
                         np.where(left, fprobe, fd), np.where(left, fc, fprobe))
-    fit = _profile(np.where(fc < fd, c, d), ey, w, y)
+    fit = _profile(np.where(fc < fd, c, d), *layout)
     # 3. the ends u = 0 and u = 1, which the bracket's interior never reaches
     for edge in (0.0, 1.0):
-        fit = _lower(fit, _profile(np.full(len(y), edge), ey, w, y))
+        fit = _lower(fit, _profile(np.full(len(y), edge), *layout))
     return fit
 
 
@@ -198,9 +214,14 @@ def _fit_rows(lengths: np.ndarray, p_hat: np.ndarray, se: np.ndarray,
     Every step works row by row in a fixed order, so a row's result does
     not depend on the rows fitted beside it: the grid is ranked in chunks
     of ``_GRID_ROWS`` rows, summing over lengths one at a time, and the
-    golden-section steps and ends are elementwise.  Memory is bounded by
-    the chunk, ``(_GRID_ROWS, grid)`` floats, and by ``(_FIT_BLOCK,
-    lengths)`` floats for the rest, whatever the number of rows.
+    golden-section steps and ends sum each row over lengths in numpy's
+    order for a contiguous row.  Below ``_PAIRWISE_TERMS`` lengths that
+    order is left to right, which an outer-axis sum keeps, so those steps
+    run lengths-major, one fast reduction per sum; from there on a row is
+    summed pairwise, and they run rows-major.  Memory is bounded by the
+    chunk, ``(_GRID_ROWS, grid)`` floats, and by ``(_FIT_BLOCK, lengths)``
+    floats for the rest, whatever the number of rows; the golden section
+    reuses two such work arrays.
     """
     ey = np.asarray(lengths, dtype=float) - 1.0
     y = np.atleast_2d(p_hat) - baseline

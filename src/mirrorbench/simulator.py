@@ -71,6 +71,12 @@ _DENSE_WORDS = 1 << 16
 # state of 4^n floats (512 KB at n = 8)
 _QUBIT_LIMITS = {"stabilizer": 64, "dense": 8}
 
+# a fault's code uniform u falls in bucket floor(256 u) of [0, 1), exactly,
+# since 256 is a power of two; a class's rank table holds each bucket's code
+# rank, or _SEARCH where a code boundary splits the bucket
+_RANK_BUCKETS = 256
+_SEARCH = 255
+
 
 # ---------------------------------------------------------------------------
 # Noise model
@@ -196,11 +202,16 @@ def kernel_pauli_probs(params: ChannelParams, k: int) -> np.ndarray:
 class SiteClass:
     """The fault sites of one (n, L) that share one channel: ``q`` is the
     probability of a non-identity fault at each, clamped to [0, 1], and
-    ``cum_codes[i]`` that of a code of at most ``i + 1``, given a fault."""
+    ``cum_codes[i]`` that of a code of at most ``i + 1``, given a fault.
+    ``rank_table`` (256 bytes, ``_rank_table``) holds at b the rank
+    ``#(cum_codes <= u)`` shared by every u in ``[b/256, (b+1)/256)``, or
+    ``_SEARCH`` where a value of ``cum_codes`` lies inside that bucket
+    (``_code_ranks``)."""
 
     sites: np.ndarray
     q: float
     cum_codes: np.ndarray
+    rank_table: np.ndarray
 
 
 def _site_class(probs: np.ndarray, sites: np.ndarray) -> SiteClass:
@@ -212,7 +223,23 @@ def _site_class(probs: np.ndarray, sites: np.ndarray) -> SiteClass:
     cum[-1] = 1.0  # absorb rounding so every uniform lands
     sites, cum = np.array(sites, dtype=np.intp), np.minimum(cum, 1.0)
     sites.flags.writeable = cum.flags.writeable = False
-    return SiteClass(sites, min(float(total), 1.0), cum)
+    return SiteClass(sites, min(float(total), 1.0), cum, _rank_table(cum.tobytes()))
+
+
+@lru_cache(maxsize=64)
+def _rank_table(cum_codes: bytes) -> np.ndarray:
+    """The read-only ``SiteClass.rank_table`` of the float64 ``cum_codes``
+    given as bytes, cached, since the classes of one channel family share
+    it (a depolarizing channel's, whatever its p).  Per bucket b, the rank of
+    each of its uniforms lies between #(cum <= b/256) and #(cum < (b+1)/256),
+    so where these agree it is that count."""
+    cum, edges = np.frombuffer(cum_codes), np.arange(_RANK_BUCKETS + 1) / _RANK_BUCKETS
+    low = np.searchsorted(cum, edges[:-1], side="right")
+    high = np.searchsorted(cum, edges[1:], side="left")
+    table = low.astype(np.uint8)
+    table[low != high] = _SEARCH
+    table.flags.writeable = False
+    return table
 
 
 def _code_masks(generators: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -350,14 +377,17 @@ def _block_flips(masks: np.ndarray, block: int, drawn) -> np.ndarray:
     faults)], places, uniforms)``: places in the class's ``(block, sites)``
     grid, uniforms for codes.  Each class's faults, of every circuit, are
     decoded at once into flat indices of the table and of the flip array;
-    the lists are emptied as they are read and the indices built in place,
-    so that a fault takes about five words at most."""
+    the lists are emptied as they are read, their arrays overwritten and
+    the indices built in place, so that a fault takes about five words at
+    most."""
     count, n_sites = masks.shape[:2]
     table = masks.reshape(-1)[1:]  # a code is 1 + its uniform's rank
     flips = np.zeros(count * block, dtype=np.uint64)
     for cls, counts, places, uniforms in drawn:
-        ranks = np.searchsorted(cls.cum_codes, _emptied(uniforms), side="right")
-        shot, index = np.divmod(_emptied(places), len(cls.sites))
+        ranks = _code_ranks(cls, _emptied(uniforms))
+        index = _emptied(places)
+        shot = index // len(cls.sites)
+        index -= shot * len(cls.sites)
         index = cls.sites[index]
         if count > 1:  # each fault's circuit's offset in the table and flips
             circuits, sizes = zip(*counts)
@@ -367,6 +397,20 @@ def _block_flips(masks: np.ndarray, block: int, drawn) -> np.ndarray:
         index += ranks
         np.bitwise_xor.at(flips, shot, table[index])
     return flips.reshape(count, block)
+
+
+def _code_ranks(cls: SiteClass, uniforms: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cls.cum_codes, uniforms, side="right")`` as uint8,
+    from the class's rank table: each uniform's bucket is looked up, and
+    only those of buckets that a code boundary splits are searched.
+    ``uniforms`` is scaled in place."""
+    uniforms *= _RANK_BUCKETS  # exact, and below 256
+    ranks = cls.rank_table[uniforms.astype(np.intp)]
+    split = np.flatnonzero(ranks == _SEARCH)
+    if len(split):
+        ranks[split] = np.searchsorted(cls.cum_codes, uniforms[split] / _RANK_BUCKETS,
+                                       side="right")
+    return ranks
 
 
 def _emptied(arrays: list) -> np.ndarray:

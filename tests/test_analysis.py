@@ -12,11 +12,18 @@ from scipy.optimize import least_squares
 
 import mirrorbench.analysis as analysis_module
 from mirrorbench.analysis import (
+    _FIT_BLOCK,
+    _GOLDEN_STEPS,
+    _GRID_ROWS,
+    _INV_PHI,
+    _U_GRID,
     FRAME_POTENTIAL_QUBIT_LIMIT,
     FitResult,
     ScatterPoint,
     _SampledCliffords,
+    _best_amplitude,
     _fit_rows,
+    _lower,
     _length_groups,
     _percentiles,
     _resample_points,
@@ -154,11 +161,12 @@ def test_fit_rows_find_the_global_minimum_within_bounds():
         assert cost[r] <= brute * (1.0 + 1e-9)
 
 
-def _fit_batch(seed):
-    """2-40 rows of one design: 2-6 lengths up to 64, n in {2, 4, 10}, A up
-    to its bound and u in [0, 1], each point binomial over 1000 shots."""
+def _fit_batch(seed, counts=(2, 7)):
+    """2-40 rows of one design: 2-6 lengths (``counts``, a half-open range)
+    up to 64, n in {2, 4, 10}, A up to its bound and u in [0, 1], each
+    point binomial over 1000 shots."""
     rng = np.random.default_rng(seed)
-    rows, count = int(rng.integers(2, 41)), int(rng.integers(2, 7))
+    rows, count = int(rng.integers(2, 41)), int(rng.integers(*counts))
     baseline = 1.0 / 2 ** int(rng.choice([2, 4, 10]))
     lengths = np.sort(rng.choice(np.arange(1, 65), size=count, replace=False)).astype(float)
     amplitude, u = rng.uniform(0.0, 2.0, rows), rng.uniform(0.0, 1.0, rows)
@@ -179,6 +187,119 @@ def test_a_row_fits_the_same_alone_as_in_its_batch():
         for r in range(len(p_hat)):
             alone = np.concatenate(_fit_rows(lengths, p_hat[r], se[r], baseline))
             assert np.array_equal(alone, batch[r]), (seed, r)
+
+
+def test_a_row_fits_the_same_alone_as_in_its_batch_from_8_lengths():
+    # numpy sums a row of 8 or more terms pairwise, but an outer axis of
+    # several rows left to right: a fit that summed every length count
+    # lengths-major would give a row alone (summed as one contiguous run)
+    # other bits than in its batch
+    for seed in range(60):
+        lengths, p_hat, se, baseline = _fit_batch(1000 + seed, counts=(8, 21))
+        batch = np.stack(_fit_rows(lengths, p_hat, se, baseline), axis=1)
+        for r in range(len(p_hat)):
+            alone = np.concatenate(_fit_rows(lengths, p_hat[r], se[r], baseline))
+            assert np.array_equal(alone, batch[r]), (seed, r)
+
+
+def _reference_cost(a, g, w, y):
+    """Weighted squared residuals per row, summed directly (no cancellation)."""
+    r = y - a[:, None] * g
+    return (w * r * r).sum(axis=1)
+
+
+def _reference_profile(u, ey, w, y):
+    """``(A, u, cost)`` per row with A at its best for the row's ``u``."""
+    g = u[:, None] ** ey
+    a = _best_amplitude((w * y * g).sum(axis=1), (w * g * g).sum(axis=1))
+    return a, u, _reference_cost(a, g, w, y)
+
+
+def _reference_fit_block(ey, powers, w, y) -> tuple:
+    """One block of ``_reference_fit_rows``: grid bracket, golden section
+    and ends, every sum over lengths rows-major."""
+    squares = powers * powers
+    wy = w * y
+    best = np.empty(len(y), dtype=np.intp)
+    for i in range(0, len(y), _GRID_ROWS):
+        rows = slice(i, i + _GRID_ROWS)
+        num = wy[rows, :1] * powers[0]
+        den = w[rows, :1] * squares[0]
+        for j in range(1, len(ey)):
+            num += wy[rows, j:j + 1] * powers[j]
+            den += w[rows, j:j + 1] * squares[j]
+        a = _best_amplitude(num, den)
+        best[rows] = np.argmin(a * (a * den - 2.0 * num), axis=1)
+    lo = _U_GRID[np.maximum(best - 1, 0)]
+    hi = _U_GRID[np.minimum(best + 1, len(_U_GRID) - 1)]
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc = _reference_profile(c, ey, w, y)[2]
+    fd = _reference_profile(d, ey, w, y)[2]
+    for _ in range(_GOLDEN_STEPS):
+        left = fc < fd
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        probe = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        fprobe = _reference_profile(probe, ey, w, y)[2]
+        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
+                        np.where(left, fprobe, fd), np.where(left, fc, fprobe))
+    fit = _reference_profile(np.where(fc < fd, c, d), ey, w, y)
+    for edge in (0.0, 1.0):
+        fit = _lower(fit, _reference_profile(np.full(len(y), edge), ey, w, y))
+    return fit
+
+
+def _reference_fit_rows(lengths, p_hat, se, baseline) -> tuple:
+    """The fit as it was before its golden section ran lengths-major: every
+    profile in ``(rows, lengths)`` arrays, summed along rows."""
+    ey = np.asarray(lengths, dtype=float) - 1.0
+    y = np.atleast_2d(p_hat) - baseline
+    w = 1.0 / np.atleast_2d(se) ** 2
+    powers = _U_GRID ** ey[:, None]
+    parts = [_reference_fit_block(ey, powers, w[i:i + _FIT_BLOCK], y[i:i + _FIT_BLOCK])
+             for i in range(0, len(y), _FIT_BLOCK)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _fit_corpus(rows, count, seed):
+    """``rows`` rows at ``count`` lengths (1, 2, then up to 300) of an n = 2, 4
+    or 10 design.  By ``(r + seed) % 5``, row r is a binomial decay (1000
+    shots) with A up to its bound and u in [0, 1]; flat at the baseline;
+    binomial below the baseline (negative y); at the baseline from L = 2
+    on (a fit at u = 0); or flat above it (a fit at u = 1)."""
+    rng = np.random.default_rng(seed)
+    baseline = 1.0 / 2 ** int(rng.choice([2, 4, 10]))
+    lengths = np.concatenate([[1.0, 2.0], np.sort(rng.choice(np.arange(3, 301), count - 2,
+                                                             replace=False))])
+    amplitude, u = rng.uniform(0.0, 2.0, rows), rng.uniform(0.0, 1.0, rows)
+    p = np.clip(amplitude[:, None] * u[:, None] ** (lengths - 1.0) + baseline, 0.0, 1.0)
+    p_hat = rng.binomial(1000, p) / 1000
+    kind = (np.arange(rows) + seed) % 5
+    p_hat[kind == 1] = baseline
+    below = kind == 2
+    p_hat[below] = rng.binomial(1000, rng.uniform(0.0, baseline, (below.sum(), count))) / 1000
+    p_hat[kind == 3] = baseline
+    p_hat[kind == 3, 0] = 1.0
+    p_hat[kind == 4] = np.linspace(baseline, 1.0, 9)[rng.integers(1, 9, (kind == 4).sum())][:, None]
+    se = np.maximum(np.sqrt(p_hat * (1.0 - p_hat) / 1000), 1e-4)
+    return lengths, p_hat, se, baseline
+
+
+@pytest.mark.parametrize("count", list(range(2, 21)) + [129, 140])
+def test_fit_rows_equal_the_rows_major_reference_bit_for_bit(count):
+    # 1-2,500 rows, across _GRID_ROWS chunks and _FIT_BLOCK blocks: below 8
+    # lengths the golden section runs lengths-major, from 8 on rows-major,
+    # and either way every A, u and cost (signed zeros too) is the
+    # reference's
+    ends = set()
+    for rows in (1, 2, 10, 64, 65, 1000, 1025, 2500):
+        data = _fit_corpus(rows, count, 100 * count + rows)
+        fit, reference = _fit_rows(*data), _reference_fit_rows(*data)
+        for got, want in zip(fit, reference):
+            assert got.tobytes() == want.tobytes(), (count, rows)
+        ends.update(fit[1][(fit[1] == 0.0) | (fit[1] == 1.0)].tolist())
+    assert ends == {0.0, 1.0}
 
 
 def test_resample_points_match_loop_reference():

@@ -728,6 +728,19 @@ def test_frame_potential_csv_matches_golden_file(tmp_path, n_qubits, samples):
     assert read_bytes(out / "frame_potential.csv") == read_bytes(golden)
 
 
+def test_fit_of_ten_lengths_matches_golden_files(tmp_path):
+    # ten lengths, so numpy sums each fit's rows pairwise, and 1,100
+    # resamples: two fit blocks, the second ending in a short grid chunk
+    # (76 = 64 + 12 rows); CI compares the same files without the test
+    # extras
+    golden = os.path.join(DATA, "fit_l10")
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", os.path.join(golden, "dataset.csv"), "--resamples", "1100",
+                   "--seed", "23", "--out", str(out)) == 0
+    for name in ("fit.json", "decay.svg"):
+        assert read_bytes(out / name) == read_bytes(os.path.join(golden, name))
+
+
 def test_scatter_command(tmp_path):
     out = tmp_path / "sc"
     code = run_cli("scatter", "--n", "2", "--experiments", "2", "--pmax", "0.05",

@@ -33,10 +33,12 @@ from mirrorbench.simulator import (
     DecayDataset,
     NoiseModel,
     _DENSE_WORDS,
+    _SEARCH,
     _SHOT_BLOCK,
     _TABLE_WORDS,
     _block_flips,
     _channel,
+    _code_ranks,
     _dense_survivals,
     _fault_sites,
     _fault_tables,
@@ -225,6 +227,94 @@ def test_propagate_faults_matches_frame_oracle(n_qubits, length):
     flips = _block_flips(_stacked(circuits, noise), 2048, drawn.values())
     np.testing.assert_array_equal(flips, np.stack(expected))
     assert np.count_nonzero(flips) > 0
+
+
+CLOSE = StochasticPauli((0.1, 0.0001, 0.1))  # code boundaries 1/2000 apart
+RANK_NOISES = {
+    "depolarizing": NoiseModel(two_qubit=Depolarizing(0.05), single_qubit=Depolarizing(0.01)),
+    "pauli": NoiseModel(two_qubit=stochastic_pauli_tensor(PAULI_1Q, PAULI_1Q),
+                        single_qubit=PAULI_1Q),
+    "zero-entries": NoiseModel(
+        two_qubit=stochastic_pauli_tensor(StochasticPauli((0.02, 0.0, 0.01)),
+                                          StochasticPauli((0.0, 0.0, 0.03))),
+        single_qubit=StochasticPauli((0.0, 0.02, 0.0))),
+    "close-boundaries": NoiseModel(two_qubit=stochastic_pauli_tensor(CLOSE, CLOSE),
+                                   single_qubit=CLOSE),
+}
+
+
+@pytest.mark.parametrize("noise", RANK_NOISES.values(), ids=RANK_NOISES)
+def test_code_ranks_equal_searchsorted(noise):
+    # at every boundary, the double just below each, both ends of [0, 1)
+    # and 10^5 uniforms, for the one- and two-qubit classes
+    _, classes = _fault_sites(4, 2, noise)
+    assert len(classes) == 2
+    rng = np.random.default_rng(31)
+    for cls in classes:
+        cum = cls.cum_codes
+        points = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, np.nextafter(1.0, 0.0)],
+                                 rng.random(10 ** 5)])
+        points = points[points < 1.0]
+        expected = np.searchsorted(cum, points, side="right")
+        np.testing.assert_array_equal(_code_ranks(cls, points.copy()), expected)
+        assert cls.rank_table.dtype == np.uint8 and cls.rank_table.shape == (256,)
+    cum = classes[1].cum_codes
+    if noise is RANK_NOISES["zero-entries"]:
+        assert np.any(np.diff(cum) == 0.0)
+    if noise is RANK_NOISES["close-boundaries"]:
+        assert np.min(np.diff(cum)[np.diff(cum) > 0]) < 1.0 / 256
+        assert np.any(classes[0].rank_table == _SEARCH)
+
+
+def _reference_block_flips(masks, block, drawn):
+    """The block decode with each uniform's rank binary-searched."""
+    count, n_sites = masks.shape[:2]
+    table = masks.reshape(-1)[1:]
+    flips = np.zeros(count * block, dtype=np.uint64)
+    for cls, counts, places, uniforms in drawn:
+        ranks = np.searchsorted(cls.cum_codes, np.concatenate(uniforms), side="right")
+        shot, index = np.divmod(np.concatenate(places), len(cls.sites))
+        index = cls.sites[index]
+        if count > 1:
+            circuits, sizes = zip(*counts)
+            index += np.repeat(np.multiply(circuits, n_sites), sizes)
+            shot += np.repeat(np.multiply(circuits, block), sizes)
+        index *= 16
+        index += ranks
+        np.bitwise_xor.at(flips, shot, table[index])
+    return flips.reshape(count, block)
+
+
+@pytest.mark.parametrize("n_qubits,length", [(4, 3), (10, 6)])
+def test_block_flips_equal_the_searchsorted_reference(n_qubits, length):
+    # a stack of six circuits, each under its own noise (the scatter
+    # study's classes, some of them q = 0, and dense ones), decoded in
+    # slices of one, two and three circuits as _stack_survivors cuts them
+    circuits = [mirror_circuit_spec(50 + c, n_qubits, length) for c in range(6)]
+    noises = [NoiseModel(two_qubit=Depolarizing(0.3 * (c % 3)),
+                         single_qubit=StochasticPauli((0.05, 0.0, 0.1 * (c % 2))))
+              for c in range(6)]
+    masks = _stacked(circuits, noises[1])
+    classes = [_fault_sites(n_qubits, length, noise)[1] for noise in noises]
+    rng = np.random.default_rng(32)
+    block = 3000
+    for start, stop in ((0, 1), (1, 3), (3, 6)):
+        drawn = {}
+        for c in range(start, stop):
+            for cls in classes[c]:
+                cells = block * len(cls.sites)
+                faults = int(rng.binomial(cells, cls.q)) if cls.q > 0.0 else 0
+                if faults:
+                    _, counts, places, uniforms = drawn.setdefault(id(cls), (cls, [], [], []))
+                    counts.append((c - start, faults))
+                    places.append(rng.choice(cells, faults, replace=False, shuffle=False))
+                    uniforms.append(rng.random(faults))
+        copies = [(cls, list(counts), [p.copy() for p in places], [u.copy() for u in uniforms])
+                  for cls, counts, places, uniforms in drawn.values()]
+        expected = _reference_block_flips(masks[start:stop], block, copies)
+        flips = _block_flips(masks[start:stop], block, drawn.values())
+        np.testing.assert_array_equal(flips, expected)
+        assert np.count_nonzero(flips) > 0
 
 
 def _reference_fault_program(circuit, noise):
