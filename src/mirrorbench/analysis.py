@@ -23,16 +23,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .channels import Depolarizing, depolarizing_tensor_unitarity
-from .circuits import _circuit_stack, _draw_stack, _experiment_seeds
+from .circuits import _experiment_seeds, mirror_circuit_stack
 from .operators import _LETTER_MASK_ROWS
-from .simulator import (
-    DecayDataset,
-    NoiseModel,
-    _fault_sites,
-    _fault_tables,
-    _stack_survivors,
-    _table_batches,
-)
+from .simulator import DecayDataset, NoiseModel, _stack_counts
 
 SE_FLOOR = 1e-4
 CI_PERCENTILES = (16.0, 84.0)
@@ -542,6 +535,8 @@ def frame_potential_profile(n_qubits: int, lengths: Sequence[int], samples: int,
     if samples < 2:
         raise ValueError("need at least two samples")
     lengths = [int(x) for x in lengths]
+    if not lengths:
+        raise ValueError("need at least one length")
     if any(x < 0 for x in lengths):
         raise ValueError("lengths must be non-negative")
     d = 2 ** n_qubits
@@ -602,14 +597,13 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
 
     Experiments go in chunks of at most ``_SCATTER_CELLS`` round-qubit
     cells, so memory does not grow with their number.  Per chunk and
-    length, one ``CircuitStack`` (``_draw_stack``, ``_circuit_stack``, as
-    ``sample_experiment`` builds its stacks) holds every experiment's
-    circuits, and each ``_TABLE_WORDS`` slice of it is run as one batch,
-    as ``simulator._run_batch`` runs one: one fault-table build, which does
-    not depend on p, into a table allocated once per stack, and one shot
-    loop, in which each circuit draws from ``SeedSequence((simulation seed,
-    circuit id))`` under its experiment's fault classes.  A chunk's
-    experiments are fitted together, one row each.
+    length, one ``mirror_circuit_stack`` holds every experiment's circuits,
+    and the simulator's stack runner (``_stack_counts``) runs it, each
+    circuit under its experiment's noise and drawing from
+    ``SeedSequence((simulation seed, circuit id))``: the noises place the
+    same fault sites, so each table slice is one fault-table build, which
+    does not depend on p, and one shot loop.  A chunk's experiments are
+    fitted together, one row each.
     """
     if n_qubits % 2:
         raise ValueError("n_qubits must be even")
@@ -633,41 +627,16 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
         se = np.empty_like(p_hat)
         for j, length in enumerate(fit_lengths):
             ids = [i for i, (cell_length, _) in enumerate(seeds[0]) if cell_length == length]
-            successes = _stack_successes(
-                n_qubits, length, [cells[i][1] for cells in seeds for i in ids], ids,
-                noises, [sim_seed for _, _, sim_seed in group], shots)
+            stack = mirror_circuit_stack([cells[i][1] for cells in seeds for i in ids],
+                                         n_qubits, length, ids * len(group))
+            (counts,) = _stack_counts([(stack, [noise for noise in noises for _ in ids],
+                                        [(sim_seed, i) for _, _, sim_seed in group for i in ids])],
+                                      shots, 1, "stabilizer")
             # each cell's mean alone, as survival_points takes it
-            p_hat[:, j] = [rates.mean() for rates in successes / shots]
+            p_hat[:, j] = [rates.mean() for rates in counts.reshape(len(group), -1) / shots]
             se[:, j] = _pooled_se(p_hat[:, j], float(len(ids) * shots))
         _, u_est, _ = _fit_rows(np.array(fit_lengths, dtype=float), p_hat, se,
                                 1.0 / 2 ** n_qubits)
         points += [ScatterPoint(p, depolarizing_tensor_unitarity(p, n_qubits // 2), float(u))
                    for (p, _, _), u in zip(group, u_est)]
     return points
-
-
-def _stack_successes(n_qubits: int, length: int, seeds: list, ids: list, noises: list,
-                     sim_seeds: list, shots: int) -> np.ndarray:
-    """The ``(experiments, len(ids))`` success counts of one stack of
-    circuits of one (n, L): experiment k's circuits ``ids``, drawn from
-    ``seeds`` (experiment-major), under ``noises[k]``, each with the child
-    stream ``(sim_seeds[k], circuit id)``.  All the noises must place the
-    same fault sites."""
-    sites, _ = _fault_sites(n_qubits, length, noises[0])
-    classes = [_fault_sites(n_qubits, length, noise)[1] for noise in noises]
-    stack = _circuit_stack(_draw_stack(seeds, n_qubits, length), seeds, ids * len(noises))
-    layers = stack.uzz_layers
-    count = len(ids)
-    successes = np.empty(len(seeds), dtype=np.int64)
-    batches = _table_batches([(n_qubits, length)] * len(seeds), noises[0])
-    # one table for the stack, the first (largest) batch's, sliced per batch
-    table = np.empty((len(batches[0]), len(sites[0]), 16), dtype=np.uint64)
-    for batch in batches:
-        rows = slice(batch[0], batch[-1] + 1)
-        masks = _fault_tables(stack.x_images[rows], stack.z_images[rows], layers[rows], sites,
-                              out=table[:len(batch)])
-        seeds_of = [(sim_seeds[c // count], ids[c % count]) for c in batch]
-        rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds_of]
-        successes[rows] = _stack_survivors(masks, [classes[c // count] for c in batch], shots,
-                                           rngs)
-    return successes.reshape(len(noises), count)

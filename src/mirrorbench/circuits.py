@@ -305,17 +305,17 @@ def _image_words(size: tuple) -> int:
     return n * ((n + 63) // 64)
 
 
-def _batches(sizes: Sequence[tuple], words=_image_words, budget: int = _BATCH_WORDS) -> list:
+def _batches(sizes: Sequence[tuple]) -> list:
     """The positions of circuits of the given (n, L) ``sizes``, grouped by
     size in order of first appearance, each group cut into batches of at
-    most ``budget`` words, ``words(size)`` per circuit, and at least one
-    circuit."""
+    most ``_BATCH_WORDS`` words, ``_image_words(size)`` per circuit, and at
+    least one circuit."""
     groups = {}
     for i, size in enumerate(sizes):
         groups.setdefault(size, []).append(i)
     out = []
     for size, members in groups.items():
-        count = max(1, budget // max(words(size), 1))
+        count = max(1, _BATCH_WORDS // max(_image_words(size), 1))
         out.extend(members[k:k + count] for k in range(0, len(members), count))
     return out
 

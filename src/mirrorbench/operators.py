@@ -21,9 +21,10 @@ Conventions used throughout the package:
   and Z letter of each tracked Pauli at physical qubit p, one column per
   word or per sample.  ``_clifford_round`` applies one single-qubit
   Clifford to every qubit and ``_uzz_round`` one layer of UZZ gates, both
-  on every column at once.  They are the one propagation path: the mirror
-  check and fault masks of ``circuits`` and the frame potential of
-  ``analysis`` run on them.
+  on every column at once.  They are the one set of round rules: the
+  mirror check and fault masks of ``circuits`` call them, and the frame
+  potential of ``analysis`` evaluates the same rules in its own work
+  buffers, from ``_LETTER_MASK_ROWS``, without calling them.
 """
 
 from __future__ import annotations

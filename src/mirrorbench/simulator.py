@@ -1,8 +1,9 @@
 """Noisy execution of compiled mirror circuits.
 
 Two backends share a gate-located noise model, and both run the stacks of
-circuits of one (n, L) that ``circuits.CircuitStack`` holds, as arrays
-(``_run_stacks``, shared by ``run`` and ``simulate_survival``):
+circuits of one (n, L) that ``circuits.CircuitStack`` holds, as arrays,
+with a noise and a child seed per circuit (``_stack_counts``, the one stack
+runner of ``run``, ``simulate_survival`` and the scatter study):
 
 - stabilizer: Monte Carlo sampling of stochastic Pauli faults.  The
   noiseless circuit maps each Z_q to +/-Z_q, so every fault site and Pauli
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -48,7 +50,7 @@ from .channels import (
     superop_of,
     superop_of_unitary,
 )
-from .circuits import CircuitStack, _batches, _gate_layout, _is_int, _single
+from .circuits import CircuitStack, _gate_layout, _is_int, _single
 from .operators import CLIFFORD_UNITARIES, UZZ_MATRIX
 
 DATASET_FORMAT_VERSION = 1
@@ -242,13 +244,12 @@ def _rank_table(cum_codes: bytes) -> np.ndarray:
     return table
 
 
-def _code_masks(generators: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The flip masks of every Pauli code at a site, zero-padded to 16
-    codes: code k flips the XOR of the generators (last axis) at its set
-    bits, at a site on qubits (a, b) the bits that X_a, Z_a, X_b and Z_b
-    flip.  Written into ``out``, a uint64 array of the result's shape, when
-    given; with four generators every code is written."""
-    masks = np.zeros(generators.shape[:-1] + (16,), dtype=np.uint64) if out is None else out
+def _code_masks(generators: np.ndarray) -> np.ndarray:
+    """The flip masks of the 16 Pauli codes at a site: code k flips the XOR
+    of the four generators (last axis) at its set bits, at a site on qubits
+    (a, b) the bits that X_a, Z_a, X_b and Z_b flip.  Every code is written,
+    so the table is taken empty: a zeroed one (calloc) maps fresh pages."""
+    masks = np.empty(generators.shape[:-1] + (16,), dtype=np.uint64)
     masks[..., 0] = 0
     for j in range(generators.shape[-1]):
         np.bitwise_xor(masks[..., :1 << j], generators[..., j, None],
@@ -257,30 +258,36 @@ def _code_masks(generators: np.ndarray, out: Optional[np.ndarray] = None) -> np.
 
 
 @lru_cache(maxsize=64)
+def _placed_sites(n: int, length: int, placed: tuple) -> tuple:
+    """The read-only round, UZZ flag and slot arrays (``_gate_layout``) of
+    the gates of one (n, L) whose kind (Clifford, forward UZZ, mirrored
+    UZZ) is ``placed``, in gate order, one tuple for all noises that do."""
+    rounds, is_uzz, slot = _gate_layout(n, length)
+    noisy = np.array(placed)[is_uzz * (1 + (rounds >= length))]
+    sites = tuple(array[noisy] for array in (rounds, is_uzz, slot))
+    for array in sites:
+        array.flags.writeable = False
+    return sites
+
+
+@lru_cache(maxsize=64)
 def _fault_sites(n: int, length: int, noise: NoiseModel) -> tuple:
     """Where the fault sites of every circuit of one (n, L) under ``noise``
-    sit, in gate order: the round, UZZ flag and slot of each site's gate
-    (``_gate_layout``), and the sites' classes (read-only, cached per (n, L,
-    noise), so one group of circuits builds them once).  Raises ValueError
-    above the stabilizer backend's qubit limit."""
+    sit (``_placed_sites``), and the sites' classes (read-only, cached per
+    (n, L, noise), so one group of circuits builds them once).  Raises
+    ValueError above the stabilizer backend's qubit limit."""
     if n > _QUBIT_LIMITS["stabilizer"]:
         raise ValueError(f"stabilizer backend limited to {_QUBIT_LIMITS['stabilizer']} qubits")
-    rounds, is_uzz, slot = _gate_layout(n, length)
-    kind = is_uzz * (1 + (rounds >= length))  # Clifford, forward UZZ, mirrored UZZ
     keys = {}  # (params, arity) -> class number, in order of first site
     class_of_kind = []
     for arity, mirrored in ((1, False), (2, False), (2, True)):
         params = _channel(noise, arity, mirrored)
         class_of_kind.append(-1 if params is None
                              else keys.setdefault((params, arity), len(keys)))
-    gate_class = np.array(class_of_kind)[kind]
-    noisy = gate_class >= 0
-    classes = tuple(_site_class(kernel_pauli_probs(*key),
-                                np.flatnonzero(gate_class[noisy] == number))
+    sites = _placed_sites(n, length, tuple(number >= 0 for number in class_of_kind))
+    site_class = np.array(class_of_kind)[sites[1] * (1 + (sites[0] >= length))]
+    classes = tuple(_site_class(kernel_pauli_probs(*key), np.flatnonzero(site_class == number))
                     for key, number in keys.items())
-    sites = tuple(array[noisy] for array in (rounds, is_uzz, slot))
-    for array in sites:
-        array.flags.writeable = False
     return sites, classes
 
 
@@ -307,15 +314,15 @@ def _site_generators(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndar
 
 
 def _fault_tables(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndarray,
-                  sites: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
+                  sites: tuple) -> np.ndarray:
     """The ``(C, sites, 16)`` fault table of C circuits of one (n, L):
     ``masks[c, j, k]`` is the final X-mask of Pauli code k (as in
     ``kernel_pauli_probs``) at site j of circuit c; the arguments are those
-    of ``_site_generators``, and ``out``, when given, the table to write.  A
-    fault flips outcome bit q iff it anticommutes with the image of Z_q
-    where it occurs, so the generators of the noisy sites are read from the
-    kept Z images, then expanded to the 16 codes."""
-    masks = _code_masks(_site_generators(x_images, z_images, layers, sites), out)
+    of ``_site_generators``.  A fault flips outcome bit q iff it
+    anticommutes with the image of Z_q where it occurs, so the generators of
+    the noisy sites are read from the kept Z images, then expanded to the 16
+    codes."""
+    masks = _code_masks(_site_generators(x_images, z_images, layers, sites))
     masks[:, ~sites[1], 4:] = 0  # a one-qubit fault has no code above 3
     return masks
 
@@ -524,14 +531,6 @@ def _uzz_layer(state: np.ndarray, spare: np.ndarray, axes: list, inverses: list,
 # ---------------------------------------------------------------------------
 
 
-def _table_batches(sizes: Sequence[tuple], noise: NoiseModel) -> list:
-    """The positions of circuits of the given (n, L) ``sizes`` in batches
-    that share one ``_fault_tables`` call: one (n, L) each, of at most
-    ``_TABLE_WORDS`` table words, and at least one circuit."""
-    return _batches(sizes, lambda size: 16 * len(_fault_sites(*size, noise)[0][0]),
-                    _TABLE_WORDS)
-
-
 def _run_batch(task) -> list:
     """The success counts of ``(x_images, z_images, layers, sites, classes,
     shots, child_seeds)``, a stack of one (n, L) with one ``_fault_tables``
@@ -559,37 +558,53 @@ def _counted(task) -> tuple:
     return positions, run(args)
 
 
-def _run_stacks(stacks: Sequence[tuple], noise: NoiseModel, shots: int, master: int,
-                jobs: int, backend: str) -> DecayDataset:
-    """The dataset of the circuits of ``(positions, stack)`` pairs, stacks
-    of one n (``CircuitStack``): circuit c of a stack is the dataset's row
-    ``positions[c]``, and it draws from the child stream ``(master,
-    positions[c])``.  Each stack is cut into tasks, one at a time:
-    stabilizer batches of ``_table_batches`` (``_run_batch``) or dense ones
-    of at most ``_DENSE_WORDS`` state words (``_run_dense_batch``), of at
-    most ceil(circuits / jobs)."""
-    rows = {pos: (stack.length, circuit_id, seed) for positions, stack in stacks
-            for pos, circuit_id, seed in zip(positions, stack.circuit_ids, stack.seeds)}
-    n, size = stacks[0][1].n_qubits, -(-len(rows) // jobs)
+def _task_runs(stack: CircuitStack, noises: Sequence, backend: str) -> list:
+    """``[start, stop, shared, classes]`` of each run of consecutive
+    circuits of ``stack`` that one task may hold: on the dense backend,
+    those of one noise object, ``shared``; on the stabilizer backend, those
+    whose noises place the same fault sites, ``shared`` (one
+    ``_placed_sites`` tuple), with each circuit's site ``classes``, looked
+    up once per noise object."""
+    runs = []
+    for c, noise in enumerate(noises):
+        if not c or noise is not noises[c - 1]:
+            shared, classes = (_fault_sites(stack.n_qubits, stack.length, noise)
+                               if backend == "stabilizer" else (noise, None))
+            if not runs or shared is not runs[-1][2]:
+                runs.append([c, c, shared, []])
+        runs[-1][1] = c + 1
+        runs[-1][3].append(classes)
+    return runs
+
+
+def _stack_counts(stacks: Sequence[tuple], shots: int, jobs: int, backend: str) -> list:
+    """The success counts of the circuits of ``(stack, noises,
+    child_seeds)`` triples, one int64 array per stack: stacks of one n
+    (``CircuitStack``) whose circuit c runs under ``noises[c]`` and draws
+    from the child stream ``SeedSequence(child_seeds[c])``.  Each stack is
+    cut into tasks, one at a time, of at most ceil(circuits / jobs), within
+    a run of ``_task_runs``: stabilizer batches of at most ``_TABLE_WORDS``
+    table words (``_run_batch``), or dense ones of at most ``_DENSE_WORDS``
+    state words (``_run_dense_batch``)."""
+    size = -(-sum(len(stack) for stack, _, _ in stacks) // jobs)
+    stabilizer = backend == "stabilizer"
 
     def tasks():
-        for positions, stack in stacks:
-            length, layers = stack.length, stack.uzz_layers
-            if backend == "stabilizer":
-                sites, classes = _fault_sites(n, length, noise)
-                step = min(size, len(_table_batches([(n, length)] * len(positions), noise)[0]))
-            else:
-                step = min(size, max(1, _DENSE_WORDS >> 2 * n))
-            for k in range(0, len(positions), step):
-                at, seeds = slice(k, k + step), [(master, pos) for pos in positions[k:k + step]]
-                if backend == "stabilizer":
-                    yield positions[at], _run_batch, (stack.x_images[at], stack.z_images[at],
-                                                      layers[at], sites, [classes] * len(seeds),
-                                                      shots, seeds)
-                else:
-                    yield positions[at], _run_dense_batch, (stack.rounds[at], layers[at],
-                                                            stack.outcome[at], noise, shots,
-                                                            seeds)
+        for index, (stack, noises, child_seeds) in enumerate(stacks):
+            layers = stack.uzz_layers
+            for start, stop, shared, classes in _task_runs(stack, noises, backend):
+                step = min(size, max(1, _TABLE_WORDS // max(16 * len(shared[0]), 1) if stabilizer
+                                     else _DENSE_WORDS >> 2 * stack.n_qubits))
+                for k in range(start, stop, step):
+                    at = slice(k, min(k + step, stop))
+                    if stabilizer:
+                        yield (index, at), _run_batch, (
+                            stack.x_images[at], stack.z_images[at], layers[at], shared,
+                            classes[k - start:at.stop - start], shots, child_seeds[at])
+                    else:
+                        yield (index, at), _run_dense_batch, (
+                            stack.rounds[at], layers[at], stack.outcome[at], shared, shots,
+                            child_seeds[at])
 
     if jobs > 1:
         # imported here: the pool is the one user of concurrent.futures and
@@ -600,11 +615,25 @@ def _run_stacks(stacks: Sequence[tuple], noise: NoiseModel, shots: int, master: 
             results = list(pool.map(_counted, tasks(), chunksize=1))
     else:
         results = map(_counted, tasks())
-    counts = {}
-    for positions, result in results:
-        counts.update(zip(positions, result))
-    return DecayDataset(n, tuple(DatasetEntry(length, circuit_id, shots, counts[pos], seed)
-                                 for pos, (length, circuit_id, seed) in sorted(rows.items())))
+    counts = [np.empty(len(stack), dtype=np.int64) for stack, _, _ in stacks]
+    for (index, at), result in results:
+        counts[index][at] = result
+    return counts
+
+
+def _run_stacks(stacks: Sequence[tuple], noise: NoiseModel, shots: int, master: int,
+                jobs: int, backend: str) -> DecayDataset:
+    """The dataset of the circuits of ``(positions, stack)`` pairs, stacks
+    of one n (``CircuitStack``), run under ``noise`` by ``_stack_counts``:
+    circuit c of a stack is the dataset's row ``positions[c]``, and it draws
+    from the child stream ``(master, positions[c])``."""
+    counts = _stack_counts([(stack, [noise] * len(stack), [(master, pos) for pos in positions])
+                            for positions, stack in stacks], shots, jobs, backend)
+    rows = sorted((pos, DatasetEntry(stack.length, circuit_id, shots, count, seed))
+                  for (positions, stack), column in zip(stacks, counts)
+                  for pos, circuit_id, seed, count in zip(positions, stack.circuit_ids,
+                                                          stack.seeds, column.tolist()))
+    return DecayDataset(stacks[0][1].n_qubits, tuple(entry for _, entry in rows))
 
 
 def simulate_survival(circuits: Union[CircuitStack, Sequence[CircuitStack]],
@@ -635,7 +664,7 @@ def simulate_survival(circuits: Union[CircuitStack, Sequence[CircuitStack]],
     if isinstance(rng, np.random.Generator):
         master = int(rng.integers(0, 2 ** 63 - 1))
     else:
-        master = int(rng)
+        master = operator.index(rng)  # a TypeError for 1.5, as default_rng gives
     if backend == "stabilizer":
         _check_stabilizer_noise(noise)
     ends = np.cumsum([len(stack) for stack in stacks]).tolist()

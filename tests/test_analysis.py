@@ -577,6 +577,11 @@ def test_frame_potential_validation():
         frame_potential_profile(2, (2,), 1)
 
 
+def test_frame_potential_rejects_no_lengths():
+    with pytest.raises(ValueError, match="need at least one length"):
+        frame_potential_profile(4, [], 100)
+
+
 def test_frame_potential_profile_matches_single_runs_statistically():
     profile = frame_potential_profile(2, (1, 2), 20000, rng=11)
     assert [e.length for e in profile] == [1, 2]
@@ -801,9 +806,8 @@ def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch)
 
 
 def test_scatter_experiment_memory_within_per_batch_tables():
-    # one fault table per stack, sliced per batch: the tracemalloc peak of
-    # this study stays within the 1,792,219 bytes it took when every batch
-    # allocated its own table
+    # each table slice of a stack builds its own table, as run's batches do:
+    # the tracemalloc peak of this study stays within 1,792,219 bytes
     scatter_experiment(4, 1, 0.02, rng=1, shots=10)
     tracemalloc.start()
     try:

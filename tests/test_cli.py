@@ -741,6 +741,17 @@ def test_fit_of_ten_lengths_matches_golden_files(tmp_path):
         assert read_bytes(out / name) == read_bytes(os.path.join(golden, name))
 
 
+def test_scatter_of_the_default_design_matches_golden_file(tmp_path):
+    # n = 4, ten experiments of the default design: the L = 16 stack of 100
+    # circuits spans two 64-circuit fault-table slices; CI compares the same
+    # file without the test extras
+    golden = os.path.join(DATA, "scatter_n4")
+    assert run_cli("rerun", os.path.join(golden, "manifest.json"),
+                   "--out", str(tmp_path / "redo")) == 0
+    assert (read_bytes(tmp_path / "redo" / "scatter.csv")
+            == read_bytes(os.path.join(golden, "scatter.csv")))
+
+
 def test_scatter_command(tmp_path):
     out = tmp_path / "sc"
     code = run_cli("scatter", "--n", "2", "--experiments", "2", "--pmax", "0.05",

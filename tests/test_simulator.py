@@ -46,8 +46,9 @@ from mirrorbench.simulator import (
     _read_entry,
     _run_batch,
     _site_class,
+    _stack_counts,
     _stack_survivors,
-    _table_batches,
+    _task_runs,
     kernel_pauli_probs,
     read_dataset_csv,
     read_dataset_json,
@@ -392,11 +393,26 @@ def _length_stacks(circuits):
     return stacks, ordered
 
 
+def _table_slices(sizes, noise):
+    """The positions of circuits of the given (n, L) ``sizes``, grouped by
+    size in order of first appearance, each group cut into slices of at
+    most ``_TABLE_WORDS`` table words (16 per fault site and circuit) and
+    at least one circuit, as the stack runner cuts a stack of one noise."""
+    groups = {}
+    for i, size in enumerate(sizes):
+        groups.setdefault(size, []).append(i)
+    out = []
+    for size, members in groups.items():
+        count = max(1, _TABLE_WORDS // max(16 * len(_fault_sites(*size, noise)[0][0]), 1))
+        out.extend(members[k:k + count] for k in range(0, len(members), count))
+    return out
+
+
 @pytest.mark.parametrize("n_qubits", [2, 4, 10, 64])
 @pytest.mark.parametrize("noise", MASK_NOISES)
 def test_batched_fault_tables_equal_each_circuit_compiled_alone(n_qubits, noise):
     circuits = _mixed_length_circuits(n_qubits)
-    batches = _table_batches([(c.n_qubits, c.length) for c in circuits], noise)
+    batches = _table_slices([(c.n_qubits, c.length) for c in circuits], noise)
     assert sorted(pos for batch in batches for pos in batch) == list(range(len(circuits)))
     if n_qubits == 64 and None not in (noise.single_qubit, noise.two_qubit):
         # 1,152 sites at L = 6: three circuits fill a batch, so the four of
@@ -415,13 +431,18 @@ def test_batched_fault_tables_equal_each_circuit_compiled_alone(n_qubits, noise)
         # a one-qubit site's codes 4-15 are zero, not copies of codes 0-3
         (_, is_uzz, _), _ = _fault_sites(n_qubits, group[0].length, noise)
         assert not masks[:, ~is_uzz, 4:].any()
-        # the same table written over a used buffer, code 0 included
-        used = np.full(masks.shape, np.uint64(0xDEADBEEF), dtype=np.uint64)
-        written = _fault_tables(np.concatenate([c.x_images for c in group]),
-                                np.concatenate([c.z_images for c in group]),
-                                np.concatenate([c.uzz_layers for c in group]), sites, out=used)
-        assert written is used
-        np.testing.assert_array_equal(written, masks)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 64])
+@pytest.mark.parametrize("noise", MASK_NOISES)
+def test_fault_tables_write_every_code_of_an_empty_table(n_qubits, noise, monkeypatch):
+    # the table is taken with np.empty, so every code, 0 included, must be
+    # written: built over a buffer of old words, it is the same table
+    circuits = [mirror_circuit_spec(s, n_qubits, 3) for s in range(3)]
+    masks = _stacked(circuits, noise)
+    monkeypatch.setattr(simulator.np, "empty",
+                        lambda shape, dtype: np.full(shape, 0xDEADBEEF, dtype=dtype))
+    np.testing.assert_array_equal(_stacked(circuits, noise), masks)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -433,7 +454,7 @@ def test_simulate_survival_counts_are_each_circuits_run_stabilizer(jobs):
     assert [len(stack) for stack in stacks] == [4, 4, 4]
     noise = NoiseModel(two_qubit=Depolarizing(0.002),
                        single_qubit=StochasticPauli((0.001, 0.0005, 0.001)))
-    assert len(_table_batches([(64, 6)] * 4, noise)) == 2
+    assert len(_table_slices([(64, 6)] * 4, noise)) == 2
     master, shots = 77, 300
     ds = simulate_survival(stacks, noise, shots, rng=master, jobs=jobs)
     expected = [run_stabilizer(circuit, noise, shots,
@@ -542,7 +563,7 @@ def test_stack_loop_counts_equal_the_per_circuit_loop(n_qubits, shots):
     noises = _circuit_noises(len(circuits))
     sizes = [(c.n_qubits, c.length) for c in circuits]
     counts = []
-    for batch in _table_batches(sizes, noises[1]):
+    for batch in _table_slices(sizes, noises[1]):
         streams = [np.random.SeedSequence((21, i)) for i in batch]
         rngs = [np.random.default_rng(seq) for seq in streams]
         untouched = [rng.bit_generator.state for rng in rngs]
@@ -871,6 +892,56 @@ def test_one_stack_runs_as_its_seeds_alone(backend, jobs):
     assert 0 < sum(e.successes for e in ds.entries) < 500 * len(seeds)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stack_runner_runs_each_circuit_under_its_own_noise(jobs):
+    # n = 64, three stabilizer stacks (L = 1, 3, 6) of six circuits, each
+    # circuit with its own noise and child seed: A and B place the same
+    # 1,152 sites at L = 6 (so A, B, B, A is one run of the stack, cut at
+    # three circuits by table words), C only the UZZ sites, and the
+    # noiseless NoiseModel() none.  Each count is that of its circuit run
+    # alone, by _run_batch and by the per-circuit reference loop.
+    pool = {"A": NoiseModel(two_qubit=Depolarizing(0.002), single_qubit=_WEAK_1Q),
+            "B": NoiseModel(two_qubit=Depolarizing(0.004), single_qubit=_WEAK_1Q),
+            "C": NoiseModel(two_qubit=Depolarizing(0.01)),
+            "Z": NoiseModel()}
+    stacks, _ = _length_stacks(_mixed_length_circuits(64, 18))
+    triples = [(stack, [pool[key] for key in order], [(31, s, c) for c in range(len(stack))])
+               for s, (stack, order) in enumerate(zip(stacks, ("AABZZC", "ZCCABB", "ABBAZC")))]
+    assert [run[:2] for run in _task_runs(stacks[2], triples[2][1], "stabilizer")] == \
+        [[0, 4], [4, 5], [5, 6]]
+    shots = 200
+    counts = _stack_counts(triples, shots, jobs, "stabilizer")
+    for (stack, noises, seeds), stack_counts in zip(triples, counts):
+        assert stack_counts.dtype == np.int64 and len(stack_counts) == len(stack)
+        for c, (noise, seed) in enumerate(zip(noises, seeds)):
+            circuit = mirror_circuit_spec(stack.seeds[c], 64, stack.length)
+            program = _fault_program(circuit, noise)
+            sites, _ = _fault_sites(64, stack.length, noise)
+            alone = _run_batch((circuit.x_images, circuit.z_images, circuit.uzz_layers, sites,
+                                [program.classes], shots, [seed]))
+            reference = _reference_survivors(program.masks, program.classes, shots,
+                                             np.random.default_rng(np.random.SeedSequence(seed)))
+            assert [stack_counts[c]] == alone == [reference]
+            if noise is pool["Z"]:
+                assert stack_counts[c] == shots
+    assert 0 < sum(map(np.sum, counts)) < shots * 18
+    # a dense stack whose rows change noise: each row's count is drawn from
+    # the probability of its circuit under its own noise
+    stack = mirror_circuit_stack(range(6), 4, 3)
+    noises = [KERNEL_NOISES[k] for k in (0, 0, 4, 3, 1, 0)]
+    seeds = [(37, c) for c in range(6)]
+    (dense,) = _stack_counts([(stack, noises, seeds)], 1000, jobs, "dense")
+    assert [run[:2] for run in _task_runs(stack, noises, "dense")] == \
+        [[0, 2], [2, 3], [3, 4], [4, 5], [5, 6]]
+    probs = [_dense_survivals(stack.rounds[c:c + 1], stack.uzz_layers[c:c + 1],
+                              stack.outcome[c:c + 1], noise)[0]
+             for c, noise in enumerate(noises)]
+    assert dense.tolist() == [
+        int(np.random.default_rng(np.random.SeedSequence(seed)).binomial(1000, prob))
+        for prob, seed in zip(probs, seeds)]
+    assert dense[2] == 1000  # noiseless
+
+
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -987,6 +1058,16 @@ def test_simulate_survival_rejects_fewer_than_one_job(jobs):
     noise = NoiseModel(two_qubit=Depolarizing(0.1))
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         simulate_survival([mirror_circuit_spec(0, 2, 1)], noise, 100, rng=1, jobs=jobs)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+def test_simulate_survival_rejects_a_seed_that_is_not_an_integer(seed):
+    # as default_rng does: 1.5 must not run silently as seed 1
+    noise = NoiseModel(two_qubit=Depolarizing(0.1))
+    with pytest.raises(TypeError):
+        simulate_survival(mirror_circuit_spec(0, 2, 1), noise, 10, rng=seed)
+    assert simulate_survival(mirror_circuit_spec(0, 2, 1), noise, 10, rng=np.int64(1)) == \
+        simulate_survival(mirror_circuit_spec(0, 2, 1), noise, 10, rng=1)
 
 
 def test_simulate_survival_accepts_compiled_circuits():
