@@ -16,6 +16,7 @@ a 2-design.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -245,9 +246,11 @@ def fit_decay(dataset: DecayDataset, resamples: Optional[int] = None,
         residual_norm=math.sqrt(cost[0]), n_qubits=dataset.n_qubits,
         degenerate=degenerate,
     )
+    if resamples is not None:
+        resamples = operator.index(resamples)  # a TypeError for 2.5
     if resamples:
         ci = bootstrap_ci(dataset, resamples=resamples, rng=rng)
-        result = replace(result, bootstrap_ci=ci, resamples=int(resamples))
+        result = replace(result, bootstrap_ci=ci, resamples=resamples)
     return result
 
 
@@ -278,13 +281,14 @@ def bootstrap_ci(dataset: DecayDataset, resamples: int = DEFAULT_RESAMPLES,
     each chosen circuit's counts binomially.  All resamples are drawn first
     and then fitted together, so the interval depends only on the seed.
     """
+    resamples = operator.index(resamples)  # a TypeError for 2.5
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     rng = _as_rng(rng)
     lengths, counts = _length_groups(dataset)
     if len(lengths) < 2:
         raise ValueError("need at least two distinct lengths")
-    p_hat, se = _resample_points(counts, int(resamples), rng)
+    p_hat, se = _resample_points(counts, resamples, rng)
     _, us, _ = _fit_rows(lengths, p_hat, se, 1.0 / 2 ** dataset.n_qubits)
     lo, hi = _percentiles(us, CI_PERCENTILES)
     return (float(lo), float(hi))

@@ -101,7 +101,7 @@ class StochasticPauli:
         m = self.n_qubits
         if m < 1 or 4 ** m - 1 != len(probs):
             raise ValueError("probs length must be 4^m - 1 for m qubits")
-        if any(p < -1e-12 or p > 1.0 + 1e-12 for p in probs):
+        if not all(-1e-12 <= p <= 1.0 + 1e-12 for p in probs):  # NaN fails too
             raise ValueError("probabilities must lie in [0, 1]")
         if sum(probs) > 1.0 + 1e-9:
             raise ValueError("probabilities must sum to at most 1")
@@ -127,6 +127,8 @@ class UnitaryError:
     def __post_init__(self):
         if not self.axis or any(ch not in "IXYZ" for ch in self.axis):
             raise ValueError("axis must be a Pauli label like 'Z' or 'ZZ'")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
 
 
 @dataclass(frozen=True)

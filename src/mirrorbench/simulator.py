@@ -6,15 +6,15 @@ with a noise and a child seed per circuit (``_stack_counts``, the one stack
 runner of ``run``, ``simulate_survival`` and the scatter study):
 
 - stabilizer: Monte Carlo sampling of stochastic Pauli faults.  The
-  noiseless circuit maps each Z_q to +/-Z_q, so every fault site and Pauli
-  code flips a fixed set of measured bits, read for every site of a batch
-  of up to ``_TABLE_WORDS`` words from the Z images the mirror check kept
-  (``_fault_tables``).  Each circuit draws its own sparse faults from its
-  own child stream under its own site classes (so circuits under different
-  noise strengths, as in the scatter study, share a table build); one
-  decode, mask gather and per-shot XOR then serves consecutive circuits
-  (``_stack_survivors``).  ``run_stabilizer`` runs a stack of one
-  circuit through the same loop.
+  noiseless circuit maps each Z_q to +/-Z_q, so each Pauli code at each
+  fault site flips a fixed set of measured bits.  ``_fault_tables`` builds
+  these masks for a batch of up to ``_TABLE_WORDS`` words.  Codes 1, 2, 4
+  and 8 of a site come from the Z images the mirror check kept; the other
+  codes are XORed from them.  Each circuit draws its own sparse faults from
+  its own child stream, under its own site classes, so circuits under
+  different noise strengths share a table.  One decode, mask gather and
+  per-shot XOR then serves consecutive circuits (``_stack_survivors``).
+  ``run_stabilizer`` runs a stack of one circuit through the same loop.
 - dense: exact survival probability by propagating the PTM coordinates of
   the states of a stack round by round (up to 8 qubits), each gate merged
   with the channel after it, as batched matrix products between two state
@@ -244,19 +244,6 @@ def _rank_table(cum_codes: bytes) -> np.ndarray:
     return table
 
 
-def _code_masks(generators: np.ndarray) -> np.ndarray:
-    """The flip masks of the 16 Pauli codes at a site: code k flips the XOR
-    of the four generators (last axis) at its set bits, at a site on qubits
-    (a, b) the bits that X_a, Z_a, X_b and Z_b flip.  Every code is written,
-    so the table is taken empty: a zeroed one (calloc) maps fresh pages."""
-    masks = np.empty(generators.shape[:-1] + (16,), dtype=np.uint64)
-    masks[..., 0] = 0
-    for j in range(generators.shape[-1]):
-        np.bitwise_xor(masks[..., :1 << j], generators[..., j, None],
-                       out=masks[..., 1 << j:2 << j])
-    return masks
-
-
 @lru_cache(maxsize=64)
 def _placed_sites(n: int, length: int, placed: tuple) -> tuple:
     """The read-only round, UZZ flag and slot arrays (``_gate_layout``) of
@@ -291,39 +278,35 @@ def _fault_sites(n: int, length: int, noise: NoiseModel) -> tuple:
     return sites, classes
 
 
-def _site_generators(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndarray,
-                     sites: tuple) -> np.ndarray:
-    """The ``(C, sites, 4)`` generator masks (``_code_masks``) of C circuits
-    of one (n, L), given their ``(C, 2L, 2, n)`` Z images
-    (``CircuitStack``) and ``(C, 2L, n/2, 2)`` UZZ layers, at ``sites``
-    (round, UZZ flag and slot arrays): the Z_q with a Z part and with an X
-    part at each qubit of the gate, after a Clifford round (its qubit; the
-    last two masks stay zero) or a UZZ layer (its pair)."""
+def _fault_tables(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndarray,
+                  sites: tuple) -> np.ndarray:
+    """The ``(C, sites, 16)`` fault table of C circuits of one (n, L), from
+    their ``(C, 2L, 2, n)`` Z images (``CircuitStack``) and ``(C, 2L, n/2,
+    2)`` UZZ layers, at ``sites`` (round, UZZ flag and slot arrays).
+    ``masks[c, j, k]`` is the final X-mask of Pauli code k (as in
+    ``kernel_pauli_probs``) at site j of circuit c.  A fault flips outcome
+    bit q iff it anticommutes with the image of Z_q after its gate's
+    Clifford round or UZZ layer.  So code 1 (X) at a qubit flips the Z_q
+    whose image has a Z part there, code 2 (Z) those with an X part, and
+    codes 4 and 8 do the same at a UZZ pair's second qubit.  Code k is the
+    XOR of these at its set bits; a one-qubit site has no code above 3.
+    Every code is written, so the table is taken empty: a zeroed one
+    (calloc) maps fresh pages."""
     rounds, two, slot = sites
     one = ~two
-    generators = np.zeros((len(x_images), len(rounds), 4), dtype=np.uint64)
-    generators[:, one, 0] = z_images[:, rounds[one], 0, slot[one]]
-    generators[:, one, 1] = x_images[:, rounds[one], 0, slot[one]]
+    masks = np.empty((len(x_images), len(rounds), 16), dtype=np.uint64)
+    masks[..., 0] = 0
+    masks[:, one, 1] = z_images[:, rounds[one], 0, slot[one]]
+    masks[:, one, 2] = x_images[:, rounds[one], 0, slot[one]]
     r = rounds[two]
     pairs = layers[:, r, slot[two]]  # (C, sites, 2)
     k = np.arange(len(x_images))[:, None]
     for side in (0, 1):
-        generators[:, two, 2 * side] = z_images[k, r, 1, pairs[..., side]]
-        generators[:, two, 2 * side + 1] = x_images[k, r, 1, pairs[..., side]]
-    return generators
-
-
-def _fault_tables(x_images: np.ndarray, z_images: np.ndarray, layers: np.ndarray,
-                  sites: tuple) -> np.ndarray:
-    """The ``(C, sites, 16)`` fault table of C circuits of one (n, L):
-    ``masks[c, j, k]`` is the final X-mask of Pauli code k (as in
-    ``kernel_pauli_probs``) at site j of circuit c; the arguments are those
-    of ``_site_generators``.  A fault flips outcome bit q iff it
-    anticommutes with the image of Z_q where it occurs, so the generators of
-    the noisy sites are read from the kept Z images, then expanded to the 16
-    codes."""
-    masks = _code_masks(_site_generators(x_images, z_images, layers, sites))
-    masks[:, ~sites[1], 4:] = 0  # a one-qubit fault has no code above 3
+        masks[:, two, 1 << 2 * side] = z_images[k, r, 1, pairs[..., side]]
+        masks[:, two, 2 << 2 * side] = x_images[k, r, 1, pairs[..., side]]
+    for bit in (2, 4, 8):  # codes 3, 5-7 and 9-15
+        np.bitwise_xor(masks[..., 1:bit], masks[..., bit, None], out=masks[..., bit + 1:2 * bit])
+    masks[:, one, 4:] = 0
     return masks
 
 

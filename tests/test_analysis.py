@@ -389,6 +389,23 @@ def test_bootstrap_deterministic_given_seed():
     assert bootstrap_ci(ds, resamples=80, rng=5) == bootstrap_ci(ds, resamples=80, rng=5)
 
 
+@pytest.mark.parametrize("resamples", [2.5, 2.0, "3"])
+def test_resamples_that_are_not_an_integer_raise(resamples):
+    # taken through operator.index: 2.5 ran two resamples and recorded 2
+    ds = _synthetic_dataset(2, 0.7, 0.9, (2, 4, 8), shots=400)
+    with pytest.raises(TypeError):
+        bootstrap_ci(ds, resamples=resamples, rng=5)
+    with pytest.raises(TypeError):
+        fit_decay(ds, resamples=resamples, rng=5)
+
+
+def test_fit_records_a_numpy_integer_resample_count_as_an_int():
+    ds = _synthetic_dataset(2, 0.7, 0.9, (2, 4, 8), shots=400)
+    fit = fit_decay(ds, resamples=np.int64(20), rng=5)
+    assert type(fit.resamples) is int and fit.resamples == 20
+    assert fit.bootstrap_ci == bootstrap_ci(ds, resamples=20, rng=5)
+
+
 def test_bootstrap_memory_is_bounded_by_the_grid_chunk():
     # 1000 resamples of the standard n = 10 design (4 lengths x 10 circuits):
     # the traced numpy allocations peak below 2 MB, where ranking all rows

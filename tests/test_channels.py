@@ -97,6 +97,23 @@ def test_stochastic_pauli_validation():
         StochasticPauli((0.1, 0.1))  # not 4^m - 1 entries
 
 
+@pytest.mark.parametrize("slot", range(3))
+def test_stochastic_pauli_rejects_a_nan_probability(slot):
+    # NaN fails every comparison, so a range check written as "p < 0 or
+    # p > 1" lets it through and the channel draws no fault
+    for size in (3, 15):  # one qubit and two
+        probs = [0.001] * size
+        probs[slot] = math.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            StochasticPauli(tuple(probs))
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_unitary_error_rejects_a_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        UnitaryError("XI", theta)
+
+
 def test_unitary_error_matches_expm():
     for axis, theta in (("Z", 0.3), ("X", -0.7), ("ZZ", 0.25)):
         n = len(axis)

@@ -216,6 +216,25 @@ def test_run_bad_noise_spec_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("backend", ["stabilizer", "dense"])
+@pytest.mark.parametrize("noise,noise_1q", [
+    ("pauli:nan,0,0", "none"),
+    ("pauli:0,0,nan", "none"),
+    ("depolarizing:0.01@inverse=pauli:0,nan,0", "none"),
+    ("depolarizing:0.01", "pauli:nan,0,0"),
+])
+def test_run_nan_pauli_probability_exits_2(tmp_path, capsys, backend, noise, noise_1q):
+    # a NaN probability is a configuration error on both backends, caught
+    # before the output directory is made, not a channel that draws no fault
+    gen = _generate(tmp_path)
+    capsys.readouterr()
+    code, out = _run(tmp_path, gen, noise=noise, backend=backend,
+                     extra=("--noise-1q", noise_1q))
+    assert code == 2
+    assert "[0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_circuit_dir_exits_2(tmp_path):
     code, _ = _run(tmp_path, tmp_path / "nope")
     assert code == 2
