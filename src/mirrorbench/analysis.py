@@ -16,7 +16,6 @@ a 2-design.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -24,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .channels import Depolarizing, depolarizing_tensor_unitarity
-from .circuits import _experiment_seeds, mirror_circuit_stack
+from .circuits import _as_rng, _experiment_seeds, _integer, mirror_circuit_stack
 from .operators import _LETTER_MASK_ROWS
 from .simulator import DecayDataset, NoiseModel, _stack_counts
 
@@ -47,12 +46,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # numpy sums a contiguous row of this many terms or more pairwise, not left
 # to right
 _PAIRWISE_TERMS = 8
-
-
-def _as_rng(rng: Union[None, int, np.random.Generator]) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +240,7 @@ def fit_decay(dataset: DecayDataset, resamples: Optional[int] = None,
         degenerate=degenerate,
     )
     if resamples is not None:
-        resamples = operator.index(resamples)  # a TypeError for 2.5
+        resamples = _integer(resamples)
     if resamples:
         ci = bootstrap_ci(dataset, resamples=resamples, rng=rng)
         result = replace(result, bootstrap_ci=ci, resamples=resamples)
@@ -281,7 +274,7 @@ def bootstrap_ci(dataset: DecayDataset, resamples: int = DEFAULT_RESAMPLES,
     each chosen circuit's counts binomially.  All resamples are drawn first
     and then fitted together, so the interval depends only on the seed.
     """
-    resamples = operator.index(resamples)  # a TypeError for 2.5
+    resamples = _integer(resamples)
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     rng = _as_rng(rng)

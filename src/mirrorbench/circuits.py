@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from itertools import chain, groupby
 from dataclasses import dataclass
 from functools import lru_cache
@@ -173,6 +174,22 @@ def _single(circuit: CircuitStack) -> CircuitStack:
 _SPEC_ARRAYS = ("cliffords", "matchings", "paulis")
 
 
+def _integer(value) -> int:
+    """A seed or count as a plain int: an int or a numpy integer, never a
+    bool (a TypeError, as for 1.5 or a numpy bool)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _as_rng(rng) -> np.random.Generator:
+    """A Generator as given, fresh entropy for None, else ``default_rng``
+    of the seed (``_integer``)."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(None if rng is None else _integer(rng))
+
+
 def _check_stack(stack: tuple) -> None:
     """Check a stack of spec arrays (``CircuitStack``'s): entries in range,
     and every matching pairs every qubit exactly once."""
@@ -222,8 +239,9 @@ def mirror_circuit_stack(seeds: Sequence[int], n_qubits: int, length: int,
     cut into consecutive sorted pairs; the Paulis, ``integers(4)`` of shape
     ``(2L+1, n)``.  The stack is compiled in one pass (``_circuit_stack``),
     so its memory grows with the number of seeds."""
-    seeds = list(seeds)
-    circuit_ids = list(range(len(seeds)) if circuit_ids is None else circuit_ids)
+    seeds = [_integer(seed) for seed in seeds]
+    circuit_ids = [_integer(i) for i in (range(len(seeds)) if circuit_ids is None
+                                         else circuit_ids)]
     if not seeds or len(circuit_ids) != len(seeds):
         raise ValueError("need one or more seeds and one circuit id per seed")
     return _circuit_stack(_draw_stack(seeds, n_qubits, length), seeds, circuit_ids)
@@ -240,10 +258,8 @@ def _experiment_seeds(rng, lengths: Sequence[int], circuits_per_length: int) -> 
     """The (length, seed) of each spec of an experiment, in circuit-id order:
     one ``integers(0, 2^63 - 1, size=...)`` draw from ``rng``, which gives
     the values and the generator state of one scalar draw per spec."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     cells = [int(length) for length in lengths for _ in range(circuits_per_length)]
-    return list(zip(cells, rng.integers(0, 2 ** 63 - 1, size=len(cells)).tolist()))
+    return list(zip(cells, _as_rng(rng).integers(0, 2 ** 63 - 1, size=len(cells)).tolist()))
 
 
 def _experiment_stacks(rng, n_qubits: int, lengths: Sequence[int],
@@ -268,9 +284,10 @@ def sample_experiment(rng, n_qubits: int, lengths: Sequence[int],
     """Independent circuits for each (length, repeat) cell, as the stacks
     of ``_experiment_stacks``, in circuit-id order.
 
-    ``rng`` may be a Generator or an integer seed.  Each circuit records its
-    own seed so it can be regenerated independently
-    (``mirror_circuit_spec``, or ``mirror_circuit_stack`` for many).
+    ``rng`` may be a Generator, an integer seed or None for fresh entropy
+    (``_as_rng``).  Each circuit records its own seed so it can be
+    regenerated independently (``mirror_circuit_spec``, or
+    ``mirror_circuit_stack`` for many).
     """
     return list(_experiment_stacks(rng, n_qubits, lengths, circuits_per_length))
 

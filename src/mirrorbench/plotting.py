@@ -1,9 +1,11 @@
 """Small deterministic SVG chart writer.
 
 Produces self-contained SVG line/scatter charts with error bars, tick labels,
-and a legend.  Output is a pure function of the inputs: no timestamps, no
-random identifiers, fixed float formatting.  This keeps rendered charts
-byte-identical across runs, which the command-line tools rely on.
+and a legend.  Every chart is 640 x 440 px, with about five ticks per axis
+and 6% padding around the data.  Output is a pure function of the inputs: no
+timestamps, no random identifiers, fixed float formatting, so charts are
+byte-identical across runs, and golden files in ``tests/data`` pin each chart
+kind the command-line tools write.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from typing import Optional, Sequence
 
 PALETTE = ("#1f6fb2", "#d95f02", "#2a9d3c", "#7a4fa3", "#c23b77")
 
-_MARGIN_LEFT = 64.0
-_MARGIN_RIGHT = 16.0
-_MARGIN_TOP = 34.0
-_MARGIN_BOTTOM = 46.0
+_WIDTH, _HEIGHT = 640, 440
+_TICKS = 5  # ticks aimed for per axis
+_PAD = 0.06  # padding on each side, as a share of the data range
+_MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 64.0, 16.0, 34.0, 46.0
+_PLOT_W = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_H = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+_FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
 
 @dataclass(frozen=True)
@@ -50,19 +55,33 @@ def _escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
-    """Round tick positions using a 1-2-5 step ladder."""
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: int) -> str:
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x: float, y, size: int, fill: str, body: str,
+          anchor: Optional[str] = "middle", rotate: bool = False) -> str:
+    """A text element of ``body``, escaped; a str ``y`` is written as given.
+    ``rotate`` turns it a quarter turn anticlockwise about (x, y)."""
+    y = y if isinstance(y, str) else _fmt(y)
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {_fmt(x)} {y})"' if rotate else ""
+    return (f'<text x="{_fmt(x)}" y="{y}" {_FONT} font-size="{size}"{anchor} '
+            f'fill="{fill}"{turn}>{_escape(body)}</text>')
+
+
+def _nice_ticks(lo: float, hi: float) -> list:
+    """Round tick positions, about ``_TICKS`` of them, on a 1-2-5 step ladder."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("axis range must be finite")
     if hi <= lo:
         hi = lo + (abs(lo) if lo else 1.0)
-    span = hi - lo
-    raw = span / max(target, 2)
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if raw <= s * mag + 1e-12)
-    first = math.ceil(lo / step - 1e-9) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step - 1e-9) * step
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
@@ -73,148 +92,89 @@ def _tick_label(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _data_range(series: Sequence[Series], pad_frac: float = 0.06) -> tuple:
-    xs = [float(x) for s in series for x in s.xs]
-    ys = []
+def _data_range(series: Sequence[Series]) -> tuple:
+    """``(x_lo, x_hi, y_lo, y_hi)`` over every point and error-bar end, each
+    axis widened to 1 if flat and padded by ``_PAD`` of its span."""
+    xs, ys = [], []
     for s in series:
         err = s.yerr if s.yerr is not None else [0.0] * len(s.ys)
-        for y, e in zip(s.ys, err):
-            ys.append(float(y) - float(e))
-            ys.append(float(y) + float(e))
-    if not xs or not ys:
+        for x, y, e in zip(s.xs, s.ys, err):
+            xs.append(float(x))
+            ys += (float(y) - float(e), float(y) + float(e))
+    if not xs:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    x_pad = (x_hi - x_lo) * pad_frac
-    y_pad = (y_hi - y_lo) * pad_frac
-    return x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
+    bounds = ()
+    for lo, hi in ((min(xs), max(xs)), (min(ys), max(ys))):
+        if hi == lo:
+            lo, hi = lo - 0.5, hi + 0.5
+        pad = (hi - lo) * _PAD
+        bounds += (lo - pad, hi + pad)
+    return bounds
 
 
 def render_chart(series: Sequence[Series], title: str = "", xlabel: str = "",
-                 ylabel: str = "", width: int = 640, height: int = 440) -> str:
+                 ylabel: str = "") -> str:
     """Render series to an SVG string (deterministic for fixed inputs)."""
     if not series:
         raise ValueError("nothing to plot")
     x_lo, x_hi, y_lo, y_hi = _data_range(series)
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    right, bottom = _MARGIN_LEFT + _PLOT_W, _MARGIN_TOP + _PLOT_H
 
     def sx(x: float) -> float:
-        return _MARGIN_LEFT + (float(x) - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (float(x) - x_lo) / (x_hi - x_lo) * _PLOT_W
 
     def sy(y: float) -> float:
-        return _MARGIN_TOP + plot_h - (float(y) - y_lo) / (y_hi - y_lo) * plot_h
+        return bottom - (float(y) - y_lo) / (y_hi - y_lo) * _PLOT_H
 
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    out.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
-    out.append(
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" '
-        f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" fill="none" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
-    font = 'font-family="Helvetica,Arial,sans-serif"'
+        f'width="{_fmt(_PLOT_W)}" height="{_fmt(_PLOT_H)}" fill="none" '
+        f'stroke="#333333" stroke-width="1"/>',
+    ]
     # gridlines and tick labels
     for t in _nice_ticks(x_lo, x_hi):
-        px = sx(t)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(_MARGIN_TOP)}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(_MARGIN_TOP + plot_h)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(_MARGIN_TOP + plot_h + 16)}" '
-            f'{font} font-size="11" text-anchor="middle" fill="#333333">'
-            f'{_escape(_tick_label(t))}</text>'
-        )
+        out += (_line(sx(t), _MARGIN_TOP, sx(t), bottom, "#dddddd", 1),
+                _text(sx(t), bottom + 16, 11, "#333333", _tick_label(t)))
     for t in _nice_ticks(y_lo, y_hi):
-        py = sy(t)
-        out.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(py)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(_MARGIN_LEFT - 6)}" y="{_fmt(py + 4)}" '
-            f'{font} font-size="11" text-anchor="end" fill="#333333">'
-            f'{_escape(_tick_label(t))}</text>'
-        )
+        out += (_line(_MARGIN_LEFT, sy(t), right, sy(t), "#dddddd", 1),
+                _text(_MARGIN_LEFT - 6, sy(t) + 4, 11, "#333333", _tick_label(t), "end"))
     # series
     colors = [s.color or PALETTE[i % len(PALETTE)] for i, s in enumerate(series)]
-    for i, s in enumerate(series):
-        color = colors[i]
+    for s, color in zip(series, colors):
         if "line" in s.style and len(s.xs) >= 2:
             pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(s.xs, s.ys))
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>'
-            )
-        if s.yerr is not None:
-            for x, y, e in zip(s.xs, s.ys, s.yerr):
-                if e <= 0:
-                    continue
-                px, y0, y1 = sx(x), sy(y - e), sy(y + e)
-                out.append(
-                    f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" '
-                    f'y2="{_fmt(y1)}" stroke="{color}" stroke-width="1"/>'
-                )
-                for yy in (y0, y1):
-                    out.append(
-                        f'<line x1="{_fmt(px - 3)}" y1="{_fmt(yy)}" '
-                        f'x2="{_fmt(px + 3)}" y2="{_fmt(yy)}" '
-                        f'stroke="{color}" stroke-width="1"/>'
-                    )
+            out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                       f'stroke-width="1.5"/>')
+        for x, y, e in zip(s.xs, s.ys, s.yerr if s.yerr is not None else ()):
+            if e <= 0:
+                continue
+            px, y0, y1 = sx(x), sy(y - e), sy(y + e)
+            out += (_line(px, y0, px, y1, color, 1), _line(px - 3, y0, px + 3, y0, color, 1),
+                    _line(px - 3, y1, px + 3, y1, color, 1))
         if "points" in s.style:
-            for x, y in zip(s.xs, s.ys):
-                out.append(
-                    f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" '
-                    f'fill="{color}"/>'
-                )
-    # labels
+            out += (f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" fill="{color}"/>'
+                    for x, y in zip(s.xs, s.ys))
+    # labels; the title's baseline is "20", not "20.00", so charts keep their bytes
     if title:
-        out.append(
-            f'<text x="{_fmt(width / 2)}" y="20" {font} font-size="14" '
-            f'text-anchor="middle" fill="#111111">{_escape(title)}</text>'
-        )
+        out.append(_text(_WIDTH / 2, "20", 14, "#111111", title))
     if xlabel:
-        out.append(
-            f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(height - 10)}" '
-            f'{font} font-size="12" text-anchor="middle" fill="#111111">'
-            f'{_escape(xlabel)}</text>'
-        )
+        out.append(_text(_MARGIN_LEFT + _PLOT_W / 2, _HEIGHT - 10, 12, "#111111", xlabel))
     if ylabel:
-        cx, cy = 16.0, _MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" {font} font-size="12" '
-            f'text-anchor="middle" fill="#111111" '
-            f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{_escape(ylabel)}</text>'
-        )
+        out.append(_text(16.0, _MARGIN_TOP + _PLOT_H / 2, 12, "#111111", ylabel, rotate=True))
     # legend
-    labeled = [(i, s) for i, s in enumerate(series) if s.label]
-    for j, (i, s) in enumerate(labeled):
-        color = colors[i]
-        ly = _MARGIN_TOP + 14 + 16 * j
-        lx = _MARGIN_LEFT + plot_w - 150
-        out.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 18)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(lx + 24)}" y="{_fmt(ly)}" {font} font-size="11" '
-            f'fill="#111111">{_escape(s.label)}</text>'
-        )
+    for j, (s, color) in enumerate([(s, c) for s, c in zip(series, colors) if s.label]):
+        lx, ly = right - 150, _MARGIN_TOP + 14 + 16 * j
+        out += (_line(lx, ly - 4, lx + 18, ly - 4, color, 2),
+                _text(lx + 24, ly, 11, "#111111", s.label, None))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def write_chart(path, series: Sequence[Series], **kwargs) -> None:
+def write_chart(path, series: Sequence[Series], title: str = "", xlabel: str = "",
+                ylabel: str = "") -> None:
     """Render and write a chart to ``path``."""
-    svg = render_chart(series, **kwargs)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.write(render_chart(series, title, xlabel, ylabel))

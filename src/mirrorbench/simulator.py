@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
@@ -50,7 +49,7 @@ from .channels import (
     superop_of,
     superop_of_unitary,
 )
-from .circuits import CircuitStack, _gate_layout, _is_int, _single
+from .circuits import CircuitStack, _gate_layout, _integer, _is_int, _single
 from .operators import CLIFFORD_UNITARIES, UZZ_MATRIX
 
 DATASET_FORMAT_VERSION = 1
@@ -129,13 +128,20 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class DatasetEntry:
-    """One dataset row: counts for one circuit at one length."""
+    """One dataset row: counts for one circuit at one length, with
+    L >= 1, shots >= 1 and successes >= 0."""
 
     length: int
     circuit_id: int
     shots: int
     successes: int
     seed: int
+
+    def __post_init__(self):
+        if self.length < 1 or self.shots < 1 or self.successes < 0:
+            raise ValueError(
+                f"dataset row needs L >= 1, shots >= 1 and successes >= 0, got "
+                f"L={self.length} shots={self.shots} successes={self.successes}")
 
 
 @dataclass(frozen=True)
@@ -647,7 +653,7 @@ def simulate_survival(circuits: Union[CircuitStack, Sequence[CircuitStack]],
     if isinstance(rng, np.random.Generator):
         master = int(rng.integers(0, 2 ** 63 - 1))
     else:
-        master = operator.index(rng)  # a TypeError for 1.5, as default_rng gives
+        master = _integer(rng)
     if backend == "stabilizer":
         _check_stabilizer_noise(noise)
     ends = np.cumsum([len(stack) for stack in stacks]).tolist()
@@ -663,13 +669,14 @@ _CSV_COLUMNS = ("n", "L", "circuit_id", "shots", "successes", "seed")
 
 
 def _read_entry(length, circuit_id, shots, successes, seed) -> DatasetEntry:
-    """One dataset row from a file, rejecting rows no experiment gives."""
+    """One dataset row from a file (checked by ``DatasetEntry``), rejecting
+    too the rows with more successes than shots, which no experiment gives."""
     entry = DatasetEntry(int(length), int(circuit_id), int(shots), int(successes),
                          int(seed))
-    if entry.length < 1 or entry.shots < 1 or not 0 <= entry.successes <= entry.shots:
+    if entry.successes > entry.shots:
         raise ValueError(
-            f"dataset row needs L >= 1, shots >= 1 and 0 <= successes <= shots, got "
-            f"L={entry.length} shots={entry.shots} successes={entry.successes}")
+            f"dataset row needs successes <= shots, got "
+            f"shots={entry.shots} successes={entry.successes}")
     return entry
 
 

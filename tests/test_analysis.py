@@ -406,6 +406,47 @@ def test_fit_records_a_numpy_integer_resample_count_as_an_int():
     assert fit.bootstrap_ci == bootstrap_ci(ds, resamples=20, rng=5)
 
 
+_NOT_INTEGERS = [True, False, np.True_, 1.5]
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS)
+@pytest.mark.parametrize("call", [
+    lambda ds, v: fit_decay(ds, resamples=v, rng=5),
+    lambda ds, v: bootstrap_ci(ds, resamples=v, rng=5),
+    lambda ds, v: bootstrap_ci(ds, resamples=20, rng=v),
+    lambda ds, v: frame_potential_profile(2, [1, 2], 16, rng=v),
+    lambda ds, v: scatter_experiment(2, 1, 0.01, rng=v, lengths=(2, 4),
+                                     circuits_per_length=1, shots=10),
+], ids=["fit_decay-resamples", "bootstrap_ci-resamples", "bootstrap_ci-rng",
+        "frame_potential_profile-rng", "scatter_experiment-rng"])
+def test_seeds_and_resamples_that_are_bools_or_fractions_raise(call, value):
+    # a bool was taken as the int 1: resamples=True ran one resample with a
+    # zero-width interval, and rng=True ran as seed 1
+    ds = _synthetic_dataset(2, 0.7, 0.9, (2, 4, 8), shots=400)
+    with pytest.raises(TypeError):
+        call(ds, value)
+
+
+def test_numpy_integer_seeds_keep_their_streams_and_none_is_fresh_entropy():
+    ds = _synthetic_dataset(2, 0.7, 0.9, (2, 4, 8), shots=400)
+    assert bootstrap_ci(ds, resamples=20, rng=np.int32(5)) == bootstrap_ci(ds, resamples=20, rng=5)
+    assert (frame_potential_profile(2, [1, 2], 16, rng=np.uint8(3))
+            == frame_potential_profile(2, [1, 2], 16, rng=3))
+    assert len(frame_potential_profile(2, [1, 2], 16, rng=None)) == 2
+    lo, hi = bootstrap_ci(ds, resamples=20, rng=None)
+    assert lo <= hi
+
+
+@pytest.mark.parametrize("row", [(4, 0, 100, -5, 0), (4, 0, 0, 5, 0), (0, 0, 100, 5, 0)],
+                         ids=["negative-successes", "no-shots", "length-0"])
+def test_a_dataset_built_in_memory_rejects_rows_no_experiment_gives(row):
+    # fit_decay fitted these: u = 0.0039 without a warning for -5 successes,
+    # the same with only a RuntimeWarning for 0 shots, and a degenerate
+    # u = 1.0 for L = 0
+    with pytest.raises(ValueError, match="dataset row needs"):
+        fit_decay(DecayDataset(2, [DatasetEntry(*row), DatasetEntry(8, 1, 100, 50, 1)]))
+
+
 def test_bootstrap_memory_is_bounded_by_the_grid_chunk():
     # 1000 resamples of the standard n = 10 design (4 lengths x 10 circuits):
     # the traced numpy allocations peak below 2 MB, where ranking all rows

@@ -238,6 +238,43 @@ def test_mirror_circuit_spec_deterministic():
     assert _rows([c]) != _rows([a])
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, 1.5])
+@pytest.mark.parametrize("call", [
+    lambda v: sample_experiment(v, 2, [2], 1),
+    lambda v: mirror_circuit_stack([v], 2, 2),
+    lambda v: mirror_circuit_stack([1], 2, 2, [v]),
+    lambda v: mirror_circuit_spec(v, 2, 2),
+], ids=["sample_experiment-rng", "mirror_circuit_stack-seed",
+        "mirror_circuit_stack-circuit_id", "mirror_circuit_spec-seed"])
+def test_seeds_and_circuit_ids_that_are_bools_or_fractions_raise(call, value):
+    # sample_experiment ran True as seed 1 and raised AttributeError for
+    # 1.5; mirror_circuit_stack kept True as a seed, which save_circuit wrote
+    # as "seed":true and read_circuit refused
+    with pytest.raises(TypeError):
+        call(value)
+
+
+def test_sample_experiment_takes_none_as_fresh_entropy():
+    # None raised AttributeError
+    stacks = sample_experiment(None, 2, [2, 4], 3)
+    assert [c for stack in stacks for c in stack.circuit_ids] == list(range(6))
+
+
+def test_a_stack_of_numpy_integer_seeds_round_trips_through_files(tmp_path):
+    # the np.int64 seeds were kept, and save_circuit could not encode them;
+    # they are stored as ints and draw the ints' streams
+    seeds = np.arange(3)
+    stack = mirror_circuit_stack(seeds, 2, 2, seeds)
+    assert [type(v) for v in stack.seeds + stack.circuit_ids] == [int] * 6
+    assert _stack_json(stack) == _stack_json(mirror_circuit_stack([0, 1, 2], 2, 2))
+    for i in range(3):
+        path = tmp_path / f"circuit_{i}.json"
+        save_circuit(mirror_circuit_stack(seeds[i:i + 1], 2, 2, seeds[i:i + 1]), path)
+        loaded = read_circuit(path)
+        assert (loaded.seeds, loaded.circuit_ids) == ((i,), (i,))
+        assert circuit_to_json(loaded) == _stack_json(stack)[i]
+
+
 def test_sample_experiment_shape_and_ids():
     specs = _rows(sample_experiment(7, 4, (2, 4), 3))
     assert len(specs) == 6

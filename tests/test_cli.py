@@ -737,14 +737,16 @@ def test_frame_potential_command(tmp_path):
 
 @pytest.mark.parametrize("n_qubits,samples", [(4, 10000), (6, 2000)])
 def test_frame_potential_csv_matches_golden_file(tmp_path, n_qubits, samples):
-    # the stored rows of these arguments, byte for byte; CI compares the
-    # same files without the test extras
+    # the stored rows and chart of these arguments, byte for byte; CI
+    # compares the same files without the test extras
     out = tmp_path / "fp"
     assert run_cli("frame-potential", "--n", str(n_qubits), "--lengths",
                    "0,2,4,6,8,10,12,14,16", "--samples", str(samples), "--seed", "11",
                    "--out", str(out)) == 0
     golden = os.path.join(DATA, f"frame_potential_n{n_qubits}.csv")
     assert read_bytes(out / "frame_potential.csv") == read_bytes(golden)
+    golden_svg = os.path.join(DATA, f"frame_potential_n{n_qubits}.svg")
+    assert read_bytes(out / "frame_potential.svg") == read_bytes(golden_svg)
 
 
 def test_fit_of_ten_lengths_matches_golden_files(tmp_path):
@@ -769,6 +771,8 @@ def test_scatter_of_the_default_design_matches_golden_file(tmp_path):
                    "--out", str(tmp_path / "redo")) == 0
     assert (read_bytes(tmp_path / "redo" / "scatter.csv")
             == read_bytes(os.path.join(golden, "scatter.csv")))
+    assert (read_bytes(tmp_path / "redo" / "scatter.svg")
+            == read_bytes(os.path.join(golden, "scatter.svg")))
 
 
 def test_scatter_command(tmp_path):

@@ -1070,6 +1070,14 @@ def test_simulate_survival_rejects_a_seed_that_is_not_an_integer(seed):
         simulate_survival(mirror_circuit_spec(0, 2, 1), noise, 10, rng=1)
 
 
+@pytest.mark.parametrize("seed", [True, False, np.True_])
+def test_simulate_survival_rejects_a_bool_seed(seed):
+    # True ran as seed 1
+    noise = NoiseModel(two_qubit=Depolarizing(0.1))
+    with pytest.raises(TypeError):
+        simulate_survival(mirror_circuit_spec(0, 2, 1), noise, 10, rng=seed)
+
+
 def test_simulate_survival_accepts_compiled_circuits():
     # checks simulate_survival's input types: a stack, or a list of
     # stacks; position 0 is the first circuit either way
