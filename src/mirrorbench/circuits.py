@@ -19,14 +19,14 @@ round and before each mirrored round.
 
 A stack of one (n, L) is the unit of sampling, compiling and file I/O:
 ``_draw_stack`` draws C specs as ``(C, ...)`` arrays, each row from its own
-seed; ``_compile_stack`` merges and checks them in one pass of the images
-of the Z_q (each circuit must map each Z_q to +/-Z_q, so that its output on
-|0...0> is a basis state, and flip the X part of its final Pauli), keeping
-the images when n <= 64 for the fault masks; ``_stack_json`` writes a
-stack's files, and ``_file_fields`` and ``_field_stack`` read them back.
-A checked stack is the package's one circuit type, ``CircuitStack``, which
-``_circuit_stack`` builds from a drawn or loaded stack; a single circuit is
-a stack of one.
+seed; ``_circuit_stack`` merges them, or takes a loaded stack's stored
+rounds, and checks them in one pass of the images of the Z_q (each circuit
+must map each Z_q to +/-Z_q, so that its output on |0...0> is a basis
+state, and flip the X part of its final Pauli), keeping the images when
+n <= 64 for the fault masks.  ``_stack_json`` writes a stack's files, and
+``read_circuits`` reads any number of them back.  The checked stack it
+builds is the package's one circuit type, ``CircuitStack``; a single
+circuit is a stack of one.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 from itertools import chain, groupby
 from dataclasses import dataclass
 from functools import lru_cache
@@ -258,7 +259,8 @@ def _experiment_seeds(rng, lengths: Sequence[int], circuits_per_length: int) -> 
     """The (length, seed) of each spec of an experiment, in circuit-id order:
     one ``integers(0, 2^63 - 1, size=...)`` draw from ``rng``, which gives
     the values and the generator state of one scalar draw per spec."""
-    cells = [int(length) for length in lengths for _ in range(circuits_per_length)]
+    count = _integer(circuits_per_length)
+    cells = [_integer(length) for length in lengths for _ in range(count)]
     return list(zip(cells, _as_rng(rng).integers(0, 2 ** 63 - 1, size=len(cells)).tolist()))
 
 
@@ -316,23 +318,17 @@ class CircuitCheckError(ValueError):
         self.index = index
 
 
-def _image_words(size: tuple) -> int:
-    """Words of one image array of the Z pass per circuit of (n, L) ``size``."""
-    n, _ = size
-    return n * ((n + 63) // 64)
-
-
 def _batches(sizes: Sequence[tuple]) -> list:
     """The positions of circuits of the given (n, L) ``sizes``, grouped by
     size in order of first appearance, each group cut into batches of at
-    most ``_BATCH_WORDS`` words, ``_image_words(size)`` per circuit, and at
-    least one circuit."""
+    most ``_BATCH_WORDS`` words, the n ceil(n/64) words of one image array
+    of the Z pass per circuit, and at least one circuit."""
     groups = {}
     for i, size in enumerate(sizes):
         groups.setdefault(size, []).append(i)
     out = []
-    for size, members in groups.items():
-        count = max(1, _BATCH_WORDS // max(_image_words(size), 1))
+    for (n, _), members in groups.items():
+        count = max(1, _BATCH_WORDS // max(n * ((n + 63) // 64), 1))
         out.extend(members[k:k + count] for k in range(0, len(members), count))
     return out
 
@@ -425,19 +421,20 @@ def _z_pass(rounds: np.ndarray, layers: np.ndarray) -> tuple:
     return outcome, mirrors, x_images, z_images
 
 
-def _compile_stack(stack: tuple, rounds=None, stored=None) -> tuple:
-    """Merge and check the C circuits of one (n, L) stack of spec arrays
-    (``_draw_stack``'s order): the rounds are the stack's ``_merged_rounds``,
-    or the given stored ``(C, 2L, n)`` ``rounds``, checked, not recompiled.
-    One ``_z_pass`` checks them all: each circuit must map each Z_q to
-    +/-Z_q, flip exactly the X part of its final Pauli and, given ``stored``
-    ``(C, n)`` outcome bits, give those.  Raises CircuitCheckError for the
-    first failing circuit, with its position in the stack.  Returns the
-    read-only rounds, the ``(C, n)`` outcome bits and the images
-    (``CircuitStack``'s).
-    """
+def _circuit_stack(stack: tuple, seeds: Sequence[int], circuit_ids: Sequence[int],
+                   rounds=None, stored=None) -> CircuitStack:
+    """The record of a checked stack of spec arrays of one (n, L) (not
+    checked again) with each row's seed and circuit id.  Its rounds are the
+    stack's ``_merged_rounds``, or the stored ``(C, 2L, n)`` ``rounds``,
+    checked, not recompiled, so datasets stay reproducible if the compiler
+    changes.  One ``_z_pass`` checks every circuit: it must map each Z_q to
+    +/-Z_q, flip exactly the X part of its final Pauli and give any
+    ``stored`` ``(C, n)`` outcome bits.  The first to fail raises
+    CompilationError naming its ``circuit_id`` if the rounds were compiled,
+    else CircuitCheckError, whose ``index`` is its row."""
     _, matchings, paulis = stack
-    if rounds is None:
+    compiled = rounds is None
+    if compiled:
         rounds = _merged_rounds(*stack)
     outcome, mirrors, x_images, z_images = _z_pass(rounds, _uzz_layers(matchings))
     for arr in (rounds, outcome, x_images, z_images):
@@ -453,28 +450,12 @@ def _compile_stack(stack: tuple, rounds=None, stored=None) -> tuple:
     passed = np.logical_and.reduce([ok for ok, _ in checks])
     if not passed.all():
         c = int(np.argmin(passed))
-        raise CircuitCheckError(c, next(message for ok, message in checks if not ok[c]))
-    return rounds, outcome, x_images, z_images
-
-
-def _circuit_stack(stack: tuple, seeds: Sequence[int], circuit_ids: Sequence[int],
-                   rounds=None, stored=None) -> CircuitStack:
-    """The record of a checked stack of spec arrays (``_draw_stack`` or
-    ``_field_stack``, not checked again) with each row's seed and circuit
-    id, wrapping what ``_compile_stack`` returns: the stack compiled, or its
-    stored ``rounds`` and ``stored`` outcome checked, not recompiled, so
-    datasets stay reproducible even if the compiler changes.  A compiled
-    circuit that fails its check raises CompilationError naming its
-    ``circuit_id``; failing stored rounds raise CircuitCheckError, whose
-    ``index`` is the failing row."""
-    try:
-        compiled = _compile_stack(stack, rounds, stored)
-    except CircuitCheckError as exc:
-        if rounds is not None:
-            raise
-        raise CompilationError(f"compiled circuit {circuit_ids[exc.index]} "
-                               f"is wrong: {exc}") from None
-    return CircuitStack(tuple(seeds), tuple(circuit_ids), *stack, *compiled)
+        message = next(message for ok, message in checks if not ok[c])
+        if compiled:
+            raise CompilationError(f"compiled circuit {circuit_ids[c]} is wrong: {message}")
+        raise CircuitCheckError(c, message)
+    return CircuitStack(tuple(seeds), tuple(circuit_ids), *stack, rounds, outcome,
+                        x_images, z_images)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +634,7 @@ def _file_fields(data) -> tuple:
 
 def _field_stack(files: Sequence[list], n: int, length: int) -> tuple:
     """The ``(stack, rounds, stored)`` arrays of circuit files of one (n, L)
-    as ``_compile_stack`` takes them, from each file's flat lists
+    as ``_circuit_stack`` takes them, from each file's flat lists
     (``_file_fields``): one ``_int_column`` per field for all the files, and
     every matching checked.  Raises ValueError for the first failing field."""
     arrays = [_int_column(key, column, shape, high) for key, column, (shape, high)
@@ -674,14 +655,60 @@ def save_circuit(circuit: CircuitStack, path) -> None:
     _write_json(circuit_to_json(circuit), path)
 
 
+class CircuitWidthError(ValueError):
+    """A circuit file is wider than the ``max_qubits`` of ``read_circuits``."""
+
+
+def read_circuits(paths: Sequence, max_qubits: Optional[int] = None) -> list:
+    """``(positions, stack)`` of each (n, L) batch (``_batches``) of the
+    circuit files (schema 1 or 2) at ``paths``, checked.  Each file's scalar
+    fields are read alone (``_file_fields``) up to the first file over
+    ``max_qubits``; then each batch's fields are checked as one stack
+    (``_field_stack``), the wide file raises CircuitWidthError, mixed n is
+    refused and each batch gets its ``_circuit_stack`` check.  A ValueError
+    names the file: a bad field's first in ``paths``, else the failing one."""
+    names = [os.path.basename(path) for path in paths]
+    files, error = [], None
+    for path, name in zip(paths, names):
+        try:
+            with open(path) as fh:
+                files.append(_file_fields(json.load(fh)))
+        except ValueError as exc:  # json.JSONDecodeError included
+            error = ValueError(f"bad circuit file {name}: {exc}")
+            break
+        if max_qubits is not None and files[-1][0] > max_qubits:
+            error = CircuitWidthError(f"limited to {max_qubits} qubits, "
+                                      f"got {files.pop()[0]}-qubit circuits")
+            break
+    batches = _batches([fields[:2] for fields in files])
+    try:
+        stacks = [_field_stack([files[i][4] for i in batch], *files[batch[0]][:2])
+                  for batch in batches]
+    except ValueError:
+        for name, (n, length, _, _, lists) in zip(names, files):
+            try:
+                _field_stack([lists], n, length)
+            except ValueError as exc:
+                raise ValueError(f"bad circuit file {name}: {exc}") from None
+        raise
+    if error is not None:
+        raise error
+    if len({fields[0] for fields in files}) > 1:
+        raise ValueError("circuit files mix different qubit counts")
+    checked = []
+    for batch, (stack, rounds, stored) in zip(batches, stacks):
+        try:
+            checked.append((batch, _circuit_stack(stack, [files[i][3] for i in batch],
+                                                  [files[i][2] for i in batch], rounds, stored)))
+        except CircuitCheckError as exc:
+            raise ValueError(f"bad circuit file {names[batch[exc.index]]}: {exc}") from None
+    return checked
+
+
 def read_circuit(path) -> CircuitStack:
-    """The checked stack of one circuit of a circuit file (schema 1 or 2):
-    its fields (``_file_fields``, ``_field_stack``) and its stored rounds
-    and outcome, checked (``_circuit_stack``)."""
-    with open(path) as fh:
-        n, length, circuit_id, seed, lists = _file_fields(json.load(fh))
-    stack, rounds, stored = _field_stack([lists], n, length)
-    return _circuit_stack(stack, [seed], [circuit_id], rounds, stored)
+    """The checked stack of one circuit of a circuit file: the one-path case
+    of ``read_circuits``, whose errors name the file."""
+    return read_circuits([path])[0][1]
 
 
 # ---------------------------------------------------------------------------

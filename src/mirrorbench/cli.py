@@ -52,15 +52,12 @@ from .channels import (
     stochastic_pauli_tensor,
 )
 from .circuits import (
-    CircuitCheckError,
-    _batches,
-    _circuit_stack,
+    CircuitWidthError,
     _experiment_stacks,
-    _field_stack,
-    _file_fields,
     _is_int,
     _stack_json,
     _write_json,
+    read_circuits,
 )
 from .plotting import Series, write_chart
 from .simulator import (
@@ -232,16 +229,8 @@ def cmd_generate(n: int, lengths: list, circuits: int, seed: int, out: str) -> N
 
 
 def _circuits_from_dir(circuits_dir: str, backend: str) -> list:
-    """The checked stacks of the circuit files of a directory (or its
-    circuits/ child), as ``_run_stacks`` takes them, each with the
-    positions of its files in name order.  Each file's scalar fields are
-    read on their own (``_file_fields``), stopping at the first file wider
-    than ``backend`` simulates; then each batch of one (n, L) is
-    field-checked as one stack (``_field_stack``) and checked as one record
-    (``_circuit_stack``).
-    A bad field names the first file, in name order, that fails as a stack
-    of one, and a failing check its file.
-    """
+    """The ``read_circuits`` stacks, up to ``backend``'s qubit limit, of the
+    circuit files of a directory (or its circuits/ child) in name order."""
     root = circuits_dir
     if not os.path.isdir(root):
         raise ConfigError(f"circuit directory not found: {root}")
@@ -252,42 +241,13 @@ def _circuits_from_dir(circuits_dir: str, backend: str) -> list:
                    and f != MANIFEST_NAME)
     if not names:
         raise ConfigError(f"no circuit .json files in {root}")
-    limit = _QUBIT_LIMITS[backend]
-    files, error = [], None
-    for name in names:
-        try:
-            with open(os.path.join(root, name)) as fh:
-                files.append(_file_fields(json.load(fh)))
-        except ValueError as exc:  # json.JSONDecodeError included
-            error = f"bad circuit file {name}: {exc}"
-            break
-        if files[-1][0] > limit:
-            error = (f"{backend} backend limited to {limit} qubits, "
-                     f"got {files.pop()[0]}-qubit circuits")
-            break
-    batches = _batches([fields[:2] for fields in files])
     try:
-        stacks = [_field_stack([files[i][4] for i in batch], *files[batch[0]][:2])
-                  for batch in batches]
-    except ValueError:
-        for name, (n, length, _, _, lists) in zip(names, files):
-            try:
-                _field_stack([lists], n, length)
-            except ValueError as exc:
-                raise ConfigError(f"bad circuit file {name}: {exc}") from None
-        raise
-    if error is not None:
-        raise ConfigError(error)
-    if len({fields[0] for fields in files}) > 1:
-        raise ConfigError("circuit files mix different qubit counts")
-    checked = []
-    for batch, (stack, rounds, stored) in zip(batches, stacks):
-        try:
-            checked.append((batch, _circuit_stack(stack, [files[i][3] for i in batch],
-                                                  [files[i][2] for i in batch], rounds, stored)))
-        except CircuitCheckError as exc:
-            raise ConfigError(f"bad circuit file {names[batch[exc.index]]}: {exc}") from None
-    return checked
+        return read_circuits([os.path.join(root, name) for name in names],
+                             _QUBIT_LIMITS[backend])
+    except CircuitWidthError as exc:
+        raise ConfigError(f"{backend} backend {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,

@@ -71,12 +71,11 @@ def _text(x: float, y, size: int, fill: str, body: str,
             f'fill="{fill}"{turn}>{_escape(body)}</text>')
 
 
-def _nice_ticks(lo: float, hi: float) -> list:
-    """Round tick positions, about ``_TICKS`` of them, on a 1-2-5 step ladder."""
+def _nice_ticks(lo: float, hi: float) -> Optional[list]:
+    """About ``_TICKS`` round ticks over lo < hi on a 1-2-5 ladder, or None
+    if a step would not move a tick."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("axis range must be finite")
-    if hi <= lo:
-        hi = lo + (abs(lo) if lo else 1.0)
     raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if raw <= s * mag + 1e-12)
@@ -84,6 +83,8 @@ def _nice_ticks(lo: float, hi: float) -> list:
     t = math.ceil(lo / step - 1e-9) * step
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # below the float spacing at t
+            return None
         t += step
     return ticks
 
@@ -92,9 +93,10 @@ def _tick_label(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _data_range(series: Sequence[Series]) -> tuple:
-    """``(x_lo, x_hi, y_lo, y_hi)`` over every point and error-bar end, each
-    axis widened to 1 if flat and padded by ``_PAD`` of its span."""
+def _axes(series: Sequence[Series]) -> tuple:
+    """``(lo, hi, ticks)`` of the x and the y axis over every point and
+    error-bar end, padded by ``_PAD`` of the span; one too flat for ticks is
+    widened by 0.5 a side, or by its magnitude where rounding loses 0.5."""
     xs, ys = [], []
     for s in series:
         err = s.yerr if s.yerr is not None else [0.0] * len(s.ys)
@@ -103,13 +105,16 @@ def _data_range(series: Sequence[Series]) -> tuple:
             ys += (float(y) - float(e), float(y) + float(e))
     if not xs:
         raise ValueError("nothing to plot")
-    bounds = ()
+    axes = ()
     for lo, hi in ((min(xs), max(xs)), (min(ys), max(ys))):
-        if hi == lo:
-            lo, hi = lo - 0.5, hi + 0.5
-        pad = (hi - lo) * _PAD
-        bounds += (lo - pad, hi + pad)
-    return bounds
+        for half in (0.0, 0.5, max(-lo, hi)):
+            a, b = lo - half, hi + half
+            pad = (b - a) * _PAD
+            ticks = None if b <= a else _nice_ticks(a - pad, b + pad)  # NaN raises
+            if ticks is not None:
+                break
+        axes += ((a - pad, b + pad, ticks),)
+    return axes
 
 
 def render_chart(series: Sequence[Series], title: str = "", xlabel: str = "",
@@ -117,7 +122,7 @@ def render_chart(series: Sequence[Series], title: str = "", xlabel: str = "",
     """Render series to an SVG string (deterministic for fixed inputs)."""
     if not series:
         raise ValueError("nothing to plot")
-    x_lo, x_hi, y_lo, y_hi = _data_range(series)
+    (x_lo, x_hi, x_ticks), (y_lo, y_hi, y_ticks) = _axes(series)
     right, bottom = _MARGIN_LEFT + _PLOT_W, _MARGIN_TOP + _PLOT_H
 
     def sx(x: float) -> float:
@@ -135,10 +140,10 @@ def render_chart(series: Sequence[Series], title: str = "", xlabel: str = "",
         f'stroke="#333333" stroke-width="1"/>',
     ]
     # gridlines and tick labels
-    for t in _nice_ticks(x_lo, x_hi):
+    for t in x_ticks:
         out += (_line(sx(t), _MARGIN_TOP, sx(t), bottom, "#dddddd", 1),
                 _text(sx(t), bottom + 16, 11, "#333333", _tick_label(t)))
-    for t in _nice_ticks(y_lo, y_hi):
+    for t in y_ticks:
         out += (_line(_MARGIN_LEFT, sy(t), right, sy(t), "#dddddd", 1),
                 _text(_MARGIN_LEFT - 6, sy(t) + 4, 11, "#333333", _tick_label(t), "end"))
     # series

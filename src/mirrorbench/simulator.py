@@ -635,6 +635,7 @@ def simulate_survival(circuits: Union[CircuitStack, Sequence[CircuitStack]],
     independent of ``jobs`` and of how the circuits are stacked.  The
     stacks are run as given by ``_run_stacks``, as ``run`` runs the stacks
     it loads."""
+    shots, jobs = _integer(shots), _integer(jobs)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if jobs < 1:

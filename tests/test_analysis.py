@@ -437,6 +437,64 @@ def test_numpy_integer_seeds_keep_their_streams_and_none_is_fresh_entropy():
     assert lo <= hi
 
 
+_SCATTER_DESIGN = dict(p_max=0.01, rng=3, lengths=(1, 2), circuits_per_length=2, shots=10)
+
+
+@pytest.mark.parametrize("value", [True, 1.5])
+@pytest.mark.parametrize("call", [
+    lambda v: simulate_survival(sample_experiment(1, 2, (2,), 2), NoiseModel(), shots=v, rng=1),
+    lambda v: simulate_survival(sample_experiment(1, 2, (2,), 2), NoiseModel(), shots=10,
+                                rng=1, jobs=v),
+    lambda v: sample_experiment(1, 4, (4, v), 2),
+    lambda v: sample_experiment(1, 4, (4,), v),
+    lambda v: frame_potential_profile(2, [2, v], 10, rng=1),
+    lambda v: frame_potential_profile(2, [2], v, rng=1),
+    lambda v: scatter_experiment(4, 2, **dict(_SCATTER_DESIGN, shots=v)),
+    lambda v: scatter_experiment(4, 2, **dict(_SCATTER_DESIGN, circuits_per_length=v)),
+    lambda v: scatter_experiment(4, 2, **dict(_SCATTER_DESIGN, lengths=(1, v, 2))),
+    lambda v: scatter_experiment(4, v, **_SCATTER_DESIGN),
+], ids=["simulate_survival-shots", "simulate_survival-jobs", "sample_experiment-length",
+        "sample_experiment-count", "frame_potential_profile-length",
+        "frame_potential_profile-samples", "scatter_experiment-shots",
+        "scatter_experiment-count", "scatter_experiment-length",
+        "scatter_experiment-experiments"])
+def test_lengths_and_counts_that_are_bools_or_fractions_raise(call, value):
+    # these ran: shots=True one shot, stored as True in the dataset; a
+    # length 4.7 as L = 4; circuits_per_length=True one circuit a length
+    with pytest.raises(TypeError):
+        call(value)
+
+
+def test_numpy_integer_lengths_and_counts_keep_their_streams():
+    i = np.int64
+    stacks = sample_experiment(1, 4, (i(4), 8), i(2))
+    assert ([(s.length, s.seeds, s.circuit_ids) for s in stacks]
+            == [(s.length, s.seeds, s.circuit_ids) for s in sample_experiment(1, 4, (4, 8), 2)])
+    noise = NoiseModel(two_qubit=Depolarizing(0.05))
+    dataset = simulate_survival(stacks, noise, shots=i(50), rng=1, jobs=i(1))
+    assert dataset == simulate_survival(stacks, noise, shots=50, rng=1)
+    assert type(dataset.entries[0].shots) is int
+    assert (frame_potential_profile(2, [i(2), 4], i(10), rng=1)
+            == frame_potential_profile(2, [2, 4], 10, rng=1))
+    assert (scatter_experiment(4, i(2), 0.01, rng=3, lengths=(i(1), 2),
+                               circuits_per_length=i(2), shots=i(10))
+            == scatter_experiment(4, 2, **_SCATTER_DESIGN))
+
+
+@pytest.mark.parametrize("change", [dict(p_max=1.5), dict(p_max=-0.01), dict(p_max=math.nan),
+                                    dict(num_experiments=-3)],
+                         ids=["p-above-1", "p-below-0", "p-nan", "negative-experiments"])
+def test_scatter_experiment_rejects_a_bad_rate_or_experiment_count_before_drawing(change):
+    # p_max = 1.5 gave five points (p up to 0.873), and -3 experiments gave []
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    args = {**_SCATTER_DESIGN, "num_experiments": 5, "rng": rng, **change}
+    with pytest.raises(ValueError, match="p_max|num_experiments"):
+        scatter_experiment(4, **args)
+    assert rng.bit_generator.state == state
+    assert scatter_experiment(4, 0, **_SCATTER_DESIGN) == []
+
+
 @pytest.mark.parametrize("row", [(4, 0, 100, -5, 0), (4, 0, 0, 5, 0), (0, 0, 100, 5, 0)],
                          ids=["negative-successes", "no-shots", "length-0"])
 def test_a_dataset_built_in_memory_rejects_rows_no_experiment_gives(row):
@@ -842,7 +900,7 @@ def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch)
     # compiles one stack per length, so its size is the sum of two stacks.
     import mirrorbench.circuits as circuits_module
 
-    compile_stack = circuits_module._compile_stack
+    compile_stack = circuits_module._circuit_stack
     sizes = []
 
     def recording(stack, *args):
@@ -853,7 +911,7 @@ def test_scatter_experiment_compiles_a_bounded_chunk_of_experiments(monkeypatch)
         assert len(sizes) % 2 == 0 and sizes[::2] == sizes[1::2]
         return [a + b for a, b in zip(sizes[::2], sizes[1::2])]
 
-    monkeypatch.setattr(circuits_module, "_compile_stack", recording)
+    monkeypatch.setattr(circuits_module, "_circuit_stack", recording)
     kwargs = dict(rng=5, lengths=(2, 4), circuits_per_length=3, shots=50)
     whole = scatter_experiment(2, 7, 0.05, **kwargs)
     assert per_chunk() == [42]

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from mirrorbench.circuits import (
     CircuitCheckError,
     CircuitStack,
+    CircuitWidthError,
     CompilationError,
     _batches,
     _check_stack,
     _circuit_stack,
-    _compile_stack,
     _draw_stack,
     _experiment_seeds,
     _experiment_stacks,
@@ -29,6 +29,7 @@ from mirrorbench.circuits import (
     mirror_circuit_spec,
     mirror_circuit_stack,
     read_circuit,
+    read_circuits,
     sample_experiment,
     save_circuit,
     to_qasm,
@@ -488,6 +489,40 @@ def test_json_rejects_edited_version_1_circuit(edit):
         _loaded(data)
 
 
+@pytest.mark.parametrize("version_1", [False, True], ids=["v2", "v1"])
+@pytest.mark.parametrize("edit", _EDITS)
+def test_read_circuit_of_an_edited_file_names_the_file(tmp_path, edit, version_1):
+    # read_circuit is read_circuits of one path, so its errors name the
+    # file as run's do; the file loads before the edit
+    circuit = mirror_circuit_spec(11, 4, 2)
+    data = (circuit_to_v1_json if version_1 else circuit_to_json)(circuit)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert circuit_to_json(read_circuit(path)) == circuit_to_json(circuit)
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"^bad circuit file edited\.json: "):
+        read_circuit(path)
+
+
+def test_read_circuits_positions_follow_the_order_of_the_paths(tmp_path):
+    # two lengths interleaved in name order: each length is one stack, and
+    # its positions are the places of its files among the paths
+    rows = _rows(sample_experiment(4, 4, (2, 3), 3))  # ids 0-2 at L = 2, 3-5 at L = 3
+    order = [0, 3, 1, 4, 2, 5]
+    paths = [tmp_path / f"c{k}.json" for k in range(len(order))]
+    for path, i in zip(paths, order):
+        path.write_text(json.dumps(rows[i]))
+    read = read_circuits(paths)
+    assert [(list(positions), stack.circuit_ids) for positions, stack in read] == [
+        ([0, 2, 4], (0, 1, 2)), ([1, 3, 5], (3, 4, 5))]
+    for positions, stack in read:
+        assert _stack_json(stack) == [rows[order[p]] for p in positions]
+    (tmp_path / "c1.json").write_text("{")  # never read: reading stops at c0
+    with pytest.raises(CircuitWidthError, match="^limited to 2 qubits, got 4-qubit circuits$"):
+        read_circuits(paths, max_qubits=2)
+
+
 def test_save_and_load_circuit(tmp_path):
     circuit = mirror_circuit_spec(17, 2, 2)
     path = tmp_path / "circ.json"
@@ -655,7 +690,7 @@ def _check_z_pass_against_reference(rounds, matchings, n, length):
         if expected is None:
             spec = mirror_circuit_spec(0, n, length)
             with pytest.raises(ValueError, match=r"each Z_q to \+/-Z_q"):
-                _compile_stack((spec.cliffords, matchings[c][None], spec.paulis),
+                _circuit_stack((spec.cliffords, matchings[c][None], spec.paulis), [0], [0],
                                rounds[c][None], np.zeros((1, n), dtype=np.int64))
             continue
         assert tuple(outcome[c].tolist()) == expected

@@ -329,6 +329,33 @@ def test_run_names_the_earlier_edited_file_of_two_stacks(tmp_path, capsys, first
     assert capsys.readouterr().err == f"error: bad circuit file {edited[named]}: {message}\n"
 
 
+@pytest.mark.parametrize("first,second,renamed", [
+    (_bool_clifford, _bool_clifford, True),
+    (_extra_h_in_round_0, _extra_h_in_round_0, False),
+    (_bool_clifford, _extra_h_in_round_0, True),
+    (_extra_h_in_round_0, _bool_clifford, True),
+    (_extra_h_in_round_0, _extra_h_in_round_0, True),
+], ids=["fields", "checks", "field-then-check", "check-then-field", "checks-by-stack"])
+def test_read_circuits_raises_the_error_run_prints(tmp_path, capsys, first, second, renamed):
+    # run and the library share one reader: over the file sets of the test
+    # above, read_circuits of the files in name order raises what run prints
+    from mirrorbench.circuits import read_circuits
+    gen = _generate(tmp_path, n="4", lengths="2,3", circuits="3")
+    circuits = gen / "circuits"
+    if renamed:
+        (circuits / "circuit_L003_003.json").rename(circuits / "a_circuit.json")
+    for name, edit in zip(["circuit_L002_001.json", "circuit_L003_004.json"], (first, second)):
+        data = json.loads((circuits / name).read_text())
+        edit(data)
+        (circuits / name).write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        read_circuits(sorted(circuits.glob("*.json")))
+    capsys.readouterr()
+    code, _ = _run(tmp_path, gen, noise="none")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 V1_N4 = os.path.join(DATA, "v1_n4")
 

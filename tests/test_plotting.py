@@ -1,10 +1,14 @@
 """Deterministic SVG rendering."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mirrorbench.plotting as plotting_module
 from mirrorbench.plotting import PALETTE, Series, render_chart, write_chart
 from mirrorbench.plotting import _escape, _fmt, _nice_ticks, _tick_label
 
@@ -87,6 +91,30 @@ def test_nice_ticks():
 def test_single_point_series_renders():
     svg = render_chart([Series(xs=[5], ys=[2.0], yerr=[0.5])])
     assert "<circle" in svg
+
+
+@pytest.mark.parametrize("points,flat", [
+    (dict(xs=[1, 2], ys=[1000.0, 1000.0000000000001]), dict(xs=[1, 2], ys=[1000.0, 1000.0])),
+    (dict(xs=[1000.0, 1000.0000000000001], ys=[1, 2]), dict(xs=[1000.0, 1000.0], ys=[1, 2])),
+    (dict(xs=[1, 2], ys=[1e16, 1e16 + 2]), None),
+    (dict(xs=[1, 2], ys=[1e16, 1e16]), None),
+], ids=["y-one-spacing-at-1000", "x-one-spacing-at-1000", "y-one-spacing-at-1e16",
+        "y-flat-at-1e16"])
+def test_a_nearly_flat_axis_is_widened_and_renders(points, flat):
+    # an axis one float spacing wide had a tick step below that spacing, so
+    # ``t += step`` never moved and render_chart never returned; at 1e16,
+    # where widening by 0.5 is lost to rounding, a flat axis divided by zero.
+    # In a subprocess with a time bound, each renders, at 1000 as flat data do
+    script = ("import sys\n"
+              "from mirrorbench.plotting import Series, render_chart\n"
+              f"sys.stdout.write(render_chart([Series(**{points!r})]))\n")
+    src = os.path.dirname(os.path.dirname(plotting_module.__file__))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count("<text") >= 4  # at least two ticks on each axis
+    if flat is not None:
+        assert out.stdout == render_chart([Series(**flat)])
 
 
 # The chart writer as it was before its elements went through one line and
