@@ -25,7 +25,7 @@ import numpy as np
 from .channels import Depolarizing, depolarizing_tensor_unitarity
 from .circuits import _as_rng, _experiment_seeds, _integer, mirror_circuit_stack
 from .operators import _LETTER_MASK_ROWS
-from .simulator import DecayDataset, NoiseModel, _stack_counts
+from .simulator import _QUBIT_LIMITS, DecayDataset, NoiseModel, _stack_counts
 
 SE_FLOOR = 1e-4
 CI_PERCENTILES = (16.0, 84.0)
@@ -602,12 +602,14 @@ def scatter_experiment(n_qubits: int, num_experiments: int, p_max: float,
     does not depend on p, and one shot loop.  A chunk's experiments are
     fitted together, one row each.
     """
-    shots, num_experiments = _integer(shots), _integer(num_experiments)
-    fit_lengths = sorted({_integer(length) for length in lengths})
-    if n_qubits % 2:
-        raise ValueError("n_qubits must be even")
-    if shots < 1 or circuits_per_length < 1 or num_experiments < 0:
-        raise ValueError("shots and circuits_per_length must be >= 1, num_experiments >= 0")
+    shots, num_experiments, n_qubits = map(_integer, (shots, num_experiments, n_qubits))
+    circuits_per_length, lengths = _integer(circuits_per_length), [_integer(x) for x in lengths]
+    fit_lengths = sorted(set(lengths))
+    if n_qubits % 2 or not 2 <= n_qubits <= _QUBIT_LIMITS["stabilizer"]:
+        raise ValueError(f"n_qubits must be even and in [2, {_QUBIT_LIMITS['stabilizer']}]")
+    if shots < 1 or circuits_per_length < 1 or num_experiments < 0 or min(lengths, default=1) < 1:
+        raise ValueError("shots, circuits_per_length and lengths must be >= 1, "
+                         "num_experiments >= 0")
     if not 0.0 <= p_max <= 1.0:  # NaN included
         raise ValueError(f"p_max must lie in [0, 1], got {p_max!r}")
     if len(fit_lengths) < 2:

@@ -24,9 +24,10 @@ rounds, and checks them in one pass of the images of the Z_q (each circuit
 must map each Z_q to +/-Z_q, so that its output on |0...0> is a basis
 state, and flip the X part of its final Pauli), keeping the images when
 n <= 64 for the fault masks.  ``_stack_json`` writes a stack's files, and
-``read_circuits`` reads any number of them back.  The checked stack it
-builds is the package's one circuit type, ``CircuitStack``; a single
-circuit is a stack of one.
+``read_circuits`` reads any number of them back as a list of stacks in
+file order, one per run of consecutive files of one (n, L).  The checked
+stack it builds is the package's one circuit type, ``CircuitStack``; a
+single circuit is a stack of one.
 """
 
 from __future__ import annotations
@@ -319,17 +320,16 @@ class CircuitCheckError(ValueError):
 
 
 def _batches(sizes: Sequence[tuple]) -> list:
-    """The positions of circuits of the given (n, L) ``sizes``, grouped by
-    size in order of first appearance, each group cut into batches of at
+    """The positions of circuits of the given (n, L) ``sizes``, in order:
+    each run of consecutive circuits of one size cut into batches of at
     most ``_BATCH_WORDS`` words, the n ceil(n/64) words of one image array
     of the Z pass per circuit, and at least one circuit."""
-    groups = {}
-    for i, size in enumerate(sizes):
-        groups.setdefault(size, []).append(i)
-    out = []
-    for (n, _), members in groups.items():
+    out, start = [], 0
+    for (n, _), run in groupby(sizes):
+        stop = start + len(list(run))
         count = max(1, _BATCH_WORDS // max(n * ((n + 63) // 64), 1))
-        out.extend(members[k:k + count] for k in range(0, len(members), count))
+        out.extend(list(range(k, min(k + count, stop))) for k in range(start, stop, count))
+        start = stop
     return out
 
 
@@ -660,13 +660,14 @@ class CircuitWidthError(ValueError):
 
 
 def read_circuits(paths: Sequence, max_qubits: Optional[int] = None) -> list:
-    """``(positions, stack)`` of each (n, L) batch (``_batches``) of the
-    circuit files (schema 1 or 2) at ``paths``, checked.  Each file's scalar
-    fields are read alone (``_file_fields``) up to the first file over
-    ``max_qubits``; then each batch's fields are checked as one stack
-    (``_field_stack``), the wide file raises CircuitWidthError, mixed n is
-    refused and each batch gets its ``_circuit_stack`` check.  A ValueError
-    names the file: a bad field's first in ``paths``, else the failing one."""
+    """The checked ``CircuitStack`` of each batch (``_batches``) of the
+    circuit files (schema 1 or 2) at ``paths``, in path order, so that
+    circuit i of the stacks is ``paths[i]``.  Each file's scalar fields are
+    read alone (``_file_fields``) up to the first file over ``max_qubits``;
+    then each batch's fields are checked as one stack (``_field_stack``),
+    the wide file raises CircuitWidthError, mixed n is refused and each
+    batch gets its ``_circuit_stack`` check.  A ValueError names the file: a
+    bad field's first in ``paths``, else the first failing one."""
     names = [os.path.basename(path) for path in paths]
     files, error = [], None
     for path, name in zip(paths, names):
@@ -698,8 +699,8 @@ def read_circuits(paths: Sequence, max_qubits: Optional[int] = None) -> list:
     checked = []
     for batch, (stack, rounds, stored) in zip(batches, stacks):
         try:
-            checked.append((batch, _circuit_stack(stack, [files[i][3] for i in batch],
-                                                  [files[i][2] for i in batch], rounds, stored)))
+            checked.append(_circuit_stack(stack, [files[i][3] for i in batch],
+                                          [files[i][2] for i in batch], rounds, stored))
         except CircuitCheckError as exc:
             raise ValueError(f"bad circuit file {names[batch[exc.index]]}: {exc}") from None
     return checked
@@ -708,7 +709,7 @@ def read_circuits(paths: Sequence, max_qubits: Optional[int] = None) -> list:
 def read_circuit(path) -> CircuitStack:
     """The checked stack of one circuit of a circuit file: the one-path case
     of ``read_circuits``, whose errors name the file."""
-    return read_circuits([path])[0][1]
+    return read_circuits([path])[0]
 
 
 # ---------------------------------------------------------------------------

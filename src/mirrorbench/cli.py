@@ -63,7 +63,7 @@ from .plotting import Series, write_chart
 from .simulator import (
     _QUBIT_LIMITS,
     NoiseModel,
-    _run_stacks,
+    simulate_survival,
     write_dataset_csv,
     write_dataset_json,
     read_dataset_csv,
@@ -259,7 +259,7 @@ def cmd_run(circuits: str, noise: str, noise_1q: str, shots: int, seed: int,
             "use --backend dense for amplitude-damping noise")
     stacks = _circuits_from_dir(circuits, backend)
     os.makedirs(out, exist_ok=True)
-    dataset = _run_stacks(stacks, model, shots, seed, jobs, backend)
+    dataset = simulate_survival(stacks, model, shots, seed, jobs, backend)
     write_dataset_csv(dataset, os.path.join(out, "dataset.csv"))
     write_dataset_json(dataset, os.path.join(out, "dataset.json"))
     lengths, p_hat, _ = survival_points(dataset)

@@ -73,12 +73,14 @@ def _text(x: float, y, size: int, fill: str, body: str,
 
 def _nice_ticks(lo: float, hi: float) -> Optional[list]:
     """About ``_TICKS`` round ticks over lo < hi on a 1-2-5 ladder, or None
-    if a step would not move a tick."""
+    if the step rounds to zero or would not move a tick."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("axis range must be finite")
     raw = (hi - lo) / _TICKS
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw else 0.0
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if raw <= s * mag + 1e-12)
+    if not step:
+        return None
     ticks = []
     t = math.ceil(lo / step - 1e-9) * step
     while t <= hi + step * 1e-9:

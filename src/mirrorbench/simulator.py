@@ -3,7 +3,8 @@
 Two backends share a gate-located noise model, and both run the stacks of
 circuits of one (n, L) that ``circuits.CircuitStack`` holds, as arrays,
 with a noise and a child seed per circuit (``_stack_counts``, the one stack
-runner of ``run``, ``simulate_survival`` and the scatter study):
+runner of ``simulate_survival``, which ``run`` calls, and of the scatter
+study; one task worker, ``_counted``, serves both backends):
 
 - stabilizer: Monte Carlo sampling of stochastic Pauli faults.  The
   noiseless circuit maps each Z_q to +/-Z_q, so each Pauli code at each
@@ -520,31 +521,23 @@ def _uzz_layer(state: np.ndarray, spare: np.ndarray, axes: list, inverses: list,
 # ---------------------------------------------------------------------------
 
 
-def _run_batch(task) -> list:
-    """The success counts of ``(x_images, z_images, layers, sites, classes,
-    shots, child_seeds)``, a stack of one (n, L) with one ``_fault_tables``
-    build at ``sites``, and per circuit its site classes and the seed of its
-    own child stream (``_stack_survivors``)."""
-    x_images, z_images, layers, sites, classes, shots, child_seeds = task
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in child_seeds]
-    return _stack_survivors(_fault_tables(x_images, z_images, layers, sites), classes,
-                            shots, rngs).tolist()
-
-
-def _run_dense_batch(task) -> list:
-    """The success counts of ``(rounds, layers, outcome, noise, shots,
-    child_seeds)``, a stack of one (n, L): a binomial draw from each
-    circuit's exact probability (``_dense_survivals``)."""
-    rounds, layers, outcome, noise, shots, child_seeds = task
-    return [int(np.random.default_rng(np.random.SeedSequence(seed)).binomial(shots, prob))
-            for prob, seed in zip(_dense_survivals(rounds, layers, outcome, noise).tolist(),
-                                  child_seeds)]
-
-
 def _counted(task) -> tuple:
-    """``(positions, counts)`` of a ``(positions, run, args)`` task."""
-    positions, run, args = task
-    return positions, run(args)
+    """``(key, counts)`` of a ``(key, arrays, shared, classes, shots,
+    child_seeds)`` task, a stack of one (n, L) whose circuit c draws from
+    the child stream ``SeedSequence(child_seeds[c])``.  On the stabilizer
+    backend ``arrays`` is the X images, Z images and UZZ layers, with one
+    ``_fault_tables`` build at the ``shared`` sites, and ``classes`` each
+    circuit's site classes (``_stack_survivors``); on the dense backend it
+    is the rounds, UZZ layers and outcome, run under the ``shared`` noise,
+    and ``classes`` is None: a binomial draw from each circuit's exact
+    probability (``_dense_survivals``)."""
+    key, arrays, shared, classes, shots, child_seeds = task
+    if classes is None:
+        probs = _dense_survivals(*arrays, shared).tolist()
+        return key, [int(np.random.default_rng(np.random.SeedSequence(seed)).binomial(shots, p))
+                     for p, seed in zip(probs, child_seeds)]
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in child_seeds]
+    return key, _stack_survivors(_fault_tables(*arrays, shared), classes, shots, rngs).tolist()
 
 
 def _task_runs(stack: CircuitStack, noises: Sequence, backend: str) -> list:
@@ -571,10 +564,10 @@ def _stack_counts(stacks: Sequence[tuple], shots: int, jobs: int, backend: str) 
     child_seeds)`` triples, one int64 array per stack: stacks of one n
     (``CircuitStack``) whose circuit c runs under ``noises[c]`` and draws
     from the child stream ``SeedSequence(child_seeds[c])``.  Each stack is
-    cut into tasks, one at a time, of at most ceil(circuits / jobs), within
-    a run of ``_task_runs``: stabilizer batches of at most ``_TABLE_WORDS``
-    table words (``_run_batch``), or dense ones of at most ``_DENSE_WORDS``
-    state words (``_run_dense_batch``)."""
+    cut into ``_counted`` tasks, one at a time, of at most ceil(circuits /
+    jobs), within a run of ``_task_runs``: stabilizer batches of at most
+    ``_TABLE_WORDS`` table words, or dense ones of at most ``_DENSE_WORDS``
+    state words."""
     size = -(-sum(len(stack) for stack, _, _ in stacks) // jobs)
     stabilizer = backend == "stabilizer"
 
@@ -587,13 +580,11 @@ def _stack_counts(stacks: Sequence[tuple], shots: int, jobs: int, backend: str) 
                 for k in range(start, stop, step):
                     at = slice(k, min(k + step, stop))
                     if stabilizer:
-                        yield (index, at), _run_batch, (
-                            stack.x_images[at], stack.z_images[at], layers[at], shared,
-                            classes[k - start:at.stop - start], shots, child_seeds[at])
+                        arrays = stack.x_images[at], stack.z_images[at], layers[at]
+                        chosen = classes[k - start:at.stop - start]
                     else:
-                        yield (index, at), _run_dense_batch, (
-                            stack.rounds[at], layers[at], stack.outcome[at], shared, shots,
-                            child_seeds[at])
+                        arrays, chosen = (stack.rounds[at], layers[at], stack.outcome[at]), None
+                    yield (index, at), arrays, shared, chosen, shots, child_seeds[at]
 
     if jobs > 1:
         # imported here: the pool is the one user of concurrent.futures and
@@ -610,31 +601,15 @@ def _stack_counts(stacks: Sequence[tuple], shots: int, jobs: int, backend: str) 
     return counts
 
 
-def _run_stacks(stacks: Sequence[tuple], noise: NoiseModel, shots: int, master: int,
-                jobs: int, backend: str) -> DecayDataset:
-    """The dataset of the circuits of ``(positions, stack)`` pairs, stacks
-    of one n (``CircuitStack``), run under ``noise`` by ``_stack_counts``:
-    circuit c of a stack is the dataset's row ``positions[c]``, and it draws
-    from the child stream ``(master, positions[c])``."""
-    counts = _stack_counts([(stack, [noise] * len(stack), [(master, pos) for pos in positions])
-                            for positions, stack in stacks], shots, jobs, backend)
-    rows = sorted((pos, DatasetEntry(stack.length, circuit_id, shots, count, seed))
-                  for (positions, stack), column in zip(stacks, counts)
-                  for pos, circuit_id, seed, count in zip(positions, stack.circuit_ids,
-                                                          stack.seeds, column.tolist()))
-    return DecayDataset(stacks[0][1].n_qubits, tuple(entry for _, entry in rows))
-
-
 def simulate_survival(circuits: Union[CircuitStack, Sequence[CircuitStack]],
                       noise: NoiseModel, shots: int, rng: Union[int, np.random.Generator],
                       jobs: int = 1, backend: str = "stabilizer") -> DecayDataset:
     """Simulate survival counts for a ``CircuitStack`` or a list of them,
-    all of one n.  ``rng`` may be a seed or a Generator; each circuit gets a
-    child stream derived from ``(master_seed, position)``, its position
-    being its place in the concatenation of the stacks, so results are
-    independent of ``jobs`` and of how the circuits are stacked.  The
-    stacks are run as given by ``_run_stacks``, as ``run`` runs the stacks
-    it loads."""
+    all of one n, as ``run`` does for the stacks it reads.  ``rng`` may be a
+    seed or a Generator; circuit i, the i-th of the concatenated stacks and
+    the dataset's row i, draws from the child stream ``(master_seed, i)``,
+    so results are independent of ``jobs`` and of how the circuits are
+    stacked.  The stacks run as given, through ``_stack_counts``."""
     shots, jobs = _integer(shots), _integer(jobs)
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -658,8 +633,13 @@ def simulate_survival(circuits: Union[CircuitStack, Sequence[CircuitStack]],
     if backend == "stabilizer":
         _check_stabilizer_noise(noise)
     ends = np.cumsum([len(stack) for stack in stacks]).tolist()
-    return _run_stacks([(range(end - len(stack), end), stack) for stack, end in zip(stacks, ends)],
-                       noise, shots, master, jobs, backend)
+    counts = _stack_counts([(stack, [noise] * len(stack),
+                             [(master, i) for i in range(end - len(stack), end)])
+                            for stack, end in zip(stacks, ends)], shots, jobs, backend)
+    return DecayDataset(n, tuple(
+        DatasetEntry(stack.length, circuit_id, shots, count, seed)
+        for stack, column in zip(stacks, counts)
+        for circuit_id, seed, count in zip(stack.circuit_ids, stack.seeds, column.tolist())))
 
 
 # ---------------------------------------------------------------------------

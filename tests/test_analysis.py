@@ -495,6 +495,25 @@ def test_scatter_experiment_rejects_a_bad_rate_or_experiment_count_before_drawin
     assert scatter_experiment(4, 0, **_SCATTER_DESIGN) == []
 
 
+@pytest.mark.parametrize("change,error", [
+    (dict(circuits_per_length=True), TypeError), (dict(circuits_per_length=0), ValueError),
+    (dict(lengths=(0, 2)), ValueError), (dict(n_qubits=66), ValueError),
+    (dict(n_qubits=0), ValueError), (dict(n_qubits=3), ValueError),
+    (dict(n_qubits=4.0), TypeError)],
+    ids=["count-bool", "count-0", "length-0", "n-66", "n-0", "n-odd", "n-float"])
+def test_scatter_experiment_rejects_a_bad_design_before_drawing(change, error):
+    # each of these raised only after the experiments' draws had advanced
+    # rng, and with no experiments circuits_per_length=True gave []
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    args = {"n_qubits": 4, **_SCATTER_DESIGN, "num_experiments": 5, "rng": rng, **change}
+    for count in (5, 0):
+        with pytest.raises(error):
+            scatter_experiment(**dict(args, num_experiments=count))
+    assert rng.bit_generator.state == state
+    assert scatter_experiment(4, 0, **_SCATTER_DESIGN) == []
+
+
 @pytest.mark.parametrize("row", [(4, 0, 100, -5, 0), (4, 0, 0, 5, 0), (0, 0, 100, 5, 0)],
                          ids=["negative-successes", "no-shots", "length-0"])
 def test_a_dataset_built_in_memory_rejects_rows_no_experiment_gives(row):

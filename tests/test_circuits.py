@@ -506,18 +506,19 @@ def test_read_circuit_of_an_edited_file_names_the_file(tmp_path, edit, version_1
 
 
 def test_read_circuits_positions_follow_the_order_of_the_paths(tmp_path):
-    # two lengths interleaved in name order: each length is one stack, and
-    # its positions are the places of its files among the paths
+    # two lengths interleaved in name order: the stacks come in path order,
+    # each a run of consecutive files of one (n, L), so circuit i of the
+    # stacks is the file at paths[i]
     rows = _rows(sample_experiment(4, 4, (2, 3), 3))  # ids 0-2 at L = 2, 3-5 at L = 3
     order = [0, 3, 1, 4, 2, 5]
     paths = [tmp_path / f"c{k}.json" for k in range(len(order))]
     for path, i in zip(paths, order):
         path.write_text(json.dumps(rows[i]))
     read = read_circuits(paths)
-    assert [(list(positions), stack.circuit_ids) for positions, stack in read] == [
-        ([0, 2, 4], (0, 1, 2)), ([1, 3, 5], (3, 4, 5))]
-    for positions, stack in read:
-        assert _stack_json(stack) == [rows[order[p]] for p in positions]
+    assert all(isinstance(stack, CircuitStack) for stack in read)
+    assert [stack.length for stack in read] == [2, 3, 2, 3, 2, 3]
+    assert [i for stack in read for i in stack.circuit_ids] == order
+    assert [row for stack in read for row in _stack_json(stack)] == [rows[i] for i in order]
     (tmp_path / "c1.json").write_text("{")  # never read: reading stops at c0
     with pytest.raises(CircuitWidthError, match="^limited to 2 qubits, got 4-qubit circuits$"):
         read_circuits(paths, max_qubits=2)

@@ -305,15 +305,15 @@ CHECK_ERROR = "circuit does not map each Z_q to +/-Z_q"
     (_bool_clifford, _extra_h_in_round_0, True, 0, FIELD_ERROR),
     # a field error anywhere comes before any mirror check
     (_extra_h_in_round_0, _bool_clifford, True, 1, FIELD_ERROR),
-    # the mirror checks run stack by stack, in the order of each stack's
-    # first file
-    (_extra_h_in_round_0, _extra_h_in_round_0, True, 1, CHECK_ERROR),
+    # the mirror checks run stack by stack in name order, so the first bad
+    # file in name order is named
+    (_extra_h_in_round_0, _extra_h_in_round_0, True, 0, CHECK_ERROR),
 ], ids=["fields", "checks", "field-then-check", "check-then-field", "checks-by-stack"])
 def test_run_names_the_earlier_edited_file_of_two_stacks(tmp_path, capsys, first, second,
                                                          renamed, named, message):
     # two files edited, one of the L = 2 and one of the L = 3 stack; when
-    # the first L = 3 file is renamed to sort first, the L = 3 stack is
-    # loaded first although its edited file is named after the other
+    # the first L = 3 file is renamed to sort first, it is a stack of its
+    # own, read first, and the edited L = 3 file is in the last stack
     gen = _generate(tmp_path, n="4", lengths="2,3", circuits="3")
     circuits = gen / "circuits"
     if renamed:
@@ -354,6 +354,36 @@ def test_read_circuits_raises_the_error_run_prints(tmp_path, capsys, first, seco
     code, _ = _run(tmp_path, gen, noise="none")
     assert code == 2
     assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("backend", ["stabilizer", "dense"])
+def test_run_of_interleaved_lengths_is_simulate_survival_in_name_order(tmp_path, backend, jobs):
+    # one L = 3 file renamed to sort first, so the names interleave lengths
+    # (stacks L = 3, 2, 3): run's dataset is simulate_survival of each
+    # file's read_circuit stack, in name order
+    from mirrorbench.circuits import read_circuit
+    from mirrorbench.simulator import read_dataset_json, simulate_survival
+    gen = _generate(tmp_path, n="4", lengths="2,3", circuits="3")
+    circuits = gen / "circuits"
+    (circuits / "circuit_L003_004.json").rename(circuits / "a_circuit.json")
+    code, out = _run(tmp_path, gen, backend=backend, extra=("--jobs", jobs))
+    assert code == 0
+    stacks = [read_circuit(path) for path in sorted(circuits.glob("*.json"))]
+    expected = simulate_survival(stacks, parse_noise_spec("depolarizing:0.05"), 200, 7,
+                                 backend=backend)
+    assert read_dataset_json(out / "dataset.json") == expected
+    assert [e.circuit_id for e in expected.entries] == [4, 0, 1, 2, 3, 5]
+
+
+def test_generated_lengths_read_back_as_one_stack_each(tmp_path):
+    # circuit_L1000_* sorts between circuit_L008_* and circuit_L100_*, yet
+    # each length's files stay consecutive in name order
+    from mirrorbench.circuits import read_circuits
+    gen = _generate(tmp_path, n="2", lengths="8,100,1000", circuits="2")
+    stacks = read_circuits(sorted((gen / "circuits").glob("*.json")))
+    assert [(stack.length, stack.circuit_ids) for stack in stacks] == [
+        (8, (0, 1)), (1000, (4, 5)), (100, (2, 3))]
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")

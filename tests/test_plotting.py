@@ -117,6 +117,15 @@ def test_a_nearly_flat_axis_is_widened_and_renders(points, flat):
         assert out.stdout == render_chart([Series(**flat)])
 
 
+def test_an_axis_whose_tick_step_rounds_to_zero_is_widened_and_renders():
+    # a span of one subnormal gave a step of 0 and math.log10(0) raised; the
+    # step underflows below 1e-323 too.  Such an axis renders as flat data do
+    assert _nice_ticks(0.0, 5e-324) is None
+    assert _nice_ticks(0.0, 3e-323) is None
+    assert (render_chart([Series(xs=[1, 2], ys=[0.0, 5e-324])])
+            == render_chart([Series(xs=[1, 2], ys=[0.0, 0.0])]))
+
+
 # The chart writer as it was before its elements went through one line and
 # one text helper, kept as the reference that ``render_chart`` must equal byte
 # for byte: ``_reference_render_chart`` verbatim, calling the old range and

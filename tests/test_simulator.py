@@ -43,8 +43,8 @@ from mirrorbench.simulator import (
     _fault_sites,
     _fault_tables,
     _local_ptm,
+    _counted,
     _read_entry,
-    _run_batch,
     _site_class,
     _stack_counts,
     _stack_survivors,
@@ -571,9 +571,9 @@ def test_stack_loop_counts_equal_the_per_circuit_loop(n_qubits, shots):
         classes = [_fault_sites(*sizes[i], noises[i])[1] for i in batch]
         stacked = _stack_survivors(masks, classes, shots, rngs)
         sites, _ = _fault_sites(*sizes[batch[0]], noises[1])
-        assert _run_batch((*(np.concatenate([getattr(circuits[i], name) for i in batch])
-                             for name in ("x_images", "z_images", "uzz_layers")),
-                           sites, classes, shots, [(21, i) for i in batch])) == stacked.tolist()
+        assert _counted((None, [np.concatenate([getattr(circuits[i], name) for i in batch])
+                                for name in ("x_images", "z_images", "uzz_layers")],
+                         sites, classes, shots, [(21, i) for i in batch]))[1] == stacked.tolist()
         for c, i in enumerate(batch):
             reference = np.random.default_rng(streams[c])
             assert stacked[c] == _reference_survivors(masks[c], classes[c], shots, reference)
@@ -899,7 +899,7 @@ def test_stack_runner_runs_each_circuit_under_its_own_noise(jobs):
     # 1,152 sites at L = 6 (so A, B, B, A is one run of the stack, cut at
     # three circuits by table words), C only the UZZ sites, and the
     # noiseless NoiseModel() none.  Each count is that of its circuit run
-    # alone, by _run_batch and by the per-circuit reference loop.
+    # alone, by _counted and by the per-circuit reference loop.
     pool = {"A": NoiseModel(two_qubit=Depolarizing(0.002), single_qubit=_WEAK_1Q),
             "B": NoiseModel(two_qubit=Depolarizing(0.004), single_qubit=_WEAK_1Q),
             "C": NoiseModel(two_qubit=Depolarizing(0.01)),
@@ -917,8 +917,8 @@ def test_stack_runner_runs_each_circuit_under_its_own_noise(jobs):
             circuit = mirror_circuit_spec(stack.seeds[c], 64, stack.length)
             program = _fault_program(circuit, noise)
             sites, _ = _fault_sites(64, stack.length, noise)
-            alone = _run_batch((circuit.x_images, circuit.z_images, circuit.uzz_layers, sites,
-                                [program.classes], shots, [seed]))
+            _, alone = _counted((None, (circuit.x_images, circuit.z_images, circuit.uzz_layers),
+                                 sites, [program.classes], shots, [seed]))
             reference = _reference_survivors(program.masks, program.classes, shots,
                                              np.random.default_rng(np.random.SeedSequence(seed)))
             assert [stack_counts[c]] == alone == [reference]
